@@ -2,16 +2,19 @@
 
 Reports are canonical JSON (or a text rendering of the same data) and are
 byte-identical across runs with the same job and seed.  Results are cached
-content-addressed under a key derived from the job and engine version.
+content-addressed under a key derived from the job, the engine version and
+a digest of the package source.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,6 +104,10 @@ def parse_job(argv, env=None) -> JobSpec:
         raise UsageError("degrees must match ranks in length")
     if any(d < 0 for d in degrees):
         raise UsageError("degrees must be non-negative")
+    min_degree = {"hg": 0, "hori-vafa": 1}.get(args.command)
+    if min_degree is not None and args.max_degree < min_degree:
+        raise UsageError(
+            f"{args.command} needs --max-degree >= {min_degree}")
     try:
         spec = FlagSpec(args.n, ranks, degrees)
     except ValueError as exc:
@@ -275,8 +282,18 @@ def _canonical_json(data) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def _source_digest() -> str:
+    """sha256 over the package's source files, read once per process."""
+    digest = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        digest.update(path.name.encode() + b"\0" + path.read_bytes())
+    return digest.hexdigest()
+
+
 def cache_key(job: JobSpec) -> str:
-    payload = {"job": job.identity(), "engine": __version__}
+    payload = {"job": job.identity(), "engine": __version__,
+               "source": _source_digest()}
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
@@ -295,19 +312,27 @@ def run_and_report(job: JobSpec) -> dict:
     if cache_file.exists():
         try:
             stored = json.loads(cache_file.read_text())
-            if stored.get("key") != key:
-                raise ValueError("key mismatch")
+            if not isinstance(stored, dict) or stored.get("key") != key:
+                raise ValueError("not an entry for this key")
             results = stored["results"]
             cache_status = "hit"
-        except (ValueError, KeyError, json.JSONDecodeError):
+        except (ValueError, KeyError):
             results = None
             warning = "cache entry was corrupt and has been bypassed"
     if results is None:
         results = _RUNNERS[job.command](job)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
-            cache_file.write_text(
-                _canonical_json({"key": key, "results": results}))
+            # a concurrent reader sees the old entry or the whole new one
+            fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
+            try:
+                with os.fdopen(fd, "w") as out:
+                    out.write(_canonical_json({"key": key,
+                                               "results": results}))
+                os.replace(tmp, cache_file)
+            except OSError:
+                Path(tmp).unlink(missing_ok=True)
+                raise
         except OSError:
             warning = "cache directory is not writable"
     provenance = {

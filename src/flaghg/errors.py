@@ -38,4 +38,6 @@ class FormulaMismatchError(FlagHGError):
 
 
 class IntegrationShapeError(FlagHGError):
-    """A fully integrated class still contains root variables."""
+    """An integrand or an integrated class has a shape the integration
+    routes do not handle: root variables left after integration, or a
+    denominator factor the fixed-point oracle cannot expand."""

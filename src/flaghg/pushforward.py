@@ -15,10 +15,10 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
-from math import factorial
+from math import factorial, lcm
 from typing import Sequence
 
-from .algebra import Poly, RatFun, VarId, ambient, ratfun_sum, y
+from .algebra import ALPHA, Poly, RatFun, VarId, ambient, ratfun_sum, y
 from .errors import (BudgetExceededError, IntegrationShapeError,
                      SingularSubstitutionError, SymmetryViolationError)
 from .fixedlocus import (fixed_point_values, tangent_euler_at_point,
@@ -237,61 +237,121 @@ def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
     return out
 
 
-SCALE_VAR = VarId(5, k=0)  # ray parameter along the torus weights
-
-
 def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                  max_retries: int = 5, seed: int = 0,
                  check_symmetry: bool = True) -> RatFun:
     """Torus fixed-point integration over the component.
 
-    Sums p / (tangent Euler class) over the coordinate fixed points, with
-    the torus weights evaluated along the scaled ray lam*s; the exact limit
-    s -> 0 recovers the non-equivariant integral, so the result carries no
-    trace of the weights.  The tangent weights come from the tangent
-    ledger.  A vanishing denominator factor means the weights were
-    non-generic; fresh weights are drawn from the seed sequence up to
-    max_retries times.
+    Sums p / (tangent Euler class) over the coordinate fixed points with the
+    roots on the ray lam*s, as a truncated Laurent series in s, and returns
+    its s^0 coefficient: the non-equivariant integral, free of the weights.
+    At a point a denominator factor (root form) + w*alpha is s*delta +
+    w*alpha.  For w != 0 its inverse is (w*alpha)^-1 times a power series
+    in u = s/alpha, so alpha stays symbolic; for w = 0 it raises the pole
+    order.  Pole cancellation is checked: the negative powers of s must
+    vanish over the points.  A vanishing alpha-free factor or a surviving
+    pole means non-generic weights (or a genuine pole); fresh weights are
+    drawn from the seed sequence up to max_retries times.  A factor that
+    is not a root form plus a multiple of alpha is rejected.
     """
     if check_symmetry:
         from .fixedlocus import assert_block_symmetric
         assert_block_symmetric(p, t)
     from .tableaux import component_dimension
     points = torus_fixed_points(t)
-    dim = component_dimension(t)
-    lam = [Fraction(v) for v in lam]
-    s = Poly.var(SCALE_VAR)
-    attempt = 0
-    while True:
+    roots = set(fixed_point_values(t, points[0], lam))
+    factors = []
+    for f, e in p.den.items():
+        const, coeffs = f.linear_parts()
+        w = coeffs.pop(ALPHA, 0)
+        if const or not coeffs.keys() <= roots:
+            raise IntegrationShapeError(
+                f"denominator factor {f.to_text()} is not a root form plus "
+                "a multiple of alpha")
+        factors.append((coeffs, w, e))
+    order = component_dimension(t) + sum(e for _, w, e in factors if not w)
+    # Root monomial i > 0 is root monomial recipe[i-1][0] times the variable
+    # recipe[i-1][1], so a point evaluates each with one multiplication.
+    index: dict[tuple, int] = {(): 0}
+    recipe: list[tuple] = []
+
+    def mono_index(root: tuple) -> int:
+        if root not in index:
+            v, e = root[-1]
+            parent = root[:-1] + (((v, e - 1),) if e > 1 else ())
+            recipe.append((mono_index(parent), v))
+            index[root] = len(recipe)
+        return index[root]
+
+    # (rest monomial, alpha power, root degree) -> [(root index, den*coeff)];
+    # root degrees above the order only feed positive powers of s
+    den = lcm(*(c.denominator for c in p.num.terms.values()))
+    terms: dict[tuple, list] = {}
+    for mono, c in p.num.terms.items():
+        root = tuple(ve for ve in mono if ve[0] in roots)
+        degree = sum(e for _, e in root)
+        if degree <= order:
+            rest = tuple(ve for ve in mono
+                         if ve[0] not in roots and ve[0] != ALPHA)
+            key = (rest, dict(mono).get(ALPHA, 0), degree)
+            terms.setdefault(key, []).append((mono_index(root), int(c * den)))
+    for attempt in range(max_retries + 1):
         try:
-            if p.is_poly():
-                # all terms share the denominator s^dim; sum numerators
-                # and normalize once
-                numerator = Poly.zero()
-                for point in points:
-                    values = fixed_point_values(t, point, lam)
-                    scaled = {v: s * c for v, c in values.items()}
-                    euler = tangent_euler_at_point(t, point, lam)
-                    numerator = numerator \
-                        + p.num.substitute(scaled) * (Fraction(1) / euler)
-                total = RatFun(numerator, {s: dim} if dim else {})
-            else:
-                terms = []
-                for point in points:
-                    values = fixed_point_values(t, point, lam)
-                    scaled = {v: s * c for v, c in values.items()}
-                    euler = tangent_euler_at_point(t, point, lam)
-                    term = p.substitute(scaled) * Fraction(1, 1) / euler
-                    term = term * RatFun(Poly.const(1),
-                                         {s: dim} if dim else {})
-                    terms.append(term)
-                total = ratfun_sum(terms)
-            return total.substitute({SCALE_VAR: 0})
+            top = _ray_series_sum(t, points, lam, factors, recipe, terms, den,
+                                  order)
+            break
         except SingularSubstitutionError:
-            attempt += 1
-            if attempt > max_retries:
+            if attempt == max_retries:
                 raise
-            lam = lam_vector(t.spec.n, seed=seed + 1000 + attempt)
+            lam = lam_vector(t.spec.n, seed=seed + 1001 + attempt)
+    # restore the (w*alpha)^-e of the factors and clear negative powers
+    shift = sum(e for _, w, e in factors if w)
+    lift = max([0] + [shift - a for (_, a), c in top.items() if c])
+    num = {}
+    for (rest, a), c in top.items():
+        if c:
+            power = a + lift - shift
+            num[tuple(sorted(rest + ((ALPHA, power),))) if power else rest] = c
+    return RatFun(Poly(num), {Poly.var(ALPHA): lift} if lift else {})
+
+
+def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
+                    den: int, order: int) -> dict:
+    """The s^0 coefficient {(rest monomial, alpha power): value} of the sum
+    over the points, once the negative powers of s are checked to cancel."""
+    scale = lcm(*(Fraction(v).denominator for v in lam))
+    acc: list[dict] = [{} for _ in range(order + 1)]  # s^(j - order)
+    for point in points:
+        values = fixed_point_values(t, point, lam)
+        scalar = 1 / tangent_euler_at_point(t, point, lam)
+        series = [1] + [0] * order  # in u, of the inverse w != 0 factors
+        for coeffs, w, e in factors:
+            delta = sum(a * values[v] for v, a in coeffs.items())
+            if not (w or delta):
+                raise SingularSubstitutionError(
+                    "an alpha-free denominator factor vanished at a point")
+            scalar /= (w or delta) ** e
+            x = delta / w if w else 0
+            for _ in range(e if x else 0):  # divide by 1 + x*u
+                for k in range(1, order + 1):
+                    series[k] -= x * series[k - 1]
+        series = [scalar * c for c in series]
+        ints = {v: int(val * scale) for v, val in values.items()}
+        mono_values = [1]
+        for parent, v in recipe:
+            mono_values.append(mono_values[parent] * ints[v])
+        for (rest, a, degree), items in terms.items():
+            value = Fraction(sum(c * mono_values[i] for i, c in items),
+                             den * scale ** degree)
+            for k in range(order - degree + 1):
+                if series[k]:
+                    row = acc[degree + k]
+                    key = (rest, a - k)
+                    row[key] = row.get(key, 0) + value * series[k]
+    if any(any(row.values()) for row in acc[:order]):
+        raise SingularSubstitutionError(
+            "poles in the ray parameter do not cancel over the fixed points")
+    return acc[order]
 
 
 def complete_homogeneous(degree: int, roots: Sequence[VarId]) -> Poly:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from flaghg import cli
 from flaghg.cli import (JobSpec, cache_key, format_report, main, parse_job,
                         run_and_report)
 from flaghg.errors import UsageError
@@ -119,6 +120,33 @@ def test_corrupt_cache_is_bypassed_with_warning(tmp_path):
     assert again["results"] == first["results"]
 
 
+def test_non_object_cache_entry_is_bypassed_with_warning(tmp_path):
+    job = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path)
+    first = run_and_report(job)
+    (tmp_path / f"{cache_key(job)}.json").write_text("[1,2]")
+    again = run_and_report(job)
+    assert again["provenance"]["cache"]["status"] == "miss"
+    assert again["provenance"]["warning"] == \
+        "cache entry was corrupt and has been bypassed"
+    assert again["results"] == first["results"]
+
+
+def test_cache_write_leaves_only_the_entry(tmp_path):
+    job = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path)
+    first = run_and_report(job)
+    assert [p.name for p in tmp_path.iterdir()] == [f"{cache_key(job)}.json"]
+    second = run_and_report(job)
+    assert second["provenance"]["cache"]["status"] == "hit"
+    assert second["results"] == first["results"]
+
+
+def test_cache_key_covers_engine_source(tmp_path, monkeypatch):
+    job = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path)
+    before = cache_key(job)
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    assert cache_key(job) != before
+
+
 def test_cache_key_ignores_output_format(tmp_path):
     a = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path,
              output_format="json")
@@ -151,6 +179,21 @@ def test_main_hg_requires_grassmannian(tmp_path, capsys):
                  str(tmp_path)])
     assert code == 1
     assert "Grassmannian" in capsys.readouterr().err
+
+
+def test_main_hori_vafa_rejects_max_degree_zero(tmp_path, capsys):
+    code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
+                 "0", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "--max-degree >= 1" in capsys.readouterr().err
+
+
+def test_main_hg_rejects_negative_max_degree(tmp_path, capsys):
+    code = main(["hg", "--n", "4", "--ranks", "2", "--max-degree", "-3",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "--max-degree >= 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_hori_vafa_passes(tmp_path, capsys):

@@ -3,12 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from flaghg.algebra import (ALPHA, Poly, RatFun, ambient, exp_truncated,
-                            kahler, y)
+from flaghg.algebra import (ALPHA, FORMAL_C, Poly, RatFun, ambient,
+                            exp_truncated, kahler, y)
 from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
                            SymmetryViolationError)
 from flaghg.fixedlocus import (block_decomposition, canonical_roots,
                                euler_class_from_ledger, normal_ledger)
+from flaghg.mirror import mirror_integrand
 from flaghg.pushforward import (BlockAlphabet, OmegaSpec, ab_integrate,
                                 brion_pushforward, complete_homogeneous,
                                 integrate_to_point, lam_vector, omega_class,
@@ -240,6 +241,49 @@ def test_ab_integrate_mirror_integrand_matches_tower():
     alpha = Poly.var(ALPHA)
     expected = RatFun(Poly.const(2) + alpha * P(kahler(1)), {alpha: 3})
     assert via_oracle == expected
+
+
+def test_ab_integrate_mixed_alpha_degrees_matches_tower():
+    # numerator terms of root degree 4, 3, 2 and 0 over two factors with
+    # nonzero alpha weight
+    gr24 = Tableau(FlagSpec(4, (2,), (0,)), ((0, 0),))
+    alpha, y1, y2 = P(ALPHA), P(y(1, 1, 1)), P(y(1, 1, 2))
+    num = (y1 * y2) ** 2 + alpha * (y1 + y2) ** 3 \
+        + alpha ** 2 * y1 * y2 * P(kahler(1)) + alpha ** 5
+    f = RatFun(num, {y1 + alpha: 1, y2 + alpha: 1})
+    assert ab_integrate(gr24, f, lam_vector(4, 0)) == \
+        integrate_to_point(f, tableau_tower(gr24))
+
+
+def test_ab_integrate_alpha_free_factor_poles_cancel():
+    # at both fixed points of P^1 the class equals t - y, so the s^-1
+    # terms of its t-part cancel between the points and the result is 1
+    p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
+    root, e1, e2 = P(y(1, 1, 1)), P(ambient(1)), P(ambient(2))
+    f = RatFun(P(kahler(1)) * (root - e1 - e2) + e1 * e2,
+               {root - e1 - e2: 1})
+    assert not f.is_poly()
+    via_oracle = ab_integrate(p1, f, lam_vector(2, 0))
+    assert via_oracle == integrate_to_point(f, tableau_tower(p1))
+    assert via_oracle == RatFun.const(1)
+
+
+def test_ab_integrate_positive_degree_mirror_integrand_seeds():
+    t = Tableau(FlagSpec(3, (1,), (1,)), ((1,),))
+    integrand = mirror_integrand(t)
+    values = [ab_integrate(t, integrand, lam_vector(3, seed))
+              for seed in (0, 1, 2)]
+    assert values[0] == values[1] == values[2]
+    assert values[0] == integrate_to_point(integrand, tableau_tower(t))
+
+
+def test_ab_integrate_rejects_non_alpha_denominator():
+    p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
+    root = P(y(1, 1, 1))
+    for factor in (root + 1, root + P(kahler(1)), root + P(FORMAL_C)):
+        with pytest.raises(IntegrationShapeError, match="root form"):
+            ab_integrate(p1, RatFun(Poly.const(1), {factor: 1}),
+                         lam_vector(2, 0))
 
 
 def test_schur_examples():
