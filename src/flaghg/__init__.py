@@ -4,8 +4,7 @@ over the projective line and the hypergeometric series of flag manifolds."""
 __version__ = "0.1.0"
 
 from .algebra import (ALPHA, FORMAL_C, LinearProduct, Poly, RatFun, VarId,
-                      ambient, exp_series, exp_truncated, kahler,
-                      ratfun_normalize, substitute, y)
+                      ambient, exp_series, kahler, ratfun_normalize, y)
 from .errors import (BudgetExceededError, CancellationFailureError,
                      FlagHGError, FormulaMismatchError,
                      InfeasibleTableauError, IntegrationShapeError,
@@ -14,12 +13,11 @@ from .errors import (BudgetExceededError, CancellationFailureError,
 from .fixedlocus import (Ledger, LedgerTerm, TorusFixedPoint,
                          euler_class_closed_form, euler_class_from_ledger,
                          hquot_restriction_ledger, normal_ledger,
-                         specialize_at_fixed_point, tangent_ledger,
-                         torus_fixed_points)
+                         tangent_ledger, torus_fixed_points)
 from .mirror import (HoriVafaReport, IntegralResult, grassmannian_hg_term,
                      hori_vafa_verify, hyperplane_pullback, integral_Id,
                      reconstruct_class_from_pairings, schur_pairing)
-from .pushforward import (BlockAlphabet, OmegaSpec, ab_integrate,
+from .pushforward import (BlockAlphabet, ab_integrate,
                           brion_pushforward, integrate_to_point, lam_vector,
                           omega_class, restrictive_pushforward,
                           schur_polynomial, tableau_tower)

@@ -24,8 +24,6 @@ from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import SingularSubstitutionError, ZeroDenominatorError
 
-_KIND_NAMES = ("root", "ambient", "alpha", "kahler", "c", "lam")
-
 
 class VarId(NamedTuple):
     """A variable: kind plus up to three indices.
@@ -35,7 +33,6 @@ class VarId(NamedTuple):
     kind 2: alpha               (equivariant circle weight)
     kind 3: kahler t[i]
     kind 4: c                   (formal constant, never evaluated)
-    kind 5: lam[k]              (symbolic torus weight)
     """
 
     kind: int
@@ -52,9 +49,7 @@ class VarId(NamedTuple):
             return "alpha"
         if self.kind == 3:
             return f"t[{self.i}]"
-        if self.kind == 4:
-            return "c"
-        return f"lam[{self.k}]"
+        return "c"
 
 
 def y(i: int, j: int, k: int) -> VarId:
@@ -67,10 +62,6 @@ def ambient(k: int) -> VarId:
 
 def kahler(i: int) -> VarId:
     return VarId(3, i=i)
-
-
-def lam_var(k: int) -> VarId:
-    return VarId(5, k=k)
 
 
 ALPHA = VarId(2)
@@ -165,14 +156,6 @@ class Poly:
         if not self.terms:
             return 0
         return max(sum(e for _, e in mono) for mono in self.terms)
-
-    def degree_in(self, v: VarId) -> int:
-        deg = 0
-        for mono in self.terms:
-            for vv, e in mono:
-                if vv == v and e > deg:
-                    deg = e
-        return deg
 
     def coefficient(self, v: VarId, power: int) -> "Poly":
         """The Poly coefficient of v**power (v removed from the monomials)."""
@@ -287,120 +270,33 @@ class Poly:
             n >>= 1
         return result
 
-    def substitute(self, assignment: Mapping[VarId, "Poly | Scalar"]) -> "Poly":
-        """Simultaneous substitution; values may be Poly or rational scalars."""
+    def substitute(self, assignment: Mapping[VarId, "VarId | Scalar"]) -> "Poly":
+        """Simultaneous substitution: a value is a variable (a rename) or a
+        rational scalar; any other value, a Poly included, raises TypeError."""
         if not assignment:
             return self
-        values = {}
-        renames = {}
-        scalars_only = True
-        renames_only = True
-        for v, val in assignment.items():
-            if isinstance(val, Poly):
-                values[v] = val
-                scalars_only = False
-                mono = None
-                if len(val.terms) == 1:
-                    (mono, c), = val.terms.items()
-                if mono is not None and len(mono) == 1 and mono[0][1] == 1 \
-                        and c == 1:
-                    renames[v] = mono[0][0]
-                else:
-                    renames_only = False
-            else:
-                values[v] = Fraction(val)
-                renames_only = False
-        if renames_only:
-            out: dict = {}
-            for mono, c in self.terms.items():
-                pairs = sorted((renames.get(v, v), e) for v, e in mono)
-                merged: dict = {}
-                for v, e in pairs:
-                    merged[v] = merged.get(v, 0) + e
-                key = tuple(sorted(merged.items()))
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return Poly(out)
-        monomial_values = {}
-        monomials_only = True
-        for v, val in values.items():
-            if isinstance(val, Fraction):
-                monomial_values[v] = (val, ())
-            elif len(val.terms) == 1:
-                (mono, c), = val.terms.items()
-                monomial_values[v] = (c, mono)
-            else:
-                monomials_only = False
-                break
-        if scalars_only or monomials_only:
-            out = {}
-            for mono, c in self.terms.items():
-                pieces = []
-                for v, e in mono:
-                    val = monomial_values.get(v)
-                    if val is None:
-                        pieces.append(((v, e),))
-                    else:
-                        c = c * val[0] ** e
-                        if val[1]:
-                            pieces.append(
-                                tuple((vv, ee * e) for vv, ee in val[1]))
-                if not c:
-                    continue
-                key = ()
-                for piece in pieces:
-                    key = _mono_mul(key, piece)
-                s = out.get(key)
-                if s is None:
-                    out[key] = c
-                else:
-                    s = s + c
-                    if s:
-                        out[key] = s
-                    else:
-                        del out[key]
-            return Poly(out)
         out: dict = {}
         for mono, c in self.terms.items():
-            term = Poly.const(c)
-            kept = []
+            merged: dict = {}
             for v, e in mono:
-                val = values.get(v)
-                if val is None:
-                    kept.append((v, e))
-                elif isinstance(val, Poly):
-                    term = term * val ** e
+                val = assignment.get(v, v)
+                if isinstance(val, VarId):
+                    merged[val] = merged.get(val, 0) + e
                 else:
-                    term = term * Poly.const(val ** e)
-            if kept:
-                term = term * Poly({tuple(kept): Fraction(1)})
-            for m, cc in term.terms.items():
-                s = out.get(m)
-                if s is None:
-                    out[m] = cc
+                    c = c * Fraction(val) ** e
+            if not c:
+                continue
+            key = tuple(sorted(merged.items()))
+            s = out.get(key)
+            if s is None:
+                out[key] = c
+            else:
+                s = s + c
+                if s:
+                    out[key] = s
                 else:
-                    s = s + cc
-                    if s:
-                        out[m] = s
-                    else:
-                        del out[m]
+                    del out[key]
         return Poly(out)
-
-    def evaluate(self, assignment: Mapping[VarId, Scalar]) -> Fraction:
-        out = Fraction(0)
-        for mono, c in self.terms.items():
-            v = c
-            for var, e in mono:
-                v = v * Fraction(assignment[var]) ** e
-            out += v
-        return out
 
     def divide_by_linear(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor for a linear divisor, or None."""
@@ -525,11 +421,6 @@ class RatFun:
     def is_poly(self) -> bool:
         return not self.den
 
-    def as_poly(self) -> Poly:
-        if self.den:
-            raise ValueError("rational function has a nontrivial denominator")
-        return self.num
-
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
             other = RatFun.const(other)
@@ -546,20 +437,7 @@ class RatFun:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den: dict[Poly, int] = dict(self.den)
-        for f, e in other.den.items():
-            den[f] = max(den.get(f, 0), e)
-        a = self.num
-        for f, e in den.items():
-            extra = e - self.den.get(f, 0)
-            for _ in range(extra):
-                a = a * f
-        b = other.num
-        for f, e in den.items():
-            extra = e - other.den.get(f, 0)
-            for _ in range(extra):
-                b = b * f
-        return RatFun(a + b, den)
+        return ratfun_sum([self, other])
 
     __radd__ = __add__
 
@@ -583,76 +461,29 @@ class RatFun:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "RatFun":
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.reciprocal()
-
     def __pow__(self, n: int) -> "RatFun":
         if n < 0:
-            return self.reciprocal() ** (-n)
+            raise ValueError("negative power of a RatFun")
         out = RatFun.const(1)
         for _ in range(n):
             out = out * self
         return out
 
-    def reciprocal(self) -> "RatFun":
-        """1/self; the numerator must be constant or linear."""
-        if self.num.is_zero():
-            raise ZeroDivisionError("reciprocal of zero")
-        num = Poly.const(1)
-        for f, e in self.den.items():
-            for _ in range(e):
-                num = num * f
-        if self.num.is_const():
-            return RatFun(num * (Fraction(1) / self.num.const_value()), {})
-        canon, scale = canonical_linear(self.num)
-        return RatFun(num * (Fraction(1) / scale), {canon: 1})
-
-    def substitute(self, assignment: Mapping[VarId, "RatFun | Poly | Scalar"]) -> "RatFun":
-        """Exact composition; denominator factors must stay linear or constant."""
-        poly_assign: dict[VarId, Poly | Fraction] = {}
-        rat_assign: dict[VarId, RatFun] = {}
-        for v, val in assignment.items():
-            if isinstance(val, RatFun):
-                if val.is_poly():
-                    poly_assign[v] = val.num
-                else:
-                    rat_assign[v] = val
-            elif isinstance(val, Poly):
-                poly_assign[v] = val
-            else:
-                poly_assign[v] = Fraction(val)
-        if rat_assign:
-            full = dict(poly_assign)
-            full.update(rat_assign)
-            num = _poly_substitute_ratfun(self.num, full)
-            out = num
-            for f, e in self.den.items():
-                g = _poly_substitute_ratfun(f, full)
-                if g.is_zero():
-                    raise SingularSubstitutionError(
-                        f"denominator factor {f.to_text()} vanished")
-                out = out * g.reciprocal() ** e
-            return out
-        num = RatFun.from_poly(self.num.substitute(poly_assign))
-        scale = Fraction(1)
+    def substitute(self, assignment: Mapping[VarId, "VarId | Scalar"]) -> "RatFun":
+        """Poly.substitute on the numerator and on every factor; a factor
+        that becomes constant is absorbed into the numerator."""
+        num = self.num.substitute(assignment)
         den: dict[Poly, int] = {}
         for f, e in self.den.items():
-            g = f.substitute(poly_assign)
+            g = f.substitute(assignment)
             if g.is_zero():
                 raise SingularSubstitutionError(
                     f"denominator factor {f.to_text()} vanished")
             if g.is_const():
-                scale = scale * g.const_value() ** e
-            elif g.is_linear():
-                canon, s = canonical_linear(g)
-                scale = scale * s ** e
-                den[canon] = den.get(canon, 0) + e
+                num = num * (1 / g.const_value() ** e)
             else:
-                raise ValueError("substitution broke denominator linearity")
-        return RatFun(num.num * (Fraction(1) / scale), den)
+                den[g] = den.get(g, 0) + e
+        return RatFun(num, den)
 
     def to_text(self) -> str:
         if not self.den:
@@ -686,23 +517,6 @@ def _coerce(value) -> "RatFun":
     if isinstance(value, (int, Fraction)):
         return RatFun.const(value)
     return NotImplemented
-
-
-def _poly_substitute_ratfun(p: Poly, assignment) -> RatFun:
-    total = RatFun.const(0)
-    for mono, c in p.terms.items():
-        term = RatFun.const(c)
-        for v, e in mono:
-            val = assignment.get(v)
-            if val is None:
-                term = term * Poly.var(v) ** e
-            elif isinstance(val, RatFun):
-                term = term * val ** e
-            else:
-                term = term * RatFun.from_poly(
-                    val if isinstance(val, Poly) else Poly.const(val)) ** e
-        total = total + term
-    return total
 
 
 def ratfun_sum(terms) -> RatFun:
@@ -761,14 +575,6 @@ def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
     return RatFun(num, out, _normalized=True)
 
 
-def exp_truncated(c: Poly, s: VarId | Poly, degree: int) -> Poly:
-    """sum_{k=0}^{degree} (c*s)^k / k! for a nilpotent class c."""
-    if ALPHA in c.variables():
-        raise ValueError("exponent class must not depend on alpha")
-    base = c * (Poly.var(s) if isinstance(s, VarId) else s)
-    return exp_series(base, degree)
-
-
 def exp_series(p: Poly, degree: int) -> Poly:
     """Truncated exponential sum_{k<=degree} p^k / k!."""
     if degree < 0:
@@ -781,11 +587,6 @@ def exp_series(p: Poly, degree: int) -> Poly:
             break
         out = out + power * Fraction(1, factorial(k))
     return out
-
-
-def substitute(f: RatFun, assignment: Mapping[VarId, "RatFun | Poly | Scalar"]) -> RatFun:
-    """Module-level alias for RatFun.substitute."""
-    return f.substitute(assignment)
 
 
 class LinearProduct:
@@ -818,23 +619,6 @@ class LinearProduct:
 
     def mul_scalar(self, value: Scalar) -> None:
         self.scalar = self.scalar * Fraction(value)
-
-    def __mul__(self, other: "LinearProduct") -> "LinearProduct":
-        out = LinearProduct(self.scalar * other.scalar)
-        for f, e in self.factors.items():
-            out.factors[f] = out.factors.get(f, 0) + e
-        for f, e in other.factors.items():
-            n = out.factors.get(f, 0) + e
-            if n:
-                out.factors[f] = n
-            else:
-                out.factors.pop(f, None)
-        return out
-
-    def inverse(self) -> "LinearProduct":
-        out = LinearProduct(Fraction(1) / self.scalar)
-        out.factors = {f: -e for f, e in self.factors.items()}
-        return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearProduct):

@@ -13,20 +13,22 @@ import functools
 import hashlib
 import json
 import os
+import random
 import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import Poly, RatFun
+from .algebra import Poly, RatFun, y
 from .errors import FlagHGError, UsageError
 from .fixedlocus import (block_decomposition, canonical_roots,
                          euler_class_closed_form, euler_class_from_ledger,
                          normal_ledger, torus_fixed_points)
 from .mirror import grassmannian_hg_term, hori_vafa_verify, integral_Id
 from .pushforward import (DEFAULT_COSET_BUDGET, ab_integrate,
-                          integrate_to_point, lam_vector, tableau_tower)
+                          complete_homogeneous, integrate_to_point,
+                          lam_vector, tableau_tower)
 from .tableaux import (FlagSpec, component_dimension,
                        enumerate_general_components, enumerate_tableaux,
                        general_component_dimension, hquot_dimension)
@@ -104,6 +106,8 @@ def parse_job(argv, env=None) -> JobSpec:
         raise UsageError("degrees must match ranks in length")
     if any(d < 0 for d in degrees):
         raise UsageError("degrees must be non-negative")
+    if args.coset_budget < 0:
+        raise UsageError("--coset-budget must be non-negative")
     min_degree = {"hg": 0, "hori-vafa": 1}.get(args.command)
     if min_degree is not None and args.max_degree < min_degree:
         raise UsageError(
@@ -180,8 +184,7 @@ def _run_euler(job: JobSpec) -> dict:
 
 
 def _run_integral(job: JobSpec) -> dict:
-    result = integral_Id(job.spec, lambda_seed=job.lambda_seed,
-                         budget=job.coset_budget)
+    result = integral_Id(job.spec, lambda_seed=job.lambda_seed)
     data = result.to_json()
     out = {
         "value": result.value.to_text(),
@@ -220,18 +223,12 @@ def _run_hori_vafa(job: JobSpec) -> dict:
 
 
 def _run_oracle_compare(job: JobSpec) -> dict:
-    import random
-
-    from .algebra import y
-    from .pushforward import complete_homogeneous
-    from .tableaux import block_decomposition as blocks_of
-
     spec = job.spec
     lam = lam_vector(spec.n, job.lambda_seed)
     rows = []
     all_equal = True
     for index, t in enumerate(enumerate_tableaux(spec)):
-        blocks = blocks_of(t)
+        blocks = block_decomposition(t)
         rng = random.Random(job.lambda_seed * 7919 + index)
         cases = []
         dim = component_dimension(t)

@@ -18,8 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y)
 from .errors import CancellationFailureError, SymmetryViolationError
-from .tableaux import (BlockData, IndexTables, Tableau, block_decomposition,
-                       index_tables)
+from .tableaux import BlockData, IndexTables, Tableau, block_decomposition
 
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
 
@@ -264,8 +263,7 @@ def euler_class_closed_form(t: Tableau,
     return euler_product_closed_form(t, roots).to_ratfun()
 
 
-def grassmannian_euler_product(t: Tableau,
-                               ambient_zero: bool = True) -> LinearProduct:
+def grassmannian_euler_product(t: Tableau) -> LinearProduct:
     """The one-level display: prod (-y_{j;k} - l*alpha)^n over the section
     weights, over the regrouped same-level denominator with its sign."""
     if t.spec.levels != 1:
@@ -289,8 +287,6 @@ def grassmannian_euler_product(t: Tableau,
                     f = -Poly.var(y(1, jp, kp)) + Poly.var(y(1, j, k)) \
                         - alpha * gap
                     out.mul_factor(f, -1)
-    if not ambient_zero:
-        return out
     return out
 
 
@@ -383,42 +379,24 @@ def assert_block_symmetric(f: RatFun, t: Tableau) -> None:
             if blocks.m(i, j) < 2:
                 continue
             a, b = y(i, j, 1), y(i, j, 2)
-            swapped = f.substitute({a: Poly.var(b), b: Poly.var(a)})
+            swapped = f.substitute({a: b, b: a})
             if swapped != f:
                 raise SymmetryViolationError(
                     f"class is not symmetric within block ({i},{j})")
 
 
-def specialize_at_fixed_point(f: RatFun, t: Tableau, point: TorusFixedPoint,
-                              lam: Sequence[Fraction],
-                              check_symmetry: bool = True) -> RatFun:
-    """Substitute block roots by the torus weights of the point's coordinate
-    sets (sorted within each block) and ambient roots by all weights."""
-    if check_symmetry:
-        assert_block_symmetric(f, t)
-    values = fixed_point_values(t, point, lam)
-    known = set(values)
-    present = {v for v in f.num.variables() if v.kind in (0, 1)}
-    for factor in f.den:
-        present |= {v for v in factor.variables() if v.kind in (0, 1)}
-    if not present <= known:
-        raise ValueError(
-            f"root variables outside the tableau: {sorted(present - known)}")
-    return f.substitute(values)
-
-
-def tangent_euler_at_point(t: Tableau, point: TorusFixedPoint,
+def tangent_euler_at_point(ledger: Ledger, point: TorusFixedPoint,
                            lam: Sequence[Fraction]) -> Fraction:
-    """Product of tangent weights at an isolated torus fixed point.
+    """Product of tangent weights at an isolated torus fixed point, from the
+    component's tangent ledger.
 
     The tangent ledger's positive and negative parts each contain the same
     number of zero factors (the diagonal slots); these cancel as multisets
     and the remaining product is the genuine Euler class.
     """
-    ledger = tangent_ledger(t)
     coords = point.sets()
-    amb = t.spec.levels + 1
-    coords[(amb, 1)] = tuple(range(1, t.spec.n + 1))
+    n = ledger.blocks.spec.n
+    coords[(ledger.blocks.levels + 1, 1)] = tuple(range(1, n + 1))
     num: list[Fraction] = []
     den: list[Fraction] = []
     for src, tgt, w, m in ledger.terms():

@@ -21,8 +21,7 @@ from .errors import FormulaMismatchError
 from .fixedlocus import (block_decomposition, canonical_roots,
                          euler_class_from_ledger, normal_ledger)
 from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrate,
-                          brion_pushforward, integrate_to_point, lam_vector,
-                          schur_polynomial, tableau_tower)
+                          brion_pushforward, lam_vector, schur_polynomial)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
                        enumerate_tableaux)
 
@@ -124,28 +123,14 @@ class IntegralResult:
         }
 
 
-def integral_Id(spec: FlagSpec, lambda_seed: int = 0,
-                cross_check: bool = False,
-                budget: int = DEFAULT_COSET_BUDGET) -> IntegralResult:
-    """Sum the localization integral over all distinguished tableaux.
-
-    With cross_check the fibration-tower route is run as well and must
-    agree tableau by tableau; it is exponentially more expensive and only
-    meant for small inputs.
-    """
+def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
+    """Sum the localization integral over all distinguished tableaux."""
     lam = lam_vector(spec.n, lambda_seed)
     total = RatFun.const(0)
     per_tableau = []
     for t in enumerate_tableaux(spec):
-        integrand = mirror_integrand(t)
-        contribution = ab_integrate(t, integrand, lam, seed=lambda_seed,
-                                    check_symmetry=False)
-        if cross_check:
-            tower_value = integrate_to_point(integrand, tableau_tower(t),
-                                             budget)
-            if tower_value != contribution:
-                raise FormulaMismatchError(
-                    f"tower and oracle routes disagree on {t.rows}")
+        contribution = ab_integrate(t, mirror_integrand(t), lam,
+                                    seed=lambda_seed, check_symmetry=False)
         per_tableau.append((t, contribution))
         total = total + contribution
     if not _alpha_only_denominator(total):
@@ -157,7 +142,7 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0,
 def _grassmannian_term_tableau_route(n: int, r: int, d: int,
                                      budget: int) -> RatFun:
     spec = FlagSpec(n, (r,), (d,))
-    targets = [Poly.var(v) for v in x_roots(spec)]
+    targets = x_roots(spec)
     total = RatFun.const(0)
     for t in enumerate_tableaux(spec):
         blocks = block_decomposition(t)
@@ -325,7 +310,8 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     if max_degree < 1:
         raise ValueError("truncation degree must be at least 1")
     spec = FlagSpec(n, (r,), (0,))
-    xs = [Poly.var(v) for v in x_roots(spec)]
+    xvars = x_roots(spec)
+    xs = [Poly.var(v) for v in xvars]
     alpha = Poly.var(ALPHA)
     cvar = Poly.var(FORMAL_C)
     dim_x = r * (n - r)
@@ -340,7 +326,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     sum_x = Poly.zero()
     for x in xs:
         sum_x = sum_x + x
-    # e^{sum_x c / alpha} and its reciprocal prefactor, as truncated series
+    # e^{sum_x c / alpha} and e^{-sum_x c / alpha}, as truncated series
     plus_exp = RatFun.const(0)
     minus_exp = RatFun.const(0)
     for k in range(dim_x + 1):
@@ -374,7 +360,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
             term = RatFun.const(sign)
             for i in range(r):
                 factor = one_row_terms[comp[i]].substitute(
-                    {y(1, 1, 1): xs[i]})
+                    {y(1, 1, 1): xvars[i]})
                 term = term * factor
             for j in range(r):
                 for jp in range(j + 1, r):

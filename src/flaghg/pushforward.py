@@ -21,9 +21,11 @@ from typing import Sequence
 from .algebra import ALPHA, Poly, RatFun, VarId, ambient, ratfun_sum, y
 from .errors import (BudgetExceededError, IntegrationShapeError,
                      SingularSubstitutionError, SymmetryViolationError)
-from .fixedlocus import (fixed_point_values, tangent_euler_at_point,
+from .fixedlocus import (assert_block_symmetric, fixed_point_values,
+                         tangent_euler_at_point, tangent_ledger,
                          torus_fixed_points)
-from .tableaux import IndexTables, Tableau, block_decomposition
+from .tableaux import (IndexTables, Tableau, block_decomposition,
+                       component_dimension)
 
 DEFAULT_COSET_BUDGET = 10080
 
@@ -61,7 +63,7 @@ def _check_block_symmetry(p: RatFun, alphabet: BlockAlphabet,
     for _ in range(samples):
         block = rng.choice(candidates)
         a, b = rng.sample(block, 2)
-        swapped = p.substitute({a: Poly.var(b), b: Poly.var(a)})
+        swapped = p.substitute({a: b, b: a})
         if swapped != p:
             raise SymmetryViolationError(
                 "integrand is not symmetric within an alphabet block")
@@ -86,7 +88,7 @@ def _coset_maps(alphabet: BlockAlphabet):
         for block, assigned in zip(alphabet.blocks, distribution):
             for src, dst in zip(block, assigned):
                 if src != dst:
-                    subs[src] = Poly.var(dst)
+                    subs[src] = dst
         yield subs
 
 
@@ -127,23 +129,15 @@ def restrictive_pushforward(p: RatFun, alphabet: BlockAlphabet, omega: Poly,
     return brion_pushforward(p * omega, alphabet, budget)
 
 
-class OmegaSpec:
-    """Per nesting constraint: a block of sub-roots and its quotient roots."""
-
-    def __init__(self, constraints: Sequence[tuple[Sequence[VarId],
-                                                   Sequence[Poly]]]):
-        self.constraints = [
-            (tuple(sub), tuple(quot)) for sub, quot in constraints
-        ]
-
-
-def omega_class(spec: OmegaSpec) -> Poly:
-    """Expanded product of (quotient root - sub root) over all constraints."""
+def omega_class(constraints: Sequence[tuple[Sequence[VarId],
+                                             Sequence[VarId]]]) -> Poly:
+    """Expanded product of (quotient root - sub root) over the nesting
+    constraints, each a block of sub-roots and its quotient roots."""
     out = Poly.const(1)
-    for sub, quot in spec.constraints:
+    for sub, quot in constraints:
         for q in quot:
             for s in sub:
-                out = out * (q - Poly.var(s))
+                out = out * (Poly.var(q) - Poly.var(s))
     return out
 
 
@@ -182,10 +176,10 @@ def tableau_tower(t: Tableau) -> list[TowerStage]:
             level_blocks.append(quot)
         alphabet = BlockAlphabet(level_blocks)
         if i == spec.levels:
-            next_roots = [Poly.var(ambient(k)) for k in range(1, spec.n + 1)]
+            next_roots = [ambient(k) for k in range(1, spec.n + 1)]
         else:
             next_roots = [
-                Poly.var(y(i + 1, j, k))
+                y(i + 1, j, k)
                 for j in range(1, blocks.K(i + 1) + 1)
                 for k in range(1, blocks.m(i + 1, j) + 1)
             ]
@@ -195,7 +189,7 @@ def tableau_tower(t: Tableau) -> list[TowerStage]:
             quot_roots = next_roots[tables.l(i + 1, j):]
             if quot_roots:
                 constraints.append((sub, quot_roots))
-        omega = omega_class(OmegaSpec(constraints))
+        omega = omega_class(constraints)
         letter_map = dict(zip(sorted(alphabet.letters), next_roots))
         stages.append(TowerStage(alphabet, omega, letter_map))
     return stages
@@ -255,9 +249,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     is not a root form plus a multiple of alpha is rejected.
     """
     if check_symmetry:
-        from .fixedlocus import assert_block_symmetric
         assert_block_symmetric(p, t)
-    from .tableaux import component_dimension
     points = torus_fixed_points(t)
     roots = set(fixed_point_values(t, points[0], lam))
     factors = []
@@ -295,10 +287,11 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                          if ve[0] not in roots and ve[0] != ALPHA)
             key = (rest, dict(mono).get(ALPHA, 0), degree)
             terms.setdefault(key, []).append((mono_index(root), int(c * den)))
+    tangent = tangent_ledger(t)
     for attempt in range(max_retries + 1):
         try:
             top = _ray_series_sum(t, points, lam, factors, recipe, terms, den,
-                                  order)
+                                  order, tangent)
             break
         except SingularSubstitutionError:
             if attempt == max_retries:
@@ -316,14 +309,14 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
 
 
 def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
-                    den: int, order: int) -> dict:
+                    den: int, order: int, tangent) -> dict:
     """The s^0 coefficient {(rest monomial, alpha power): value} of the sum
     over the points, once the negative powers of s are checked to cancel."""
     scale = lcm(*(Fraction(v).denominator for v in lam))
     acc: list[dict] = [{} for _ in range(order + 1)]  # s^(j - order)
     for point in points:
         values = fixed_point_values(t, point, lam)
-        scalar = 1 / tangent_euler_at_point(t, point, lam)
+        scalar = 1 / tangent_euler_at_point(tangent, point, lam)
         series = [1] + [0] * order  # in u, of the inverse w != 0 factors
         for coeffs, w, e in factors:
             delta = sum(a * values[v] for v, a in coeffs.items())

@@ -196,6 +196,14 @@ def test_main_hg_rejects_negative_max_degree(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_main_rejects_negative_coset_budget(tmp_path, capsys):
+    code = main(["integral", "--n", "2", "--ranks", "1", "--coset-budget",
+                 "-1", "--cache-dir", str(tmp_path)])
+    assert code == 1
+    assert "--coset-budget must be non-negative" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_hori_vafa_passes(tmp_path, capsys):
     code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
                  "1", "--json", "--cache-dir", str(tmp_path)])

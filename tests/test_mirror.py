@@ -6,9 +6,10 @@ from flaghg.algebra import ALPHA, Poly, RatFun, exp_series, kahler, y
 from flaghg.mirror import (box_complement, box_partitions,
                            decompose_by_kahler, grassmannian_hg_term,
                            hori_vafa_verify, hyperplane_pullback, integral_Id,
-                           reconstruct_class_from_pairings, schur_pairing,
-                           zero_tableau)
-from flaghg.pushforward import ab_integrate, lam_vector
+                           mirror_integrand, reconstruct_class_from_pairings,
+                           schur_pairing, zero_tableau)
+from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
+                                tableau_tower)
 from flaghg.tableaux import FlagSpec, Tableau
 
 P = Poly.var
@@ -54,9 +55,13 @@ def test_integral_gr24_plucker_degree():
 
 
 def test_integral_cross_check_tower_route():
-    result = integral_Id(FlagSpec(2, (1,), (1,)), cross_check=True)
+    result = integral_Id(FlagSpec(2, (1,), (1,)))
     assert result.value == RatFun(Poly.const(2) + A * T1, {A: 3})
-    integral_Id(FlagSpec(3, (1, 2), (1, 1)), cross_check=True)
+    # every tableau's oracle contribution equals the fibration-tower route
+    for spec in [FlagSpec(2, (1,), (1,)), FlagSpec(3, (1, 2), (1, 1))]:
+        for t, contribution in integral_Id(spec).per_tableau:
+            assert integrate_to_point(mirror_integrand(t),
+                                      tableau_tower(t)) == contribution
 
 
 def test_integral_t_degree_bound():
@@ -132,8 +137,8 @@ def test_hg_dual_routes_agree_and_freeze():
 def test_hg_block_symmetry():
     for (n, r, d) in [(4, 2, 1), (4, 2, 2), (5, 2, 1)]:
         cls = grassmannian_hg_term(n, r, d)
-        swapped = cls.substitute({y(1, 1, 1): P(y(1, 1, 2)),
-                                  y(1, 1, 2): P(y(1, 1, 1))})
+        swapped = cls.substitute({y(1, 1, 1): y(1, 1, 2),
+                                  y(1, 1, 2): y(1, 1, 1)})
         assert swapped == cls
 
 
