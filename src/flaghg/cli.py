@@ -1,9 +1,10 @@
 """Command-line front end: job parsing, cached dispatch, stable reports.
 
 Reports are canonical JSON (or a text rendering of the same data) and are
-byte-identical across runs with the same job and seed.  Results are cached
-content-addressed under a key derived from the job, the engine version and
-a digest of the package source.
+byte-identical across runs with the same job and seed.  Results and work
+counters are cached content-addressed under a key derived from the job
+fields the command reads, the engine version and a digest of the package
+source.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .algebra import Poly, RatFun, y
 from .errors import FlagHGError, UsageError
 from .fixedlocus import (block_decomposition, canonical_roots,
                          euler_class_closed_form, euler_class_from_ledger,
-                         normal_ledger, torus_fixed_points)
+                         fixed_point_count, normal_ledger)
 from .mirror import grassmannian_hg_term, hori_vafa_verify, integral_Id
 from .pushforward import (DEFAULT_COSET_BUDGET, ab_integrate,
                           complete_homogeneous, integrate_to_point,
@@ -48,8 +49,7 @@ class JobSpec:
     explain: bool
     cache_dir: str | None
 
-    def identity(self) -> dict:
-        """The cache identity: everything but presentation options."""
+    def to_json(self) -> dict:
         return {
             "command": self.command,
             "spec": self.spec.to_json(),
@@ -57,12 +57,8 @@ class JobSpec:
             "lambda_seed": self.lambda_seed,
             "coset_budget": self.coset_budget,
             "explain": self.explain,
+            "output_format": self.output_format,
         }
-
-    def to_json(self) -> dict:
-        out = self.identity()
-        out["output_format"] = self.output_format
-        return out
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
@@ -288,8 +284,23 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
+# The job fields each command's runner reads besides the spec; the cache
+# key covers only these, so a flag the command ignores never splits entries.
+_KEY_FIELDS = {
+    "tableaux": ("explain",),
+    "euler": ("explain",),
+    "integral": ("lambda_seed", "explain"),
+    "hg": ("max_degree", "coset_budget"),
+    "hori-vafa": ("max_degree", "lambda_seed", "coset_budget"),
+    "oracle-compare": ("lambda_seed", "coset_budget"),
+}
+
+
 def cache_key(job: JobSpec) -> str:
-    payload = {"job": job.identity(), "engine": __version__,
+    identity = {"command": job.command, "spec": job.spec.to_json()}
+    for field in _KEY_FIELDS[job.command]:
+        identity[field] = getattr(job, field)
+    payload = {"job": identity, "engine": __version__,
                "source": _source_digest()}
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
@@ -303,7 +314,6 @@ def run_and_report(job: JobSpec) -> dict:
     key = cache_key(job)
     cache_dir = Path(job.cache_dir) if job.cache_dir else _default_cache_dir()
     cache_file = cache_dir / f"{key}.json"
-    results = None
     cache_status = "miss"
     warning = None
     if cache_file.exists():
@@ -311,13 +321,13 @@ def run_and_report(job: JobSpec) -> dict:
             stored = json.loads(cache_file.read_text())
             if not isinstance(stored, dict) or stored.get("key") != key:
                 raise ValueError("not an entry for this key")
-            results = stored["results"]
+            results, work = stored["results"], stored["work"]
             cache_status = "hit"
-        except (ValueError, KeyError):
-            results = None
+        except (OSError, ValueError, KeyError):
             warning = "cache entry was corrupt and has been bypassed"
-    if results is None:
+    if cache_status == "miss":
         results = _RUNNERS[job.command](job)
+        work = _work_counters(job)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
             # a concurrent reader sees the old entry or the whole new one
@@ -325,18 +335,21 @@ def run_and_report(job: JobSpec) -> dict:
             try:
                 with os.fdopen(fd, "w") as out:
                     out.write(_canonical_json({"key": key,
-                                               "results": results}))
+                                               "results": results,
+                                               "work": work}))
                 os.replace(tmp, cache_file)
             except OSError:
                 Path(tmp).unlink(missing_ok=True)
                 raise
         except OSError:
-            warning = "cache directory is not writable"
+            # a directory at the entry's path fails both the read and the
+            # replace; the warning names the first fault
+            warning = warning or "cache directory is not writable"
     provenance = {
         "engine_version": __version__,
         "seed": job.lambda_seed,
         "routes": _routes_for(job.command),
-        "work": _work_counters(job),
+        "work": work,
         "cache": {"key": key, "status": cache_status},
     }
     if warning:
@@ -362,10 +375,11 @@ def _routes_for(command: str) -> list[str]:
 
 
 def _work_counters(job: JobSpec) -> dict:
+    """Stored in the cache entry, so a hit never recounts."""
     tableaux = enumerate_tableaux(job.spec)
     return {
         "tableaux": len(tableaux),
-        "fixed_points": sum(len(torus_fixed_points(t)) for t in tableaux),
+        "fixed_points": sum(fixed_point_count(t) for t in tableaux),
     }
 
 

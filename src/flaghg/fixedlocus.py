@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import comb, prod
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y)
@@ -352,6 +353,22 @@ def torus_fixed_points(t: Tableau) -> list[TorusFixedPoint]:
 
     descend(levels, None, {})
     return out
+
+
+def fixed_point_count(t: Tableau) -> int:
+    """len(torus_fixed_points(t)) as a product of binomials, one per block.
+
+    Block (i, j) picks m(i, j) coordinates out of the l(i+1, j) held by the
+    blocks of level i+1 up to I_A(i, j), less the r(i, j-1) already taken by
+    the blocks before it; that pool size never depends on which coordinates
+    were taken, so the choices multiply.
+    """
+    blocks = block_decomposition(t)
+    tables = IndexTables.from_blocks(blocks)
+    return prod(
+        comb(tables.l(i + 1, j) - blocks.r(i, j - 1), blocks.m(i, j))
+        for i in range(1, blocks.levels + 1)
+        for j in range(1, blocks.K(i) + 1))
 
 
 def fixed_point_values(t: Tableau, point: TorusFixedPoint,

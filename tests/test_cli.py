@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from flaghg import cli
+from flaghg import cli, fixedlocus, pushforward
 from flaghg.cli import (JobSpec, cache_key, format_report, main, parse_job,
                         run_and_report)
 from flaghg.errors import UsageError
@@ -101,6 +101,8 @@ def test_cache_hit_and_soundness(tmp_path):
     assert first["provenance"]["cache"]["status"] == "miss"
     assert second["provenance"]["cache"]["status"] == "hit"
     assert first["results"] == second["results"]
+    assert first["provenance"]["work"] == {"tableaux": 2, "fixed_points": 18}
+    assert second["provenance"]["work"] == first["provenance"]["work"]
     # eviction: recomputed results byte-identical to the cached ones
     for entry in tmp_path.iterdir():
         entry.unlink()
@@ -129,6 +131,70 @@ def test_non_object_cache_entry_is_bypassed_with_warning(tmp_path):
     assert again["provenance"]["warning"] == \
         "cache entry was corrupt and has been bypassed"
     assert again["results"] == first["results"]
+
+
+def test_cache_entry_without_work_is_bypassed_with_warning(tmp_path):
+    job = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path)
+    first = run_and_report(job)
+    key = cache_key(job)
+    (tmp_path / f"{key}.json").write_text(
+        json.dumps({"key": key, "results": first["results"]}))
+    again = run_and_report(job)
+    assert again["provenance"]["cache"]["status"] == "miss"
+    assert again["provenance"]["warning"] == \
+        "cache entry was corrupt and has been bypassed"
+    assert again["provenance"]["work"] == first["provenance"]["work"]
+    assert run_and_report(job)["provenance"]["cache"]["status"] == "hit"
+
+
+def test_unreadable_cache_entry_is_bypassed_with_warning(tmp_path, capsys):
+    argv = ["integral", "--n", "2", "--ranks", "1", "--degrees", "1",
+            "--json", "--cache-dir", str(tmp_path)]
+    (tmp_path / f"{cache_key(parse_job(argv))}.json").mkdir()
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["value"] == "(2 + alpha*t[1]) / (alpha)^3"
+    assert report["provenance"]["cache"]["status"] == "miss"
+    assert report["provenance"]["warning"] == \
+        "cache entry was corrupt and has been bypassed"
+
+
+@pytest.mark.parametrize("command, spec", [
+    ("tableaux", FlagSpec(4, (2,), (2,))),
+    ("integral", FlagSpec(2, (1,), (1,))),
+])
+def test_cache_hit_enumerates_nothing(tmp_path, monkeypatch, command, spec):
+    job = _job(command, spec, tmp_path)
+    first = run_and_report(job)
+
+    def refuse(*args):
+        raise AssertionError("a cache hit enumerated")
+
+    monkeypatch.setattr(cli, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(fixedlocus, "torus_fixed_points", refuse)
+    monkeypatch.setattr(pushforward, "torus_fixed_points", refuse)
+    second = run_and_report(job)
+    assert second["provenance"]["cache"]["status"] == "hit"
+    assert second["results"] == first["results"]
+    assert second["provenance"]["work"] == first["provenance"]["work"]
+
+
+def test_cache_key_skips_fields_the_command_ignores(tmp_path, capsys):
+    base = ["integral", "--n", "2", "--ranks", "1", "--degrees", "1",
+            "--json", "--cache-dir", str(tmp_path)]
+    budget = base + ["--coset-budget", "5"]
+    assert cache_key(parse_job(base)) == cache_key(parse_job(budget))
+    assert main(base) == 0
+    first = json.loads(capsys.readouterr().out)
+    assert main(budget) == 0
+    second = json.loads(capsys.readouterr().out)
+    assert first["provenance"]["cache"]["status"] == "miss"
+    assert second["provenance"]["cache"]["status"] == "hit"
+    assert second["results"] == first["results"]
+    assert second["job"]["coset_budget"] == 5
+    # a field the command reads still splits the key
+    assert cache_key(parse_job(base)) != \
+        cache_key(parse_job(base + ["--lambda-seed", "1"]))
 
 
 def test_cache_write_leaves_only_the_entry(tmp_path):

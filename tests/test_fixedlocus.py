@@ -9,7 +9,7 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                euler_class_from_ledger,
                                euler_product_closed_form,
                                euler_product_from_ledger,
-                               fixed_point_values,
+                               fixed_point_count, fixed_point_values,
                                grassmannian_euler_product,
                                hquot_restriction_ledger, normal_ledger,
                                tangent_ledger, tangent_euler_at_point,
@@ -187,6 +187,12 @@ def test_torus_fixed_points_nested_for_flags():
     # a line inside the rank-2 step over each coordinate flag of C^3
     assert len(torus_fixed_points(t)) == 12
     assert component_dimension(t) == 4
+
+
+def test_fixed_point_count_matches_enumeration():
+    for spec in all_specs(5, 3):
+        for t in enumerate_tableaux(spec):
+            assert fixed_point_count(t) == len(torus_fixed_points(t)), t.rows
 
 
 def test_specialize_examples():
