@@ -13,13 +13,23 @@ division of the numerator by a single linear factor, so no multivariate
 GCD is ever needed.  Coefficients live in Q; alpha (the circle weight)
 and c (the formal pi*sqrt(-1) constant) are ordinary variables.
 
+A linear form is irreducible, so division is attempted only where a
+factor can divide.  A product of two RatFuns in lowest terms cancels each
+denominator into the other operand's numerator before multiplying
+(Henrici's cross-cancellation), and the result needs no further
+normalization.  A LinearProduct (an Euler class) is built in lowest terms
+directly, since its factors already carry net exponents.  Before every
+exact division the numerator is evaluated modulo the prime 2^61-1 at a
+point of the factor's hyperplane; a non-zero value proves that the factor
+does not divide, and the division is skipped.
+
 All values are immutable after construction and safe to share.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, lcm
 from typing import Iterable, Mapping, NamedTuple, Union
 
 from .errors import SingularSubstitutionError, ZeroDenominatorError
@@ -454,10 +464,22 @@ class RatFun:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        den = dict(self.den)
+        if self.is_zero() or other.is_zero():
+            return RatFun.const(0)
+        # Both operands are in lowest terms, so a factor can only cancel
+        # into the other operand's numerator, and what is left of it then
+        # divides neither numerator nor, being irreducible, their product.
+        a, b = self.num, other.num
+        den: dict[Poly, int] = {}
+        for f, e in self.den.items():
+            b, e = _divide_out(b, f, e)
+            if e:
+                den[f] = e
         for f, e in other.den.items():
-            den[f] = den.get(f, 0) + e
-        return RatFun(self.num * other.num, den)
+            a, e = _divide_out(a, f, e)
+            if e:
+                den[f] = den.get(f, 0) + e
+        return RatFun(a * b, den, _normalized=True)
 
     __rmul__ = __mul__
 
@@ -563,16 +585,82 @@ def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
         return RatFun(Poly.zero(), {}, _normalized=True)
     out: dict[Poly, int] = {}
     for f in sorted(factors, key=lambda p: tuple(p.sorted_terms())):
-        e = factors[f]
-        while e > 0:
-            q = num.divide_by_linear(f)
-            if q is None:
-                break
-            num = q
-            e -= 1
+        num, e = _divide_out(num, f, factors[f])
         if e:
             out[f] = e
     return RatFun(num, out, _normalized=True)
+
+
+# A Mersenne prime: residues mod _P certify that a linear factor does not
+# divide a numerator.
+_P = (1 << 61) - 1
+_MASK64 = (1 << 64) - 1
+
+
+def _residue(v: VarId) -> int:
+    """A fixed, well-mixed residue mod _P for v, from its integer fields
+    alone (splitmix64), so the value never depends on hash seeding."""
+    z = v.kind
+    for field in (v.i, v.j, v.k):
+        z = z * 1_000_003 + field
+    z = (z + 0x9E3779B97F4A7C15) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) % _P
+
+
+def _may_divide(num: Poly, f: Poly) -> bool:
+    """False only if the linear factor f certainly does not divide num.
+
+    num is evaluated mod _P at a point where f = 0 mod _P: every variable
+    but f's least one takes its _residue, and the least one (coefficient
+    +1 in a canonical factor) is solved for.  If f divides num over Q,
+    Gauss's lemma over the integers localized at _P (f has P-integral
+    coefficients and a unit among them) makes the quotient P-integral too,
+    so the value is 0.  A non-zero value is therefore a certificate.  A
+    coefficient denominator divisible by _P leaves the question open.
+    """
+    if len(num.terms) == 1 and _ONE in num.terms:
+        return False  # a non-zero constant
+    const, coeffs = f.linear_parts()
+    least = min(coeffs)
+    scale = lcm(const.denominator, *(a.denominator for a in coeffs.values()))
+    lead = coeffs[least].numerator * (scale // coeffs[least].denominator)
+    if scale % _P == 0 or lead % _P == 0:
+        return True
+    vals: dict[VarId, int] = {}
+    rest = const.numerator * (scale // const.denominator)
+    for v, a in coeffs.items():
+        if v != least:
+            vals[v] = _residue(v)
+            rest += a.numerator * (scale // a.denominator) * vals[v]
+    vals[least] = -rest * pow(lead, -1, _P) % _P
+    top, bottom = 0, 1
+    for mono, c in num.terms.items():
+        d = c.denominator
+        if d % _P == 0:
+            return True
+        m = c.numerator
+        for v, e in mono:
+            x = vals.get(v)
+            if x is None:
+                x = vals[v] = _residue(v)
+            m = m * pow(x, e, _P) % _P
+        top = (top * d + m * bottom) % _P
+        bottom = bottom * d % _P
+    return top == 0
+
+
+def _divide_out(num: Poly, f: Poly, e: int) -> tuple[Poly, int]:
+    """Divide the linear factor f out of num up to e times;
+    return the quotient and how many times f did not go."""
+    while e and _may_divide(num, f):
+        q = num.divide_by_linear(f)
+        if q is None:
+            break
+        num = q
+        e -= 1
+    return num, e
 
 
 def exp_series(p: Poly, degree: int) -> Poly:
@@ -592,8 +680,9 @@ def exp_series(p: Poly, degree: int) -> Poly:
 class LinearProduct:
     """scalar * prod(factor^exp) with exponents in Z; factors stay factored.
 
-    The working form of every equivariant Euler class: conversion to RatFun
-    first cancels exact factor matches, then expands only what remains.
+    The working form of every equivariant Euler class.  Its factors are
+    canonical and carry net exponents, so by unique factorization the
+    RatFun it converts to is already in lowest terms.
     """
 
     __slots__ = ("scalar", "factors")
@@ -626,6 +715,8 @@ class LinearProduct:
         return self.scalar == other.scalar and self.factors == other.factors
 
     def to_ratfun(self) -> RatFun:
+        if not self.scalar:
+            return RatFun.const(0)
         num = Poly.const(self.scalar)
         den: dict[Poly, int] = {}
         for f, e in sorted(self.factors.items(),
@@ -635,7 +726,7 @@ class LinearProduct:
                     num = num * f
             else:
                 den[f] = -e
-        return RatFun(num, den)
+        return RatFun(num, den, _normalized=True)
 
     def num_factor_count(self) -> int:
         return sum(e for e in self.factors.values() if e > 0)

@@ -339,14 +339,8 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
         minus_exp = minus_exp + body * denom * Fraction((-1) ** k)
     prefactor = plus_exp * minus_exp
     # drop incomplete c-orders; the retained ones are exact
-    kept = Poly.zero()
-    for mono, coeff in prefactor.num.terms.items():
-        cdeg = 0
-        for v, e in mono:
-            if v == FORMAL_C:
-                cdeg = e
-        if cdeg <= dim_x:
-            kept = kept + Poly({mono: coeff})
+    kept = Poly({mono: coeff for mono, coeff in prefactor.num.terms.items()
+                 if dict(mono).get(FORMAL_C, 0) <= dim_x})
     prefactor = RatFun(kept, prefactor.den)
 
     report = HoriVafaReport(n, r, max_degree, True)

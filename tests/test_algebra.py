@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flaghg.algebra import (ALPHA, Poly, RatFun, ambient, exp_series, kahler,
-                            ratfun_normalize, y)
+from flaghg import algebra
+from flaghg.algebra import (ALPHA, LinearProduct, Poly, RatFun, ambient,
+                            exp_series, kahler, ratfun_normalize, y)
 from flaghg.errors import SingularSubstitutionError, ZeroDenominatorError
 
 from conftest import random_poly
@@ -134,3 +137,118 @@ def test_variable_ordering_deterministic():
     vs = [kahler(1), ALPHA, ambient(2), y(1, 1, 1), y(2, 1, 1)]
     assert sorted(vs) == [y(1, 1, 1), y(2, 1, 1), ambient(2), ALPHA,
                           kahler(1)]
+
+
+# --- shortcuts around exact division ---------------------------------------
+
+VARS = [y(1, 1, 1), y(1, 1, 2), y(2, 1, 1), ambient(1), ALPHA, kahler(1)]
+PRIME = (1 << 61) - 1
+
+rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+nonzero_rationals = rationals.filter(bool)
+
+
+@st.composite
+def linear_forms(draw):
+    """Linear forms with fractional, non-unit coefficients, an optional
+    constant and an optional alpha term."""
+    chosen = draw(st.lists(st.sampled_from(VARS), min_size=1, max_size=4,
+                           unique=True))
+    coeffs = {v: draw(nonzero_rationals) for v in chosen}
+    return Poly.linear(draw(rationals), coeffs)
+
+
+@st.composite
+def polys(draw, nonzero=False):
+    out = Poly.zero()
+    for _ in range(draw(st.integers(0, 4))):
+        term = Poly.const(draw(nonzero_rationals))
+        for v in draw(st.lists(st.sampled_from(VARS), max_size=3)):
+            term = term * Poly.var(v)
+        out = out + term
+    if nonzero and out.is_zero():
+        out = Poly.const(draw(nonzero_rationals))
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=linear_forms(), q=polys(nonzero=True), e=st.integers(1, 2))
+def test_normalize_always_cancels_a_true_divisor(f, q, e):
+    r = ratfun_normalize(f ** e * q, [(f, e)])
+    assert r.is_poly()
+    assert r.num == q
+
+
+def test_prime_denominator_falls_through_to_exact_division():
+    unusual = Fraction(1, PRIME)
+    f = Y + A * unusual
+    q = Y - A + 1
+    # neither the factor nor the numerator gives a usable residue
+    assert algebra._may_divide(Y + 1, f)
+    assert algebra._may_divide(q * unusual + 1, Y + A)
+    r = ratfun_normalize(f * q, [(f, 1)])
+    assert r.is_poly() and r.num == q
+    r = ratfun_normalize((Y + A) * q * unusual, [(Y + A, 1)])
+    assert r.is_poly() and r.num == q * unusual
+
+
+def test_residue_skips_a_non_divisor():
+    assert not algebra._may_divide(Poly.const(3), Y + A)
+    assert not algebra._may_divide(Y + 1, Y + A)
+    assert algebra._may_divide((Y + 1) * (Y + A), Y + A)
+
+
+FACTORS = [Y + A, Y - A + 1, Poly.var(y(1, 1, 2)) - Y,
+           Poly.var(y(2, 1, 1)) + Fraction(1, 2) * A]
+
+
+@st.composite
+def factor_products(draw, max_size=3):
+    out = Poly.const(1)
+    for f in draw(st.lists(st.sampled_from(FACTORS), max_size=max_size)):
+        out = out * f
+    return out
+
+
+@st.composite
+def ratfuns(draw):
+    """Normalized RatFuns whose numerators often hold factors of FACTORS."""
+    num = draw(polys()) * draw(factor_products())
+    den = {f: draw(st.integers(0, 2)) for f in FACTORS}
+    return RatFun(num, den)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=ratfuns(), b=ratfuns())
+def test_cross_cancelled_product_equals_normalized_product(a, b):
+    merged = list(a.den.items()) + list(b.den.items())
+    slow = ratfun_normalize(a.num * b.num, merged)
+    fast = a * b
+    assert fast.num.terms == slow.num.terms
+    assert fast.den == slow.den
+    assert fast.to_json() == slow.to_json()
+
+
+@st.composite
+def linear_products(draw):
+    lp = LinearProduct(draw(rationals))
+    for _ in range(draw(st.integers(0, 5))):
+        f = draw(st.sampled_from(FACTORS)) * draw(nonzero_rationals)
+        lp.mul_factor(f, draw(st.integers(-2, 2)))
+    return lp
+
+
+@settings(max_examples=150, deadline=None)
+@given(lp=linear_products())
+def test_linear_product_builds_lowest_terms(lp):
+    num = Poly.const(lp.scalar)
+    den = {}
+    for f, e in lp.factors.items():
+        if e > 0:
+            num = num * f ** e
+        else:
+            den[f] = -e
+    slow = RatFun(num, den)
+    fast = lp.to_ratfun()
+    assert fast.num.terms == slow.num.terms
+    assert fast.den == slow.den

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import flaghg
 from flaghg import cli, fixedlocus, pushforward
 from flaghg.cli import (JobSpec, cache_key, format_report, main, parse_job,
                         run_and_report)
@@ -293,3 +298,24 @@ def test_text_rendering_is_deterministic(tmp_path):
     two = format_report(run_and_report(job), "text")
     # identical up to the cache status line, which flips to a hit
     assert one.replace("cache=miss", "cache=hit") == two
+
+
+@pytest.mark.parametrize("argv", [
+    ["integral", "--n", "3", "--ranks", "1,2", "--degrees", "1,1", "--json"],
+    ["hg", "--n", "4", "--ranks", "2", "--max-degree", "2", "--json"],
+])
+def test_reports_do_not_depend_on_hash_seed(tmp_path, argv):
+    src = str(Path(flaghg.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed,
+                   PYTHONPATH=os.pathsep.join(
+                       filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("FLAGHG_CACHE", None)
+        proc = subprocess.run(
+            [sys.executable, "-m", "flaghg", *argv,
+             "--cache-dir", str(tmp_path / seed)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
