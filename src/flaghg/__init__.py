@@ -19,8 +19,7 @@ from .mirror import (HoriVafaReport, IntegralResult, grassmannian_hg_term,
                      reconstruct_class_from_pairings, schur_pairing)
 from .pushforward import (BlockAlphabet, ab_integrate,
                           brion_pushforward, integrate_to_point, lam_vector,
-                          omega_class, restrictive_pushforward,
-                          schur_polynomial, tableau_tower)
+                          omega_class, schur_polynomial, tableau_tower)
 from .tableaux import (BlockData, FlagSpec, IndexTables, Tableau,
                        block_decomposition, component_dimension,
                        enumerate_general_components, enumerate_tableaux,

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import Poly, RatFun, y
+from .algebra import Poly, RatFun
 from .errors import FlagHGError, UsageError
 from .fixedlocus import (block_decomposition, canonical_roots,
                          euler_class_closed_form, euler_class_from_ledger,
@@ -233,13 +233,9 @@ def _run_oracle_compare(job: JobSpec) -> dict:
             degree = 0
             for i in range(1, blocks.levels + 1):
                 for j in range(1, blocks.K(i) + 1):
-                    block_vars = [
-                        y(i, j, k)
-                        for k in range(1, blocks.m(i, j) + 1)
-                    ]
                     k = rng.randint(0, max(0, min(2, dim - degree)))
                     degree += k
-                    p = p * complete_homogeneous(k, block_vars)
+                    p = p * complete_homogeneous(k, blocks.letters(i, j))
             f = RatFun.from_poly(p)
             via_oracle = ab_integrate(t, f, lam, seed=job.lambda_seed,
                                       check_symmetry=False)

@@ -22,7 +22,7 @@ class SymmetryViolationError(FlagHGError):
 
 
 class BudgetExceededError(FlagHGError):
-    """A coset enumeration would exceed the configured budget."""
+    """A push-forward spans more cosets than the configured budget."""
 
 
 class CancellationFailureError(FlagHGError):

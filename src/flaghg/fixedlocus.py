@@ -182,9 +182,7 @@ def canonical_roots(blocks: BlockData,
     roots: dict[BlockRef, list[Poly]] = {}
     for i in range(1, blocks.levels + 1):
         for j in range(1, blocks.K(i) + 1):
-            roots[(i, j)] = [
-                Poly.var(y(i, j, k)) for k in range(1, blocks.m(i, j) + 1)
-            ]
+            roots[(i, j)] = [Poly.var(v) for v in blocks.letters(i, j)]
     amb = blocks.levels + 1
     if ambient_roots is None:
         roots[(amb, 1)] = [
@@ -387,19 +385,17 @@ def fixed_point_values(t: Tableau, point: TorusFixedPoint,
     return values
 
 
-def assert_block_symmetric(f: RatFun, t: Tableau) -> None:
-    """Raise unless f is invariant under swapping the first two slots of
-    every block of size >= 2."""
-    blocks = block_decomposition(t)
-    for i in range(1, blocks.levels + 1):
-        for j in range(1, blocks.K(i) + 1):
-            if blocks.m(i, j) < 2:
-                continue
-            a, b = y(i, j, 1), y(i, j, 2)
-            swapped = f.substitute({a: b, b: a})
-            if swapped != f:
+def assert_block_symmetric(f: RatFun,
+                           blocks: Sequence[Sequence[VarId]]) -> None:
+    """Raise unless f is invariant under every adjacent transposition of
+    letters inside each block.  These generate each block's symmetric
+    group, so the check fails exactly when f is not block-symmetric."""
+    for block in blocks:
+        for a, b in zip(block, block[1:]):
+            if f.substitute({a: b, b: a}) != f:
                 raise SymmetryViolationError(
-                    f"class is not symmetric within block ({i},{j})")
+                    f"class is not symmetric in the block letters {a} "
+                    f"and {b}")
 
 
 def tangent_euler_at_point(ledger: Ledger, point: TorusFixedPoint,

@@ -32,8 +32,8 @@ def hyperplane_pullback(t: Tableau, level: int) -> Poly:
     blocks = block_decomposition(t)
     out = Poly.zero()
     for j in range(1, blocks.K(level) + 1):
-        for k in range(1, blocks.m(level, j) + 1):
-            out = out - Poly.var(y(level, j, k))
+        for v in blocks.letters(level, j):
+            out = out - Poly.var(v)
     return out
 
 
@@ -149,11 +149,8 @@ def _grassmannian_term_tableau_route(n: int, r: int, d: int,
         inverse_euler = euler_class_from_ledger(
             normal_ledger(t).negated(),
             canonical_roots(blocks, [Poly.zero()] * n))
-        letters = [
-            [y(1, j, k) for k in range(1, blocks.m(1, j) + 1)]
-            for j in range(1, blocks.K(1) + 1)
-        ]
-        alphabet = BlockAlphabet(letters)
+        alphabet = BlockAlphabet([blocks.letters(1, j)
+                                  for j in range(1, blocks.K(1) + 1)])
         pushed = brion_pushforward(inverse_euler, alphabet, budget)
         total = total + pushed.substitute(
             dict(zip(sorted(alphabet.letters), targets)))

@@ -1,26 +1,27 @@
-"""Symmetrization push-forwards, the restrictive-flag Thom class, and the
-two independent integration routes.
+"""Divided-difference push-forwards, the restrictive-flag Thom class, and
+the two independent integration routes.
 
 The push-forward along a flag bundle is the coset sum over distributions
 of the alphabet letters into blocks, of the integrand divided by the
-product of cross-block letter differences.  A restrictive flag bundle
-first multiplies in its Thom class.  Iterating down a component's
-fibration tower and killing the ambient roots integrates to a point; the
-independent oracle instead sums integrand/tangent-Euler over the torus
-fixed points.
+product of cross-block letter differences.  It is computed as divided
+differences along the bubble-sort word that reverses the blocks (the
+Bernstein-Gelfand-Gelfand / Demazure form of the Gysin map), so no coset
+is enumerated.  A restrictive flag bundle first multiplies in its Thom
+class.  Iterating down a component's fibration tower and killing the
+ambient roots integrates to a point; the independent oracle instead sums
+integrand/tangent-Euler over the torus fixed points.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations_with_replacement, permutations
 from math import factorial, lcm
 from typing import Sequence
 
-from .algebra import ALPHA, Poly, RatFun, VarId, ambient, ratfun_sum, y
+from .algebra import ALPHA, Poly, RatFun, VarId, ambient, y
 from .errors import (BudgetExceededError, IntegrationShapeError,
-                     SingularSubstitutionError, SymmetryViolationError)
+                     SingularSubstitutionError)
 from .fixedlocus import (assert_block_symmetric, fixed_point_values,
                          tangent_euler_at_point, tangent_ledger,
                          torus_fixed_points)
@@ -53,80 +54,33 @@ class BlockAlphabet:
         return count
 
 
-def _check_block_symmetry(p: RatFun, alphabet: BlockAlphabet,
-                          samples: int = 3) -> None:
-    """Sample within-block transpositions; raise if any changes p."""
-    candidates = [b for b in alphabet.blocks if len(b) >= 2]
-    if not candidates:
-        return
-    rng = random.Random(0)
-    for _ in range(samples):
-        block = rng.choice(candidates)
-        a, b = rng.sample(block, 2)
-        swapped = p.substitute({a: b, b: a})
-        if swapped != p:
-            raise SymmetryViolationError(
-                "integrand is not symmetric within an alphabet block")
-
-
-def _coset_maps(alphabet: BlockAlphabet):
-    """Letter->letter substitutions, one per coset, identity first."""
-    sizes = [len(b) for b in alphabet.blocks]
-    letters = sorted(alphabet.letters)
-
-    def rec(remaining: tuple, block_idx: int):
-        if block_idx == len(sizes):
-            yield ()
-            return
-        for combo in combinations(remaining, sizes[block_idx]):
-            rest = tuple(v for v in remaining if v not in combo)
-            for tail in rec(rest, block_idx + 1):
-                yield (combo,) + tail
-
-    for distribution in rec(tuple(letters), 0):
-        subs = {}
-        for block, assigned in zip(alphabet.blocks, distribution):
-            for src, dst in zip(block, assigned):
-                if src != dst:
-                    subs[src] = dst
-        yield subs
-
-
-def _brion_denominator(alphabet: BlockAlphabet) -> list[Poly]:
-    factors = []
-    blocks = alphabet.blocks
-    for jl in range(len(blocks)):
-        for jh in range(jl + 1, len(blocks)):
-            for vl in blocks[jl]:
-                for vh in blocks[jh]:
-                    factors.append(Poly.var(vh) - Poly.var(vl))
-    return factors
-
-
 def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
                       budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
-    """Coset sum of p / prod of cross-block letter differences."""
+    """Push p forward along the flag bundle of the alphabet's blocks.
+
+    This is the coset sum of p over the product of cross-block letter
+    differences (lower block subtracted from higher), computed as divided
+    differences (f - s_i f) / (x_{i+1} - x_i) along the bubble-sort word
+    that moves the blocks into reverse order, first swap first.
+    """
     count = alphabet.coset_count()
     if count > budget:
         raise BudgetExceededError(
             f"{count} cosets exceed the budget of {budget}")
-    _check_block_symmetry(p, alphabet)
-    den = _brion_denominator(alphabet)
-    terms = []
-    for subs in _coset_maps(alphabet):
-        term_num = p.substitute(subs) if subs else p
-        term = term_num
-        for f in den:
-            g = f.substitute(subs) if subs else f
-            term = term * RatFun(Poly.const(1), {g: 1})
-        terms.append(term)
-    return ratfun_sum(terms)
-
-
-def restrictive_pushforward(p: RatFun, alphabet: BlockAlphabet, omega: Poly,
-                            budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
-    """Push-forward for the restrictive sub-bundle: insert the Thom class."""
-    return brion_pushforward(p * omega, alphabet, budget)
+    assert_block_symmetric(p, alphabet.blocks)
+    letters = alphabet.letters
+    order = [j for j, block in enumerate(alphabet.blocks) for _ in block]
+    swapped = True
+    while swapped:
+        swapped = False
+        for i in range(len(order) - 1):
+            if order[i] < order[i + 1]:
+                order[i], order[i + 1] = order[i + 1], order[i]
+                a, b = letters[i], letters[i + 1]
+                p = (p - p.substitute({a: b, b: a})) * RatFun(
+                    Poly.const(1), {Poly.var(b) - Poly.var(a): 1})
+                swapped = True
+    return p
 
 
 def omega_class(constraints: Sequence[tuple[Sequence[VarId],
@@ -168,27 +122,21 @@ def tableau_tower(t: Tableau) -> list[TowerStage]:
         r_next = spec.rank(i + 1)
         quot = [y(i, blocks.K(i) + 1, k)
                 for k in range(1, r_next - spec.rank(i) + 1)]
-        level_blocks = [
-            [y(i, j, k) for k in range(1, blocks.m(i, j) + 1)]
-            for j in range(1, blocks.K(i) + 1)
-        ]
+        level_blocks = [blocks.letters(i, j)
+                        for j in range(1, blocks.K(i) + 1)]
         if quot:
             level_blocks.append(quot)
         alphabet = BlockAlphabet(level_blocks)
         if i == spec.levels:
             next_roots = [ambient(k) for k in range(1, spec.n + 1)]
         else:
-            next_roots = [
-                y(i + 1, j, k)
-                for j in range(1, blocks.K(i + 1) + 1)
-                for k in range(1, blocks.m(i + 1, j) + 1)
-            ]
+            next_roots = [v for j in range(1, blocks.K(i + 1) + 1)
+                          for v in blocks.letters(i + 1, j)]
         constraints = []
         for j in range(1, blocks.K(i) + 1):
-            sub = [y(i, j, k) for k in range(1, blocks.m(i, j) + 1)]
             quot_roots = next_roots[tables.l(i + 1, j):]
             if quot_roots:
-                constraints.append((sub, quot_roots))
+                constraints.append((blocks.letters(i, j), quot_roots))
         omega = omega_class(constraints)
         letter_map = dict(zip(sorted(alphabet.letters), next_roots))
         stages.append(TowerStage(alphabet, omega, letter_map))
@@ -199,7 +147,7 @@ def integrate_to_point(p: RatFun, tower: Sequence[TowerStage],
                        budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
     """Iterated restrictive push-forward, then ambient roots to zero."""
     for stage in tower:
-        p = restrictive_pushforward(p, stage.alphabet, stage.omega, budget)
+        p = brion_pushforward(p * stage.omega, stage.alphabet, budget)
         p = p.substitute(stage.letter_map)
     ambient_vars = {v for v in p.num.variables() if v.kind == 1}
     for f in p.den:
@@ -249,7 +197,10 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     is not a root form plus a multiple of alpha is rejected.
     """
     if check_symmetry:
-        assert_block_symmetric(p, t)
+        blocks = block_decomposition(t)
+        assert_block_symmetric(p, [blocks.letters(i, j)
+                                   for i in range(1, blocks.levels + 1)
+                                   for j in range(1, blocks.K(i) + 1)])
     points = torus_fixed_points(t)
     roots = set(fixed_point_values(t, points[0], lam))
     factors = []

@@ -11,9 +11,12 @@ component itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 from .errors import InfeasibleTableauError
+
+if TYPE_CHECKING:
+    from .algebra import VarId
 
 
 @dataclass(frozen=True)
@@ -277,6 +280,11 @@ class BlockData:
     def r(self, i: int, j: int) -> int:
         """Partial rank m_{i,1} + ... + m_{i,j}; r(i, 0) = 0."""
         return sum(self.mults[i - 1][:j])
+
+    def letters(self, i: int, j: int) -> list[VarId]:
+        """The root letters y[i,j;1], ..., y[i,j;m(i,j)] of block (i, j)."""
+        from .algebra import y  # local, so tableaux imports no algebra
+        return [y(i, j, k) for k in range(1, self.m(i, j) + 1)]
 
 
 def block_decomposition(t: Tableau) -> BlockData:

@@ -6,7 +6,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from flaghg.algebra import Poly, y
+from flaghg.algebra import Poly
 from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau, block_decomposition
 
@@ -41,8 +41,7 @@ def random_block_symmetric(t: Tableau, rng: random.Random,
     budget = degree_cap
     for i in range(1, blocks.levels + 1):
         for j in range(1, blocks.K(i) + 1):
-            block_vars = [y(i, j, k) for k in range(1, blocks.m(i, j) + 1)]
             k = rng.randint(0, max(0, min(3, budget)))
             budget -= k
-            out = out * complete_homogeneous(k, block_vars)
+            out = out * complete_homogeneous(k, blocks.letters(i, j))
     return out

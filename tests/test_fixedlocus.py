@@ -217,10 +217,9 @@ def test_specialize_equivariant_euler_example():
 
 
 def test_assert_block_symmetric_rejects_asymmetric_input():
-    t = gr(4, 2, 2, [1, 1])
     f = RatFun.from_poly(Poly.var(y(1, 1, 1)))
     with pytest.raises(SymmetryViolationError):
-        assert_block_symmetric(f, t)
+        assert_block_symmetric(f, [[y(1, 1, 1), y(1, 1, 2)]])
 
 
 def test_specialize_rejects_repeated_weights():

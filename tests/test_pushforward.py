@@ -13,8 +13,8 @@ from flaghg.mirror import mirror_integrand
 from flaghg.pushforward import (BlockAlphabet, ab_integrate,
                                 brion_pushforward, complete_homogeneous,
                                 integrate_to_point, lam_vector, omega_class,
-                                restrictive_pushforward, schur_polynomial,
-                                schur_polynomial_bialternant, tableau_tower)
+                                schur_polynomial, schur_polynomial_bialternant,
+                                tableau_tower)
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux)
 
@@ -36,31 +36,59 @@ def test_brion_hand_sums():
         RatFun.from_poly(-P(Y1) - P(Y2))
 
 
+SHAPES = [(1, 1, 1), (2, 1), (1, 2), (2, 2), (2, 1, 2), (2, 3, 1)]
+
+
+def shape_alphabet(shape):
+    return BlockAlphabet([[y(9, j, k) for k in range(1, m + 1)]
+                          for j, m in enumerate(shape, start=1)])
+
+
+def random_block_product(rng, alphabet, degree):
+    """One complete homogeneous factor per block, of total degree degree."""
+    p = Poly.const(rng.randint(1, 4))
+    for index, block in enumerate(alphabet.blocks):
+        last = index == len(alphabet.blocks) - 1
+        k = degree if last else rng.randint(0, degree)
+        degree -= k
+        p = p * complete_homogeneous(k, block)
+    return p
+
+
 def test_brion_degree_facts_on_random_inputs():
     rng = random.Random(5)
-    alphabet = BlockAlphabet([[Y1], [Y2], [Y3]])
-    fiber_dim = 3
-    for _ in range(10):
-        for degree in range(fiber_dim):
-            p = Poly.zero()
-            for _ in range(3):
-                term = Poly.const(rng.randint(1, 4))
-                for _ in range(degree):
-                    term = term * P(rng.choice([Y1, Y2, Y3]))
-                p = p + term
-            assert brion_pushforward(RatFun.from_poly(p), alphabet) \
-                == RatFun.const(0)
-        p = Poly.const(1)
-        for _ in range(fiber_dim):
-            p = p * P(rng.choice([Y1, Y2, Y3]))
-        result = brion_pushforward(RatFun.from_poly(p), alphabet)
-        assert result.is_poly() and result.num.is_const()
+    for shape in SHAPES:
+        alphabet = shape_alphabet(shape)
+        blocks = alphabet.blocks
+        fiber_dim = sum(len(blocks[jl]) * len(blocks[jh])
+                        for jh in range(len(blocks)) for jl in range(jh))
+        for _ in range(3):
+            for degree in range(fiber_dim):
+                p = sum((random_block_product(rng, alphabet, degree)
+                         for _ in range(2)), Poly.zero())
+                assert brion_pushforward(RatFun.from_poly(p), alphabet) \
+                    == RatFun.const(0), shape
+            p = random_block_product(rng, alphabet, fiber_dim)
+            result = brion_pushforward(RatFun.from_poly(p), alphabet)
+            assert result.is_poly() and result.num.is_const(), shape
+        # every coset term of the cross-block product is 1, so its push-
+        # forward counts the cosets; a wrong orientation flips the sign
+        euler = Poly.const(1)
+        for jh in range(len(blocks)):
+            for jl in range(jh):
+                for vl in blocks[jl]:
+                    for vh in blocks[jh]:
+                        euler = euler * (P(vh) - P(vl))
+        assert brion_pushforward(RatFun.from_poly(euler), alphabet) == \
+            RatFun.const(alphabet.coset_count()), shape
 
 
 def test_brion_rejects_asymmetric_input():
-    alphabet = BlockAlphabet([[y(9, 1, 1), y(9, 1, 2)], [Y2]])
-    with pytest.raises(SymmetryViolationError):
-        brion_pushforward(RatFun.from_poly(P(y(9, 1, 1))), alphabet)
+    a, b, c, d = (y(9, 1, 1), y(9, 1, 2), y(9, 1, 3), Y2)
+    cases = [([[a, b], [d]], P(a)), ([[a, b, c], [d]], P(b) + P(c))]
+    for letters, p in cases:
+        with pytest.raises(SymmetryViolationError):
+            brion_pushforward(RatFun.from_poly(p), BlockAlphabet(letters))
 
 
 def test_brion_budget_guard():
@@ -79,19 +107,10 @@ def test_omega_class_examples():
     assert omega_class(constraints).total_degree() == 3
 
 
-def test_restrictive_pushforward_with_trivial_omega():
-    rng = random.Random(6)
-    alphabet = two_singletons()
-    for _ in range(20):
-        p = RatFun.from_poly(random_poly(rng, [Y1, Y2], degree=3))
-        assert restrictive_pushforward(p, alphabet, Poly.const(1)) == \
-            brion_pushforward(p, alphabet)
-
-
 def test_restrictive_pushforward_hand_sum():
     alphabet = two_singletons()
     omega = omega_class([((Y1,), (ambient(1),))])
-    assert restrictive_pushforward(RatFun.const(1), alphabet, omega) == \
+    assert brion_pushforward(RatFun.const(1) * omega, alphabet) == \
         RatFun.const(1)
 
 
@@ -100,21 +119,27 @@ def test_pushforward_degree_bookkeeping():
     alphabet = two_singletons()
     omega = omega_class([((Y1,), (ambient(1),))])
     p = RatFun.from_poly(P(Y1) ** 2 + P(Y2) ** 2)
-    out = restrictive_pushforward(p, alphabet, omega)
+    out = brion_pushforward(p * omega, alphabet)
     assert out.num.total_degree() == 2 + 1 - 1
 
 
 def test_projection_formula():
     rng = random.Random(7)
-    alphabet = two_singletons()
-    for _ in range(10):
-        phi = RatFun.from_poly(random_poly(rng, [Y1, Y2], degree=3))
-        psi = RatFun.from_poly(
-            random_poly(rng, [ALPHA], degree=2)
-            * (P(Y1) + P(Y2)))
-        lhs = brion_pushforward(phi * psi, alphabet)
-        rhs = brion_pushforward(phi, alphabet) * psi
-        assert lhs == rhs
+    for shape in SHAPES:
+        alphabet = shape_alphabet(shape)
+        letters = alphabet.letters
+        shifted = RatFun(Poly.const(1),
+                         {P(v) + P(ALPHA): 1 for v in letters})
+        for _ in range(3):
+            phi = RatFun.from_poly(
+                random_block_product(rng, alphabet, rng.randint(0, 4)))
+            power_sum = sum((P(v) ** 2 for v in letters), Poly.zero())
+            polynomial = RatFun.from_poly(
+                random_poly(rng, [ALPHA], degree=2) * power_sum)
+            for psi in (polynomial, shifted):
+                lhs = brion_pushforward(phi * psi, alphabet)
+                rhs = brion_pushforward(phi, alphabet) * psi
+                assert lhs == rhs, shape
 
 
 def test_omega_rational_presentation_identity():
@@ -200,10 +225,13 @@ def test_ab_integrate_singular_weights_retry_then_raise():
 
 
 def test_ab_integrate_rejects_asymmetric():
-    gr24 = Tableau(FlagSpec(4, (2,), (0,)), ((0, 0),))
-    with pytest.raises(SymmetryViolationError):
-        ab_integrate(gr24, RatFun.from_poly(P(y(1, 1, 1))),
-                     lam_vector(4, 0))
+    # on Gr(3,5) the integrand is symmetric in slots 1 and 2 only
+    cases = [(Tableau(FlagSpec(4, (2,), (0,)), ((0, 0),)), P(y(1, 1, 1))),
+             (Tableau(FlagSpec(5, (3,), (0,)), ((0, 0, 0),)),
+              P(y(1, 1, 1)) + P(y(1, 1, 2)))]
+    for t, p in cases:
+        with pytest.raises(SymmetryViolationError):
+            ab_integrate(t, RatFun.from_poly(p), lam_vector(t.spec.n, 0))
 
 
 def test_oracle_equivalence_random_polynomials():
