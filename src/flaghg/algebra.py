@@ -2,8 +2,10 @@
 
 Every class, weight and series in the engine is built from two types:
 
-  Poly    sparse map {monomial: Fraction}, monomials are sorted tuples of
-          (VarId, exponent) pairs with positive exponents.
+  Poly    sparse map {monomial: coefficient}, monomials are sorted tuples
+          of (VarId, exponent) pairs with positive exponents.  A coefficient
+          is an int where it is integral and a Fraction otherwise; the two
+          agree under ==, hash and str, and nothing is ever rounded.
   RatFun  a Poly numerator over a multiset of *linear* denominator factors.
 
 Denominators are never expanded.  Each factor is kept canonical: it is
@@ -21,7 +23,8 @@ normalization.  A LinearProduct (an Euler class) is built in lowest terms
 directly, since its factors already carry net exponents.  Before every
 exact division the numerator is evaluated modulo the prime 2^61-1 at a
 point of the factor's hyperplane; a non-zero value proves that the factor
-does not divide, and the division is skipped.
+does not divide, and the division is skipped.  A single-term numerator
+is decided from its variables alone.
 
 All values are immutable after construction and safe to share.
 """
@@ -84,6 +87,22 @@ _ONE: Mono = ()
 Scalar = Union[int, Fraction]
 
 
+def _exact(value: Scalar) -> Scalar:
+    """value as an int if it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if not isinstance(value, Fraction):
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
+def _quotient(a: Scalar, b: Scalar) -> Scalar:
+    """The exact quotient a / b, as an int where it is integral."""
+    if type(a) is int and type(b) is int and not a % b:
+        return a // b
+    return _exact(Fraction(a, b))
+
+
 def _mono_mul(a: Mono, b: Mono) -> Mono:
     if not a:
         return b
@@ -111,11 +130,11 @@ def _mono_mul(a: Mono, b: Mono) -> Mono:
 
 
 class Poly:
-    """Immutable sparse polynomial over Q."""
+    """Immutable sparse polynomial over Q; coefficients are int or Fraction."""
 
     __slots__ = ("terms", "_hash")
 
-    def __init__(self, terms: Mapping[Mono, Fraction] | None = None):
+    def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
         self.terms: dict = dict(terms) if terms else {}
         self._hash = None
 
@@ -125,21 +144,21 @@ class Poly:
 
     @staticmethod
     def const(value: Scalar) -> "Poly":
-        value = Fraction(value)
+        value = _exact(value)
         return Poly({_ONE: value}) if value else Poly()
 
     @staticmethod
     def var(v: VarId) -> "Poly":
-        return Poly({((v, 1),): Fraction(1)})
+        return Poly({((v, 1),): 1})
 
     @staticmethod
     def linear(const: Scalar, coeffs: Mapping[VarId, Scalar]) -> "Poly":
         terms = {}
-        c = Fraction(const)
+        c = _exact(const)
         if c:
             terms[_ONE] = c
         for v, a in coeffs.items():
-            a = Fraction(a)
+            a = _exact(a)
             if a:
                 terms[((v, 1),)] = a
         return Poly(terms)
@@ -150,10 +169,10 @@ class Poly:
     def is_const(self) -> bool:
         return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
 
-    def const_value(self) -> Fraction:
+    def const_value(self) -> Scalar:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ONE, Fraction(0))
+        return self.terms.get(_ONE, 0)
 
     def variables(self) -> set:
         out = set()
@@ -187,7 +206,7 @@ class Poly:
 
     def linear_parts(self):
         """(constant, {var: coeff}) for a polynomial of degree <= 1."""
-        const = Fraction(0)
+        const = 0
         coeffs = {}
         for mono, c in self.terms.items():
             if mono == _ONE:
@@ -241,10 +260,12 @@ class Poly:
 
     def __mul__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _exact(other)
+            if q == 1:
+                return self
             if not q:
                 return Poly()
-            return Poly({m: c * q for m, c in self.terms.items()})
+            return Poly({m: _exact(c * q) for m, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         out: dict = {}
@@ -293,7 +314,7 @@ class Poly:
                 if isinstance(val, VarId):
                     merged[val] = merged.get(val, 0) + e
                 else:
-                    c = c * Fraction(val) ** e
+                    c = c * _exact(val) ** e
             if not c:
                 continue
             key = tuple(sorted(merged.items()))
@@ -329,7 +350,7 @@ class Poly:
                     kept.append((vv, ee))
             raw.setdefault(e, {})
             key = tuple(kept)
-            raw[e][key] = raw[e].get(key, Fraction(0)) + c
+            raw[e][key] = raw[e].get(key, 0) + c
         layers = {
             e: Poly({m: c for m, c in d.items() if c}) for e, d in raw.items()
         }
@@ -342,7 +363,7 @@ class Poly:
             coef = running.get(e)
             if coef is None or coef.is_zero():
                 continue
-            q = Poly({m: c / cv for m, c in coef.terms.items()})
+            q = Poly({m: _quotient(c, cv) for m, c in coef.terms.items()})
             quot_layers[e - 1] = q
             lower = running.get(e - 1, Poly())
             running[e - 1] = lower - q * rest
@@ -356,7 +377,7 @@ class Poly:
                 if not c:
                     continue
                 key = _mono_mul(mono, ((pivot, e),)) if e else mono
-                out[key] = out.get(key, Fraction(0)) + c
+                out[key] = out.get(key, 0) + c
         return Poly({m: c for m, c in out.items() if c})
 
     def sorted_terms(self):
@@ -384,7 +405,7 @@ class Poly:
         return f"Poly({self.to_text()})"
 
 
-def canonical_linear(factor: Poly) -> tuple[Poly, Fraction]:
+def canonical_linear(factor: Poly) -> tuple[Poly, Scalar]:
     """Scale a linear factor so its least variable has coefficient +1.
 
     Returns (canonical factor, scale) with factor == scale * canonical.
@@ -397,8 +418,9 @@ def canonical_linear(factor: Poly) -> tuple[Poly, Fraction]:
     least = min(coeffs)
     scale = coeffs[least]
     if scale == 1:
-        return factor, Fraction(1)
-    canon = Poly.linear(const / scale, {v: a / scale for v, a in coeffs.items()})
+        return factor, 1
+    canon = Poly.linear(_quotient(const, scale),
+                        {v: _quotient(a, scale) for v, a in coeffs.items()})
     return canon, scale
 
 
@@ -502,7 +524,7 @@ class RatFun:
                 raise SingularSubstitutionError(
                     f"denominator factor {f.to_text()} vanished")
             if g.is_const():
-                num = num * (1 / g.const_value() ** e)
+                num = num * Fraction(1, g.const_value() ** e)
             else:
                 den[g] = den.get(g, 0) + e
         return RatFun(num, den)
@@ -570,7 +592,7 @@ def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
     """Canonical form: factors monic in their least variable, scales absorbed
     into the numerator, and every factor divided out of the numerator as many
     times as it goes exactly."""
-    scale = Fraction(1)
+    scale = 1
     factors: dict[Poly, int] = {}
     for f, e in den:
         if e == 0:
@@ -580,7 +602,7 @@ def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
         canon, s = canonical_linear(f)
         scale = scale * s ** e
         factors[canon] = factors.get(canon, 0) + e
-    num = num * (Fraction(1) / scale)
+    num = num * Fraction(1, scale)
     if num.is_zero():
         return RatFun(Poly.zero(), {}, _normalized=True)
     out: dict[Poly, int] = {}
@@ -619,9 +641,16 @@ def _may_divide(num: Poly, f: Poly) -> bool:
     coefficients and a unit among them) makes the quotient P-integral too,
     so the value is 0.  A non-zero value is therefore a certificate.  A
     coefficient denominator divisible by _P leaves the question open.
+
+    A single term c*m needs no evaluation: its irreducible factors are the
+    variables of m, so f divides it exactly when f is one of them.
     """
-    if len(num.terms) == 1 and _ONE in num.terms:
-        return False  # a non-zero constant
+    if len(num.terms) == 1:
+        if len(f.terms) != 1:
+            return False
+        ((v, _),), = f.terms
+        (mono,) = num.terms
+        return any(u == v for u, _ in mono)
     const, coeffs = f.linear_parts()
     least = min(coeffs)
     scale = lcm(const.denominator, *(a.denominator for a in coeffs.values()))
@@ -636,16 +665,21 @@ def _may_divide(num: Poly, f: Poly) -> bool:
             rest += a.numerator * (scale // a.denominator) * vals[v]
     vals[least] = -rest * pow(lead, -1, _P) % _P
     top, bottom = 0, 1
+    powers: dict = {}
     for mono, c in num.terms.items():
         d = c.denominator
         if d % _P == 0:
             return True
         m = c.numerator
-        for v, e in mono:
-            x = vals.get(v)
+        for ve in mono:
+            x = powers.get(ve)
             if x is None:
-                x = vals[v] = _residue(v)
-            m = m * pow(x, e, _P) % _P
+                v, e = ve
+                x = vals.get(v)
+                if x is None:
+                    x = vals[v] = _residue(v)
+                x = powers[ve] = pow(x, e, _P)
+            m = m * x % _P
         top = (top * d + m * bottom) % _P
         bottom = bottom * d % _P
     return top == 0
@@ -699,7 +733,7 @@ class LinearProduct:
         if exponent == 0:
             return
         canon, s = canonical_linear(factor)
-        self.scalar = self.scalar * s ** exponent
+        self.scalar = self.scalar * Fraction(s) ** exponent
         e = self.factors.get(canon, 0) + exponent
         if e:
             self.factors[canon] = e

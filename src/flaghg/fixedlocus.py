@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, prod
+from math import comb, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y)
@@ -376,13 +376,28 @@ def fixed_point_values(t: Tableau, point: TorusFixedPoint,
         raise ValueError("torus weights must be pairwise distinct")
     if len(lam) != t.spec.n:
         raise ValueError("one torus weight per coordinate is required")
-    values: dict[VarId, Fraction] = {}
+    return point_values(t, point, [Fraction(v) for v in lam])
+
+
+def point_values(t: Tableau, point: TorusFixedPoint,
+                 weights: Sequence) -> dict[VarId, object]:
+    """Root variable -> weights[c - 1] for the coordinate c it sits on at
+    the point, for weights of any exact type; the weights are not checked."""
+    values: dict[VarId, object] = {}
     for (i, j), coords in point.assignment:
         for k, c in enumerate(sorted(coords), start=1):
-            values[y(i, j, k)] = Fraction(lam[c - 1])
+            values[y(i, j, k)] = weights[c - 1]
     for k in range(1, t.spec.n + 1):
-        values[ambient(k)] = Fraction(lam[k - 1])
+        values[ambient(k)] = weights[k - 1]
     return values
+
+
+def scaled_weights(lam: Sequence[Fraction]) -> tuple[list[int], int]:
+    """(weights, scale): integers with lam[k] == weights[k] / scale and
+    scale the least common denominator of lam."""
+    lam = [Fraction(v) for v in lam]
+    scale = lcm(*(v.denominator for v in lam))
+    return [v.numerator * (scale // v.denominator) for v in lam], scale
 
 
 def assert_block_symmetric(f: RatFun,
@@ -401,7 +416,17 @@ def assert_block_symmetric(f: RatFun,
 def tangent_euler_at_point(ledger: Ledger, point: TorusFixedPoint,
                            lam: Sequence[Fraction]) -> Fraction:
     """Product of tangent weights at an isolated torus fixed point, from the
-    component's tangent ledger.
+    component's tangent ledger."""
+    weights, scale = scaled_weights(lam)
+    num, den = tangent_euler_scaled(ledger, point, weights)
+    return Fraction(num, den) / Fraction(scale) ** ledger.rank()
+
+
+def tangent_euler_scaled(ledger: Ledger, point: TorusFixedPoint,
+                         weights: Sequence[int]) -> tuple[int, int]:
+    """(num, den): the product of tangent weights at integer torus weights
+    is num / den.  At weights lam = weights / scale it is
+    num / den / scale ** ledger.rank(), one factor of scale per weight.
 
     The tangent ledger's positive and negative parts each contain the same
     number of zero factors (the diagonal slots); these cancel as multisets
@@ -409,25 +434,21 @@ def tangent_euler_at_point(ledger: Ledger, point: TorusFixedPoint,
     """
     coords = point.sets()
     n = ledger.blocks.spec.n
-    coords[(ledger.blocks.levels + 1, 1)] = tuple(range(1, n + 1))
-    num: list[Fraction] = []
-    den: list[Fraction] = []
+    coords[(ledger.blocks.levels + 1, 1)] = range(1, n + 1)
+    num = den = 1
+    zeros = 0
     for src, tgt, w, m in ledger.terms():
-        bucket, count = (num, m) if m > 0 else (den, -m)
         for cs in coords[src]:
+            base = weights[cs - 1]
             for ct in coords[tgt]:
-                val = Fraction(lam[ct - 1]) - Fraction(lam[cs - 1])
-                bucket.extend([val] * count)
-    nz = sum(1 for v in num if v == 0)
-    dz = sum(1 for v in den if v == 0)
-    if nz != dz:
+                val = weights[ct - 1] - base
+                if not val:
+                    zeros += m
+                elif m > 0:
+                    num *= val ** m
+                else:
+                    den *= val ** -m
+    if zeros:
         raise CancellationFailureError(
             "zero tangent weights do not cancel; fixed point is not isolated")
-    result = Fraction(1)
-    for v in num:
-        if v:
-            result *= v
-    for v in den:
-        if v:
-            result /= v
-    return result
+    return num, den

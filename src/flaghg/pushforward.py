@@ -23,8 +23,8 @@ from .algebra import ALPHA, Poly, RatFun, VarId, ambient, y
 from .errors import (BudgetExceededError, IntegrationShapeError,
                      SingularSubstitutionError)
 from .fixedlocus import (assert_block_symmetric, fixed_point_values,
-                         tangent_euler_at_point, tangent_ledger,
-                         torus_fixed_points)
+                         point_values, scaled_weights, tangent_euler_scaled,
+                         tangent_ledger, torus_fixed_points)
 from .tableaux import (IndexTables, Tableau, block_decomposition,
                        component_dimension)
 
@@ -195,6 +195,11 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     pole means non-generic weights (or a genuine pole); fresh weights are
     drawn from the seed sequence up to max_retries times.  A factor that
     is not a root form plus a multiple of alpha is rejected.
+
+    The sum runs in integers: the weights are scaled to integers once, each
+    point's share is an integer series over one integer denominator, and
+    the shares accumulate over the least common multiple of those
+    denominators, so one Fraction is built per coefficient of the result.
     """
     if check_symmetry:
         blocks = block_decomposition(t)
@@ -237,7 +242,8 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
             rest = tuple(ve for ve in mono
                          if ve[0] not in roots and ve[0] != ALPHA)
             key = (rest, dict(mono).get(ALPHA, 0), degree)
-            terms.setdefault(key, []).append((mono_index(root), int(c * den)))
+            terms.setdefault(key, []).append(
+                (mono_index(root), c.numerator * (den // c.denominator)))
     tangent = tangent_ledger(t)
     for attempt in range(max_retries + 1):
         try:
@@ -262,31 +268,61 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
 def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
                     den: int, order: int, tangent) -> dict:
     """The s^0 coefficient {(rest monomial, alpha power): value} of the sum
-    over the points, once the negative powers of s are checked to cancel."""
-    scale = lcm(*(Fraction(v).denominator for v in lam))
-    acc: list[dict] = [{} for _ in range(order + 1)]  # s^(j - order)
+    over the points, once the negative powers of s are checked to cancel.
+
+    With lam = weights / scale every root value is an integer over scale.
+    An alpha-free factor is an integer over g * scale for a fixed g; a
+    factor with w != 0 divides the series by 1 + x*u with x = N / (b*scale)
+    for one fixed b, so the u^k coefficient is S[k] / (b*scale)^k with S[k]
+    an integer.  The tangent Euler class is an integer fraction over
+    scale^dim.  In the s^0 row the powers of scale cancel, and every other
+    factor that is the same at all points goes into one constant, so each
+    point's share is an integer over its own integer denominator, and the
+    shares are summed over their common multiple.
+    """
+    weights, _ = scaled_weights(lam)
+    constant = Fraction(1, den)
+    poles, shifts = [], []  # alpha-free factors, factors with w != 0
+    for coeffs, w, e in factors:
+        if w:
+            shifts.append(({v: Fraction(a, w) for v, a in coeffs.items()}, e))
+            constant /= Fraction(w) ** e
+        else:
+            g = lcm(*(a.denominator for a in coeffs.values()))
+            poles.append(({v: int(a * g) for v, a in coeffs.items()}, e))
+            constant *= g ** e
+    b = lcm(*(r.denominator for ratios, _ in shifts for r in ratios.values()))
+    shifts = [({v: int(r * b) for v, r in ratios.items()}, e)
+              for ratios, e in shifts]
+    b_powers = [b ** (order - k) for k in range(order + 1)]
+    shares = []
     for point in points:
-        values = fixed_point_values(t, point, lam)
-        scalar = 1 / tangent_euler_at_point(tangent, point, lam)
-        series = [1] + [0] * order  # in u, of the inverse w != 0 factors
-        for coeffs, w, e in factors:
+        values = point_values(t, point, weights)
+        top, bottom = tangent_euler_scaled(tangent, point, weights)
+        for coeffs, e in poles:
             delta = sum(a * values[v] for v, a in coeffs.items())
-            if not (w or delta):
+            if not delta:
                 raise SingularSubstitutionError(
                     "an alpha-free denominator factor vanished at a point")
-            scalar /= (w or delta) ** e
-            x = delta / w if w else 0
+            top *= delta ** e
+        series = [1] + [0] * order  # in u, of the inverse w != 0 factors
+        for coeffs, e in shifts:
+            x = sum(a * values[v] for v, a in coeffs.items())
             for _ in range(e if x else 0):  # divide by 1 + x*u
                 for k in range(1, order + 1):
                     series[k] -= x * series[k - 1]
-        series = [scalar * c for c in series]
-        ints = {v: int(val * scale) for v, val in values.items()}
         mono_values = [1]
         for parent, v in recipe:
-            mono_values.append(mono_values[parent] * ints[v])
-        for (rest, a, degree), items in terms.items():
-            value = Fraction(sum(c * mono_values[i] for i, c in items),
-                             den * scale ** degree)
+            mono_values.append(mono_values[parent] * values[v])
+        sums = [sum(c * mono_values[i] for i, c in items)
+                for items in terms.values()]
+        shares.append((top, bottom, series, sums))
+    common = lcm(*(top for top, _, _, _ in shares))
+    acc: list[dict] = [{} for _ in range(order + 1)]  # s^(j - order)
+    for top, bottom, series, sums in shares:
+        scaled = bottom * (common // top)
+        series = [c * scaled * b_powers[k] for k, c in enumerate(series)]
+        for (rest, a, degree), value in zip(terms, sums):
             for k in range(order - degree + 1):
                 if series[k]:
                     row = acc[degree + k]
@@ -295,7 +331,8 @@ def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
     if any(any(row.values()) for row in acc[:order]):
         raise SingularSubstitutionError(
             "poles in the ray parameter do not cancel over the fixed points")
-    return acc[order]
+    constant /= b ** order * common
+    return {key: constant * c for key, c in acc[order].items() if c}
 
 
 def complete_homogeneous(degree: int, roots: Sequence[VarId]) -> Poly:

@@ -11,6 +11,10 @@ from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau, block_decomposition
 
 
+# torus weights with pairwise different denominators
+MIXED_LAM = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(7, 4)]
+
+
 def all_specs(n_max: int, degree_sum_max: int, levels_max: int = 3):
     """Every FlagSpec with n <= n_max, I <= levels_max, sum(d) <= degree_sum_max."""
     for n in range(2, n_max + 1):

@@ -252,3 +252,92 @@ def test_linear_product_builds_lowest_terms(lp):
     fast = lp.to_ratfun()
     assert fast.num.terms == slow.num.terms
     assert fast.den == slow.den
+
+
+def test_monomial_numerator_is_decided_structurally():
+    y1, y2 = Poly.var(y(1, 1, 1)), Poly.var(y(1, 1, 2))
+    mono = y1 ** 2 * y2 * Fraction(3, 2)
+    assert not algebra._may_divide(mono, y1 - y2)
+    assert not algebra._may_divide(mono, Y + A)
+    assert not algebra._may_divide(mono, Poly.var(ALPHA))
+    assert algebra._may_divide(y1 ** 2 * y2, y1)
+    assert algebra._divide_out(y1 ** 2 * y2, y1, 2) == (y2, 0)
+    assert algebra._divide_out(y1 ** 2 * y2, y1, 3) == (y2, 1)
+
+
+# --- integral coefficients are ints, and no coefficient is a float ---------
+
+def coefficients(value):
+    """Every coefficient of a Poly, or of a RatFun's numerator and factors."""
+    if isinstance(value, RatFun):
+        yield from value.num.terms.values()
+        for f in value.den:
+            yield from f.terms.values()
+    else:
+        yield from value.terms.values()
+
+
+def integral_ones_are_int(value) -> bool:
+    return all(type(c) is int for c in coefficients(value)
+               if c.denominator == 1)
+
+
+def test_integral_coefficients_are_stored_as_int():
+    assert Poly.const(Fraction(4, 2)).terms == {(): 2}
+    assert type(Poly.const(Fraction(4, 2)).const_value()) is int
+    lin = Poly.linear(Fraction(6, 3), {y(1, 1, 1): Fraction(-4, 2),
+                                      ALPHA: Fraction(1, 2)})
+    assert [type(c) for c in lin.terms.values()] == [int, int, Fraction]
+    assert integral_ones_are_int((Y * Fraction(1, 2) + A) * 2)
+    assert integral_ones_are_int((Y + Fraction(1, 3)) * Fraction(6, 2))
+    divisor = 2 * Y + 1
+    q = ((Y * Y - A * 3) * divisor).divide_by_linear(divisor)
+    assert q == Y * Y - A * 3
+    assert all(type(c) is int for c in q.terms.values())
+    half = (Y * divisor).divide_by_linear(divisor * 2)
+    assert half.terms == {((y(1, 1, 1), 1),): Fraction(1, 2)}
+
+
+def test_canonical_linear_divides_exactly():
+    e = Poly.var(ambient(1))
+    canon, scale = algebra.canonical_linear(2 * Y - 3 * e)
+    assert scale == 2
+    assert canon == Y - Fraction(3, 2) * e
+    assert canon.terms[((ambient(1), 1),)] == Fraction(-3, 2)
+    assert type(canon.terms[((ambient(1), 1),)]) is Fraction
+    assert type(canon.terms[((y(1, 1, 1), 1),)]) is int
+
+
+def test_substitute_into_integer_constant_factor_is_exact():
+    y2 = y(1, 1, 2)
+    f = RatFun(Y, {Poly.var(y2) + A + 2: 2})
+    got = f.substitute({y2: 1, ALPHA: 0})
+    assert got == RatFun.from_poly(Y * Fraction(1, 9))
+    assert got.num.terms[((y(1, 1, 1), 1),)] == Fraction(1, 9)
+    assert type(got.num.terms[((y(1, 1, 1), 1),)]) is Fraction
+    assert RatFun(Y * 3, {Poly.var(y2) + 2: 1}).substitute({y2: 1}) \
+        == RatFun.from_poly(Y)
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=polys(), q=polys(), f=linear_forms(), k=rationals,
+       v=st.sampled_from(VARS), value=st.integers(-3, 3))
+def test_no_coefficient_is_ever_a_float(p, q, f, k, v, value):
+    scaled = p * k
+    quotient = (p * f).divide_by_linear(f)
+    assert quotient == p
+    # a sum may leave an integral Fraction, and p * 1 is p itself
+    if k != 1:
+        assert integral_ones_are_int(scaled)
+    for exact in (Poly.const(k), f, quotient):
+        assert integral_ones_are_int(exact)
+    results = [p * q, p + q, p - q, scaled, quotient,
+               p.substitute({v: value}), algebra.canonical_linear(f)[0],
+               ratfun_normalize(p * q * f, [(f, 2)]), RatFun(p, {f: 1}) * q,
+               exp_series(p, 2)]
+    try:
+        results.append(RatFun(q, {f: 1}).substitute({v: value}))
+    except SingularSubstitutionError:
+        pass
+    for result in results:
+        assert all(type(c) in (int, Fraction) for c in coefficients(result))

@@ -18,7 +18,7 @@ from flaghg.tableaux import (FlagSpec, Tableau, block_decomposition,
                              component_dimension, enumerate_tableaux,
                              hquot_dimension)
 
-from conftest import all_specs
+from conftest import MIXED_LAM, all_specs
 
 A = Poly.var(ALPHA)
 
@@ -248,3 +248,23 @@ def test_ledger_serialization():
     t = gr(2, 1, 1, [1])
     data = normal_ledger(t).to_json()
     assert data == [{"sign": 1, "src": [1, 1], "tgt": "ambient", "w": -1}]
+
+
+def test_tangent_euler_at_point_mixed_denominators():
+    # the integer core against the product of Fraction differences
+    spec = FlagSpec(4, (1, 2), (1, 1))
+    for t in enumerate_tableaux(spec):
+        ledger = tangent_ledger(t)
+        for point in torus_fixed_points(t):
+            coords = point.sets()
+            coords[(spec.levels + 1, 1)] = (1, 2, 3, 4)
+            expected = Fraction(1)
+            for src, tgt, _, m in ledger.terms():
+                for cs in coords[src]:
+                    for ct in coords[tgt]:
+                        diff = MIXED_LAM[ct - 1] - MIXED_LAM[cs - 1]
+                        if diff:
+                            expected *= diff ** m
+            got = tangent_euler_at_point(ledger, point, MIXED_LAM)
+            assert type(got) is Fraction
+            assert got == expected, point

@@ -18,7 +18,8 @@ from flaghg.pushforward import (BlockAlphabet, ab_integrate,
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux)
 
-from conftest import all_specs, random_block_symmetric, random_poly
+from conftest import (MIXED_LAM, all_specs, random_block_symmetric,
+                      random_poly)
 
 P = Poly.var
 Y1, Y2, Y3 = y(9, 1, 1), y(9, 2, 1), y(9, 3, 1)
@@ -342,3 +343,50 @@ def test_complete_homogeneous_basics():
     assert complete_homogeneous(0, roots) == Poly.const(1)
     assert complete_homogeneous(2, roots).total_degree() == 2
     assert len(complete_homogeneous(2, roots).terms) == 3
+
+
+def removable_pole_integrand(t, p, pole, e):
+    """(p * pole^e + Z) / pole^e over (y + 2*alpha)^e (y - alpha/3), with
+    y = y[1,1;1] and Z = prod_k (y - e_k).  Z vanishes at every fixed
+    point, so there the first factor agrees with the polynomial p; the
+    alpha-free pole (w = 0) does not divide Z and so stays."""
+    root, alpha = P(y(1, 1, 1)), P(ALPHA)
+    vanishing = Poly.const(1)
+    for k in range(1, t.spec.n + 1):
+        vanishing = vanishing * (root - P(ambient(k)))
+    f = RatFun(p * pole ** e + vanishing, {pole: e}) \
+        * RatFun(Poly.const(1), {root + 2 * alpha: e,
+                                 root - Fraction(1, 3) * alpha: 1})
+    weights = {g.linear_parts()[1].get(ALPHA, 0): exp
+               for g, exp in f.den.items()}
+    assert weights == {0: e, 2: e, Fraction(-1, 3): 1}
+    return f
+
+
+def test_ab_integrate_mixed_denominator_weights_matches_tower():
+    t, = enumerate_tableaux(FlagSpec(4, (1, 2), (1, 1)))
+    alpha, root = P(ALPHA), P(y(1, 1, 1))
+    y1, y2 = P(y(2, 1, 1)), P(y(2, 2, 1))
+    p = y1 ** 3 * y2 ** 2 + alpha * P(kahler(1)) * y1 ** 3 * y2
+    f = removable_pole_integrand(t, p, root - P(ambient(1)) - P(ambient(2)),
+                                 1)
+    via_oracle = ab_integrate(t, f, MIXED_LAM, max_retries=0)
+    assert via_oracle == integrate_to_point(f, tableau_tower(t))
+    assert via_oracle == ab_integrate(t, f, lam_vector(4, 3))
+    assert via_oracle == RatFun(Fraction(-15, 4) - Fraction(93, 8)
+                                * P(kahler(1)), {alpha: 3})
+
+
+def test_ab_integrate_squared_scaled_factors_match_tower():
+    # exponents 2 on a non-unit alpha weight and on an alpha-free factor
+    # with a fractional coefficient
+    t, = enumerate_tableaux(FlagSpec(2, (1,), (0,)))
+    alpha, root = P(ALPHA), P(y(1, 1, 1))
+    p = root * root + alpha * root * P(kahler(1)) + alpha ** 2
+    pole = root - Fraction(1, 2) * P(ambient(1)) - P(ambient(2))
+    f = removable_pole_integrand(t, p, pole, 2)
+    via_oracle = ab_integrate(t, f, MIXED_LAM[:2], max_retries=0)
+    assert via_oracle == integrate_to_point(f, tableau_tower(t))
+    assert via_oracle == ab_integrate(t, f, lam_vector(2, 3))
+    assert via_oracle == RatFun(Fraction(3, 2) + Fraction(3, 4)
+                                * P(kahler(1)), {alpha: 2})
