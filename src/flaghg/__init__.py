@@ -10,10 +10,10 @@ from .errors import (BudgetExceededError, CancellationFailureError,
                      InfeasibleTableauError, IntegrationShapeError,
                      SingularSubstitutionError, SymmetryViolationError,
                      UsageError, ZeroDenominatorError)
-from .fixedlocus import (Ledger, LedgerTerm, TorusFixedPoint,
-                         euler_class_closed_form, euler_class_from_ledger,
-                         fixed_point_count, hquot_restriction_ledger,
-                         normal_ledger, tangent_ledger, torus_fixed_points)
+from .fixedlocus import (Ledger, euler_class_closed_form,
+                         euler_class_from_ledger, fixed_point_count,
+                         hquot_restriction_ledger, normal_ledger,
+                         tangent_ledger, torus_fixed_points)
 from .mirror import (HoriVafaReport, IntegralResult, grassmannian_hg_term,
                      hori_vafa_verify, hyperplane_pullback, integral_Id,
                      reconstruct_class_from_pairings, schur_pairing)

@@ -92,26 +92,16 @@ def parse_job(argv, env=None) -> JobSpec:
         degrees = (0,) * len(ranks)
     else:
         degrees = _parse_int_list(args.degrees, "--degrees")
-    if any(ranks[i] >= ranks[i + 1] for i in range(len(ranks) - 1)):
-        raise UsageError("ranks must be strictly increasing")
-    if ranks and ranks[-1] >= args.n:
-        raise UsageError("ranks must be smaller than n")
-    if not ranks or ranks[0] < 1:
-        raise UsageError("ranks must be positive")
-    if len(degrees) != len(ranks):
-        raise UsageError("degrees must match ranks in length")
-    if any(d < 0 for d in degrees):
-        raise UsageError("degrees must be non-negative")
+    try:
+        spec = FlagSpec(args.n, ranks, degrees)
+    except ValueError as exc:
+        raise UsageError(str(exc))
     if args.coset_budget < 0:
         raise UsageError("--coset-budget must be non-negative")
     min_degree = {"hg": 0, "hori-vafa": 1}.get(args.command)
     if min_degree is not None and args.max_degree < min_degree:
         raise UsageError(
             f"{args.command} needs --max-degree >= {min_degree}")
-    try:
-        spec = FlagSpec(args.n, ranks, degrees)
-    except ValueError as exc:
-        raise UsageError(str(exc))
     cache_dir = args.cache_dir or env.get("FLAGHG_CACHE")
     return JobSpec(
         command=args.command,

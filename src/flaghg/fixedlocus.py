@@ -11,7 +11,6 @@ over ledger terms and root slots, with sign exponents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, lcm, prod
@@ -22,14 +21,7 @@ from .errors import CancellationFailureError, SymmetryViolationError
 from .tableaux import BlockData, IndexTables, Tableau, block_decomposition
 
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
-
-
-@dataclass(frozen=True)
-class LedgerTerm:
-    sign: int
-    src: BlockRef
-    tgt: BlockRef
-    weight: int
+FixedPoint = dict[BlockRef, tuple[int, ...]]  # block -> its coordinates
 
 
 class Ledger:
@@ -289,67 +281,39 @@ def grassmannian_euler_product(t: Tableau) -> LinearProduct:
     return out
 
 
-@dataclass(frozen=True)
-class TorusFixedPoint:
-    """Coordinate-index sets per block, nested per the index tables."""
+def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
+    """All nested coordinate assignments {block: coordinates}.
 
-    assignment: tuple[tuple[BlockRef, tuple[int, ...]], ...]
-
-    def sets(self) -> dict[BlockRef, tuple[int, ...]]:
-        return dict(self.assignment)
-
-
-def torus_fixed_points(t: Tableau) -> list[TorusFixedPoint]:
-    """All nested coordinate assignments, in deterministic order."""
+    One recursion over the blocks, top level first: block (i, j) takes its
+    m(i, j) coordinates, in combinations order, from the sorted pool that
+    fixed_point_count describes (1..n at the top level).  So every tuple is
+    sorted, and the points come in lexicographic order of their choices.
+    """
     blocks = block_decomposition(t)
     tables = IndexTables.from_blocks(blocks)
-    spec = t.spec
-    levels = spec.levels
-    per_level: list[list[dict[int, tuple[int, ...]]]] = []
+    top = blocks.levels
+    order = [(i, j) for i in range(top, 0, -1)
+             for j in range(1, blocks.K(i) + 1)]
+    out: list[FixedPoint] = []
+    point: FixedPoint = {}
 
-    def level_assignments(i, upper: dict[int, tuple[int, ...]] | None):
-        """upper: block sets of level i+1 (None for the ambient level)."""
-        Ki = blocks.K(i)
-        results = []
-
-        def pool(j):
-            if upper is None:
-                return tuple(range(1, spec.n + 1))
-            hi = tables.I_A(i, j)
-            out = []
-            for jp in range(1, hi + 1):
-                out.extend(upper[jp])
-            return tuple(sorted(out))
-
-        def rec(j, used, chosen):
-            if j > Ki:
-                results.append(dict(chosen))
-                return
-            allowed = tuple(x for x in pool(j) if x not in used)
-            for combo in combinations(allowed, blocks.m(i, j)):
-                chosen[j] = combo
-                rec(j + 1, used | set(combo), chosen)
-                del chosen[j]
-
-        rec(1, set(), {})
-        return results
-
-    out: list[TorusFixedPoint] = []
-
-    def descend(i, upper, partial):
-        if i == 0:
-            assignment = []
-            for (lev, j), s in sorted(partial.items()):
-                assignment.append(((lev, j), s))
-            out.append(TorusFixedPoint(tuple(assignment)))
+    def choose(b: int) -> None:
+        if b == len(order):
+            out.append(dict(point))
             return
-        for choice in level_assignments(i, upper):
-            nxt = dict(partial)
-            for j, s in choice.items():
-                nxt[(i, j)] = s
-            descend(i - 1, choice, nxt)
+        i, j = order[b]
+        if i == top:
+            pool = range(1, t.spec.n + 1)
+        else:
+            pool = sorted(c for k in range(1, tables.I_A(i, j) + 1)
+                          for c in point[(i + 1, k)])
+        taken = {c for k in range(1, j) for c in point[(i, k)]}
+        free = [c for c in pool if c not in taken]
+        for combo in combinations(free, blocks.m(i, j)):
+            point[(i, j)] = combo  # blocks after b are reassigned below
+            choose(b + 1)
 
-    descend(levels, None, {})
+    choose(0)
     return out
 
 
@@ -369,7 +333,7 @@ def fixed_point_count(t: Tableau) -> int:
         for j in range(1, blocks.K(i) + 1))
 
 
-def fixed_point_values(t: Tableau, point: TorusFixedPoint,
+def fixed_point_values(t: Tableau, point: FixedPoint,
                        lam: Sequence[Fraction]) -> dict[VarId, Fraction]:
     """Root variable -> torus weight value at a fixed point."""
     if len(set(lam)) != len(lam):
@@ -379,13 +343,15 @@ def fixed_point_values(t: Tableau, point: TorusFixedPoint,
     return point_values(t, point, [Fraction(v) for v in lam])
 
 
-def point_values(t: Tableau, point: TorusFixedPoint,
+def point_values(t: Tableau, point: FixedPoint,
                  weights: Sequence) -> dict[VarId, object]:
     """Root variable -> weights[c - 1] for the coordinate c it sits on at
-    the point, for weights of any exact type; the weights are not checked."""
+    the point, for weights of any exact type; the weights are not checked.
+    The k-th root of a block sits on its k-th coordinate; the coordinates
+    of a point from torus_fixed_points are sorted."""
     values: dict[VarId, object] = {}
-    for (i, j), coords in point.assignment:
-        for k, c in enumerate(sorted(coords), start=1):
+    for (i, j), coords in point.items():
+        for k, c in enumerate(coords, start=1):
             values[y(i, j, k)] = weights[c - 1]
     for k in range(1, t.spec.n + 1):
         values[ambient(k)] = weights[k - 1]
@@ -413,7 +379,7 @@ def assert_block_symmetric(f: RatFun,
                     f"and {b}")
 
 
-def tangent_euler_at_point(ledger: Ledger, point: TorusFixedPoint,
+def tangent_euler_at_point(ledger: Ledger, point: FixedPoint,
                            lam: Sequence[Fraction]) -> Fraction:
     """Product of tangent weights at an isolated torus fixed point, from the
     component's tangent ledger."""
@@ -422,7 +388,7 @@ def tangent_euler_at_point(ledger: Ledger, point: TorusFixedPoint,
     return Fraction(num, den) / Fraction(scale) ** ledger.rank()
 
 
-def tangent_euler_scaled(ledger: Ledger, point: TorusFixedPoint,
+def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
                          weights: Sequence[int]) -> tuple[int, int]:
     """(num, den): the product of tangent weights at integer torus weights
     is num / den.  At weights lam = weights / scale it is
@@ -432,7 +398,7 @@ def tangent_euler_scaled(ledger: Ledger, point: TorusFixedPoint,
     number of zero factors (the diagonal slots); these cancel as multisets
     and the remaining product is the genuine Euler class.
     """
-    coords = point.sets()
+    coords = dict(point)
     n = ledger.blocks.spec.n
     coords[(ledger.blocks.levels + 1, 1)] = range(1, n + 1)
     num = den = 1

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product as iproduct
+from itertools import combinations, product as iproduct
 
 from .algebra import (ALPHA, FORMAL_C, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
@@ -42,9 +42,9 @@ def zero_tableau(spec: FlagSpec) -> Tableau:
     return Tableau(zero_spec, tuple((0,) * r for r in spec.ranks))
 
 
-def x_roots(spec: FlagSpec, level: int = 1) -> list[VarId]:
+def x_roots(spec: FlagSpec) -> list[VarId]:
     """Root variables of the manifold itself (zero-tableau convention)."""
-    return [y(level, 1, k) for k in range(1, spec.rank(level) + 1)]
+    return [y(1, 1, k) for k in range(1, spec.rank(1) + 1)]
 
 
 def mirror_integrand(t: Tableau) -> RatFun:
@@ -283,13 +283,6 @@ def _c_coefficients(f: RatFun, max_power: int) -> list[RatFun]:
     return out
 
 
-def _exact_ratfun_division(f: RatFun, divisor: Poly) -> RatFun | None:
-    q = f.num.divide_by_linear(divisor)
-    if q is None:
-        return None
-    return RatFun(q, f.den)
-
-
 def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                      budget: int = DEFAULT_COSET_BUDGET) -> HoriVafaReport:
     """Check that antisymmetrizing the product of projective-space series
@@ -310,7 +303,6 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     xvars = x_roots(spec)
     xs = [Poly.var(v) for v in xvars]
     alpha = Poly.var(ALPHA)
-    cvar = Poly.var(FORMAL_C)
     dim_x = r * (n - r)
     lam = lam_vector(n, lambda_seed)
     partitions = box_partitions(r, n - r)
@@ -319,26 +311,6 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
         di: grassmannian_hg_term(n, 1, di, budget)
         for di in range(max_degree + 1)
     }
-
-    sum_x = Poly.zero()
-    for x in xs:
-        sum_x = sum_x + x
-    # e^{sum_x c / alpha} and e^{-sum_x c / alpha}, as truncated series
-    plus_exp = RatFun.const(0)
-    minus_exp = RatFun.const(0)
-    for k in range(dim_x + 1):
-        coeff = Fraction(1)
-        for i in range(1, k + 1):
-            coeff /= i
-        body = RatFun.from_poly((sum_x * cvar) ** k * coeff)
-        denom = RatFun(Poly.const(1), {alpha: k} if k else {})
-        plus_exp = plus_exp + body * denom
-        minus_exp = minus_exp + body * denom * Fraction((-1) ** k)
-    prefactor = plus_exp * minus_exp
-    # drop incomplete c-orders; the retained ones are exact
-    kept = Poly({mono: coeff for mono, coeff in prefactor.num.terms.items()
-                 if dict(mono).get(FORMAL_C, 0) <= dim_x})
-    prefactor = RatFun(kept, prefactor.den)
 
     report = HoriVafaReport(n, r, max_degree, True)
     for d in range(max_degree + 1):
@@ -353,22 +325,17 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                 factor = one_row_terms[comp[i]].substitute(
                     {y(1, 1, 1): xvars[i]})
                 term = term * factor
-            for j in range(r):
-                for jp in range(j + 1, r):
-                    term = term * (alpha * (comp[jp] - comp[j])
-                                   + xs[jp] - xs[j])
+            for j, jp in combinations(range(r), 2):
+                term = term * (alpha * (comp[jp] - comp[j]) + xs[jp] - xs[j])
             rhs_terms.append(term)
-        rhs = ratfun_sum(rhs_terms) * prefactor
+        rhs = ratfun_sum(rhs_terms)
         division_ok = True
-        for j in range(r):
-            for jp in range(j + 1, r):
-                divided = _exact_ratfun_division(rhs, xs[jp] - xs[j])
-                if divided is None:
-                    division_ok = False
-                    break
-                rhs = divided
-            if not division_ok:
+        for j, jp in combinations(range(r), 2):
+            q = rhs.num.divide_by_linear(xs[jp] - xs[j])
+            if q is None:
+                division_ok = False
                 break
+            rhs = RatFun(q, rhs.den)
         if not division_ok:
             report.division_exact = False
             report.residuals.append({

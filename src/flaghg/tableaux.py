@@ -28,19 +28,18 @@ class FlagSpec:
     degrees: tuple[int, ...]
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("ambient dimension must be at least 2")
-        if not self.ranks:
-            raise ValueError("at least one rank is required")
-        if len(self.ranks) != len(self.degrees):
-            raise ValueError("ranks and degrees must have equal length")
-        prev = 0
-        for r in self.ranks:
-            if r <= prev:
-                raise ValueError("ranks must be strictly increasing")
-            prev = r
-        if self.ranks[-1] >= self.n:
-            raise ValueError("ranks must be smaller than the ambient dimension")
+        """Raise ValueError at the first failed check.  The command line
+        reports these messages as usage errors, so this order decides
+        which one a bad line shows.  Together the checks force n >= 2."""
+        ranks = self.ranks
+        if any(a >= b for a, b in zip(ranks, ranks[1:])):
+            raise ValueError("ranks must be strictly increasing")
+        if ranks and ranks[-1] >= self.n:
+            raise ValueError("ranks must be smaller than n")
+        if not ranks or ranks[0] < 1:
+            raise ValueError("ranks must be positive")
+        if len(self.degrees) != len(ranks):
+            raise ValueError("degrees must match ranks in length")
         if any(d < 0 for d in self.degrees):
             raise ValueError("degrees must be non-negative")
 

@@ -238,6 +238,30 @@ def test_main_exit_codes(tmp_path, capsys):
     assert "ranks must be strictly increasing" in err
 
 
+@pytest.mark.parametrize("args,message", [
+    (["--ranks", "2,1"], "ranks must be strictly increasing"),
+    (["--ranks", "4"], "ranks must be smaller than n"),
+    (["--ranks", "0"], "ranks must be positive"),
+    (["--ranks", "0,1"], "ranks must be positive"),
+    (["--ranks", "1,2", "--degrees", "1"],
+     "degrees must match ranks in length"),
+    (["--ranks", "2", "--degrees", "-1"], "degrees must be non-negative"),
+    (["--ranks", "2,1", "--coset-budget", "-1"],
+     "ranks must be strictly increasing"),
+    (["--ranks", "3,2", "--degrees", "1"],
+     "ranks must be strictly increasing"),
+    (["--ranks", "5", "--degrees=-1,2"], "ranks must be smaller than n"),
+])
+def test_main_spec_usage_error_lines(tmp_path, capsys, args, message):
+    # with several faults on one line, the first check in order wins
+    code = main(["tableaux", "--n", "4", *args, "--cache-dir", str(tmp_path)])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_main_computation_error_exit_code(tmp_path, capsys):
     code = main(["oracle-compare", "--n", "4", "--ranks", "2", "--degrees",
                  "1", "--coset-budget", "1", "--cache-dir", str(tmp_path)])

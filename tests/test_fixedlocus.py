@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations, product
 
 import pytest
 
@@ -16,7 +17,7 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                torus_fixed_points)
 from flaghg.tableaux import (FlagSpec, Tableau, block_decomposition,
                              component_dimension, enumerate_tableaux,
-                             hquot_dimension)
+                             hquot_dimension, index_tables)
 
 from conftest import MIXED_LAM, all_specs
 
@@ -174,7 +175,7 @@ def test_block_symmetry_of_euler_classes():
 def test_torus_fixed_points_examples():
     t = gr(2, 1, 1, [1])
     pts = torus_fixed_points(t)
-    assert [p.sets()[(1, 1)] for p in pts] == [(1,), (2,)]
+    assert [p[(1, 1)] for p in pts] == [(1,), (2,)]
     assert len(torus_fixed_points(gr(4, 2, 2, [0, 2]))) == 12
     assert len(torus_fixed_points(gr(4, 2, 2, [1, 1]))) == 6
 
@@ -182,8 +183,7 @@ def test_torus_fixed_points_examples():
 def test_torus_fixed_points_nested_for_flags():
     t = Tableau(FlagSpec(3, (1, 2), (1, 1)), ((1,), (0, 1)))
     for p in torus_fixed_points(t):
-        sets = p.sets()
-        assert set(sets[(1, 1)]) <= set(sets[(2, 1)]) | set(sets[(2, 2)])
+        assert set(p[(1, 1)]) <= set(p[(2, 1)]) | set(p[(2, 2)])
     # a line inside the rank-2 step over each coordinate flag of C^3
     assert len(torus_fixed_points(t)) == 12
     assert component_dimension(t) == 4
@@ -195,9 +195,40 @@ def test_fixed_point_count_matches_enumeration():
             assert fixed_point_count(t) == len(torus_fixed_points(t)), t.rows
 
 
+def test_torus_fixed_points_match_brute_force():
+    # every choice of coordinate subsets of the block sizes, kept when each
+    # level's blocks are disjoint and block (i, j) lies in the coordinates
+    # of level-(i+1) blocks 1..I_A(i, j); sorted top level first
+    for spec in all_specs(4, 3):
+        for t in enumerate_tableaux(spec):
+            blocks = block_decomposition(t)
+            tables = index_tables(t)
+            refs = [(i, j) for i in range(blocks.levels, 0, -1)
+                    for j in range(1, blocks.K(i) + 1)]
+            subsets = [combinations(range(1, spec.n + 1), blocks.m(*ref))
+                       for ref in refs]
+            expected = []
+            for choice in product(*subsets):
+                point = dict(zip(refs, choice))
+                nested = all(
+                    set(point[(i, j)]) <= {
+                        c for k in range(1, tables.I_A(i, j) + 1)
+                        for c in point[(i + 1, k)]}
+                    for i, j in refs if i < blocks.levels)
+                disjoint = all(
+                    not set(point[(i, j)]) & set(point[(i, k)])
+                    for i, j in refs for k in range(1, j))
+                if nested and disjoint:
+                    expected.append(choice)
+            expected.sort()
+            got = torus_fixed_points(t)
+            assert [tuple(p[ref] for ref in refs) for p in got] == expected
+            assert all(p.keys() == set(refs) for p in got)
+
+
 def test_specialize_examples():
     t = gr(4, 2, 2, [1, 1])
-    pts = [p for p in torus_fixed_points(t) if p.sets()[(1, 1)] == (1, 3)]
+    pts = [p for p in torus_fixed_points(t) if p[(1, 1)] == (1, 3)]
     lam = [Fraction(2), Fraction(5), Fraction(7), Fraction(11)]
     f = RatFun.from_poly(Poly.var(y(1, 1, 1)) + Poly.var(y(1, 1, 2)))
     values = fixed_point_values(t, pts[0], lam)
@@ -235,7 +266,7 @@ def test_tangent_euler_at_point_projective_space():
     lam = [Fraction(0), Fraction(1), Fraction(2)]
     values = {}
     for p in torus_fixed_points(t):
-        c = p.sets()[(1, 1)][0]
+        c = p[(1, 1)][0]
         values[c] = tangent_euler_at_point(tangent_ledger(t), p, lam)
     assert values == {
         1: Fraction(2),   # (l2-l1)(l3-l1)
@@ -256,7 +287,7 @@ def test_tangent_euler_at_point_mixed_denominators():
     for t in enumerate_tableaux(spec):
         ledger = tangent_ledger(t)
         for point in torus_fixed_points(t):
-            coords = point.sets()
+            coords = dict(point)
             coords[(spec.levels + 1, 1)] = (1, 2, 3, 4)
             expected = Fraction(1)
             for src, tgt, _, m in ledger.terms():
