@@ -2,11 +2,27 @@
 
 Every class, weight and series in the engine is built from two types:
 
-  Poly    sparse map {monomial: coefficient}, monomials are sorted tuples
-          of (VarId, exponent) pairs with positive exponents.  A coefficient
-          is an int where it is integral and a Fraction otherwise; the two
-          agree under ==, hash and str, and nothing is ever rounded.
+  Poly    sparse map {monomial: coefficient}.  A monomial is one packed
+          int: every variable owns a fixed-width exponent field at its
+          slot in a process-wide, append-only registry, the constant
+          monomial is 0, and the product of two monomials is their sum.
+          A coefficient is an int where it is integral and a Fraction
+          otherwise; the two agree under ==, hash and str, and nothing is
+          ever rounded.
   RatFun  a Poly numerator over a multiset of *linear* denominator factors.
+
+Packed exponents follow Monagan and Pearce ("Polynomial division using
+dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Fields
+are _WIDTH bits wide.  Every Poly carries an upper bound on the total
+degree of its monomials, which bounds each exponent and each sum of
+exponents, and monomials are added only where that bound shows that no
+field can carry into its neighbour; otherwise the operands are first
+repacked into fields wide enough for the bound.  A Poly is stored in the
+narrowest width, at least _WIDTH, that holds its exponents, so equal
+polynomials have equal terms.  Slots follow the order in which variables
+are first used, which differs between processes, so a monomial is
+unpacked into (VarId, exponent) pairs in VarId order to be rendered or
+ordered, and no output depends on slots.
 
 Denominators are never expanded.  Each factor is kept canonical: it is
 scaled so the coefficient of its least variable is +1, and the scaling
@@ -23,8 +39,11 @@ normalization.  A LinearProduct (an Euler class) is built in lowest terms
 directly, since its factors already carry net exponents.  Before every
 exact division the numerator is evaluated modulo the prime 2^61-1 at a
 point of the factor's hyperplane; a non-zero value proves that the factor
-does not divide, and the division is skipped.  A single-term numerator
-is decided from its variables alone.
+does not divide, and the division is skipped.  The points differ only in
+the factor's least variable, so one pass over a numerator's terms, kept
+with it, gives its value at all of them.  A sum of RatFuns is evaluated
+there term by term, before its numerators are expanded.  A single-term
+numerator is decided from its variables alone.
 
 All values are immutable after construction and safe to share.
 """
@@ -32,8 +51,10 @@ All values are immutable after construction and safe to share.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import factorial, lcm
-from typing import Iterable, Mapping, NamedTuple, Union
+from operator import or_
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .errors import SingularSubstitutionError, ZeroDenominatorError
 
@@ -80,10 +101,6 @@ def kahler(i: int) -> VarId:
 ALPHA = VarId(2)
 FORMAL_C = VarId(4)
 
-# A monomial: ((VarId, exp), ...) sorted by VarId, all exps > 0.
-Mono = tuple
-_ONE: Mono = ()
-
 Scalar = Union[int, Fraction]
 
 
@@ -103,40 +120,98 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
     return _exact(Fraction(a, b))
 
 
-def _mono_mul(a: Mono, b: Mono) -> Mono:
-    if not a:
-        return b
-    if not b:
-        return a
-    out = []
-    ia = ib = 0
-    na, nb = len(a), len(b)
-    while ia < na and ib < nb:
-        va, ea = a[ia]
-        vb, eb = b[ib]
-        if va == vb:
-            out.append((va, ea + eb))
-            ia += 1
-            ib += 1
-        elif va < vb:
-            out.append(a[ia])
-            ia += 1
-        else:
-            out.append(b[ib])
-            ib += 1
-    out.extend(a[ia:])
-    out.extend(b[ib:])
-    return tuple(out)
+# --- packed monomials -------------------------------------------------------
+
+# Bits per exponent field; a Poly whose exponents need more is stored wider.
+_WIDTH = 12
+
+# The registry: variable -> slot, slot -> variable, slot -> _residue.
+# Slots are handed out on first use and never change.
+_SLOTS: dict[VarId, int] = {}
+_VARS: list[VarId] = []
+_RESIDUES: list[int] = []
+
+
+def _slot(v: VarId) -> int:
+    s = _SLOTS.get(v)
+    if s is None:
+        s = _SLOTS[v] = len(_VARS)
+        _VARS.append(v)
+        _RESIDUES.append(_residue(v))
+    return s
+
+
+def _fields(m: int, w: int):
+    """(slot, exponent) of every non-zero field of m, lowest slot first."""
+    mask = (1 << w) - 1
+    while m:
+        s = ((m & -m).bit_length() - 1) // w
+        e = (m >> (s * w)) & mask
+        yield s, e
+        m -= e << (s * w)
+
+
+def _is_variable(m: int, w: int) -> bool:
+    """m > 0 is one variable to the first power: the lowest bit of a field."""
+    return not m & (m - 1) and not (m.bit_length() - 1) % w
+
+
+def _pairs(m: int, w: int) -> tuple:
+    """m as (VarId, exponent) pairs in VarId order, to render or order by."""
+    return tuple(sorted((_VARS[s], e) for s, e in _fields(m, w)))
+
+
+def _repack(terms: Mapping[int, Scalar], w: int, to: int) -> dict:
+    """terms with their monomials moved from w-bit to to-bit fields."""
+    out = {}
+    for m, c in terms.items():
+        k = 0
+        for s, e in _fields(m, w):
+            k += e << (s * to)
+        out[k] = c
+    return out
+
+
+def _terms_at(p: "Poly", w: int) -> dict:
+    return p.terms if p._w == w else _repack(p.terms, p._w, w)
+
+
+def _poly(terms: dict, deg: int, w: int = _WIDTH) -> "Poly":
+    """A Poly that takes ownership of terms, whose monomials are packed in
+    w-bit fields and have total degree at most deg.  It is stored in the
+    narrowest width that holds its exponents."""
+    if w != _WIDTH:
+        top = max((e for m in terms for _, e in _fields(m, w)), default=0)
+        fit = max(_WIDTH, top.bit_length())
+        if fit < w:
+            terms, w = _repack(terms, w, fit), fit
+    p = object.__new__(Poly)
+    p.terms = terms
+    p._hash = None
+    p._res = None
+    p._deg = deg
+    p._w = w
+    return p
 
 
 class Poly:
-    """Immutable sparse polynomial over Q; coefficients are int or Fraction."""
+    """Immutable sparse polynomial over Q; coefficients are int or Fraction.
 
-    __slots__ = ("terms", "_hash")
+    `terms` maps packed monomials to coefficients.  Read monomials through
+    the accessors (`coefficient`, `exponents`, `linear_parts`,
+    `variables`, `sorted_terms`), never by their bits.
+    """
 
-    def __init__(self, terms: Mapping[Mono, Scalar] | None = None):
-        self.terms: dict = dict(terms) if terms else {}
+    __slots__ = ("terms", "_hash", "_res", "_deg", "_w")
+
+    def __init__(self):
+        """The zero polynomial; const, var, linear, from_exponents and
+        arithmetic build the others."""
+        self.terms: dict = {}
         self._hash = None
+        self._res = None
+        self._deg = 0
+        self._w = _WIDTH
 
     @staticmethod
     def zero() -> "Poly":
@@ -145,74 +220,95 @@ class Poly:
     @staticmethod
     def const(value: Scalar) -> "Poly":
         value = _exact(value)
-        return Poly({_ONE: value}) if value else Poly()
+        return _poly({0: value} if value else {}, 0)
 
     @staticmethod
     def var(v: VarId) -> "Poly":
-        return Poly({((v, 1),): 1})
+        return _poly({1 << (_slot(v) * _WIDTH): 1}, 1)
 
     @staticmethod
     def linear(const: Scalar, coeffs: Mapping[VarId, Scalar]) -> "Poly":
         terms = {}
         c = _exact(const)
         if c:
-            terms[_ONE] = c
+            terms[0] = c
         for v, a in coeffs.items():
             a = _exact(a)
             if a:
-                terms[((v, 1),)] = a
-        return Poly(terms)
+                terms[1 << (_slot(v) * _WIDTH)] = a
+        return _poly(terms, 1)
+
+    @staticmethod
+    def from_exponents(variables: Sequence[VarId],
+                       terms: Mapping[tuple, Scalar]) -> "Poly":
+        """The Poly sum of c * prod(v**e) over {exponent tuple: c}, the
+        exponents listed in the order of the distinct variables."""
+        top = max((max(exps, default=0) for exps in terms), default=0)
+        w = max(_WIDTH, top.bit_length())
+        shifts = [_slot(v) * w for v in variables]
+        out = {}
+        deg = 0
+        for exps, c in terms.items():
+            c = _exact(c)
+            if c:
+                out[sum(e << sh for sh, e in zip(shifts, exps))] = c
+                deg = max(deg, sum(exps))
+        return _poly(out, deg, w)
 
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_const(self) -> bool:
-        return not self.terms or (len(self.terms) == 1 and _ONE in self.terms)
+        return not self.terms or (len(self.terms) == 1 and 0 in self.terms)
 
     def const_value(self) -> Scalar:
         if not self.is_const():
             raise ValueError("polynomial is not constant")
-        return self.terms.get(_ONE, 0)
+        return self.terms.get(0, 0)
 
     def variables(self) -> set:
-        out = set()
-        for mono in self.terms:
-            for v, _ in mono:
-                out.add(v)
-        return out
+        return {_VARS[s] for s, _ in _fields(reduce(or_, self.terms, 0),
+                                              self._w)}
 
     def total_degree(self) -> int:
-        if not self.terms:
-            return 0
-        return max(sum(e for _, e in mono) for mono in self.terms)
+        return max((sum(e for _, e in _fields(m, self._w))
+                    for m in self.terms), default=0)
 
     def coefficient(self, v: VarId, power: int) -> "Poly":
         """The Poly coefficient of v**power (v removed from the monomials)."""
-        out = {}
-        for mono, c in self.terms.items():
-            e = 0
-            rest = []
-            for vv, ee in mono:
-                if vv == v:
-                    e = ee
-                else:
-                    rest.append((vv, ee))
-            if e == power:
-                out[tuple(rest)] = c
-        return Poly(out)
+        w = self._w
+        sh = _slot(v) * w
+        field = ((1 << w) - 1) << sh
+        want = power << sh
+        return _poly({m - want: c for m, c in self.terms.items()
+                      if m & field == want}, self._deg, w)
+
+    def exponents(self, variables: Sequence[VarId]) -> dict[tuple, Scalar]:
+        """{exponent tuple: coefficient}, the exponents listed in the order
+        of the distinct variables, which must include all of self's."""
+        w = self._w
+        mask = (1 << w) - 1
+        shifts = [_slot(v) * w for v in variables]
+        if reduce(or_, self.terms, 0) & ~sum(mask << sh for sh in shifts):
+            raise ValueError("a variable of the polynomial is not listed")
+        return {tuple([(m >> sh) & mask for sh in shifts]): c
+                for m, c in self.terms.items()}
 
     def is_linear(self) -> bool:
-        return bool(self.terms) and self.total_degree() == 1
+        w = self._w
+        return any(self.terms) and all(not m or _is_variable(m, w)
+                                       for m in self.terms)
 
     def linear_parts(self):
         """(constant, {var: coeff}) for a polynomial of degree <= 1."""
+        w = self._w
         const = 0
         coeffs = {}
-        for mono, c in self.terms.items():
-            if mono == _ONE:
+        for m, c in self.terms.items():
+            if not m:
                 const = c
-            elif len(mono) == 1 and mono[0][1] == 1:
-                coeffs[mono[0][0]] = c
+            elif _is_variable(m, w):
+                coeffs[_VARS[(m.bit_length() - 1) // w]] = c
             else:
                 raise ValueError("polynomial is not linear")
         return const, coeffs
@@ -222,7 +318,7 @@ class Poly:
             other = Poly.const(other)
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.terms == other.terms
+        return self._w == other._w and self.terms == other.terms
 
     def __hash__(self) -> int:
         if self._hash is None:
@@ -230,13 +326,17 @@ class Poly:
         return self._hash
 
     def __neg__(self) -> "Poly":
-        return Poly({m: -c for m, c in self.terms.items()})
+        return _poly({m: -c for m, c in self.terms.items()}, self._deg,
+                     self._w)
 
     def __add__(self, other) -> "Poly":
         if isinstance(other, (int, Fraction)):
             other = Poly.const(other)
-        out = dict(self.terms)
-        for mono, c in other.terms.items():
+        if not isinstance(other, Poly):
+            return NotImplemented
+        w = max(self._w, other._w)
+        out = dict(_terms_at(self, w))
+        for mono, c in _terms_at(other, w).items():
             s = out.get(mono)
             if s is None:
                 out[mono] = c
@@ -246,7 +346,7 @@ class Poly:
                     out[mono] = s
                 else:
                     del out[mono]
-        return Poly(out)
+        return _poly(out, max(self._deg, other._deg), w)
 
     __radd__ = __add__
 
@@ -264,19 +364,30 @@ class Poly:
             if q == 1:
                 return self
             if not q:
-                return Poly()
-            return Poly({m: _exact(c * q) for m, c in self.terms.items()})
+                return Poly.zero()
+            return _poly({m: _exact(c * q) for m, c in self.terms.items()},
+                         self._deg, self._w)
         if not isinstance(other, Poly):
             return NotImplemented
-        out: dict = {}
         if len(self.terms) > len(other.terms):
             a, b = other, self
         else:
             a, b = self, other
-        for ma, ca in a.terms.items():
-            for mb, cb in b.terms.items():
-                mono = _mono_mul(ma, mb)
-                s = out.get(mono)
+        deg = a._deg + b._deg
+        w = a._w
+        if w == b._w and not deg >> w:
+            ta, tb = a.terms, b.terms
+        else:
+            # a field could carry: move both into fields that hold deg
+            w = max(w, b._w, deg.bit_length())
+            ta, tb = _terms_at(a, w), _terms_at(b, w)
+        out: dict = {}
+        get = out.get
+        tb = tb.items()
+        for ma, ca in ta.items():
+            for mb, cb in tb:
+                mono = ma + mb
+                s = get(mono)
                 if s is None:
                     out[mono] = ca * cb
                 else:
@@ -285,7 +396,7 @@ class Poly:
                         out[mono] = s
                     else:
                         del out[mono]
-        return Poly(out)
+        return _poly(out, deg, w)
 
     __rmul__ = __mul__
 
@@ -306,18 +417,37 @@ class Poly:
         rational scalar; any other value, a Poly included, raises TypeError."""
         if not assignment:
             return self
+        terms, w = self.terms, self._w
+        present = reduce(or_, terms, 0)
+        plan = []
+        for v, val in assignment.items():
+            if not isinstance(val, VarId):
+                val = _exact(val)
+            s = _SLOTS.get(v)
+            if s is not None and present >> (s * w) & ((1 << w) - 1):
+                plan.append((s, val))
+        if not plan:
+            return self
+        if self._deg >> w and any(isinstance(val, VarId) for _, val in plan):
+            # a rename adds exponents, which are at most the total degree
+            w = self._deg.bit_length()
+            terms = _repack(terms, self._w, w)
+        mask = (1 << w) - 1
+        plan = [(s * w, _slot(val) * w if isinstance(val, VarId) else None,
+                 val) for s, val in plan]
         out: dict = {}
-        for mono, c in self.terms.items():
-            merged: dict = {}
-            for v, e in mono:
-                val = assignment.get(v, v)
-                if isinstance(val, VarId):
-                    merged[val] = merged.get(val, 0) + e
-                else:
-                    c = c * _exact(val) ** e
+        for mono, c in terms.items():
+            key = mono
+            for sh, to, val in plan:
+                e = (mono >> sh) & mask
+                if e:
+                    key -= e << sh
+                    if to is None:
+                        c = c * val ** e
+                    else:
+                        key += e << to
             if not c:
                 continue
-            key = tuple(sorted(merged.items()))
             s = out.get(key)
             if s is None:
                 out[key] = c
@@ -327,61 +457,63 @@ class Poly:
                     out[key] = s
                 else:
                     del out[key]
-        return Poly(out)
+        return _poly(out, self._deg, w)
 
     def divide_by_linear(self, divisor: "Poly") -> "Poly | None":
         """Exact quotient self/divisor for a linear divisor, or None."""
         if not divisor.is_linear():
             raise ValueError("divisor must be linear")
         if self.is_zero():
-            return Poly()
+            return Poly.zero()
         const, coeffs = divisor.linear_parts()
         pivot = max(coeffs)
-        cv = coeffs[pivot]
-        rest = Poly.linear(const, {v: a for v, a in coeffs.items() if v != pivot})
-        raw: dict[int, dict] = {}
-        for mono, c in self.terms.items():
-            e = 0
-            kept = []
-            for vv, ee in mono:
-                if vv == pivot:
-                    e = ee
-                else:
-                    kept.append((vv, ee))
-            raw.setdefault(e, {})
-            key = tuple(kept)
-            raw[e][key] = raw[e].get(key, 0) + c
-        layers = {
-            e: Poly({m: c for m, c in d.items() if c}) for e, d in raw.items()
-        }
+        cv = coeffs.pop(pivot)
+        terms, w = self.terms, self._w
+        if self._deg >> w:
+            # the working terms have total degree at most self's
+            w = self._deg.bit_length()
+            terms = _repack(terms, self._w, w)
+        mask = (1 << w) - 1
+        sh = _slot(pivot) * w
+        rest = [(1 << (_slot(v) * w), a) for v, a in coeffs.items()]
+        if const:
+            rest.append((0, const))
+        # layers[e]: the coefficient of pivot**e, pivot removed
+        layers: dict[int, dict] = {}
+        for mono, c in terms.items():
+            e = (mono >> sh) & mask
+            layer = layers.get(e)
+            if layer is None:
+                layer = layers[e] = {}
+            layer[mono - (e << sh)] = c
         top = max(layers)
         if top == 0:
             return None
-        quot_layers: dict[int, Poly] = {}
-        running = {e: Poly(p.terms) for e, p in layers.items()}
-        for e in range(top, 0, -1):
-            coef = running.get(e)
-            if coef is None or coef.is_zero():
-                continue
-            q = Poly({m: _quotient(c, cv) for m, c in coef.terms.items()})
-            quot_layers[e - 1] = q
-            lower = running.get(e - 1, Poly())
-            running[e - 1] = lower - q * rest
-            running[e] = Poly()
-        rem = running.get(0, Poly())
-        if not rem.is_zero():
-            return None
         out: dict = {}
-        for e, p in quot_layers.items():
-            for mono, c in p.terms.items():
+        for e in range(top, 0, -1):
+            layer = layers.pop(e, None)
+            if not layer:
+                continue
+            lower = layers.setdefault(e - 1, {})
+            at = (e - 1) << sh
+            for mono, c in layer.items():
                 if not c:
                     continue
-                key = _mono_mul(mono, ((pivot, e),)) if e else mono
-                out[key] = out.get(key, 0) + c
-        return Poly({m: c for m, c in out.items() if c})
+                q = _quotient(c, cv)
+                out[mono + at] = q
+                for rm, ra in rest:
+                    key = mono + rm
+                    s = lower.get(key)
+                    lower[key] = -q * ra if s is None else s - q * ra
+        if any(layers.get(0, {}).values()):
+            return None
+        return _poly(out, self._deg, w)
 
     def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda mc: mc[0])
+        """[(monomial as (VarId, exponent) pairs, coefficient)], in order."""
+        w = self._w
+        return sorted(((_pairs(m, w), c) for m, c in self.terms.items()),
+                      key=lambda mc: mc[0])
 
     def to_text(self) -> str:
         if not self.terms:
@@ -403,6 +535,11 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()})"
+
+
+def _factor_order(f: Poly):
+    """The sort key of denominator factors: their terms in VarId order."""
+    return tuple(f.sorted_terms())
 
 
 def canonical_linear(factor: Poly) -> tuple[Poly, Scalar]:
@@ -535,7 +672,7 @@ class RatFun:
         den = " * ".join(
             f"({f.to_text()})^{e}" if e > 1 else f"({f.to_text()})"
             for f, e in sorted(self.den.items(),
-                               key=lambda fe: tuple(fe[0].sorted_terms()))
+                               key=lambda fe: _factor_order(fe[0]))
         )
         return f"({self.num.to_text()}) / {den}"
 
@@ -545,7 +682,7 @@ class RatFun:
             "den": [
                 [f.to_text(), e]
                 for f, e in sorted(self.den.items(),
-                                   key=lambda fe: tuple(fe[0].sorted_terms()))
+                                   key=lambda fe: _factor_order(fe[0]))
             ],
         }
 
@@ -567,7 +704,10 @@ def ratfun_sum(terms) -> RatFun:
     """Sum many rational functions over their common denominator at once.
 
     Equivalent to repeated addition but expands each term's complement
-    against the union denominator exactly once.
+    against the union denominator exactly once.  Before any division the
+    sum is evaluated at a point of each union factor's hyperplane from the
+    unexpanded terms (see _sum_may_divide); a factor that this proves
+    coprime to the sum keeps its exponent without a division.
     """
     terms = list(terms)
     if not terms:
@@ -585,7 +725,8 @@ def ratfun_sum(terms) -> RatFun:
             for _ in range(extra):
                 num = num * f
         total = total + num
-    return RatFun(total, union)
+    return _lowest_terms(total, union,
+                         {f: _sum_may_divide(terms, union, f) for f in union})
 
 
 def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
@@ -602,12 +743,19 @@ def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
         canon, s = canonical_linear(f)
         scale = scale * s ** e
         factors[canon] = factors.get(canon, 0) + e
-    num = num * Fraction(1, scale)
+    return _lowest_terms(num * Fraction(1, scale), factors)
+
+
+def _lowest_terms(num: Poly, factors: Mapping[Poly, int],
+                  may: Mapping[Poly, bool] | None = None) -> RatFun:
+    """num over the canonical factors, each divided out of num as many
+    times as it goes; may holds verdicts of _may_divide already known."""
     if num.is_zero():
         return RatFun(Poly.zero(), {}, _normalized=True)
     out: dict[Poly, int] = {}
-    for f in sorted(factors, key=lambda p: tuple(p.sorted_terms())):
-        num, e = _divide_out(num, f, factors[f])
+    for f in sorted(factors, key=_factor_order):
+        num, e = _divide_out(num, f, factors[f],
+                             None if may is None else may.get(f))
         if e:
             out[f] = e
     return RatFun(num, out, _normalized=True)
@@ -631,16 +779,98 @@ def _residue(v: VarId) -> int:
     return (z ^ (z >> 31)) % _P
 
 
+def _root(f: Poly) -> tuple[int, int] | None:
+    """A point where the canonical linear factor f is 0 mod _P, as (slot,
+    ratio): every variable but f's least one takes its _residue, and the
+    least one, at that slot, takes ratio times its _residue, solved for
+    from f (its coefficient is +1).  None where _P divides f's leading
+    coefficient, a denominator of f or that _residue.  The point depends on
+    the variables alone, never on their slots."""
+    const, coeffs = f.linear_parts()
+    least = min(coeffs)
+    scale = lcm(const.denominator, *(a.denominator for a in coeffs.values()))
+    lead = coeffs[least].numerator * (scale // coeffs[least].denominator)
+    slot = _SLOTS[least]
+    if scale % _P == 0 or lead % _P == 0 or not _RESIDUES[slot]:
+        return None
+    rest = const.numerator * (scale // const.denominator)
+    for v, a in coeffs.items():
+        if v != least:
+            rest += a.numerator * (scale // a.denominator) * \
+                _RESIDUES[_SLOTS[v]]
+    return slot, -rest * pow(lead * _RESIDUES[slot], -1, _P) % _P
+
+
+def _residue_sums(p: Poly) -> tuple:
+    """(v, {slot: {e: s}}): v is p mod _P with every variable at its
+    _residue, and s the part of v from the terms whose exponent at the
+    slot is e > 0.  Empty where _P divides a coefficient denominator.
+    Memoized on p, which is immutable."""
+    if p._res is not None:
+        return p._res
+    w = p._w
+    mask = (1 << w) - 1
+    total = 0
+    inverses: dict[int, int] = {}
+    powers: dict[int, int] = {}
+    sums: dict[int, int] = {}  # by field: slot and exponent
+    for mono, c in p.terms.items():
+        x = c.numerator
+        d = c.denominator
+        if d != 1:
+            inv = inverses.get(d)
+            if inv is None:
+                if d % _P == 0:
+                    p._res = ()
+                    return ()
+                inv = inverses[d] = pow(d, -1, _P)
+            x = x * inv % _P
+        fields = []
+        while mono:
+            low = (mono & -mono).bit_length() - 1
+            sh = low - low % w
+            field = mono & (mask << sh)
+            power = powers.get(field)
+            if power is None:
+                power = powers[field] = pow(_RESIDUES[sh // w], field >> sh,
+                                            _P)
+            x = x * power % _P
+            fields.append(field)
+            mono ^= field
+        total += x
+        for field in fields:
+            sums[field] = sums.get(field, 0) + x
+    by_slot: dict[int, dict[int, int]] = {}
+    for field, s in sums.items():
+        sh = (field.bit_length() - 1) // w * w
+        by_slot.setdefault(sh // w, {})[field >> sh] = s
+    p._res = (total % _P, by_slot)
+    return p._res
+
+
+def _evaluate(p: Poly, root: tuple[int, int]) -> int | None:
+    """p mod _P at the point of _root, or None where _P divides a
+    coefficient denominator: the terms' values at the residues, those with
+    exponent e at the root's slot scaled by ratio**e."""
+    sums = _residue_sums(p)
+    if not sums:
+        return None
+    value, by_slot = sums
+    slot, ratio = root
+    for e, s in by_slot.get(slot, {}).items():
+        value += s * (pow(ratio, e, _P) - 1)
+    return value % _P
+
+
 def _may_divide(num: Poly, f: Poly) -> bool:
     """False only if the linear factor f certainly does not divide num.
 
-    num is evaluated mod _P at a point where f = 0 mod _P: every variable
-    but f's least one takes its _residue, and the least one (coefficient
-    +1 in a canonical factor) is solved for.  If f divides num over Q,
-    Gauss's lemma over the integers localized at _P (f has P-integral
-    coefficients and a unit among them) makes the quotient P-integral too,
-    so the value is 0.  A non-zero value is therefore a certificate.  A
-    coefficient denominator divisible by _P leaves the question open.
+    num is evaluated mod _P at a point where f = 0 mod _P (_root).  If f
+    divides num over Q, Gauss's lemma over the integers localized at _P
+    (f has P-integral coefficients and a unit among them) makes the
+    quotient P-integral too, so the value is 0.  A non-zero value is
+    therefore a certificate.  A coefficient denominator divisible by _P
+    leaves the question open.
 
     A single term c*m needs no evaluation: its irreducible factors are the
     variables of m, so f divides it exactly when f is one of them.
@@ -648,47 +878,50 @@ def _may_divide(num: Poly, f: Poly) -> bool:
     if len(num.terms) == 1:
         if len(f.terms) != 1:
             return False
-        ((v, _),), = f.terms
-        (mono,) = num.terms
-        return any(u == v for u, _ in mono)
-    const, coeffs = f.linear_parts()
-    least = min(coeffs)
-    scale = lcm(const.denominator, *(a.denominator for a in coeffs.values()))
-    lead = coeffs[least].numerator * (scale // coeffs[least].denominator)
-    if scale % _P == 0 or lead % _P == 0:
+        (v,) = f.variables()
+        return v in num.variables()
+    root = _root(f)
+    if root is None:
         return True
-    vals: dict[VarId, int] = {}
-    rest = const.numerator * (scale // const.denominator)
-    for v, a in coeffs.items():
-        if v != least:
-            vals[v] = _residue(v)
-            rest += a.numerator * (scale // a.denominator) * vals[v]
-    vals[least] = -rest * pow(lead, -1, _P) % _P
-    top, bottom = 0, 1
-    powers: dict = {}
-    for mono, c in num.terms.items():
-        d = c.denominator
-        if d % _P == 0:
+    value = _evaluate(num, root)
+    return value is None or value == 0
+
+
+def _sum_may_divide(terms: list[RatFun], union: Mapping[Poly, int],
+                    f: Poly) -> bool:
+    """_may_divide(total, f) for the sum over the union denominator, with
+    total = sum_i num_i * prod_g g**(union[g] - e_ig) evaluated term by
+    term before it is expanded.  A term with e_if < union[f] holds f, which
+    vanishes at the point, so only the terms that carry f's full union
+    power are evaluated."""
+    root = _root(f)
+    if root is None:
+        return True
+    value = 0
+    for term in terms:
+        if term.den.get(f, 0) < union[f]:
+            continue
+        x = _evaluate(term.num, root)
+        if x is None:
             return True
-        m = c.numerator
-        for ve in mono:
-            x = powers.get(ve)
-            if x is None:
-                v, e = ve
-                x = vals.get(v)
-                if x is None:
-                    x = vals[v] = _residue(v)
-                x = powers[ve] = pow(x, e, _P)
-            m = m * x % _P
-        top = (top * d + m * bottom) % _P
-        bottom = bottom * d % _P
-    return top == 0
+        for g, e in union.items():
+            extra = e - term.den.get(g, 0)
+            if extra:
+                y = _evaluate(g, root)
+                if y is None:
+                    return True
+                x = x * pow(y, extra, _P) % _P
+        value = (value + x) % _P
+    return value == 0
 
 
-def _divide_out(num: Poly, f: Poly, e: int) -> tuple[Poly, int]:
+def _divide_out(num: Poly, f: Poly, e: int,
+                may: bool | None = None) -> tuple[Poly, int]:
     """Divide the linear factor f out of num up to e times;
-    return the quotient and how many times f did not go."""
-    while e and _may_divide(num, f):
+    return the quotient and how many times f did not go.  may is
+    _may_divide(num, f) where it is already known."""
+    while e and (_may_divide(num, f) if may is None else may):
+        may = None
         q = num.divide_by_linear(f)
         if q is None:
             break
@@ -754,19 +987,13 @@ class LinearProduct:
         num = Poly.const(self.scalar)
         den: dict[Poly, int] = {}
         for f, e in sorted(self.factors.items(),
-                           key=lambda fe: tuple(fe[0].sorted_terms())):
+                           key=lambda fe: _factor_order(fe[0])):
             if e > 0:
                 for _ in range(e):
                     num = num * f
             else:
                 den[f] = -e
         return RatFun(num, den, _normalized=True)
-
-    def num_factor_count(self) -> int:
-        return sum(e for e in self.factors.values() if e > 0)
-
-    def den_factor_count(self) -> int:
-        return -sum(e for e in self.factors.values() if e < 0)
 
     def __repr__(self) -> str:
         return f"LinearProduct({self.to_ratfun().to_text()})"

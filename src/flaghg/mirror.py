@@ -69,23 +69,12 @@ def decompose_by_kahler(f: RatFun, levels: int):
     if not _alpha_only_denominator(f):
         raise ValueError("expected a pure alpha denominator")
     tvars = [kahler(i) for i in range(1, levels + 1)]
-    buckets: dict[tuple[int, ...], Poly] = {}
-    for mono, coeff in f.num.terms.items():
-        texp = [0] * levels
-        rest = []
-        for v, e in mono:
-            if v.kind == 3:
-                texp[v.i - 1] = e
-            else:
-                rest.append((v, e))
-        key = tuple(texp)
-        bucket = buckets.setdefault(key, Poly())
-        bucket.terms[tuple(rest)] = bucket.terms.get(tuple(rest),
-                                                     Fraction(0)) + coeff
-    return {
-        key: RatFun(Poly(dict(p.terms)), f.den)
-        for key, p in sorted(buckets.items())
-    }
+    others = sorted(f.num.variables() - set(tvars))
+    parts: dict[tuple, dict] = {}
+    for exps, c in f.num.exponents(tvars + others).items():
+        parts.setdefault(exps[:levels], {})[exps[levels:]] = c
+    return {key: RatFun(Poly.from_exponents(others, part), f.den)
+            for key, part in sorted(parts.items())}
 
 
 @dataclass
@@ -98,11 +87,9 @@ class IntegralResult:
     lambda_seed: int
 
     def t_degree(self) -> int:
-        return max(
-            (sum(e for v, e in mono if v.kind == 3)
-             for mono in self.value.num.terms),
-            default=0,
-        )
+        return max(map(sum, decompose_by_kahler(self.value,
+                                                self.spec.levels)),
+                   default=0)
 
     def to_json(self):
         levels = self.spec.levels
@@ -216,12 +203,14 @@ def box_complement(mu: tuple[int, ...], r: int, cols: int) -> tuple[int, ...]:
 
 
 def schur_pairing(spec: FlagSpec, cls: RatFun, mu, lambda_seed: int = 0,
-                  lam=None) -> RatFun:
-    """Integrate cls * s_mu over the manifold by the fixed-point oracle."""
+                  lam=None, s_mu: Poly | None = None) -> RatFun:
+    """Integrate cls * s_mu over the manifold by the fixed-point oracle;
+    s_mu, the Schur polynomial of mu in the x roots, is built unless given."""
     t0 = zero_tableau(spec)
     if lam is None:
         lam = lam_vector(spec.n, lambda_seed)
-    s_mu = schur_polynomial(mu, x_roots(spec))
+    if s_mu is None:
+        s_mu = schur_polynomial(mu, x_roots(spec))
     return ab_integrate(t0, cls * s_mu, lam, seed=lambda_seed,
                         check_symmetry=False)
 
@@ -305,7 +294,8 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     alpha = Poly.var(ALPHA)
     dim_x = r * (n - r)
     lam = lam_vector(n, lambda_seed)
-    partitions = box_partitions(r, n - r)
+    schur = {mu: schur_polynomial(mu, xvars)
+             for mu in box_partitions(r, n - r)}
 
     one_row_terms = {
         di: grassmannian_hg_term(n, 1, di, budget)
@@ -344,9 +334,9 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                 "residual_c_coeffs": ["division by the Vandermonde failed"],
             })
             continue
-        for mu in partitions:
-            left = schur_pairing(spec, lhs, mu, lambda_seed, lam)
-            right = schur_pairing(spec, rhs, mu, lambda_seed, lam)
+        for mu, s_mu in schur.items():
+            left = schur_pairing(spec, lhs, mu, lambda_seed, lam, s_mu)
+            right = schur_pairing(spec, rhs, mu, lambda_seed, lam, s_mu)
             residual = right - left
             coeffs = _c_coefficients(residual, dim_x)
             report.residuals.append({

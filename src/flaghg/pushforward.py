@@ -218,30 +218,35 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                 "a multiple of alpha")
         factors.append((coeffs, w, e))
     order = component_dimension(t) + sum(e for _, w, e in factors if not w)
-    # Root monomial i > 0 is root monomial recipe[i-1][0] times the variable
-    # recipe[i-1][1], so a point evaluates each with one multiplication.
-    index: dict[tuple, int] = {(): 0}
+    # Exponent vectors over the roots, in order: root monomial i > 0 is
+    # root monomial recipe[i-1][0] times the root recipe[i-1][1], so a
+    # point evaluates each with one multiplication.
+    root_order = sorted(roots)
+    others = sorted(p.num.variables() - roots - {ALPHA})
+    index: dict[tuple, int] = {(0,) * len(root_order): 0}
     recipe: list[tuple] = []
 
     def mono_index(root: tuple) -> int:
         if root not in index:
-            v, e = root[-1]
-            parent = root[:-1] + (((v, e - 1),) if e > 1 else ())
-            recipe.append((mono_index(parent), v))
+            last = len(root) - 1
+            while not root[last]:
+                last -= 1
+            parent = root[:last] + (root[last] - 1,) + root[last + 1:]
+            recipe.append((mono_index(parent), root_order[last]))
             index[root] = len(recipe)
         return index[root]
 
-    # (rest monomial, alpha power, root degree) -> [(root index, den*coeff)];
-    # root degrees above the order only feed positive powers of s
+    # (rest exponents, alpha power, root degree) -> [(root index, den*coeff)]
+    # with the rest over `others`; root degrees above the order only feed
+    # positive powers of s
     den = lcm(*(c.denominator for c in p.num.terms.values()))
     terms: dict[tuple, list] = {}
-    for mono, c in p.num.terms.items():
-        root = tuple(ve for ve in mono if ve[0] in roots)
-        degree = sum(e for _, e in root)
+    nroots = len(root_order)
+    for exps, c in p.num.exponents(root_order + [ALPHA] + others).items():
+        root = exps[:nroots]
+        degree = sum(root)
         if degree <= order:
-            rest = tuple(ve for ve in mono
-                         if ve[0] not in roots and ve[0] != ALPHA)
-            key = (rest, dict(mono).get(ALPHA, 0), degree)
+            key = (exps[nroots + 1:], exps[nroots], degree)
             terms.setdefault(key, []).append(
                 (mono_index(root), c.numerator * (den // c.denominator)))
     tangent = tangent_ledger(t)
@@ -257,17 +262,14 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     # restore the (w*alpha)^-e of the factors and clear negative powers
     shift = sum(e for _, w, e in factors if w)
     lift = max([0] + [shift - a for (_, a), c in top.items() if c])
-    num = {}
-    for (rest, a), c in top.items():
-        if c:
-            power = a + lift - shift
-            num[tuple(sorted(rest + ((ALPHA, power),))) if power else rest] = c
-    return RatFun(Poly(num), {Poly.var(ALPHA): lift} if lift else {})
+    num = {rest + (a + lift - shift,): c for (rest, a), c in top.items()}
+    return RatFun(Poly.from_exponents(others + [ALPHA], num),
+                  {Poly.var(ALPHA): lift} if lift else {})
 
 
 def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
                     den: int, order: int, tangent) -> dict:
-    """The s^0 coefficient {(rest monomial, alpha power): value} of the sum
+    """The s^0 coefficient {(rest exponents, alpha power): value} of the sum
     over the points, once the negative powers of s are checked to cancel.
 
     With lam = weights / scale every root value is an integer over scale.

@@ -10,6 +10,7 @@ from flaghg.algebra import (ALPHA, LinearProduct, Poly, RatFun, ambient,
                             exp_series, kahler, ratfun_normalize, y)
 from flaghg.errors import SingularSubstitutionError, ZeroDenominatorError
 
+import tuple_poly
 from conftest import random_poly
 
 Y = Poly.var(y(1, 1, 1))
@@ -224,9 +225,39 @@ def test_cross_cancelled_product_equals_normalized_product(a, b):
     merged = list(a.den.items()) + list(b.den.items())
     slow = ratfun_normalize(a.num * b.num, merged)
     fast = a * b
-    assert fast.num.terms == slow.num.terms
+    assert fast.num.sorted_terms() == slow.num.sorted_terms()
     assert fast.den == slow.den
     assert fast.to_json() == slow.to_json()
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(ratfuns(), max_size=4))
+def test_sum_equals_normalized_expansion(terms):
+    union = {}
+    for term in terms:
+        for f, e in term.den.items():
+            union[f] = max(union.get(f, 0), e)
+    total = Poly.zero()
+    for term in terms:
+        num = term.num
+        for f, e in union.items():
+            num = num * f ** (e - term.den.get(f, 0))
+        total = total + num
+    slow = ratfun_normalize(total, union.items())
+    fast = algebra.ratfun_sum(terms)
+    assert fast.num.sorted_terms() == slow.num.sorted_terms()
+    assert fast.den == slow.den
+
+
+def test_sum_cancels_a_factor_of_the_expanded_numerator():
+    f, g = FACTORS[0], FACTORS[1]
+    # y/((y+a)(y-a+1)) + a/((y+a)(y-a+1)) = 1/(y-a+1)
+    terms = [RatFun(Y, {f: 1, g: 1}), RatFun(A, {f: 1, g: 1})]
+    assert algebra.ratfun_sum(terms) == RatFun(Poly.const(1), {g: 1})
+    # the terms with f to a lower power vanish where f does
+    terms = [RatFun(Y - A + 1, {f: 2}), RatFun(Poly.const(-1), {f: 1, g: 1})]
+    want = (Y - A + 1) ** 2 - (Y + A)
+    assert algebra.ratfun_sum(terms) == RatFun(want, {f: 2, g: 1})
 
 
 @st.composite
@@ -250,7 +281,7 @@ def test_linear_product_builds_lowest_terms(lp):
             den[f] = -e
     slow = RatFun(num, den)
     fast = lp.to_ratfun()
-    assert fast.num.terms == slow.num.terms
+    assert fast.num.sorted_terms() == slow.num.sorted_terms()
     assert fast.den == slow.den
 
 
@@ -283,7 +314,7 @@ def integral_ones_are_int(value) -> bool:
 
 
 def test_integral_coefficients_are_stored_as_int():
-    assert Poly.const(Fraction(4, 2)).terms == {(): 2}
+    assert Poly.const(Fraction(4, 2)).sorted_terms() == [((), 2)]
     assert type(Poly.const(Fraction(4, 2)).const_value()) is int
     lin = Poly.linear(Fraction(6, 3), {y(1, 1, 1): Fraction(-4, 2),
                                       ALPHA: Fraction(1, 2)})
@@ -295,7 +326,7 @@ def test_integral_coefficients_are_stored_as_int():
     assert q == Y * Y - A * 3
     assert all(type(c) is int for c in q.terms.values())
     half = (Y * divisor).divide_by_linear(divisor * 2)
-    assert half.terms == {((y(1, 1, 1), 1),): Fraction(1, 2)}
+    assert half.sorted_terms() == [(((y(1, 1, 1), 1),), Fraction(1, 2))]
 
 
 def test_canonical_linear_divides_exactly():
@@ -303,9 +334,10 @@ def test_canonical_linear_divides_exactly():
     canon, scale = algebra.canonical_linear(2 * Y - 3 * e)
     assert scale == 2
     assert canon == Y - Fraction(3, 2) * e
-    assert canon.terms[((ambient(1), 1),)] == Fraction(-3, 2)
-    assert type(canon.terms[((ambient(1), 1),)]) is Fraction
-    assert type(canon.terms[((y(1, 1, 1), 1),)]) is int
+    e_coeff = canon.coefficient(ambient(1), 1).const_value()
+    assert e_coeff == Fraction(-3, 2)
+    assert type(e_coeff) is Fraction
+    assert type(canon.coefficient(y(1, 1, 1), 1).const_value()) is int
 
 
 def test_substitute_into_integer_constant_factor_is_exact():
@@ -313,8 +345,9 @@ def test_substitute_into_integer_constant_factor_is_exact():
     f = RatFun(Y, {Poly.var(y2) + A + 2: 2})
     got = f.substitute({y2: 1, ALPHA: 0})
     assert got == RatFun.from_poly(Y * Fraction(1, 9))
-    assert got.num.terms[((y(1, 1, 1), 1),)] == Fraction(1, 9)
-    assert type(got.num.terms[((y(1, 1, 1), 1),)]) is Fraction
+    y_coeff = got.num.coefficient(y(1, 1, 1), 1).const_value()
+    assert y_coeff == Fraction(1, 9)
+    assert type(y_coeff) is Fraction
     assert RatFun(Y * 3, {Poly.var(y2) + 2: 1}).substitute({y2: 1}) \
         == RatFun.from_poly(Y)
 
@@ -341,3 +374,99 @@ def test_no_coefficient_is_ever_a_float(p, q, f, k, v, value):
         pass
     for result in results:
         assert all(type(c) in (int, Fraction) for c in coefficients(result))
+
+
+# --- packed monomials against the tuple model ------------------------------
+
+FULL = (1 << algebra._WIDTH) - 1
+# exponents that fill a field, overflow it, or need a much wider one
+exponents = st.sampled_from([1, 1, 2, 3, FULL, FULL + 1, 5000])
+
+
+@st.composite
+def model_polys(draw, exps=exponents):
+    out = {}
+    for _ in range(draw(st.integers(0, 4))):
+        chosen = draw(st.lists(st.sampled_from(VARS), max_size=3, unique=True))
+        mono = tuple(sorted((v, draw(exps)) for v in chosen))
+        out = tuple_poly.add(out, {mono: draw(nonzero_rationals)})
+    return out
+
+
+def assert_matches_model(got, want):
+    assert got == tuple_poly.to_poly(want)
+    assert got.to_text() == tuple_poly.to_text(want)
+    assert got.sorted_terms() == sorted(want.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=model_polys(), q=model_polys(), v=st.sampled_from(VARS),
+       u=st.sampled_from(VARS), value=st.integers(-2, 2),
+       power=st.sampled_from([0, 1, 2, FULL, FULL + 1, 5000]))
+def test_packed_poly_matches_tuple_model(p, q, v, u, value, power):
+    P, Q = tuple_poly.to_poly(p), tuple_poly.to_poly(q)
+    assert_matches_model(P, p)
+    assert_matches_model(P * Q, tuple_poly.mul(p, q))
+    assert_matches_model(P + Q, tuple_poly.add(p, q))
+    assert_matches_model(P.coefficient(v, power),
+                         tuple_poly.coefficient(p, v, power))
+    for assignment in ({v: value}, {v: u}, {v: u, u: v}, {v: u, u: value}):
+        assert_matches_model(P.substitute(assignment),
+                             tuple_poly.substitute(p, assignment))
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=model_polys(exps=st.integers(1, 3)), f=linear_forms())
+def test_packed_division_matches_tuple_model(p, f):
+    fm = dict(f.sorted_terms())
+    for num in (p, tuple_poly.mul(p, fm)):
+        got = tuple_poly.to_poly(num).divide_by_linear(f)
+        want = tuple_poly.divide_by_linear(num, fm)
+        if want is None:
+            assert got is None
+        else:
+            assert_matches_model(got, want)
+
+
+def test_exponents_past_the_field_width_are_exact():
+    # fresh variables, so their fields are neighbours
+    x, z = y(97, 1, 1), y(97, 1, 2)
+    X, Z = Poly.var(x), Poly.var(z)
+    assert algebra._SLOTS[z] == algebra._SLOTS[x] + 1
+    big = X ** 5000 * X ** 5000
+    assert big.sorted_terms() == [(((x, 10000),), 1)]
+    assert big.to_text() == "y[97,1;1]^10000"
+    assert big.divide_by_linear(X) == X ** 9999
+    # x's field is full, so one more x would carry into z's field
+    p = X ** FULL * Z
+    q = p * X
+    assert q.sorted_terms() == [(((x, FULL + 1), (z, 1)), 1)]
+    assert q.coefficient(x, FULL + 1) == Z
+    assert q.coefficient(z, 1) == X ** (FULL + 1)
+    assert q.divide_by_linear(X) == p
+    assert q.divide_by_linear(X - Z) is None
+    assert (q * (X - Z)).divide_by_linear(X - Z) == q
+    assert (p + Z).substitute({z: x}) == X ** (FULL + 1) + X
+    assert q.substitute({x: 1}) == Z
+    assert q.variables() == {x, z}
+    assert q.total_degree() == FULL + 2
+    # a result that fits the base width again is stored in it
+    back = q + Z - q
+    assert back == Z and back.terms == Z.terms and hash(back) == hash(Z)
+    assert X ** (FULL + 1) != X ** FULL * Z
+
+
+def test_exponent_vectors_round_trip_in_reverse_registration_order():
+    fresh = [ambient(90 + k) for k in range(4)]
+    for v in reversed(fresh):
+        Poly.var(v)
+    linear = {(): Fraction(1)}
+    linear.update({((v, 1),): Fraction(k + 1) for k, v in enumerate(fresh)})
+    square = tuple_poly.mul(linear, linear)
+    p = Poly.linear(1, {v: k + 1 for k, v in enumerate(fresh)}) ** 2
+    assert_matches_model(p, square)
+    exps = p.exponents(fresh)
+    assert exps[(1, 0, 0, 1)] == 8
+    assert Poly.from_exponents(fresh, exps) == p
+    with pytest.raises(ValueError):
+        p.exponents(fresh[1:])

@@ -329,17 +329,31 @@ def test_text_rendering_is_deterministic(tmp_path):
     ["hg", "--n", "4", "--ranks", "2", "--max-degree", "2", "--json"],
 ])
 def test_reports_do_not_depend_on_hash_seed(tmp_path, argv):
+    """Also with the variables registered in reverse VarId order before
+    main runs, which reverses their packed exponent slots."""
     src = str(Path(flaghg.__file__).resolve().parents[1])
+    reverse = (
+        "import sys\n"
+        "from flaghg.algebra import (ALPHA, FORMAL_C, Poly, ambient,\n"
+        "                            kahler, y)\n"
+        "from flaghg.cli import main\n"
+        "r = range(1, 6)\n"
+        "names = [y(i, j, k) for i in r for j in r for k in r]\n"
+        "names += [ambient(k) for k in r] + [kahler(i) for i in r]\n"
+        "for v in sorted(names + [ALPHA, FORMAL_C], reverse=True):\n"
+        "    Poly.var(v)\n"
+        "sys.exit(main())\n")
     outputs = []
-    for seed in ("0", "1"):
+    for seed, start in (("0", ["-m", "flaghg"]), ("1", ["-m", "flaghg"]),
+                        ("2", ["-c", reverse])):
         env = dict(os.environ, PYTHONHASHSEED=seed,
                    PYTHONPATH=os.pathsep.join(
                        filter(None, [src, os.environ.get("PYTHONPATH")])))
         env.pop("FLAGHG_CACHE", None)
         proc = subprocess.run(
-            [sys.executable, "-m", "flaghg", *argv,
+            [sys.executable, *start, *argv,
              "--cache-dir", str(tmp_path / seed)],
             env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
-    assert outputs[0] == outputs[1]
+    assert outputs[0] == outputs[1] == outputs[2]

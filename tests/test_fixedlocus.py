@@ -153,7 +153,8 @@ def test_factor_count_is_codimension():
         for t in enumerate_tableaux(spec):
             lp = euler_product_from_ledger(
                 normal_ledger(t), canonical_roots(block_decomposition(t)))
-            assert lp.num_factor_count() - lp.den_factor_count() == \
+            # numerator factors minus denominator factors, with multiplicity
+            assert sum(lp.factors.values()) == \
                 hquot_dimension(spec) - component_dimension(t)
 
 

@@ -54,6 +54,16 @@ def test_integral_gr24_plucker_degree():
     assert set(parts) == {(4,)}
 
 
+def test_decompose_by_kahler_stores_integral_coefficients_as_int():
+    value = integral_Id(FlagSpec(2, (1,), (1,))).value
+    parts = decompose_by_kahler(value, 1)
+    assert parts == {(0,): RatFun(Poly.const(2), {A: 3}),
+                     (1,): RatFun(Poly.const(1), {A: 2})}
+    assert [type(p.num.const_value()) for p in parts.values()] == [int, int]
+    # the value it was split from is left as it was
+    assert value == RatFun(Poly.const(2) + A * T1, {A: 3})
+
+
 def test_integral_cross_check_tower_route():
     result = integral_Id(FlagSpec(2, (1,), (1,)))
     assert result.value == RatFun(Poly.const(2) + A * T1, {A: 3})
