@@ -17,7 +17,7 @@ from .fixedlocus import (Ledger, euler_class_closed_form,
 from .mirror import (HoriVafaReport, IntegralResult, grassmannian_hg_term,
                      hori_vafa_verify, hyperplane_pullback, integral_Id,
                      reconstruct_class_from_pairings, schur_pairing)
-from .pushforward import (BlockAlphabet, ab_integrate,
+from .pushforward import (BlockAlphabet, ab_integrals, ab_integrate,
                           brion_pushforward, integrate_to_point, lam_vector,
                           omega_class, schur_polynomial, tableau_tower)
 from .tableaux import (BlockData, FlagSpec, IndexTables, Tableau,

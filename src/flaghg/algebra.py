@@ -652,8 +652,25 @@ class RatFun:
 
     def substitute(self, assignment: Mapping[VarId, "VarId | Scalar"]) -> "RatFun":
         """Poly.substitute on the numerator and on every factor; a factor
-        that becomes constant is absorbed into the numerator."""
+        that becomes constant is absorbed into the numerator.
+
+        A renaming that is injective on the variables present maps a
+        fraction in lowest terms to one in lowest terms, with distinct
+        factors staying distinct, so only the factors' canonical scaling
+        can change: it is redone factor by factor, without normalizing."""
         num = self.num.substitute(assignment)
+        if all(isinstance(val, VarId) for val in assignment.values()):
+            present = reduce(or_, (f.variables() for f in self.den),
+                             self.num.variables())
+            images = {assignment.get(v, v) for v in present}
+            if len(images) == len(present):
+                scale = 1
+                den = {}
+                for f, e in self.den.items():
+                    canon, s = canonical_linear(f.substitute(assignment))
+                    scale = scale * s ** e
+                    den[canon] = e
+                return RatFun(num * Fraction(1, scale), den, _normalized=True)
         den: dict[Poly, int] = {}
         for f, e in self.den.items():
             g = f.substitute(assignment)

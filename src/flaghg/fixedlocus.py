@@ -333,31 +333,6 @@ def fixed_point_count(t: Tableau) -> int:
         for j in range(1, blocks.K(i) + 1))
 
 
-def fixed_point_values(t: Tableau, point: FixedPoint,
-                       lam: Sequence[Fraction]) -> dict[VarId, Fraction]:
-    """Root variable -> torus weight value at a fixed point."""
-    if len(set(lam)) != len(lam):
-        raise ValueError("torus weights must be pairwise distinct")
-    if len(lam) != t.spec.n:
-        raise ValueError("one torus weight per coordinate is required")
-    return point_values(t, point, [Fraction(v) for v in lam])
-
-
-def point_values(t: Tableau, point: FixedPoint,
-                 weights: Sequence) -> dict[VarId, object]:
-    """Root variable -> weights[c - 1] for the coordinate c it sits on at
-    the point, for weights of any exact type; the weights are not checked.
-    The k-th root of a block sits on its k-th coordinate; the coordinates
-    of a point from torus_fixed_points are sorted."""
-    values: dict[VarId, object] = {}
-    for (i, j), coords in point.items():
-        for k, c in enumerate(coords, start=1):
-            values[y(i, j, k)] = weights[c - 1]
-    for k in range(1, t.spec.n + 1):
-        values[ambient(k)] = weights[k - 1]
-    return values
-
-
 def scaled_weights(lam: Sequence[Fraction]) -> tuple[list[int], int]:
     """(weights, scale): integers with lam[k] == weights[k] / scale and
     scale the least common denominator of lam."""
@@ -377,15 +352,6 @@ def assert_block_symmetric(f: RatFun,
                 raise SymmetryViolationError(
                     f"class is not symmetric in the block letters {a} "
                     f"and {b}")
-
-
-def tangent_euler_at_point(ledger: Ledger, point: FixedPoint,
-                           lam: Sequence[Fraction]) -> Fraction:
-    """Product of tangent weights at an isolated torus fixed point, from the
-    component's tangent ledger."""
-    weights, scale = scaled_weights(lam)
-    num, den = tangent_euler_scaled(ledger, point, weights)
-    return Fraction(num, den) / Fraction(scale) ** ledger.rank()
 
 
 def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,

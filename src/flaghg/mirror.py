@@ -4,9 +4,12 @@ product-of-projective-spaces comparison.
 The degree-d integral over a flag manifold is the sum over distinguished
 tableaux of the truncated exponential of the pulled-back hyperplane
 classes against the inverse normal Euler class, integrated by the
-fixed-point oracle.  For Grassmannians the degree-d class itself is
+fixed-point oracle.  The oracle receives the two factored, the Euler class
+as its linear factors and the exponential as its hyperplane classes, and
+never expands their product.  For Grassmannians the degree-d class itself is
 assembled two independent ways and verified against the antisymmetrized
-product of projective-space series.
+product of projective-space series; each class is paired with all Schur
+polynomials in one oracle call, the polynomials as its weights.
 """
 
 from __future__ import annotations
@@ -19,8 +22,9 @@ from .algebra import (ALPHA, FORMAL_C, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
 from .errors import FormulaMismatchError
 from .fixedlocus import (block_decomposition, canonical_roots,
-                         euler_class_from_ledger, normal_ledger)
-from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrate,
+                         euler_class_from_ledger, euler_product_from_ledger,
+                         normal_ledger)
+from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrals,
                           brion_pushforward, lam_vector, schur_polynomial)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
                        enumerate_tableaux)
@@ -49,7 +53,8 @@ def x_roots(spec: FlagSpec) -> list[VarId]:
 
 def mirror_integrand(t: Tableau) -> RatFun:
     """exp(sum_i t_i * pulled-back hyperplane), truncated at the component
-    dimension, over the normal Euler class."""
+    dimension, over the normal Euler class, multiplied out; integral_Id
+    hands the same pieces to the oracle unexpanded."""
     dim = component_dimension(t)
     exponent = Poly.zero()
     for i in range(1, t.spec.levels + 1):
@@ -111,13 +116,21 @@ class IntegralResult:
 
 
 def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
-    """Sum the localization integral over all distinguished tableaux."""
+    """Sum the localization integral over all distinguished tableaux; each
+    tableau's exp and inverse normal Euler class go to the oracle as
+    factors, never multiplied out."""
     lam = lam_vector(spec.n, lambda_seed)
     total = RatFun.const(0)
     per_tableau = []
     for t in enumerate_tableaux(spec):
-        contribution = ab_integrate(t, mirror_integrand(t), lam,
-                                    seed=lambda_seed, check_symmetry=False)
+        inverse_euler = euler_product_from_ledger(
+            normal_ledger(t).negated(),
+            canonical_roots(block_decomposition(t)))
+        hyperplanes = {kahler(i): hyperplane_pullback(t, i)
+                       for i in range(1, spec.levels + 1)}
+        contribution, = ab_integrals(
+            t, lam, [Poly.const(1)], product=inverse_euler,
+            exp=(hyperplanes, component_dimension(t)), seed=lambda_seed)
         per_tableau.append((t, contribution))
         total = total + contribution
     if not _alpha_only_denominator(total):
@@ -204,15 +217,15 @@ def box_complement(mu: tuple[int, ...], r: int, cols: int) -> tuple[int, ...]:
 
 def schur_pairing(spec: FlagSpec, cls: RatFun, mu, lambda_seed: int = 0,
                   lam=None, s_mu: Poly | None = None) -> RatFun:
-    """Integrate cls * s_mu over the manifold by the fixed-point oracle;
-    s_mu, the Schur polynomial of mu in the x roots, is built unless given."""
-    t0 = zero_tableau(spec)
+    """Integrate cls * s_mu over the manifold by the fixed-point oracle,
+    with s_mu as its weight; s_mu, the Schur polynomial of mu in the x
+    roots, is built unless given."""
     if lam is None:
         lam = lam_vector(spec.n, lambda_seed)
     if s_mu is None:
         s_mu = schur_polynomial(mu, x_roots(spec))
-    return ab_integrate(t0, cls * s_mu, lam, seed=lambda_seed,
-                        check_symmetry=False)
+    return ab_integrals(zero_tableau(spec), lam, [s_mu], cls,
+                        seed=lambda_seed)[0]
 
 
 def reconstruct_class_from_pairings(n: int, r: int, pairings) -> RatFun:
@@ -294,6 +307,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     alpha = Poly.var(ALPHA)
     dim_x = r * (n - r)
     lam = lam_vector(n, lambda_seed)
+    t0 = zero_tableau(spec)
     schur = {mu: schur_polynomial(mu, xvars)
              for mu in box_partitions(r, n - r)}
 
@@ -334,9 +348,10 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                 "residual_c_coeffs": ["division by the Vandermonde failed"],
             })
             continue
-        for mu, s_mu in schur.items():
-            left = schur_pairing(spec, lhs, mu, lambda_seed, lam, s_mu)
-            right = schur_pairing(spec, rhs, mu, lambda_seed, lam, s_mu)
+        lefts, rights = (ab_integrals(t0, lam, list(schur.values()), cls,
+                                      seed=lambda_seed)
+                         for cls in (lhs, rhs))
+        for mu, left, right in zip(schur, lefts, rights):
             residual = right - left
             coeffs = _c_coefficients(residual, dim_x)
             report.residuals.append({

@@ -10,21 +10,31 @@ is enumerated.  A restrictive flag bundle first multiplies in its Thom
 class.  Iterating down a component's fibration tower and killing the
 ambient roots integrates to a point; the independent oracle instead sums
 integrand/tangent-Euler over the torus fixed points.
+
+The oracle takes its integrand factored (a RatFun, a product of linear
+factors, a truncated exponential of Kahler variables times root forms)
+together with a list of polynomial weights, and never multiplies the
+pieces out: at a fixed point on the ray lam*s each piece is a number
+times a power of s, so the point contributes a short series per weight,
+and everything that does not depend on the weight is computed once per
+point.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
-from math import factorial, lcm
-from typing import Sequence
+from itertools import (combinations_with_replacement, permutations,
+                       product as iproduct)
+from math import factorial, lcm, prod
+from typing import Mapping, Sequence
 
-from .algebra import ALPHA, Poly, RatFun, VarId, ambient, y
+from .algebra import ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y
 from .errors import (BudgetExceededError, IntegrationShapeError,
                      SingularSubstitutionError)
-from .fixedlocus import (assert_block_symmetric, fixed_point_values,
-                         point_values, scaled_weights, tangent_euler_scaled,
-                         tangent_ledger, torus_fixed_points)
+from .fixedlocus import (assert_block_symmetric, scaled_weights,
+                         tangent_euler_scaled, tangent_ledger,
+                         torus_fixed_points)
 from .tableaux import (IndexTables, Tableau, block_decomposition,
                        component_dimension)
 
@@ -182,47 +192,147 @@ def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
 def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                  max_retries: int = 5, seed: int = 0,
                  check_symmetry: bool = True) -> RatFun:
-    """Torus fixed-point integration over the component.
+    """Torus fixed-point integral of p over the component: the one-weight
+    call ab_integrals(t, lam, [1], p), after checking that p is symmetric
+    in the letters of each block (unless check_symmetry is False).
 
-    Sums p / (tangent Euler class) over the coordinate fixed points with the
-    roots on the ray lam*s, as a truncated Laurent series in s, and returns
-    its s^0 coefficient: the non-equivariant integral, free of the weights.
-    At a point a denominator factor (root form) + w*alpha is s*delta +
-    w*alpha.  For w != 0 its inverse is (w*alpha)^-1 times a power series
-    in u = s/alpha, so alpha stays symbolic; for w = 0 it raises the pole
-    order.  Pole cancellation is checked: the negative powers of s must
-    vanish over the points.  A vanishing alpha-free factor or a surviving
-    pole means non-generic weights (or a genuine pole); fresh weights are
-    drawn from the seed sequence up to max_retries times.  A factor that
-    is not a root form plus a multiple of alpha is rejected.
-
-    The sum runs in integers: the weights are scaled to integers once, each
-    point's share is an integer series over one integer denominator, and
-    the shares accumulate over the least common multiple of those
-    denominators, so one Fraction is built per coefficient of the result.
-    """
+    The oracle itself takes the integrand factored (a RatFun, a product of
+    linear factors and a truncated exponential of hyperplane classes) with
+    a list of polynomial weights, evaluates each piece at every fixed point
+    as a number times a power of the ray parameter, and returns one
+    integral per weight without multiplying anything out; see
+    ab_integrals."""
     if check_symmetry:
         blocks = block_decomposition(t)
         assert_block_symmetric(p, [blocks.letters(i, j)
                                    for i in range(1, blocks.levels + 1)
                                    for j in range(1, blocks.K(i) + 1)])
-    points = torus_fixed_points(t)
-    roots = set(fixed_point_values(t, points[0], lam))
-    factors = []
-    for f, e in p.den.items():
+    return ab_integrals(t, lam, [Poly.const(1)], p, max_retries=max_retries,
+                        seed=seed)[0]
+
+
+def ab_integrals(t: Tableau, lam: Sequence[Fraction],
+                 weights: Sequence[Poly], p: RatFun | None = None,
+                 product: LinearProduct | None = None,
+                 exp: tuple[Mapping[VarId, Poly], int] | None = None,
+                 max_retries: int = 5, seed: int = 0) -> list[RatFun]:
+    """Torus fixed-point integrals of p * product * exp * weight over the
+    component, one per weight, from one pass over the fixed points.
+
+    The integrand stays factored: p is a RatFun, product a LinearProduct
+    of linear factors with signed exponents, exp = ({t_i: H_i}, D) the
+    exponential of sum_i t_i*H_i truncated at degree D, with each H_i a
+    root form, and each weight a polynomial in the roots.  Every linear
+    factor must be a root form plus a multiple of alpha.
+
+    With the roots on the ray lam*s, the sum of integrand / (tangent Euler
+    class) over the fixed points is a truncated Laurent series in s whose
+    s^0 coefficient is the non-equivariant integral, free of the weights.
+    At a point each piece is a number times a power of s: a root monomial
+    of degree r is c*s^r, and H_i is c_i*s, so exp brings the multinomials
+    of the c_i.  A linear factor is s*delta + w*alpha: for w != 0 it is
+    w*alpha*(1 + x*u) with u = s/alpha, which multiplies or divides the
+    series in u, so alpha stays symbolic; for w = 0 it shifts the s-degree
+    in the numerator and raises the pole order in the denominator.  The
+    root values, the tangent Euler class, the series of the factors and
+    each weight's values are computed once per point.
+
+    The negative powers of s must cancel over the points for every weight.
+    A vanishing alpha-free denominator factor or a surviving pole means
+    non-generic weights (or a genuine pole); fresh weights are drawn from
+    the seed sequence up to max_retries times.  The sum runs in integers
+    over one common denominator, and one Fraction is built per coefficient
+    of each result.
+    """
+    n = t.spec.n
+    if len(set(lam)) != len(lam):
+        raise ValueError("torus weights must be pairwise distinct")
+    if len(lam) != n:
+        raise ValueError("one torus weight per coordinate is required")
+    num = p.num if p is not None else Poly.const(1)
+    scalar = product.scalar if product is not None else 1
+    if num.is_zero() or not scalar:
+        return [RatFun.const(0) for _ in weights]
+    # The roots: the tableau's letters, then the ambient roots.  At a
+    # point, letter y[i,j;k] sits on coordinate point[(i, j)][k - 1] and
+    # e[k] on coordinate k, so the point's root values are one list.
+    blocks = block_decomposition(t)
+    letters = [v for i in range(1, blocks.levels + 1)
+               for j in range(1, blocks.K(i) + 1) for v in blocks.letters(i, j)]
+    root_order = letters + [ambient(k) for k in range(1, n + 1)]
+    slots = [((v.i, v.j), v.k - 1) for v in letters]
+    at = {v: i for i, v in enumerate(root_order)}
+
+    net: dict[Poly, int] = dict(product.factors) if product else {}
+    for f, e in (p.den.items() if p is not None else ()):
+        net[f] = net.get(f, 0) - e
+    constant = Fraction(scalar)
+    poles, zeros, shifts = [], [], []  # w = 0 under and over; w != 0
+    order = component_dimension(t)
+    lift = 0  # s-degree of the w = 0 numerator factors
+    alpha_shift = 0  # alpha-degree of the w != 0 factors
+    for f, e in net.items():
+        if not e:
+            continue
         const, coeffs = f.linear_parts()
         w = coeffs.pop(ALPHA, 0)
-        if const or not coeffs.keys() <= roots:
+        if const or not coeffs.keys() <= at.keys():
+            side = "denominator" if e < 0 else "numerator"
             raise IntegrationShapeError(
-                f"denominator factor {f.to_text()} is not a root form plus "
+                f"{side} factor {f.to_text()} is not a root form plus "
                 "a multiple of alpha")
-        factors.append((coeffs, w, e))
-    order = component_dimension(t) + sum(e for _, w, e in factors if not w)
-    # Exponent vectors over the roots, in order: root monomial i > 0 is
-    # root monomial recipe[i-1][0] times the root recipe[i-1][1], so a
-    # point evaluates each with one multiplication.
-    root_order = sorted(roots)
-    others = sorted(p.num.variables() - roots - {ALPHA})
+        if w:
+            shifts.append(({v: Fraction(a) / w for v, a in coeffs.items()},
+                           e))
+            constant *= Fraction(w) ** e
+            alpha_shift += e
+        else:
+            g = lcm(*(a.denominator for a in coeffs.values()))
+            (poles if e < 0 else zeros).append(
+                ([(at[v], _scaled(a, g)) for v, a in coeffs.items()],
+                 abs(e)))
+            constant /= Fraction(g) ** e
+            if e < 0:
+                order -= e
+            else:
+                lift += e
+    b = lcm(*(r.denominator for ratios, _ in shifts for r in ratios.values()))
+    shifts = [([(at[v], _scaled(r, b)) for v, r in ratios.items()], e)
+              for ratios, e in shifts]
+    constant /= b ** order
+
+    # exp: the t_i, their H_i as integer maps over h, and the exponent
+    # vectors m of the t-monomials it reaches, with D!/prod(m_i!) h^(D-|m|)
+    hyperplanes, exp_degree = exp if exp is not None else ({}, 0)
+    if exp_degree < 0:
+        raise ValueError("truncation bound must be non-negative")
+    tvars = sorted(hyperplanes)
+    forms = []
+    for v in tvars:
+        const, coeffs = hyperplanes[v].linear_parts()
+        if const or v in at or v == ALPHA or not coeffs.keys() <= at.keys():
+            raise IntegrationShapeError(
+                f"exponent {v} * ({hyperplanes[v].to_text()}) is not a "
+                "variable times a root form")
+        forms.append(coeffs)
+    h = lcm(*(a.denominator for form in forms for a in form.values()))
+    forms = [[(at[v], _scaled(a, h)) for v, a in form.items()]
+             for form in forms]
+    reach = min(exp_degree, order) if forms else 0
+    comps = sorted((m for m in iproduct(range(reach + 1), repeat=len(forms))
+                    if sum(m) <= reach), key=sum)
+    constant /= factorial(exp_degree) * h ** exp_degree
+    coefs = [factorial(exp_degree) // prod(map(factorial, m))
+             * h ** (exp_degree - sum(m)) for m in comps]
+    # each m but the first is an earlier one times t_i, i its last part
+    steps = []
+    for m in comps[1:]:
+        i = max(k for k, e in enumerate(m) if e)
+        steps.append((comps.index(m[:i] + (m[i] - 1,) + m[i + 1:]), i))
+
+    # Root monomials of the numerator and the weights, in one table: root
+    # monomial i > 0 is root monomial recipe[i-1][0] times the root at
+    # index recipe[i-1][1], so a point evaluates each with one product.
     index: dict[tuple, int] = {(0,) * len(root_order): 0}
     recipe: list[tuple] = []
 
@@ -232,109 +342,179 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
             while not root[last]:
                 last -= 1
             parent = root[:last] + (root[last] - 1,) + root[last + 1:]
-            recipe.append((mono_index(parent), root_order[last]))
+            recipe.append((mono_index(parent), last))
             index[root] = len(recipe)
         return index[root]
 
-    # (rest exponents, alpha power, root degree) -> [(root index, den*coeff)]
-    # with the rest over `others`; root degrees above the order only feed
-    # positive powers of s
-    den = lcm(*(c.denominator for c in p.num.terms.values()))
-    terms: dict[tuple, list] = {}
+    # A result key packs the exponents of `others` into fields of `width`
+    # bits, and the alpha power, which may be negative, above them.
+    others = sorted(num.variables() - at.keys() - {ALPHA} | set(tvars))
     nroots = len(root_order)
-    for exps, c in p.num.exponents(root_order + [ALPHA] + others).items():
-        root = exps[:nroots]
-        degree = sum(root)
+    num_exps = num.exponents(root_order + [ALPHA] + others)
+    top = max(max(exps[nroots + 1:], default=0) for exps in num_exps)
+    width = max(1, (top + exp_degree).bit_length())
+    fields = [width * k for k in range(len(others))]
+    alpha_at = width * len(others)
+    # (key, s-degree) -> [(root monomial, den*coeff)]; s-degrees above the
+    # order only feed positive powers of s
+    den = lcm(*(c.denominator for c in num.terms.values()))
+    constant /= den
+    groups: dict[tuple, list] = {}
+    packed: dict[tuple, int] = {}
+    for exps, c in num_exps.items():
+        root, rest = exps[:nroots], exps[nroots:]
+        degree = sum(root) + lift
         if degree <= order:
-            key = (exps[nroots + 1:], exps[nroots], degree)
-            terms.setdefault(key, []).append(
-                (mono_index(root), c.numerator * (den // c.denominator)))
+            if rest not in packed:
+                packed[rest] = sum(
+                    e << sh for e, sh in zip(rest, [alpha_at] + fields))
+            groups.setdefault((packed[rest], degree), []).append(
+                (mono_index(root), _scaled(c, den)))
+    weight_terms = []  # per weight: (denominator, {degree: [(index, c)]})
+    for weight in weights:
+        if not weight.variables() <= at.keys():
+            raise IntegrationShapeError(
+                f"weight {weight.to_text()} is not a polynomial in the roots")
+        wden = lcm(*(c.denominator for c in weight.terms.values()))
+        by_degree: dict[int, list] = {}
+        for exps, c in weight.exponents(root_order).items():
+            by_degree.setdefault(sum(exps), []).append(
+                (mono_index(exps), _scaled(c, wden)))
+        weight_terms.append((wden, by_degree))
+    # the cells (j, k, m, key) of a point's factor series, in order of j:
+    # u^k times the exp part at m, of s-degree j = k + |m|, with alpha^-k
+    tfields = [fields[others.index(v)] for v in tvars]
+    cells = []
+    for mi, m in enumerate(comps):
+        key, size = sum(e << sh for e, sh in zip(m, tfields)), sum(m)
+        cells += [(k + size, k, mi, key - (k << alpha_at))
+                  for k in range(order - size + 1)]
+    cells.sort()
+
+    points = torus_fixed_points(t)
     tangent = tangent_ledger(t)
     for attempt in range(max_retries + 1):
         try:
-            top = _ray_series_sum(t, points, lam, factors, recipe, terms, den,
-                                  order, tangent)
+            common, rows = _ray_series_sums(
+                points, lam, slots, tangent, poles, zeros, shifts, b, order,
+                recipe, groups, forms, steps, coefs, cells, weight_terms)
             break
         except SingularSubstitutionError:
             if attempt == max_retries:
                 raise
-            lam = lam_vector(t.spec.n, seed=seed + 1001 + attempt)
-    # restore the (w*alpha)^-e of the factors and clear negative powers
-    shift = sum(e for _, w, e in factors if w)
-    lift = max([0] + [shift - a for (_, a), c in top.items() if c])
-    num = {rest + (a + lift - shift,): c for (rest, a), c in top.items()}
-    return RatFun(Poly.from_exponents(others + [ALPHA], num),
-                  {Poly.var(ALPHA): lift} if lift else {})
+            lam = lam_vector(n, seed=seed + 1001 + attempt)
+    out = []
+    mask = (1 << width) - 1
+    for (wden, _), row in zip(weight_terms, rows):
+        scale = constant / (common * wden)
+        terms = {(tuple((key >> sh) & mask for sh in fields),
+                  (key >> alpha_at) + alpha_shift): c * scale
+                 for key, c in row.items() if c}
+        # clear negative powers of alpha; then some term is free of alpha,
+        # so the result is in lowest terms
+        raise_by = max([0] + [-a for _, a in terms])
+        out.append(RatFun(
+            Poly.from_exponents(others + [ALPHA],
+                                {rest + (a + raise_by,): c
+                                 for (rest, a), c in terms.items()}),
+            {Poly.var(ALPHA): raise_by} if raise_by else {},
+            _normalized=True))
+    return out
 
 
-def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
-                    den: int, order: int, tangent) -> dict:
-    """The s^0 coefficient {(rest exponents, alpha power): value} of the sum
-    over the points, once the negative powers of s are checked to cancel.
+def _scaled(c, den: int) -> int:
+    """The integer c * den, for an int or Fraction c whose denominator
+    divides den."""
+    return c.numerator * (den // c.denominator)
 
-    With lam = weights / scale every root value is an integer over scale.
-    An alpha-free factor is an integer over g * scale for a fixed g; a
-    factor with w != 0 divides the series by 1 + x*u with x = N / (b*scale)
-    for one fixed b, so the u^k coefficient is S[k] / (b*scale)^k with S[k]
-    an integer.  The tangent Euler class is an integer fraction over
-    scale^dim.  In the s^0 row the powers of scale cancel, and every other
-    factor that is the same at all points goes into one constant, so each
-    point's share is an integer over its own integer denominator, and the
-    shares are summed over their common multiple.
+
+def _ray_series_sums(points, lam, slots, tangent, poles, zeros, shifts,
+                     b: int, order: int, recipe, groups, forms, steps, coefs,
+                     cells, weight_terms) -> tuple[int, list[dict]]:
+    """(common, per weight the s^0 row {key: integer}), once the rows of
+    negative powers of s are checked to vanish for every weight.
+
+    With lam = weights / scale every power of s comes with one power of
+    1/scale, so the rows are computed at the integer weights: the s^0 row
+    is the same, and the others are scaled, which keeps their zero test
+    exact.  A point's share is bottom / top: the tangent Euler class
+    top / bottom times the alpha-free factors, as integers over a fixed g
+    (a numerator one that vanishes makes the share zero).  A factor with
+    w != 0 multiplies or divides the series in u by 1 + x*u with x = X / b
+    for a fixed b, so the u^k coefficient is an integer over b^k, brought
+    to b^order.  The shares are summed over the least common multiple
+    `common` of their denominators.
     """
     weights, _ = scaled_weights(lam)
-    constant = Fraction(1, den)
-    poles, shifts = [], []  # alpha-free factors, factors with w != 0
-    for coeffs, w, e in factors:
-        if w:
-            shifts.append(({v: Fraction(a, w) for v, a in coeffs.items()}, e))
-            constant /= Fraction(w) ** e
-        else:
-            g = lcm(*(a.denominator for a in coeffs.values()))
-            poles.append(({v: int(a * g) for v, a in coeffs.items()}, e))
-            constant *= g ** e
-    b = lcm(*(r.denominator for ratios, _ in shifts for r in ratios.values()))
-    shifts = [({v: int(r * b) for v, r in ratios.items()}, e)
-              for ratios, e in shifts]
-    b_powers = [b ** (order - k) for k in range(order + 1)]
     shares = []
     for point in points:
-        values = point_values(t, point, weights)
+        values = [weights[point[block][k] - 1] for block, k in slots]
+        values += weights
         top, bottom = tangent_euler_scaled(tangent, point, weights)
         for coeffs, e in poles:
-            delta = sum(a * values[v] for v, a in coeffs.items())
+            delta = sum([a * values[i] for i, a in coeffs])
             if not delta:
                 raise SingularSubstitutionError(
                     "an alpha-free denominator factor vanished at a point")
             top *= delta ** e
-        series = [1] + [0] * order  # in u, of the inverse w != 0 factors
+        for coeffs, e in zeros:
+            bottom *= sum([a * values[i] for i, a in coeffs]) ** e
+        if bottom:
+            shares.append((values, top, bottom))
+    common = lcm(*(top for _, top, _ in shares))
+    b_powers = [b ** (order - k) for k in range(order + 1)]
+    acc = [[defaultdict(int) for _ in range(order + 1)] for _ in weight_terms]
+    for values, top, bottom in shares:
+        series = [bottom * (common // top)] + [0] * order
+        net: dict[int, int] = {}  # x -> net exponent of 1 + x*u
         for coeffs, e in shifts:
-            x = sum(a * values[v] for v, a in coeffs.items())
-            for _ in range(e if x else 0):  # divide by 1 + x*u
+            x = sum([a * values[i] for i, a in coeffs])
+            if x:
+                net[x] = net.get(x, 0) + e
+        for x, e in net.items():
+            for _ in range(e):  # multiply by 1 + x*u
+                for k in range(order, 0, -1):
+                    series[k] += x * series[k - 1]
+            for _ in range(-e):  # divide by 1 + x*u
                 for k in range(1, order + 1):
                     series[k] -= x * series[k - 1]
+        if b != 1:
+            series = [c * bp for c, bp in zip(series, b_powers)]
+        exp_values = coefs
+        if forms:
+            cs = [sum([a * values[i] for i, a in form]) for form in forms]
+            products = [1]
+            for parent, i in steps:
+                products.append(products[parent] * cs[i])
+            exp_values = [p * c for p, c in zip(products, coefs)]
+        cell_values = [(j, key, v) for j, k, mi, key in cells
+                       if (v := series[k] * exp_values[mi])]
         mono_values = [1]
-        for parent, v in recipe:
-            mono_values.append(mono_values[parent] * values[v])
-        sums = [sum(c * mono_values[i] for i, c in items)
-                for items in terms.values()]
-        shares.append((top, bottom, series, sums))
-    common = lcm(*(top for top, _, _, _ in shares))
-    acc: list[dict] = [{} for _ in range(order + 1)]  # s^(j - order)
-    for top, bottom, series, sums in shares:
-        scaled = bottom * (common // top)
-        series = [c * scaled * b_powers[k] for k, c in enumerate(series)]
-        for (rest, a, degree), value in zip(terms, sums):
-            for k in range(order - degree + 1):
-                if series[k]:
-                    row = acc[degree + k]
-                    key = (rest, a - k)
-                    row[key] = row.get(key, 0) + value * series[k]
-    if any(any(row.values()) for row in acc[:order]):
-        raise SingularSubstitutionError(
-            "poles in the ray parameter do not cancel over the fixed points")
-    constant /= b ** order * common
-    return {key: constant * c for key, c in acc[order].items() if c}
+        for parent, i in recipe:
+            mono_values.append(mono_values[parent] * values[i])
+        sums = []
+        for (key, degree), items in groups.items():
+            value = sum([c * mono_values[i] for i, c in items])
+            if value:
+                sums.append((key, degree, value))
+        for (_, by_degree), rows in zip(weight_terms, acc):
+            for d, items in by_degree.items():
+                wv = sum([c * mono_values[i] for i, c in items])
+                if not wv:
+                    continue
+                for key, degree, value in sums:
+                    value *= wv
+                    room = order - degree - d
+                    for j, kf, vf in cell_values:
+                        if j > room:
+                            break
+                        rows[degree + d + j][key + kf] += value * vf
+    for rows in acc:
+        if any(any(row.values()) for row in rows[:order]):
+            raise SingularSubstitutionError(
+                "poles in the ray parameter do not cancel over the fixed "
+                "points")
+    return common, [rows[order] for rows in acc]
 
 
 def complete_homogeneous(degree: int, roots: Sequence[VarId]) -> Poly:

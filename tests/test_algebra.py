@@ -285,6 +285,49 @@ def test_linear_product_builds_lowest_terms(lp):
     assert fast.den == slow.den
 
 
+renamings = st.one_of(
+    st.permutations(VARS).map(lambda image: dict(zip(VARS, image))),
+    st.dictionaries(st.sampled_from(VARS),
+                    st.sampled_from(VARS + [y(3, 1, 1)]), max_size=3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=ratfuns(), renaming=renamings)
+def test_renaming_substitute_equals_normalized_path(f, renaming):
+    # non-injective renamings can merge factors, make one constant or zero,
+    # or let one divide the numerator; injective ones keep lowest terms
+    num = f.num.substitute(renaming)
+    den = []
+    for g, e in f.den.items():
+        h = g.substitute(renaming)
+        if h.is_zero():
+            with pytest.raises(SingularSubstitutionError):
+                f.substitute(renaming)
+            return
+        if h.is_const():
+            num = num * Fraction(1, h.const_value() ** e)
+        else:
+            den.append((h, e))
+    slow = ratfun_normalize(num, den)
+    fast = f.substitute(renaming)
+    assert fast.num.sorted_terms() == slow.num.sorted_terms()
+    assert fast.den == slow.den
+    assert fast.to_json() == slow.to_json()
+
+
+def test_injective_renaming_skips_normalization(monkeypatch):
+    f = RatFun(Y * Y + A, {FACTORS[2]: 2, FACTORS[3]: 1})
+    swap = {y(1, 1, 1): y(2, 1, 1), y(2, 1, 1): y(1, 1, 1)}
+    expected = f.substitute(swap)
+
+    def refuse(num, den):
+        raise AssertionError("a renaming was normalized")
+
+    monkeypatch.setattr(algebra, "ratfun_normalize", refuse)
+    assert f.substitute(swap) == expected
+    assert f.substitute(swap).substitute(swap) == f
+
+
 def test_monomial_numerator_is_decided_structurally():
     y1, y2 = Poly.var(y(1, 1, 1)), Poly.var(y(1, 1, 2))
     mono = y1 ** 2 * y2 * Fraction(3, 2)

@@ -10,18 +10,27 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                euler_class_from_ledger,
                                euler_product_closed_form,
                                euler_product_from_ledger,
-                               fixed_point_count, fixed_point_values,
+                               fixed_point_count,
                                grassmannian_euler_product,
                                hquot_restriction_ledger, normal_ledger,
-                               tangent_ledger, tangent_euler_at_point,
-                               torus_fixed_points)
+                               scaled_weights, tangent_euler_scaled,
+                               tangent_ledger, torus_fixed_points)
 from flaghg.tableaux import (FlagSpec, Tableau, block_decomposition,
                              component_dimension, enumerate_tableaux,
                              hquot_dimension, index_tables)
 
 from conftest import MIXED_LAM, all_specs
+from expanded_oracle import fixed_point_values
 
 A = Poly.var(ALPHA)
+
+
+def tangent_euler_at_point(ledger, point, lam):
+    """Product of tangent weights at an isolated torus fixed point, from the
+    component's tangent ledger, through the integer core."""
+    weights, scale = scaled_weights(lam)
+    num, den = tangent_euler_scaled(ledger, point, weights)
+    return Fraction(num, den) / Fraction(scale) ** ledger.rank()
 
 
 def gr(n, r, d, rows):

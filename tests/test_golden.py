@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from flaghg.cli import main
 from flaghg.mirror import hori_vafa_verify, integral_Id
 from flaghg.tableaux import FlagSpec
 
@@ -28,3 +29,25 @@ def test_integral_golden(name, spec):
 def test_hori_vafa_golden():
     got = _render(hori_vafa_verify(3, 2, 1).to_json())
     assert got == (GOLDEN / "hori_vafa_gr2c3_d1.json").read_text()
+
+
+def test_integral_fl123c5_d111_report(tmp_path, capsys):
+    # recorded before the oracle took factored integrands; only the cache
+    # key, which covers the source files, may differ
+    argv = ["integral", "--n", "5", "--ranks", "1,2,3", "--degrees",
+            "1,1,1", "--json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads((GOLDEN / "integral_fl123c5_d111.json").read_text())
+    assert json.dumps(got["results"], sort_keys=True, separators=(",", ":")) \
+        == json.dumps(want["results"], sort_keys=True, separators=(",", ":"))
+    for report in (got, want):
+        del report["provenance"]["cache"]["key"]
+    assert got == want
+
+
+def test_integral_fl24c6_d11_is_lambda_independent():
+    spec = FlagSpec(6, (2, 4), (1, 1))
+    first, second = (integral_Id(spec, lambda_seed=seed) for seed in (0, 5))
+    assert first.value == second.value
+    assert first.per_tableau == second.per_tableau

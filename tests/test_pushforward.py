@@ -1,16 +1,22 @@
+import functools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from flaghg.algebra import (ALPHA, FORMAL_C, Poly, RatFun, ambient,
-                            exp_series, kahler, y)
+from flaghg.algebra import (ALPHA, FORMAL_C, LinearProduct, Poly, RatFun,
+                            ambient, exp_series, kahler, y)
 from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
-                           SymmetryViolationError)
+                           SingularSubstitutionError, SymmetryViolationError)
 from flaghg.fixedlocus import (block_decomposition, canonical_roots,
-                               euler_class_from_ledger, normal_ledger)
-from flaghg.mirror import mirror_integrand
-from flaghg.pushforward import (BlockAlphabet, ab_integrate,
+                               euler_class_from_ledger,
+                               euler_product_from_ledger, normal_ledger)
+from flaghg.mirror import (box_partitions, grassmannian_hg_term,
+                           hyperplane_pullback, mirror_integrand, x_roots,
+                           zero_tableau)
+from flaghg.pushforward import (BlockAlphabet, ab_integrals, ab_integrate,
                                 brion_pushforward, complete_homogeneous,
                                 integrate_to_point, lam_vector, omega_class,
                                 schur_polynomial, schur_polynomial_bialternant,
@@ -20,6 +26,7 @@ from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
 
 from conftest import (MIXED_LAM, all_specs, random_block_symmetric,
                       random_poly)
+from expanded_oracle import expanded_ab_integrate
 
 P = Poly.var
 Y1, Y2, Y3 = y(9, 1, 1), y(9, 2, 1), y(9, 3, 1)
@@ -390,3 +397,138 @@ def test_ab_integrate_squared_scaled_factors_match_tower():
     assert via_oracle == ab_integrate(t, f, lam_vector(2, 3))
     assert via_oracle == RatFun(Fraction(3, 2) + Fraction(3, 4)
                                 * P(kahler(1)), {alpha: 2})
+
+
+# --- the factored, multi-weight oracle against the expanded one ------------
+
+ORACLE_TABLEAUX = [t for spec in (FlagSpec(3, (1,), (1,)),
+                                  FlagSpec(4, (2,), (1,)),
+                                  FlagSpec(3, (1, 2), (1, 1)),
+                                  FlagSpec(4, (1, 2), (1, 0)))
+                   for t in enumerate_tableaux(spec)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(index=st.integers(0, len(ORACLE_TABLEAUX) - 1),
+       seed=st.integers(0, 10 ** 6), use_product=st.booleans(),
+       use_exp=st.booleans(), nweights=st.integers(1, 3),
+       lambda_seed=st.integers(0, 50))
+def test_factored_oracle_matches_expanded_integrand(index, seed, use_product,
+                                                    use_exp, nweights,
+                                                    lambda_seed):
+    t = ORACLE_TABLEAUX[index]
+    rng = random.Random(seed)
+    dim = component_dimension(t)
+    blocks = block_decomposition(t)
+    alpha = P(ALPHA)
+    p = RatFun(random_block_symmetric(t, rng, dim) + alpha * rng.randint(0, 2),
+               {P(y(1, 1, 1)) + alpha: 1} if blocks.m(1, 1) == 1 else {})
+    product = exp = None
+    expanded = p
+    if use_product:
+        product = euler_product_from_ledger(normal_ledger(t).negated(),
+                                            canonical_roots(blocks))
+        expanded = expanded * product.to_ratfun()
+    if use_exp:
+        scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
+        hyperplanes = {kahler(i): hyperplane_pullback(t, i) * scale
+                       for i in range(1, t.spec.levels + 1)}
+        exp = (hyperplanes, rng.randint(0, dim))
+        exponent = Poly.zero()
+        for v, h in hyperplanes.items():
+            exponent = exponent + h * P(v)
+        expanded = expanded * RatFun.from_poly(exp_series(exponent, exp[1]))
+    weights = [random_block_symmetric(t, rng, dim) * Fraction(1, k)
+               + rng.randint(-1, 1) for k in range(1, nweights + 1)]
+    lam = lam_vector(t.spec.n, lambda_seed)
+    got = ab_integrals(t, lam, weights, p, product, exp)
+    assert got == [expanded_ab_integrate(t, expanded * w, lam)
+                   for w in weights]
+
+
+@functools.cache
+def hg_term(n, r, d):
+    return grassmannian_hg_term(n, r, d)
+
+
+@settings(max_examples=25, deadline=None)
+@given(case=st.sampled_from([(3, 2, 1), (4, 2, 0), (4, 2, 1), (4, 2, 2),
+                             (5, 2, 1), (4, 3, 2)]),
+       subset=st.sets(st.integers(0, 9), min_size=1),
+       lambda_seed=st.integers(0, 50))
+def test_multi_weight_call_equals_per_weight_pairings(case, subset,
+                                                      lambda_seed):
+    n, r, d = case
+    spec = FlagSpec(n, (r,), (0,))
+    t0 = zero_tableau(spec)
+    cls = hg_term(n, r, d)
+    parts = box_partitions(r, n - r)
+    schur = [schur_polynomial(parts[i % len(parts)], x_roots(spec))
+             for i in sorted(subset)]
+    lam = lam_vector(n, lambda_seed)
+    got = ab_integrals(t0, lam, schur, cls, seed=lambda_seed)
+    assert got == [ab_integrate(t0, cls * s_mu, lam, seed=lambda_seed,
+                                check_symmetry=False) for s_mu in schur]
+    assert got == [expanded_ab_integrate(t0, cls * s_mu, lam)
+                   for s_mu in schur]
+
+
+def test_numerator_alpha_free_factor_vanishing_at_a_point():
+    # y - e1 vanishes where y sits on coordinate 1, and that point's share
+    # is zero; over P^2, (y - e1) * y integrates to 1
+    t = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
+    root = P(y(1, 1, 1))
+    product = LinearProduct(1, {root - P(ambient(1)): 1})
+    lam = lam_vector(3, 0)
+    got = ab_integrals(t, lam, [root, Poly.const(1)], product=product)
+    assert got == [RatFun.const(1), RatFun.const(0)]
+    assert got == [expanded_ab_integrate(t, product.to_ratfun() * w, lam)
+                   for w in (root, Poly.const(1))]
+
+
+def test_numerator_factor_with_alpha_weight():
+    # (y + 2*alpha)^2 over P^2 against its expansion y^2 + 4*alpha*y + ...
+    t = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
+    root, alpha = P(y(1, 1, 1)), P(ALPHA)
+    product = LinearProduct(3, {root + 2 * alpha: 2})
+    p = RatFun(Poly.const(1), {root - alpha: 1})
+    lam = lam_vector(3, 0)
+    got, = ab_integrals(t, lam, [Poly.const(1)], p, product)
+    assert got == expanded_ab_integrate(t, p * product.to_ratfun(), lam)
+    assert got == integrate_to_point(p * product.to_ratfun(),
+                                     tableau_tower(t))
+
+
+def test_ab_integrals_forced_lambda_retry():
+    # y - e1 - e2 vanishes at y = e2 when lam1 = 0, so the first weights are
+    # refused and fresh ones are drawn; the poles cancel over the points
+    p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
+    root, e1, e2 = P(y(1, 1, 1)), P(ambient(1)), P(ambient(2))
+    f = RatFun(P(kahler(1)) * (root - e1 - e2) + e1 * e2,
+               {root - e1 - e2: 1})
+    bad = [Fraction(0), Fraction(1)]
+    weights = [Poly.const(1), root]
+    with pytest.raises(SingularSubstitutionError):
+        ab_integrals(p1, bad, weights, f, max_retries=0)
+    got = ab_integrals(p1, bad, weights, f, max_retries=1)
+    assert got == [expanded_ab_integrate(p1, f * w, lam_vector(2, 0))
+                   for w in weights]
+    assert got[0] == RatFun.const(1)
+
+
+def test_ab_integrals_rejects_bad_inputs():
+    p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
+    root = P(y(1, 1, 1))
+    lam = lam_vector(2, 0)
+    with pytest.raises(IntegrationShapeError, match="numerator factor"):
+        ab_integrals(p1, lam, [Poly.const(1)],
+                     product=LinearProduct(1, {root + P(kahler(1)): 1}))
+    with pytest.raises(IntegrationShapeError, match="weight"):
+        ab_integrals(p1, lam, [root * P(ALPHA)])
+    with pytest.raises(IntegrationShapeError, match="exponent"):
+        ab_integrals(p1, lam, [Poly.const(1)],
+                     exp=({kahler(1): root + P(kahler(2))}, 1))
+    with pytest.raises(ValueError, match="distinct"):
+        ab_integrate(p1, RatFun.const(1), [Fraction(1), Fraction(1)])
+    with pytest.raises(ValueError, match="one torus weight"):
+        ab_integrate(p1, RatFun.const(1), lam_vector(3, 0))
