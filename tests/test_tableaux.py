@@ -47,6 +47,36 @@ def test_flagspec_validation():
     assert spec.hilbert_polynomials == ((2, 5),)
 
 
+# Fl(1,2;C^5) at d = (1,4); each case breaks exactly one rule
+VALID_ALPHA = ((1,), (0, 2))
+VALID_BETA = ((0,), (0, 2))
+
+
+@pytest.mark.parametrize("rows, beta_rows, match", [
+    pytest.param(((1,),), None, "per level", id="row-count"),
+    pytest.param(((1,), (4,)), None, "length", id="row-length"),
+    pytest.param(((1,), (-1, 5)), None, "non-negative", id="negative"),
+    pytest.param(((1,), (4, 0)), None, "non-decreasing", id="decreasing"),
+    pytest.param(((1,), (2, 2)), None, "admissibility", id="column"),
+    pytest.param(((1,), (0, 3)), None, "sum", id="sum"),
+    pytest.param(VALID_ALPHA, ((0,), (0, 1)), "sum", id="sum-with-beta"),
+    pytest.param(VALID_ALPHA, ((0,),), "per level", id="beta-row-count"),
+    pytest.param(VALID_ALPHA, ((0,), (2,)), "length", id="beta-row-length"),
+    pytest.param(VALID_ALPHA, ((0,), (-1, 3)), "non-negative",
+                 id="beta-negative"),
+    pytest.param(VALID_ALPHA, ((0,), (2, 0)), "non-decreasing",
+                 id="beta-decreasing"),
+    pytest.param(VALID_ALPHA, ((0,), (1, 1)), "admissibility",
+                 id="beta-column"),
+])
+def test_tableau_validation(rows, beta_rows, match):
+    spec = FlagSpec(5, (1, 2), (1, 4))
+    Tableau(spec, VALID_ALPHA, VALID_BETA)
+    Tableau(spec, ((1,), (0, 4)))
+    with pytest.raises(ValueError, match=match):
+        Tableau(spec, rows, beta_rows)
+
+
 def test_enumerate_single_partition():
     assert [t.rows for t in enumerate_tableaux(FlagSpec(2, (1,), (2,)))] \
         == [((2,),)]
