@@ -6,8 +6,8 @@ and the signed ledger whose Euler class drives the localization formula.
 """
 
 from flaghg import (FlagSpec, block_decomposition, component_dimension,
-                    enumerate_tableaux, hquot_dimension, index_tables,
-                    normal_ledger, torus_fixed_points)
+                    enumerate_tableaux, hquot_dimension, normal_ledger,
+                    torus_fixed_points)
 
 spec = FlagSpec(n=4, ranks=(2,), degrees=(2,))
 print(f"Quot scheme for {spec}: dimension {hquot_dimension(spec)}")
@@ -15,7 +15,6 @@ print()
 
 for t in enumerate_tableaux(spec):
     blocks = block_decomposition(t)
-    tables = index_tables(t)
     print(f"tableau A = {t.rows}")
     print(f"  blocks: values {blocks.values[0]} multiplicities "
           f"{blocks.mults[0]}")

@@ -20,8 +20,7 @@ from .mirror import (HoriVafaReport, IntegralResult, grassmannian_hg_term,
 from .pushforward import (BlockAlphabet, ab_integrals, ab_integrate,
                           brion_pushforward, integrate_to_point, lam_vector,
                           omega_class, schur_polynomial, tableau_tower)
-from .tableaux import (BlockData, FlagSpec, IndexTables, Tableau,
-                       block_decomposition, component_dimension,
-                       enumerate_general_components, enumerate_tableaux,
-                       general_component_dimension, hquot_dimension,
-                       index_tables)
+from .tableaux import (BlockData, FlagSpec, Tableau, block_decomposition,
+                       component_dimension, enumerate_general_components,
+                       enumerate_tableaux, general_component_dimension,
+                       hquot_dimension)

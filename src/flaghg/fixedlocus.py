@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y)
 from .errors import CancellationFailureError, SymmetryViolationError
-from .tableaux import BlockData, IndexTables, Tableau, block_decomposition
+from .tableaux import BlockData, Tableau, block_decomposition
 
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
 FixedPoint = dict[BlockRef, tuple[int, ...]]  # block -> its coordinates
@@ -99,14 +99,13 @@ class Ledger:
 def tangent_ledger(t: Tableau) -> Ledger:
     """Weight-0 ledger of the component's tangent bundle (vertical sum)."""
     blocks = block_decomposition(t)
-    tables = IndexTables.from_blocks(blocks)
     ledger = Ledger(blocks)
     for i in range(1, blocks.levels + 1):
         Ki = blocks.K(i)
         for j in range(1, Ki + 1):
             for jp in range(1, j + 1):
-                lo = tables.I_A(i, jp - 1) + 1
-                hi = tables.I_A(i, jp)
+                lo = blocks.I_A(i, jp - 1) + 1
+                hi = blocks.I_A(i, jp)
                 for k in range(lo, hi + 1):
                     ledger.add((i, j), (i + 1, k), 0, +1)
                 ledger.add((i, j), (i, jp), 0, -1)
@@ -290,7 +289,6 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
     sorted, and the points come in lexicographic order of their choices.
     """
     blocks = block_decomposition(t)
-    tables = IndexTables.from_blocks(blocks)
     top = blocks.levels
     order = [(i, j) for i in range(top, 0, -1)
              for j in range(1, blocks.K(i) + 1)]
@@ -305,7 +303,7 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
         if i == top:
             pool = range(1, t.spec.n + 1)
         else:
-            pool = sorted(c for k in range(1, tables.I_A(i, j) + 1)
+            pool = sorted(c for k in range(1, blocks.I_A(i, j) + 1)
                           for c in point[(i + 1, k)])
         taken = {c for k in range(1, j) for c in point[(i, k)]}
         free = [c for c in pool if c not in taken]
@@ -326,9 +324,8 @@ def fixed_point_count(t: Tableau) -> int:
     were taken, so the choices multiply.
     """
     blocks = block_decomposition(t)
-    tables = IndexTables.from_blocks(blocks)
     return prod(
-        comb(tables.l(i + 1, j) - blocks.r(i, j - 1), blocks.m(i, j))
+        comb(blocks.l(i + 1, j) - blocks.r(i, j - 1), blocks.m(i, j))
         for i in range(1, blocks.levels + 1)
         for j in range(1, blocks.K(i) + 1))
 

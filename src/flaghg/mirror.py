@@ -34,11 +34,8 @@ def hyperplane_pullback(t: Tableau, level: int) -> Poly:
     """Pullback of the level's linearized hyperplane class: the negated sum
     of all level roots."""
     blocks = block_decomposition(t)
-    out = Poly.zero()
-    for j in range(1, blocks.K(level) + 1):
-        for v in blocks.letters(level, j):
-            out = out - Poly.var(v)
-    return out
+    return Poly.linear(0, {v: -1 for j in range(1, blocks.K(level) + 1)
+                           for v in blocks.letters(level, j)})
 
 
 def zero_tableau(spec: FlagSpec) -> Tableau:

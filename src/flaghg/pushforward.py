@@ -35,8 +35,7 @@ from .errors import (BudgetExceededError, IntegrationShapeError,
 from .fixedlocus import (assert_block_symmetric, scaled_weights,
                          tangent_euler_scaled, tangent_ledger,
                          torus_fixed_points)
-from .tableaux import (IndexTables, Tableau, block_decomposition,
-                       component_dimension)
+from .tableaux import Tableau, block_decomposition, component_dimension
 
 DEFAULT_COSET_BUDGET = 10080
 
@@ -125,7 +124,6 @@ def tableau_tower(t: Tableau) -> list[TowerStage]:
     through the level-(i+1) roots (ambient roots at the top).
     """
     blocks = block_decomposition(t)
-    tables = IndexTables.from_blocks(blocks)
     spec = t.spec
     stages = []
     for i in range(1, spec.levels + 1):
@@ -144,7 +142,7 @@ def tableau_tower(t: Tableau) -> list[TowerStage]:
                           for v in blocks.letters(i + 1, j)]
         constraints = []
         for j in range(1, blocks.K(i) + 1):
-            quot_roots = next_roots[tables.l(i + 1, j):]
+            quot_roots = next_roots[blocks.l(i + 1, j):]
             if quot_roots:
                 constraints.append((blocks.letters(i, j), quot_roots))
         omega = omega_class(constraints)

@@ -3,13 +3,14 @@
 A distinguished component is indexed by a matrix A whose i-th row is a
 non-decreasing list of r_i non-negative integers summing to d_i, with
 entries dominating the next row columnwise.  From A we derive run-length
-blocks (distinct values with multiplicities), index tables for adjacent
-levels, and the dimensions of both the ambient moduli space and the
-component itself.
+blocks (distinct values with multiplicities), the critical-containment
+index between adjacent levels, and the dimensions of both the ambient
+moduli space and the component itself.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterator
 
@@ -120,64 +121,35 @@ class Tableau:
 
     def __post_init__(self):
         spec = self.spec
-        if len(self.rows) != spec.levels:
-            raise ValueError("one row per level is required")
-        for i, row in enumerate(self.rows):
-            if len(row) != spec.ranks[i]:
-                raise ValueError(f"row {i + 1} must have length r_{i + 1}")
-            if any(v < 0 for v in row):
-                raise ValueError("entries must be non-negative")
-            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-                raise ValueError("rows must be non-decreasing")
-        if self.beta_rows is None:
-            for i, row in enumerate(self.rows):
-                if sum(row) != spec.degrees[i]:
-                    raise ValueError(f"row {i + 1} must sum to d_{i + 1}")
-        else:
-            if len(self.beta_rows) != spec.levels:
-                raise ValueError("one beta row per level is required")
-            for i, row in enumerate(self.beta_rows):
+        kinds = [("row", self.rows)]
+        if self.beta_rows is not None:
+            kinds.append(("beta row", self.beta_rows))
+        for name, rows in kinds:
+            if len(rows) != spec.levels:
+                raise ValueError(f"one {name} per level is required")
+            for i, row in enumerate(rows):
                 if len(row) != spec.ranks[i]:
-                    raise ValueError(f"beta row {i + 1} has the wrong length")
+                    raise ValueError(
+                        f"{name} {i + 1} must have length r_{i + 1}")
                 if any(v < 0 for v in row):
                     raise ValueError("entries must be non-negative")
                 if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-                    raise ValueError("beta rows must be non-decreasing")
-                if sum(self.rows[i]) + sum(row) != spec.degrees[i]:
-                    raise ValueError(
-                        f"alpha and beta rows at level {i + 1} must sum to d")
-        for i in range(spec.levels - 1):
-            if not _column_admissible(self.rows[i], self.rows[i + 1]):
-                raise ValueError("rows violate column admissibility")
-            if self.beta_rows is not None and not _column_admissible(
-                    self.beta_rows[i], self.beta_rows[i + 1]):
-                raise ValueError("beta rows violate column admissibility")
+                    raise ValueError(f"{name}s must be non-decreasing")
+            for upper, lower in zip(rows, rows[1:]):
+                if not _column_admissible(upper, lower):
+                    raise ValueError(f"{name}s violate column admissibility")
+        for i, row in enumerate(self.rows):
+            if self.beta_rows is None:
+                if sum(row) != spec.degrees[i]:
+                    raise ValueError(f"row {i + 1} must sum to d_{i + 1}")
+            elif sum(row) + sum(self.beta_rows[i]) != spec.degrees[i]:
+                raise ValueError(
+                    f"alpha and beta rows at level {i + 1} must sum to d")
 
     @property
     def distinguished(self) -> bool:
         return self.beta_rows is None or all(
             all(v == 0 for v in row) for row in self.beta_rows)
-
-    def to_json(self):
-        return {
-            "n": self.spec.n,
-            "ranks": list(self.spec.ranks),
-            "degrees": list(self.spec.degrees),
-            "alpha": [list(r) for r in self.rows],
-            "beta": None if self.beta_rows is None
-            else [list(r) for r in self.beta_rows],
-        }
-
-    @staticmethod
-    def from_json(data) -> "Tableau":
-        spec = FlagSpec(data["n"], tuple(data["ranks"]),
-                        tuple(data["degrees"]))
-        beta = data.get("beta")
-        return Tableau(
-            spec,
-            tuple(tuple(r) for r in data["alpha"]),
-            None if beta is None else tuple(tuple(r) for r in beta),
-        )
 
 
 def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
@@ -280,6 +252,16 @@ class BlockData:
         """Partial rank m_{i,1} + ... + m_{i,j}; r(i, 0) = 0."""
         return sum(self.mults[i - 1][:j])
 
+    def I_A(self, i: int, j: int) -> int:
+        """Critical-containment index: the last level-(i+1) block whose
+        value is at most a(i, j), found by bisection since block values
+        strictly ascend; I_A(i, 0) = 0.  The ambient pseudo-level gives 1."""
+        return bisect_right(self.values[i], self.a(i, j)) if j else 0
+
+    def l(self, i_plus_1: int, j: int) -> int:
+        """l_{i+1,j}: the partial rank of level i+1 up to I_A(i, j)."""
+        return self.r(i_plus_1, self.I_A(i_plus_1 - 1, j))
+
     def letters(self, i: int, j: int) -> list[VarId]:
         """The root letters y[i,j;1], ..., y[i,j;m(i,j)] of block (i, j)."""
         from .algebra import y  # local, so tableaux imports no algebra
@@ -291,78 +273,12 @@ def block_decomposition(t: Tableau) -> BlockData:
     return BlockData.from_rows(t.spec, t.rows)
 
 
-def beta_block_decomposition(t: Tableau) -> BlockData:
-    if t.beta_rows is None:
-        raise ValueError("tableau has no beta rows")
-    return BlockData.from_rows(t.spec, t.beta_rows)
-
-
-@dataclass(frozen=True)
-class IndexTables:
-    """Critical-containment index functions per adjacent level pair.
-
-    IA[i-1][j] = I_A(i, j) for 0 <= j <= K_i (max-rule, 0 when empty);
-    IAp[i-1][j-1] = I'_A(i, j); lrank[i-1][j-1] = l_{i+1,j}.
-    """
-
-    blocks: BlockData
-    IA: tuple[tuple[int, ...], ...]
-    IAp: tuple[tuple[int, ...], ...]
-    lrank: tuple[tuple[int, ...], ...]
-
-    @staticmethod
-    def from_blocks(blocks: BlockData) -> "IndexTables":
-        IA = []
-        IAp = []
-        lrank = []
-        for i in range(1, blocks.levels + 1):
-            Ki = blocks.K(i)
-            Kn = blocks.K(i + 1)
-            ia_row = [0]
-            iap_row = []
-            l_row = []
-            for j in range(1, Ki + 1):
-                aij = blocks.a(i, j)
-                ia = 0
-                iap = 0
-                for jp in range(1, Kn + 1):
-                    if blocks.a(i + 1, jp) <= aij:
-                        ia = jp
-                    if blocks.a(i + 1, jp) <= aij - 1:
-                        iap = jp
-                ia_row.append(ia)
-                iap_row.append(iap)
-                l_row.append(blocks.r(i + 1, ia))
-            IA.append(tuple(ia_row))
-            IAp.append(tuple(iap_row))
-            lrank.append(tuple(l_row))
-        return IndexTables(blocks, tuple(IA), tuple(IAp), tuple(lrank))
-
-    def I_A(self, i: int, j: int) -> int:
-        return self.IA[i - 1][j]
-
-    def I_Ap(self, i: int, j: int) -> int:
-        return self.IAp[i - 1][j - 1]
-
-    def l(self, i_plus_1: int, j: int) -> int:
-        return self.lrank[i_plus_1 - 2][j - 1]
-
-    def top_index_reaches_last_block(self, i: int) -> bool:
-        """Whether the top block's index reaches K_{i+1}; fails exactly when
-        the next level's largest value exceeds this level's."""
-        return self.I_A(i, self.blocks.K(i)) == self.blocks.K(i + 1)
-
-
-def index_tables(t: Tableau) -> IndexTables:
-    return IndexTables.from_blocks(block_decomposition(t))
-
-
-def _tower_dimension(blocks: BlockData, tables: IndexTables) -> int:
+def _tower_dimension(blocks: BlockData) -> int:
     dim = 0
     for i in range(1, blocks.levels + 1):
         for j in range(1, blocks.K(i) + 1):
             step = (blocks.r(i, j) - blocks.r(i, j - 1)) \
-                * (tables.l(i + 1, j) - blocks.r(i, j))
+                * (blocks.l(i + 1, j) - blocks.r(i, j))
             if step < 0:
                 raise InfeasibleTableauError(
                     f"negative fibration step at level {i}, block {j}")
@@ -374,8 +290,7 @@ def component_dimension(t: Tableau) -> int:
     """Dimension of the fixed component of a distinguished tableau."""
     if not t.distinguished:
         raise ValueError("component_dimension expects a distinguished tableau")
-    blocks = block_decomposition(t)
-    return _tower_dimension(blocks, IndexTables.from_blocks(blocks))
+    return _tower_dimension(block_decomposition(t))
 
 
 def general_component_dimension(t: Tableau) -> int:
@@ -387,14 +302,11 @@ def general_component_dimension(t: Tableau) -> int:
     if t.beta_rows is None:
         return component_dimension(t)
     a_blocks = block_decomposition(t)
-    b_blocks = beta_block_decomposition(t)
-    a_tables = IndexTables.from_blocks(a_blocks)
-    b_tables = IndexTables.from_blocks(b_blocks)
-    dim = _tower_dimension(a_blocks, a_tables) \
-        + _tower_dimension(b_blocks, b_tables)
+    b_blocks = BlockData.from_rows(t.spec, t.beta_rows)
+    dim = _tower_dimension(a_blocks) + _tower_dimension(b_blocks)
     for i in range(1, t.spec.levels + 1):
-        la = a_tables.l(i + 1, a_blocks.K(i))
-        lb = b_tables.l(i + 1, b_blocks.K(i))
+        la = a_blocks.l(i + 1, a_blocks.K(i))
+        lb = b_blocks.l(i + 1, b_blocks.K(i))
         ri = t.spec.rank(i)
         dim -= ri * (max(la, lb) - ri)
     return dim

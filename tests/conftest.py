@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from flaghg.algebra import Poly
 from flaghg.pushforward import complete_homogeneous
-from flaghg.tableaux import FlagSpec, Tableau, block_decomposition
+from flaghg.tableaux import BlockData, FlagSpec, Tableau, block_decomposition
 
 
 # torus weights with pairwise different denominators
@@ -24,6 +24,15 @@ def all_specs(n_max: int, degree_sum_max: int, levels_max: int = 3):
                         range(degree_sum_max + 1), repeat=levels):
                     if sum(degrees) <= degree_sum_max:
                         yield FlagSpec(n, ranks, degrees)
+
+
+def max_rule_index(blocks: BlockData, i: int, j: int) -> int:
+    """I_A(i, j) by its definition: the largest k with a(i+1, k) <= a(i, j),
+    0 when no block qualifies or j = 0."""
+    if j == 0:
+        return 0
+    return max((k for k in range(1, blocks.K(i + 1) + 1)
+                if blocks.a(i + 1, k) <= blocks.a(i, j)), default=0)
 
 
 def random_poly(rng: random.Random, variables, degree: int = 3,

@@ -18,9 +18,7 @@ from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
                                hquot_restriction_ledger, normal_ledger,
                                tangent_ledger)
 from flaghg.mirror import (box_partitions, decompose_by_kahler,
-                           grassmannian_hg_term, hori_vafa_verify,
-                           hyperplane_pullback, integral_Id, schur_pairing,
-                           zero_tableau)
+                           hori_vafa_verify, integral_Id, schur_pairing)
 from flaghg.mirror import _grassmannian_term_display_route as display_route
 from flaghg.mirror import _grassmannian_term_tableau_route as tableau_route
 from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,

@@ -3,7 +3,7 @@ from itertools import combinations, product
 
 import pytest
 
-from flaghg.algebra import ALPHA, Poly, RatFun, ambient, y
+from flaghg.algebra import ALPHA, Poly, RatFun, y
 from flaghg.errors import SymmetryViolationError
 from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                euler_class_closed_form,
@@ -17,9 +17,9 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                tangent_ledger, torus_fixed_points)
 from flaghg.tableaux import (FlagSpec, Tableau, block_decomposition,
                              component_dimension, enumerate_tableaux,
-                             hquot_dimension, index_tables)
+                             hquot_dimension)
 
-from conftest import MIXED_LAM, all_specs
+from conftest import MIXED_LAM, all_specs, max_rule_index
 from expanded_oracle import fixed_point_values
 
 A = Poly.var(ALPHA)
@@ -212,7 +212,6 @@ def test_torus_fixed_points_match_brute_force():
     for spec in all_specs(4, 3):
         for t in enumerate_tableaux(spec):
             blocks = block_decomposition(t)
-            tables = index_tables(t)
             refs = [(i, j) for i in range(blocks.levels, 0, -1)
                     for j in range(1, blocks.K(i) + 1)]
             subsets = [combinations(range(1, spec.n + 1), blocks.m(*ref))
@@ -222,7 +221,8 @@ def test_torus_fixed_points_match_brute_force():
                 point = dict(zip(refs, choice))
                 nested = all(
                     set(point[(i, j)]) <= {
-                        c for k in range(1, tables.I_A(i, j) + 1)
+                        c for k in range(
+                            1, max_rule_index(blocks, i, j) + 1)
                         for c in point[(i + 1, k)]}
                     for i, j in refs if i < blocks.levels)
                 disjoint = all(

@@ -7,9 +7,9 @@ from flaghg.tableaux import (BlockData, FlagSpec, Tableau,
                              block_decomposition, component_dimension,
                              enumerate_general_components,
                              enumerate_tableaux, general_component_dimension,
-                             hquot_dimension, index_tables)
+                             hquot_dimension)
 
-from conftest import all_specs
+from conftest import all_specs, max_rule_index
 
 
 def brute_force_tableaux(spec: FlagSpec):
@@ -145,21 +145,19 @@ def test_block_decomposition_examples():
     assert b2.values[0] == (1,) and b2.mults[0] == (2,)
 
 
-def test_index_tables_examples():
+def test_critical_index_examples():
     # single level: ambient convention forces the index to 1
-    t = Tableau(FlagSpec(4, (2,), (2,)), ((0, 2),))
-    it = index_tables(t)
-    assert it.I_A(1, 1) == 1 and it.I_A(1, 2) == 1
-    assert it.I_Ap(1, 1) == 0 and it.I_Ap(1, 2) == 1
-    # rows (1) over (0,3): max-rule gives 1, 1
-    t = Tableau(FlagSpec(5, (1, 2), (1, 3)), ((1,), (0, 3)))
-    it = index_tables(t)
-    assert it.I_A(1, 1) == 1 and it.I_Ap(1, 1) == 1
-    assert not it.top_index_reaches_last_block(1)
-    # rows (1) over (0,1): indices 2 and 1
-    t = Tableau(FlagSpec(5, (1, 2), (1, 1)), ((1,), (0, 1)))
-    it = index_tables(t)
-    assert it.I_A(1, 1) == 2 and it.I_Ap(1, 1) == 1
+    b = block_decomposition(Tableau(FlagSpec(4, (2,), (2,)), ((0, 2),)))
+    assert b.I_A(1, 1) == 1 and b.I_A(1, 2) == 1
+    # rows (1) over (0,3): max-rule gives 1, short of the last block
+    b = block_decomposition(
+        Tableau(FlagSpec(5, (1, 2), (1, 3)), ((1,), (0, 3))))
+    assert b.I_A(1, 1) == 1
+    assert b.I_A(1, b.K(1)) != b.K(2)
+    # rows (1) over (0,1): index 2
+    b = block_decomposition(
+        Tableau(FlagSpec(5, (1, 2), (1, 1)), ((1,), (0, 1))))
+    assert b.I_A(1, 1) == 2
 
 
 def test_hquot_dimension_examples():
@@ -200,33 +198,45 @@ def test_component_dimension_bounded_by_moduli():
 def test_nonemptiness_of_critical_containment():
     for spec in all_specs(5, 4):
         for t in enumerate_tableaux(spec):
-            it = index_tables(t)
-            blocks = it.blocks
+            blocks = block_decomposition(t)
             for i in range(1, spec.levels + 1):
-                assert it.l(i + 1, blocks.K(i)) >= spec.rank(i)
+                assert blocks.l(i + 1, blocks.K(i)) >= spec.rank(i)
                 for j in range(1, blocks.K(i) + 1):
-                    assert it.l(i + 1, j) >= blocks.r(i, j)
+                    assert blocks.l(i + 1, j) >= blocks.r(i, j)
 
 
 def test_index_table_invariants():
     for spec in all_specs(5, 3):
         for t in enumerate_tableaux(spec):
-            it = index_tables(t)
-            blocks = it.blocks
+            blocks = block_decomposition(t)
             for i in range(1, spec.levels + 1):
-                assert it.I_A(i, 0) == 0
+                assert blocks.I_A(i, 0) == 0
                 for j in range(1, blocks.K(i) + 1):
-                    assert it.I_A(i, j - 1) <= it.I_A(i, j)
-                    assert it.I_Ap(i, j) <= it.I_A(i, j)
+                    assert blocks.I_A(i, j - 1) <= blocks.I_A(i, j)
+
+
+def test_index_methods_match_max_rule():
+    # every alpha and beta decomposition, against the definition's loop
+    for spec in all_specs(5, 3):
+        for t in enumerate_general_components(spec):
+            for rows in (t.rows, t.beta_rows):
+                blocks = BlockData.from_rows(spec, rows)
+                for i in range(1, spec.levels + 1):
+                    for j in range(blocks.K(i) + 1):
+                        index = max_rule_index(blocks, i, j)
+                        assert blocks.I_A(i, j) == index, (rows, i, j)
+                        if j:
+                            assert blocks.l(i + 1, j) == \
+                                blocks.r(i + 1, index), (rows, i, j)
 
 
 def test_negative_fibration_step_is_caught():
     # column-inadmissible raw rows sneak past BlockData but not the guard
-    from flaghg.tableaux import IndexTables, _tower_dimension
+    from flaghg.tableaux import _tower_dimension
     spec = FlagSpec(5, (2, 3), (0, 3))
     blocks = BlockData.from_rows(spec, ((0, 0), (1, 1, 1)))
     with pytest.raises(InfeasibleTableauError):
-        _tower_dimension(blocks, IndexTables.from_blocks(blocks))
+        _tower_dimension(blocks)
 
 
 def test_component_dimension_never_raises_on_enumerated_tableaux():
@@ -261,9 +271,3 @@ def test_general_dimension_reduces_at_beta_zero():
                 assert general_component_dimension(t) == \
                     component_dimension(plain)
 
-
-def test_tableau_json_roundtrip():
-    t = Tableau(FlagSpec(4, (1, 2), (1, 1)), ((1,), (0, 1)))
-    assert Tableau.from_json(t.to_json()) == t
-    g = enumerate_general_components(FlagSpec(2, (1,), (1,)))[0]
-    assert Tableau.from_json(g.to_json()) == g
