@@ -51,3 +51,16 @@ def test_integral_fl24c6_d11_is_lambda_independent():
     first, second = (integral_Id(spec, lambda_seed=seed) for seed in (0, 5))
     assert first.value == second.value
     assert first.per_tableau == second.per_tableau
+
+
+def test_tableaux_explain_fl124c6_d121_report(tmp_path, capsys):
+    # pins the general_components section; the cache key covers the
+    # source files, so only results and work are compared
+    argv = ["tableaux", "--n", "6", "--ranks", "1,2,4", "--degrees",
+            "1,2,1", "--explain", "--json", "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    want = json.loads(
+        (GOLDEN / "tableaux_explain_fl124c6_d121.json").read_text())
+    assert got["results"] == want["results"]
+    assert got["provenance"]["work"] == want["provenance"]["work"]
