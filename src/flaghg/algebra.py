@@ -6,9 +6,11 @@ Every class, weight and series in the engine is built from two types:
           int: every variable owns a fixed-width exponent field at its
           slot in a process-wide, append-only registry, the constant
           monomial is 0, and the product of two monomials is their sum.
-          A coefficient is an int where it is integral and a Fraction
-          otherwise; the two agree under ==, hash and str, and nothing is
-          ever rounded.
+          A coefficient is an int or a Fraction, never rounded.  const,
+          var, linear, scalar multiplication and divide_by_linear store
+          integral ones as int; sums, Poly products and substitution may
+          keep an integral Fraction such as Fraction(2).  The two types
+          agree under ==, hash and str.
   RatFun  a Poly numerator over a multiset of *linear* denominator factors.
 
 Packed exponents follow Monagan and Pearce ("Polynomial division using

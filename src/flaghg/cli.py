@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import __version__
 from .algebra import Poly, RatFun
-from .errors import FlagHGError, UsageError
+from .errors import FlagHGError, FormulaMismatchError, UsageError
 from .fixedlocus import (block_decomposition, canonical_roots,
                          euler_class_closed_form, euler_class_from_ledger,
                          fixed_point_count, normal_ledger)
@@ -137,11 +137,11 @@ def _run_tableaux(job: JobSpec) -> dict:
             "count": len(general),
             "entries": [
                 {
-                    "alpha": [list(r) for r in t.rows],
-                    "beta": [list(r) for r in t.beta_rows],
-                    "dimension": general_component_dimension(t),
+                    "alpha": [list(r) for r in a.rows],
+                    "beta": [list(r) for r in b.rows],
+                    "dimension": general_component_dimension(a, b),
                 }
-                for t in general
+                for a, b in general
             ],
         }
     return out
@@ -156,7 +156,7 @@ def _run_euler(job: JobSpec) -> dict:
         via_ledger = euler_class_from_ledger(ledger, roots)
         via_closed = euler_class_closed_form(t, roots)
         if via_ledger != via_closed:
-            raise FlagHGError(
+            raise FormulaMismatchError(
                 f"Euler class routes disagree on {t.rows}")
         entry = {
             "alpha": [list(r) for r in t.rows],

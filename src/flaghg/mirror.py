@@ -213,14 +213,12 @@ def box_complement(mu: tuple[int, ...], r: int, cols: int) -> tuple[int, ...]:
 
 
 def schur_pairing(spec: FlagSpec, cls: RatFun, mu, lambda_seed: int = 0,
-                  lam=None, s_mu: Poly | None = None) -> RatFun:
+                  lam=None) -> RatFun:
     """Integrate cls * s_mu over the manifold by the fixed-point oracle,
-    with s_mu as its weight; s_mu, the Schur polynomial of mu in the x
-    roots, is built unless given."""
+    with s_mu, the Schur polynomial of mu in the x roots, as its weight."""
     if lam is None:
         lam = lam_vector(spec.n, lambda_seed)
-    if s_mu is None:
-        s_mu = schur_polynomial(mu, x_roots(spec))
+    s_mu = schur_polynomial(mu, x_roots(spec))
     return ab_integrals(zero_tableau(spec), lam, [s_mu], cls,
                         seed=lambda_seed)[0]
 

@@ -2,7 +2,9 @@
 
 A distinguished component is indexed by a matrix A whose i-th row is a
 non-decreasing list of r_i non-negative integers summing to d_i, with
-entries dominating the next row columnwise.  From A we derive run-length
+entries dominating the next row columnwise.  A general component is
+indexed by a pair (A;B) of such matrices whose degree vectors add up to
+d, and it is distinguished when B = 0.  From A we derive run-length
 blocks (distinct values with multiplicities), the critical-containment
 index between adjacent levels, and the dimensions of both the ambient
 moduli space and the component itself.
@@ -12,6 +14,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import product
 from typing import TYPE_CHECKING, Iterator
 
 from .errors import InfeasibleTableauError
@@ -113,43 +116,28 @@ def _column_admissible(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
 
 @dataclass(frozen=True)
 class Tableau:
-    """An admissible incomplete matrix A, optionally paired with B."""
+    """An admissible incomplete matrix A."""
 
     spec: FlagSpec
     rows: tuple[tuple[int, ...], ...]
-    beta_rows: tuple[tuple[int, ...], ...] | None = None
 
     def __post_init__(self):
-        spec = self.spec
-        kinds = [("row", self.rows)]
-        if self.beta_rows is not None:
-            kinds.append(("beta row", self.beta_rows))
-        for name, rows in kinds:
-            if len(rows) != spec.levels:
-                raise ValueError(f"one {name} per level is required")
-            for i, row in enumerate(rows):
-                if len(row) != spec.ranks[i]:
-                    raise ValueError(
-                        f"{name} {i + 1} must have length r_{i + 1}")
-                if any(v < 0 for v in row):
-                    raise ValueError("entries must be non-negative")
-                if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
-                    raise ValueError(f"{name}s must be non-decreasing")
-            for upper, lower in zip(rows, rows[1:]):
-                if not _column_admissible(upper, lower):
-                    raise ValueError(f"{name}s violate column admissibility")
-        for i, row in enumerate(self.rows):
-            if self.beta_rows is None:
-                if sum(row) != spec.degrees[i]:
-                    raise ValueError(f"row {i + 1} must sum to d_{i + 1}")
-            elif sum(row) + sum(self.beta_rows[i]) != spec.degrees[i]:
-                raise ValueError(
-                    f"alpha and beta rows at level {i + 1} must sum to d")
-
-    @property
-    def distinguished(self) -> bool:
-        return self.beta_rows is None or all(
-            all(v == 0 for v in row) for row in self.beta_rows)
+        spec, rows = self.spec, self.rows
+        if len(rows) != spec.levels:
+            raise ValueError("one row per level is required")
+        for i, row in enumerate(rows):
+            if len(row) != spec.ranks[i]:
+                raise ValueError(f"row {i + 1} must have length r_{i + 1}")
+            if any(v < 0 for v in row):
+                raise ValueError("entries must be non-negative")
+            if any(row[j] > row[j + 1] for j in range(len(row) - 1)):
+                raise ValueError("rows must be non-decreasing")
+        for upper, lower in zip(rows, rows[1:]):
+            if not _column_admissible(upper, lower):
+                raise ValueError("rows violate column admissibility")
+        for i, row in enumerate(rows):
+            if sum(row) != spec.degrees[i]:
+                raise ValueError(f"row {i + 1} must sum to d_{i + 1}")
 
 
 def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
@@ -170,33 +158,18 @@ def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
     return out
 
 
-def enumerate_general_components(spec: FlagSpec) -> list[Tableau]:
-    """All (A;B) pairs, in lexicographic order of flattened (A,B) rows."""
-    level_pairs: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = []
-    for i in range(spec.levels):
-        pairs = []
-        for da in range(spec.degrees[i] + 1):
-            db = spec.degrees[i] - da
-            for arow in _ascending_rows(da, spec.ranks[i]):
-                for brow in _ascending_rows(db, spec.ranks[i]):
-                    pairs.append((arow, brow))
-        pairs.sort()
-        level_pairs.append(pairs)
-    out: list[Tableau] = []
-
-    def rec(level, alphas, betas):
-        if level == spec.levels:
-            out.append(Tableau(spec, tuple(alphas), tuple(betas)))
-            return
-        for arow, brow in level_pairs[level]:
-            if level > 0 and not (
-                    _column_admissible(alphas[-1], arow)
-                    and _column_admissible(betas[-1], brow)):
-                continue
-            rec(level + 1, alphas + [arow], betas + [brow])
-
-    rec(0, [], [])
-    return out
+def enumerate_general_components(
+        spec: FlagSpec) -> list[tuple[Tableau, Tableau]]:
+    """All (A;B) pairs, A of degree e and B of degree d - e for 0 <= e <= d,
+    in lexicographic order of the level pairs (A row, B row)."""
+    census = {e: enumerate_tableaux(FlagSpec(spec.n, spec.ranks, e))
+              for e in product(*(range(d + 1) for d in spec.degrees))}
+    pairs = []
+    for e, alphas in census.items():
+        betas = census[tuple(d - k for d, k in zip(spec.degrees, e))]
+        pairs.extend((a, b) for a in alphas for b in betas)
+    pairs.sort(key=lambda ab: tuple(zip(ab[0].rows, ab[1].rows)))
+    return pairs
 
 
 def _rle(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -288,25 +261,21 @@ def _tower_dimension(blocks: BlockData) -> int:
 
 def component_dimension(t: Tableau) -> int:
     """Dimension of the fixed component of a distinguished tableau."""
-    if not t.distinguished:
-        raise ValueError("component_dimension expects a distinguished tableau")
     return _tower_dimension(block_decomposition(t))
 
 
-def general_component_dimension(t: Tableau) -> int:
+def general_component_dimension(a: Tableau, b: Tableau) -> int:
     """Dimension of a general (A;B) component via the fibered-product rule.
 
     Per level pair: A-tower step + B-tower step minus the shared Grassmannian
     choice r_i * (max(l^A, l^B) - r_i) of the common last flag element.
     """
-    if t.beta_rows is None:
-        return component_dimension(t)
-    a_blocks = block_decomposition(t)
-    b_blocks = BlockData.from_rows(t.spec, t.beta_rows)
+    a_blocks = block_decomposition(a)
+    b_blocks = block_decomposition(b)
     dim = _tower_dimension(a_blocks) + _tower_dimension(b_blocks)
-    for i in range(1, t.spec.levels + 1):
+    for i in range(1, a.spec.levels + 1):
         la = a_blocks.l(i + 1, a_blocks.K(i))
         lb = b_blocks.l(i + 1, b_blocks.K(i))
-        ri = t.spec.rank(i)
+        ri = a.spec.rank(i)
         dim -= ri * (max(la, lb) - ri)
     return dim

@@ -9,7 +9,7 @@ import time
 from fractions import Fraction
 
 from flaghg.algebra import ALPHA, Poly, RatFun, kahler
-from flaghg.cli import JobSpec, format_report, run_and_report
+from flaghg.cli import format_report, parse_job, run_and_report
 from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
                                euler_class_from_ledger,
                                euler_product_closed_form,
@@ -215,19 +215,17 @@ def test_criterion_10_cli_determinism(tmp_path):
     start = time.time()
     ok = True
     jobs = [
-        ("tableaux", FlagSpec(4, (2,), (2,)), 0),
-        ("integral", FlagSpec(2, (1,), (1,)), 0),
-        ("integral", FlagSpec(2, (1,), (1,)), 5),
-        ("hg", FlagSpec(4, (2,), (0,)), 0),
+        ["tableaux", "--n", "4", "--ranks", "2", "--degrees", "2"],
+        ["integral", "--n", "2", "--ranks", "1", "--degrees", "1"],
+        ["integral", "--n", "2", "--ranks", "1", "--degrees", "1",
+         "--lambda-seed", "5"],
+        ["hg", "--n", "4", "--ranks", "2", "--degrees", "0"],
     ]
-    for index, (command, spec, seed) in enumerate(jobs):
+    for index, argv in enumerate(jobs):
         texts = []
         for run in ("a", "b"):
-            job = JobSpec(
-                command=command, spec=spec, max_degree=1, lambda_seed=seed,
-                coset_budget=10080, output_format="json", explain=False,
-                cache_dir=str(tmp_path / f"{index}{run}"),
-            )
+            job = parse_job(argv + ["--json", "--cache-dir",
+                                    str(tmp_path / f"{index}{run}")])
             texts.append(format_report(run_and_report(job), "json"))
         ok = ok and texts[0] == texts[1]
     _report(10, "reports are byte-identical across clean runs", ok,

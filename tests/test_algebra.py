@@ -370,6 +370,14 @@ def test_integral_coefficients_are_stored_as_int():
     assert all(type(c) is int for c in q.terms.values())
     half = (Y * divisor).divide_by_linear(divisor * 2)
     assert half.sorted_terms() == [(((y(1, 1, 1), 1),), Fraction(1, 2))]
+    # a sum keeps the integral Fraction it makes, and it still compares,
+    # hashes and prints as the int it equals
+    made = Poly.const(Fraction(1, 2)) + Y + Poly.const(Fraction(3, 2))
+    constant = dict(made.sorted_terms())[()]
+    assert type(constant) is Fraction and constant == 2
+    assert made == Y + 2
+    assert hash(made) == hash(Y + 2)
+    assert made.to_text() == (Y + 2).to_text() == "2 + y[1,1;1]"
 
 
 def test_canonical_linear_divides_exactly():

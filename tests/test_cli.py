@@ -8,9 +8,10 @@ import pytest
 
 import flaghg
 from flaghg import cli, fixedlocus, pushforward
-from flaghg.cli import (JobSpec, cache_key, format_report, main, parse_job,
+from flaghg.algebra import RatFun
+from flaghg.cli import (cache_key, format_report, main, parse_job,
                         run_and_report)
-from flaghg.errors import UsageError
+from flaghg.errors import FormulaMismatchError, UsageError
 from flaghg.tableaux import FlagSpec
 
 
@@ -62,17 +63,12 @@ def test_parse_env_cache_dir():
     assert job2.cache_dir == "/tmp/explicit"
 
 
-def _job(command, spec, tmp_path, **kwargs):
-    return JobSpec(
-        command=command,
-        spec=spec,
-        max_degree=kwargs.get("max_degree", 1),
-        lambda_seed=kwargs.get("lambda_seed", 0),
-        coset_budget=10080,
-        output_format=kwargs.get("output_format", "json"),
-        explain=kwargs.get("explain", False),
-        cache_dir=str(tmp_path),
-    )
+def _job(command, spec, tmp_path, output_format="json"):
+    argv = [command, "--n", str(spec.n),
+            "--ranks", ",".join(map(str, spec.ranks)),
+            "--degrees", ",".join(map(str, spec.degrees)),
+            "--cache-dir", str(tmp_path)]
+    return parse_job(argv + (["--json"] if output_format == "json" else []))
 
 
 def test_tableaux_report_contents(tmp_path):
@@ -224,6 +220,17 @@ def test_cache_key_ignores_output_format(tmp_path):
     b = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path,
              output_format="text")
     assert cache_key(a) == cache_key(b)
+
+
+def test_main_euler_route_mismatch(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "euler_class_closed_form",
+                        lambda t, roots: RatFun.const(0))
+    assert main(["euler", "--n", "2", "--ranks", "1", "--degrees", "1",
+                 "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == (
+        "computation error [euler]: Euler class routes disagree on ((1,),)\n")
+    with pytest.raises(FormulaMismatchError):
+        run_and_report(_job("euler", FlagSpec(2, (1,), (1,)), tmp_path / "b"))
 
 
 def test_main_exit_codes(tmp_path, capsys):

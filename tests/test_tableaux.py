@@ -48,33 +48,19 @@ def test_flagspec_validation():
 
 
 # Fl(1,2;C^5) at d = (1,4); each case breaks exactly one rule
-VALID_ALPHA = ((1,), (0, 2))
-VALID_BETA = ((0,), (0, 2))
-
-
-@pytest.mark.parametrize("rows, beta_rows, match", [
-    pytest.param(((1,),), None, "per level", id="row-count"),
-    pytest.param(((1,), (4,)), None, "length", id="row-length"),
-    pytest.param(((1,), (-1, 5)), None, "non-negative", id="negative"),
-    pytest.param(((1,), (4, 0)), None, "non-decreasing", id="decreasing"),
-    pytest.param(((1,), (2, 2)), None, "admissibility", id="column"),
-    pytest.param(((1,), (0, 3)), None, "sum", id="sum"),
-    pytest.param(VALID_ALPHA, ((0,), (0, 1)), "sum", id="sum-with-beta"),
-    pytest.param(VALID_ALPHA, ((0,),), "per level", id="beta-row-count"),
-    pytest.param(VALID_ALPHA, ((0,), (2,)), "length", id="beta-row-length"),
-    pytest.param(VALID_ALPHA, ((0,), (-1, 3)), "non-negative",
-                 id="beta-negative"),
-    pytest.param(VALID_ALPHA, ((0,), (2, 0)), "non-decreasing",
-                 id="beta-decreasing"),
-    pytest.param(VALID_ALPHA, ((0,), (1, 1)), "admissibility",
-                 id="beta-column"),
+@pytest.mark.parametrize("rows, match", [
+    pytest.param(((1,),), "per level", id="row-count"),
+    pytest.param(((1,), (4,)), "length", id="row-length"),
+    pytest.param(((1,), (-1, 5)), "non-negative", id="negative"),
+    pytest.param(((1,), (4, 0)), "non-decreasing", id="decreasing"),
+    pytest.param(((1,), (2, 2)), "admissibility", id="column"),
+    pytest.param(((1,), (0, 3)), "sum", id="sum"),
 ])
-def test_tableau_validation(rows, beta_rows, match):
+def test_tableau_validation(rows, match):
     spec = FlagSpec(5, (1, 2), (1, 4))
-    Tableau(spec, VALID_ALPHA, VALID_BETA)
     Tableau(spec, ((1,), (0, 4)))
     with pytest.raises(ValueError, match=match):
-        Tableau(spec, rows, beta_rows)
+        Tableau(spec, rows)
 
 
 def test_enumerate_single_partition():
@@ -218,16 +204,16 @@ def test_index_table_invariants():
 def test_index_methods_match_max_rule():
     # every alpha and beta decomposition, against the definition's loop
     for spec in all_specs(5, 3):
-        for t in enumerate_general_components(spec):
-            for rows in (t.rows, t.beta_rows):
-                blocks = BlockData.from_rows(spec, rows)
+        for pair in enumerate_general_components(spec):
+            for t in pair:
+                blocks = block_decomposition(t)
                 for i in range(1, spec.levels + 1):
                     for j in range(blocks.K(i) + 1):
                         index = max_rule_index(blocks, i, j)
-                        assert blocks.I_A(i, j) == index, (rows, i, j)
+                        assert blocks.I_A(i, j) == index, (t.rows, i, j)
                         if j:
                             assert blocks.l(i + 1, j) == \
-                                blocks.r(i + 1, index), (rows, i, j)
+                                blocks.r(i + 1, index), (t.rows, i, j)
 
 
 def test_negative_fibration_step_is_caught():
@@ -245,12 +231,16 @@ def test_component_dimension_never_raises_on_enumerated_tableaux():
             component_dimension(t)
 
 
+def _is_zero(t: Tableau) -> bool:
+    return not any(any(row) for row in t.rows)
+
+
 def test_general_components_examples():
-    got = [(t.rows, t.beta_rows)
-           for t in enumerate_general_components(FlagSpec(2, (1,), (1,)))]
+    got = [(a.rows, b.rows)
+           for a, b in enumerate_general_components(FlagSpec(2, (1,), (1,)))]
     assert got == [(((0,),), ((1,),)), (((1,),), ((0,),))]
-    got0 = [(t.rows, t.beta_rows)
-            for t in enumerate_general_components(FlagSpec(2, (1,), (0,)))]
+    got0 = [(a.rows, b.rows)
+            for a, b in enumerate_general_components(FlagSpec(2, (1,), (0,)))]
     assert got0 == [(((0,),), ((0,),))]
     # golden count, frozen from the brute-force census
     assert len(enumerate_general_components(FlagSpec(3, (1, 2), (1, 1)))) == 4
@@ -259,15 +249,14 @@ def test_general_components_examples():
 def test_general_components_restrict_to_distinguished():
     for spec in all_specs(4, 3):
         general = enumerate_general_components(spec)
-        restricted = {t.rows for t in general if t.distinguished}
+        restricted = {a.rows for a, b in general if _is_zero(b)}
         assert restricted == {t.rows for t in enumerate_tableaux(spec)}
 
 
 def test_general_dimension_reduces_at_beta_zero():
     for spec in all_specs(4, 3):
-        for t in enumerate_general_components(spec):
-            if t.distinguished:
-                plain = Tableau(spec, t.rows)
-                assert general_component_dimension(t) == \
+        for a, b in enumerate_general_components(spec):
+            if _is_zero(b):
+                plain = Tableau(spec, a.rows)
+                assert general_component_dimension(a, b) == \
                     component_dimension(plain)
-
