@@ -21,18 +21,14 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .algebra import Poly, RatFun
-from .errors import FlagHGError, FormulaMismatchError, UsageError
-from .fixedlocus import (block_decomposition, canonical_roots,
-                         euler_class_closed_form, euler_class_from_ledger,
-                         fixed_point_count, normal_ledger)
-from .mirror import grassmannian_hg_term, hori_vafa_verify, integral_Id
-from .pushforward import (DEFAULT_COSET_BUDGET, ab_integrate,
-                          complete_homogeneous, integrate_to_point,
-                          lam_vector, tableau_tower)
-from .tableaux import (FlagSpec, component_dimension,
+from .errors import (DEFAULT_COSET_BUDGET, FlagHGError, FormulaMismatchError,
+                     UsageError)
+from .tableaux import (FlagSpec, block_decomposition, component_dimension,
                        enumerate_general_components, enumerate_tableaux,
                        general_component_dimension, hquot_dimension)
+
+# The engine modules (algebra, fixedlocus, mirror, pushforward) are imported
+# inside the runners and _work_counters, so a cache hit never loads them.
 
 COMMANDS = ("tableaux", "euler", "integral", "hg", "hori-vafa",
             "oracle-compare")
@@ -116,6 +112,8 @@ def parse_job(argv, env=None) -> JobSpec:
 
 
 def _run_tableaux(job: JobSpec) -> dict:
+    from .fixedlocus import normal_ledger
+
     spec = job.spec
     rows = []
     for t in enumerate_tableaux(spec):
@@ -148,6 +146,9 @@ def _run_tableaux(job: JobSpec) -> dict:
 
 
 def _run_euler(job: JobSpec) -> dict:
+    from .fixedlocus import (canonical_roots, euler_class_closed_form,
+                             euler_class_from_ledger, normal_ledger)
+
     spec = job.spec
     rows = []
     for t in enumerate_tableaux(spec):
@@ -170,6 +171,9 @@ def _run_euler(job: JobSpec) -> dict:
 
 
 def _run_integral(job: JobSpec) -> dict:
+    from .fixedlocus import normal_ledger
+    from .mirror import integral_Id
+
     result = integral_Id(job.spec, lambda_seed=job.lambda_seed)
     data = result.to_json()
     out = {
@@ -186,6 +190,8 @@ def _run_integral(job: JobSpec) -> dict:
 
 
 def _run_hg(job: JobSpec) -> dict:
+    from .mirror import grassmannian_hg_term
+
     spec = job.spec
     if spec.levels != 1:
         raise UsageError("hg requires a Grassmannian (a single rank)")
@@ -199,6 +205,8 @@ def _run_hg(job: JobSpec) -> dict:
 
 
 def _run_hori_vafa(job: JobSpec) -> dict:
+    from .mirror import hori_vafa_verify
+
     spec = job.spec
     if spec.levels != 1 or spec.ranks[0] < 2:
         raise UsageError("hori-vafa requires a Grassmannian with rank >= 2")
@@ -209,6 +217,10 @@ def _run_hori_vafa(job: JobSpec) -> dict:
 
 
 def _run_oracle_compare(job: JobSpec) -> dict:
+    from .algebra import Poly, RatFun
+    from .pushforward import (ab_integrate, complete_homogeneous,
+                              integrate_to_point, lam_vector, tableau_tower)
+
     spec = job.spec
     lam = lam_vector(spec.n, job.lambda_seed)
     rows = []
@@ -362,6 +374,8 @@ def _routes_for(command: str) -> list[str]:
 
 def _work_counters(job: JobSpec) -> dict:
     """Stored in the cache entry, so a hit never recounts."""
+    from .fixedlocus import fixed_point_count
+
     tableaux = enumerate_tableaux(job.spec)
     return {
         "tableaux": len(tableaux),

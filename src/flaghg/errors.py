@@ -1,4 +1,5 @@
-"""Exception types shared across the engine."""
+"""Exception types shared across the engine, and the default budget
+that `BudgetExceededError` enforces."""
 
 
 class FlagHGError(Exception):
@@ -19,6 +20,10 @@ class SingularSubstitutionError(FlagHGError):
 
 class SymmetryViolationError(FlagHGError):
     """An input class is not symmetric within a root block."""
+
+
+# the default --coset-budget; kept here so the CLI parser needs no engine
+DEFAULT_COSET_BUDGET = 10080
 
 
 class BudgetExceededError(FlagHGError):

@@ -30,14 +30,12 @@ from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
 from .algebra import ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y
-from .errors import (BudgetExceededError, IntegrationShapeError,
-                     SingularSubstitutionError)
+from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
+                     IntegrationShapeError, SingularSubstitutionError)
 from .fixedlocus import (assert_block_symmetric, scaled_weights,
                          tangent_euler_scaled, tangent_ledger,
                          torus_fixed_points)
 from .tableaux import Tableau, block_decomposition, component_dimension
-
-DEFAULT_COSET_BUDGET = 10080
 
 
 class BlockAlphabet:

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 from flaghg.algebra import ALPHA, Poly, RatFun, kahler
 from flaghg.cli import format_report, parse_job, run_and_report
+from flaghg.errors import DEFAULT_COSET_BUDGET
 from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
                                euler_class_from_ledger,
                                euler_product_closed_form,
@@ -181,7 +182,7 @@ def test_criterion_8_grassmannian_hg_dual_route():
         partitions = box_partitions(r, n - r)
         lam = lam_vector(n, 0)
         for d in range(4):
-            via_tableaux = tableau_route(n, r, d, 10080)
+            via_tableaux = tableau_route(n, r, d, DEFAULT_COSET_BUDGET)
             via_display = display_route(n, r, d)
             for mu in partitions:
                 left = schur_pairing(spec, via_tableaux, mu, lam=lam)

@@ -223,7 +223,7 @@ def test_cache_key_ignores_output_format(tmp_path):
 
 
 def test_main_euler_route_mismatch(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "euler_class_closed_form",
+    monkeypatch.setattr(fixedlocus, "euler_class_closed_form",
                         lambda t, roots: RatFun.const(0))
     assert main(["euler", "--n", "2", "--ranks", "1", "--degrees", "1",
                  "--cache-dir", str(tmp_path)]) == 2
@@ -338,7 +338,6 @@ def test_text_rendering_is_deterministic(tmp_path):
 def test_reports_do_not_depend_on_hash_seed(tmp_path, argv):
     """Also with the variables registered in reverse VarId order before
     main runs, which reverses their packed exponent slots."""
-    src = str(Path(flaghg.__file__).resolve().parents[1])
     reverse = (
         "import sys\n"
         "from flaghg.algebra import (ALPHA, FORMAL_C, Poly, ambient,\n"
@@ -353,14 +352,59 @@ def test_reports_do_not_depend_on_hash_seed(tmp_path, argv):
     outputs = []
     for seed, start in (("0", ["-m", "flaghg"]), ("1", ["-m", "flaghg"]),
                         ("2", ["-c", reverse])):
-        env = dict(os.environ, PYTHONHASHSEED=seed,
-                   PYTHONPATH=os.pathsep.join(
-                       filter(None, [src, os.environ.get("PYTHONPATH")])))
-        env.pop("FLAGHG_CACHE", None)
-        proc = subprocess.run(
-            [sys.executable, *start, *argv,
-             "--cache-dir", str(tmp_path / seed)],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = _python([*start, *argv, "--cache-dir", str(tmp_path / seed)],
+                       PYTHONHASHSEED=seed)
         assert proc.returncode == 0, proc.stderr
         outputs.append(proc.stdout)
     assert outputs[0] == outputs[1] == outputs[2]
+
+
+def _python(args, **env):
+    """Run a fresh interpreter on this checkout's package, no FLAGHG_CACHE."""
+    src = str(Path(flaghg.__file__).resolve().parents[1])
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env.pop("FLAGHG_CACHE", None)
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+# runs main on argv, then lists the loaded flaghg modules on stderr
+_MAIN_THEN_MODULES = (
+    "import sys\n"
+    "import flaghg.cli\n"
+    "code = flaghg.cli.main(sys.argv[1:])\n"
+    "print(*sorted(m for m in sys.modules\n"
+    "              if m.partition('.')[0] == 'flaghg'), file=sys.stderr)\n"
+    "sys.exit(code)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["tableaux", "--n", "4", "--ranks", "2", "--degrees", "2", "--explain"],
+    ["euler", "--n", "3", "--ranks", "1,2", "--degrees", "1,1", "--explain"],
+    ["integral", "--n", "3", "--ranks", "1,2", "--degrees", "1,1"],
+    ["hg", "--n", "4", "--ranks", "2", "--max-degree", "1"],
+    ["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree", "1"],
+    ["oracle-compare", "--n", "3", "--ranks", "1", "--degrees", "1"],
+], ids=lambda argv: argv[0])
+def test_cache_hit_imports_no_engine_module(tmp_path, argv):
+    argv = argv + ["--json", "--cache-dir", str(tmp_path)]
+    miss, hit = [_python(["-c", _MAIN_THEN_MODULES, *argv]) for _ in range(2)]
+    for proc, status in ((miss, "miss"), (hit, "hit")):
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["provenance"]["cache"]["status"] == status
+    assert "flaghg.fixedlocus" in miss.stderr.split()
+    assert hit.stderr.split() == ["flaghg", "flaghg.cli", "flaghg.errors",
+                                  "flaghg.tableaux"]
+    direct = _python(["-m", "flaghg", *argv])
+    assert (direct.returncode, direct.stdout, direct.stderr) == \
+        (0, hit.stdout, "")
+
+
+def test_importing_the_package_loads_no_submodule():
+    proc = _python(["-c", "import sys, flaghg\n"
+                          "print(*sorted(m for m in sys.modules\n"
+                          "      if m.partition('.')[0] == 'flaghg'))"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["flaghg"]

@@ -1,9 +1,13 @@
-"""Every imported name is referenced in the module that imports it."""
+"""Every imported name is referenced in the module that imports it, and
+the package's lazy exports are the objects of the submodules defining them."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
+
+import flaghg
 
 ROOT = Path(__file__).resolve().parent.parent
 FILES = sorted(
@@ -60,3 +64,45 @@ def test_unused_import_detection():
 @pytest.mark.parametrize("path", FILES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+# The public names of the `flaghg` package, by the submodule defining them.
+PACKAGE_EXPORTS = {
+    "algebra": ["ALPHA", "FORMAL_C", "LinearProduct", "Poly", "RatFun",
+                "VarId", "ambient", "exp_series", "kahler",
+                "ratfun_normalize", "y"],
+    "errors": ["BudgetExceededError", "CancellationFailureError",
+               "FlagHGError", "FormulaMismatchError",
+               "InfeasibleTableauError", "IntegrationShapeError",
+               "SingularSubstitutionError", "SymmetryViolationError",
+               "UsageError", "ZeroDenominatorError"],
+    "fixedlocus": ["Ledger", "euler_class_closed_form",
+                   "euler_class_from_ledger", "fixed_point_count",
+                   "hquot_restriction_ledger", "normal_ledger",
+                   "tangent_ledger", "torus_fixed_points"],
+    "mirror": ["HoriVafaReport", "IntegralResult", "grassmannian_hg_term",
+               "hori_vafa_verify", "hyperplane_pullback", "integral_Id",
+               "reconstruct_class_from_pairings", "schur_pairing"],
+    "pushforward": ["BlockAlphabet", "ab_integrals", "ab_integrate",
+                    "brion_pushforward", "integrate_to_point", "lam_vector",
+                    "omega_class", "schur_polynomial", "tableau_tower"],
+    "tableaux": ["BlockData", "FlagSpec", "Tableau", "block_decomposition",
+                 "component_dimension", "enumerate_general_components",
+                 "enumerate_tableaux", "general_component_dimension",
+                 "hquot_dimension"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(PACKAGE_EXPORTS))
+def test_package_exports_are_the_submodule_objects(module):
+    submodule = importlib.import_module(f"flaghg.{module}")
+    names = PACKAGE_EXPORTS[module]
+    for name in names:
+        assert getattr(flaghg, name) is getattr(submodule, name), name
+    assert set(names) <= set(dir(flaghg))
+
+
+def test_package_rejects_unknown_names():
+    with pytest.raises(AttributeError, match="'flaghg' has no attribute "
+                                             "'no_such_name'"):
+        flaghg.no_such_name
