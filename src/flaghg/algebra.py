@@ -644,14 +644,6 @@ class RatFun:
 
     __rmul__ = __mul__
 
-    def __pow__(self, n: int) -> "RatFun":
-        if n < 0:
-            raise ValueError("negative power of a RatFun")
-        out = RatFun.const(1)
-        for _ in range(n):
-            out = out * self
-        return out
-
     def substitute(self, assignment: Mapping[VarId, "VarId | Scalar"]) -> "RatFun":
         """Poly.substitute on the numerator and on every factor; a factor
         that becomes constant is absorbed into the numerator.

@@ -10,6 +10,7 @@ source.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import hashlib
 import json
@@ -19,6 +20,7 @@ import sys
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 from . import __version__
 from .errors import (DEFAULT_COSET_BUDGET, FlagHGError, FormulaMismatchError,
@@ -29,9 +31,6 @@ from .tableaux import (FlagSpec, block_decomposition, component_dimension,
 
 # The engine modules (algebra, fixedlocus, mirror, pushforward) are imported
 # inside the runners and _work_counters, so a cache hit never loads them.
-
-COMMANDS = ("tableaux", "euler", "integral", "hg", "hori-vafa",
-            "oracle-compare")
 
 
 @dataclass
@@ -65,7 +64,8 @@ def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:
 
 
 def parse_job(argv, env=None) -> JobSpec:
-    """Validate command-line arguments into a JobSpec."""
+    """Validate command-line arguments into a JobSpec; every usage rule
+    is checked here, before the cache is touched."""
     env = dict(env or {})
     parser = argparse.ArgumentParser(prog="flaghg", add_help=True)
     parser.add_argument("command", choices=COMMANDS)
@@ -94,11 +94,14 @@ def parse_job(argv, env=None) -> JobSpec:
         raise UsageError(str(exc))
     if args.coset_budget < 0:
         raise UsageError("--coset-budget must be non-negative")
-    min_degree = {"hg": 0, "hori-vafa": 1}.get(args.command)
-    if min_degree is not None and args.max_degree < min_degree:
-        raise UsageError(
-            f"{args.command} needs --max-degree >= {min_degree}")
-    cache_dir = args.cache_dir or env.get("FLAGHG_CACHE")
+    command = COMMANDS[args.command]
+    floor = command.min_degree
+    if floor is not None and args.max_degree < floor:
+        raise UsageError(f"{args.command} needs --max-degree >= {floor}")
+    if command.grassmannian is not None:
+        min_rank, message = command.grassmannian
+        if spec.levels != 1 or spec.ranks[0] < min_rank:
+            raise UsageError(message)
     return JobSpec(
         command=args.command,
         spec=spec,
@@ -107,7 +110,7 @@ def parse_job(argv, env=None) -> JobSpec:
         coset_budget=args.coset_budget,
         output_format="json" if args.json else "text",
         explain=args.explain,
-        cache_dir=cache_dir,
+        cache_dir=args.cache_dir or env.get("FLAGHG_CACHE"),
     )
 
 
@@ -193,8 +196,6 @@ def _run_hg(job: JobSpec) -> dict:
     from .mirror import grassmannian_hg_term
 
     spec = job.spec
-    if spec.levels != 1:
-        raise UsageError("hg requires a Grassmannian (a single rank)")
     terms = []
     for d in range(job.max_degree + 1):
         cls = grassmannian_hg_term(spec.n, spec.ranks[0], d,
@@ -208,12 +209,9 @@ def _run_hori_vafa(job: JobSpec) -> dict:
     from .mirror import hori_vafa_verify
 
     spec = job.spec
-    if spec.levels != 1 or spec.ranks[0] < 2:
-        raise UsageError("hori-vafa requires a Grassmannian with rank >= 2")
-    report = hori_vafa_verify(spec.n, spec.ranks[0], job.max_degree,
-                              lambda_seed=job.lambda_seed,
-                              budget=job.coset_budget)
-    return report.to_json()
+    return hori_vafa_verify(spec.n, spec.ranks[0], job.max_degree,
+                            lambda_seed=job.lambda_seed,
+                            budget=job.coset_budget).to_json()
 
 
 def _run_oracle_compare(job: JobSpec) -> dict:
@@ -259,13 +257,38 @@ def _run_oracle_compare(job: JobSpec) -> dict:
     return {"all_equal": all_equal, "tableaux": rows}
 
 
-_RUNNERS = {
-    "tableaux": _run_tableaux,
-    "euler": _run_euler,
-    "integral": _run_integral,
-    "hg": _run_hg,
-    "hori-vafa": _run_hori_vafa,
-    "oracle-compare": _run_oracle_compare,
+@dataclass(frozen=True)
+class Command:
+    """Everything the command line knows about one command."""
+
+    run: Callable[[JobSpec], dict]
+    # the job fields the runner reads besides the spec; the cache key
+    # covers only these, so a flag the command ignores never splits entries
+    key_fields: tuple[str, ...]
+    routes: tuple[str, ...]
+    min_degree: int | None = None  # the lowest --max-degree
+    # (lowest rank, message) of a command that needs a Grassmannian
+    grassmannian: tuple[int, str] | None = None
+    verdict: str | None = None  # a results field; false means exit 3
+
+
+COMMANDS = {
+    "tableaux": Command(_run_tableaux, ("explain",), ("enumeration",)),
+    "euler": Command(_run_euler, ("explain",), ("ledger", "closed-form")),
+    "integral": Command(_run_integral, ("lambda_seed", "explain"),
+                        ("fixed-point-oracle",)),
+    "hg": Command(
+        _run_hg, ("max_degree", "coset_budget"),
+        ("tableau-sum", "simplified-display"), min_degree=0,
+        grassmannian=(1, "hg requires a Grassmannian (a single rank)")),
+    "hori-vafa": Command(
+        _run_hori_vafa, ("max_degree", "lambda_seed", "coset_budget"),
+        ("tableau-sum", "simplified-display", "antisymmetrization"),
+        min_degree=1, verdict="ok",
+        grassmannian=(2, "hori-vafa requires a Grassmannian with rank >= 2")),
+    "oracle-compare": Command(
+        _run_oracle_compare, ("lambda_seed", "coset_budget"),
+        ("fixed-point-oracle", "fibration-tower"), verdict="all_equal"),
 }
 
 
@@ -282,49 +305,37 @@ def _source_digest() -> str:
     return digest.hexdigest()
 
 
-# The job fields each command's runner reads besides the spec; the cache
-# key covers only these, so a flag the command ignores never splits entries.
-_KEY_FIELDS = {
-    "tableaux": ("explain",),
-    "euler": ("explain",),
-    "integral": ("lambda_seed", "explain"),
-    "hg": ("max_degree", "coset_budget"),
-    "hori-vafa": ("max_degree", "lambda_seed", "coset_budget"),
-    "oracle-compare": ("lambda_seed", "coset_budget"),
-}
-
-
 def cache_key(job: JobSpec) -> str:
     identity = {"command": job.command, "spec": job.spec.to_json()}
-    for field in _KEY_FIELDS[job.command]:
+    for field in COMMANDS[job.command].key_fields:
         identity[field] = getattr(job, field)
     payload = {"job": identity, "engine": __version__,
                "source": _source_digest()}
     return hashlib.sha256(_canonical_json(payload).encode()).hexdigest()
 
 
-def _default_cache_dir() -> Path:
-    return Path.home() / ".cache" / "flaghg"
-
-
 def run_and_report(job: JobSpec) -> dict:
     """Dispatch a job through the cache and assemble the report."""
     key = cache_key(job)
-    cache_dir = Path(job.cache_dir) if job.cache_dir else _default_cache_dir()
+    cache_dir = (Path(job.cache_dir) if job.cache_dir
+                 else Path.home() / ".cache" / "flaghg")
     cache_file = cache_dir / f"{key}.json"
+    command = COMMANDS[job.command]
     cache_status = "miss"
     warning = None
-    if cache_file.exists():
-        try:
-            stored = json.loads(cache_file.read_text())
-            if not isinstance(stored, dict) or stored.get("key") != key:
-                raise ValueError("not an entry for this key")
-            results, work = stored["results"], stored["work"]
-            cache_status = "hit"
-        except (OSError, ValueError, KeyError):
+    try:
+        stored = json.loads(cache_file.read_text())
+        if not isinstance(stored, dict) or stored.get("key") != key:
+            raise ValueError("not an entry for this key")
+        results, work = stored["results"], stored["work"]
+        cache_status = "hit"
+    except (OSError, ValueError, KeyError) as exc:
+        # no entry, or no path to one, is a plain miss
+        if getattr(exc, "errno", None) not in (
+                errno.ENOENT, errno.ENOTDIR, errno.ENAMETOOLONG):
             warning = "cache entry was corrupt and has been bypassed"
     if cache_status == "miss":
-        results = _RUNNERS[job.command](job)
+        results = command.run(job)
         work = _work_counters(job)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
@@ -346,7 +357,7 @@ def run_and_report(job: JobSpec) -> dict:
     provenance = {
         "engine_version": __version__,
         "seed": job.lambda_seed,
-        "routes": _routes_for(job.command),
+        "routes": list(command.routes),
         "work": work,
         "cache": {"key": key, "status": cache_status},
     }
@@ -358,18 +369,6 @@ def run_and_report(job: JobSpec) -> dict:
         "results": results,
         "provenance": provenance,
     }
-
-
-def _routes_for(command: str) -> list[str]:
-    return {
-        "tableaux": ["enumeration"],
-        "euler": ["ledger", "closed-form"],
-        "integral": ["fixed-point-oracle"],
-        "hg": ["tableau-sum", "simplified-display"],
-        "hori-vafa": ["tableau-sum", "simplified-display",
-                      "antisymmetrization"],
-        "oracle-compare": ["fixed-point-oracle", "fibration-tower"],
-    }[command]
 
 
 def _work_counters(job: JobSpec) -> dict:
@@ -430,18 +429,12 @@ def main(argv=None) -> int:
         return 1
     try:
         report = run_and_report(job)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
     except FlagHGError as exc:
         print(f"computation error [{job.command}]: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(format_report(report, job.output_format))
-    if job.command == "hori-vafa" and not report["results"]["ok"]:
-        return 3
-    if job.command == "oracle-compare" and not report["results"]["all_equal"]:
-        return 3
-    return 0
+    verdict = COMMANDS[job.command].verdict
+    return 3 if verdict and not report["results"][verdict] else 0
 
 
 if __name__ == "__main__":

@@ -173,7 +173,7 @@ def _grassmannian_term_display_route(n: int, r: int, d: int) -> RatFun:
         for j in range(r):
             for l in range(1, comp[j] + 1):
                 term = term * RatFun(Poly.const(1),
-                                     {-xs[j] - alpha * l: 1}) ** n
+                                     {-xs[j] - alpha * l: n})
         terms.append(term)
     return ratfun_sum(terms)
 
@@ -212,12 +212,11 @@ def box_complement(mu: tuple[int, ...], r: int, cols: int) -> tuple[int, ...]:
     return tuple(cols - padded[r - 1 - i] for i in range(r))
 
 
-def schur_pairing(spec: FlagSpec, cls: RatFun, mu, lambda_seed: int = 0,
-                  lam=None) -> RatFun:
+def schur_pairing(spec: FlagSpec, cls: RatFun, mu,
+                  lambda_seed: int = 0) -> RatFun:
     """Integrate cls * s_mu over the manifold by the fixed-point oracle,
     with s_mu, the Schur polynomial of mu in the x roots, as its weight."""
-    if lam is None:
-        lam = lam_vector(spec.n, lambda_seed)
+    lam = lam_vector(spec.n, lambda_seed)
     s_mu = schur_polynomial(mu, x_roots(spec))
     return ab_integrals(zero_tableau(spec), lam, [s_mu], cls,
                         seed=lambda_seed)[0]

@@ -102,18 +102,9 @@ def omega_class(constraints: Sequence[tuple[Sequence[VarId],
     return out
 
 
-class TowerStage:
-    """One fibration step: alphabet, Thom class, and letter re-expression."""
-
-    def __init__(self, alphabet: BlockAlphabet, omega: Poly,
-                 letter_map: dict):
-        self.alphabet = alphabet
-        self.omega = omega
-        self.letter_map = letter_map
-
-
-def tableau_tower(t: Tableau) -> list[TowerStage]:
-    """Fibration tower of a distinguished component, lowest level first.
+def tableau_tower(t: Tableau) -> list[tuple[BlockAlphabet, Poly, dict]]:
+    """Fibration tower of a distinguished component, lowest level first,
+    one (alphabet, Thom class, letter re-expression) per stage.
 
     Stage i pushes along the flag bundle of the level-(i+1) tautological
     bundle: its alphabet is the level-i blocks plus a fresh quotient block,
@@ -145,16 +136,17 @@ def tableau_tower(t: Tableau) -> list[TowerStage]:
                 constraints.append((blocks.letters(i, j), quot_roots))
         omega = omega_class(constraints)
         letter_map = dict(zip(sorted(alphabet.letters), next_roots))
-        stages.append(TowerStage(alphabet, omega, letter_map))
+        stages.append((alphabet, omega, letter_map))
     return stages
 
 
-def integrate_to_point(p: RatFun, tower: Sequence[TowerStage],
+def integrate_to_point(p: RatFun,
+                       tower: Sequence[tuple[BlockAlphabet, Poly, dict]],
                        budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
     """Iterated restrictive push-forward, then ambient roots to zero."""
-    for stage in tower:
-        p = brion_pushforward(p * stage.omega, stage.alphabet, budget)
-        p = p.substitute(stage.letter_map)
+    for alphabet, omega, letter_map in tower:
+        p = brion_pushforward(p * omega, alphabet, budget)
+        p = p.substitute(letter_map)
     ambient_vars = {v for v in p.num.variables() if v.kind == 1}
     for f in p.den:
         ambient_vars |= {v for v in f.variables() if v.kind == 1}
@@ -185,9 +177,12 @@ def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
     return out
 
 
+# How many times the oracle draws fresh torus weights after singular ones.
+MAX_RETRIES = 5
+
+
 def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
-                 max_retries: int = 5, seed: int = 0,
-                 check_symmetry: bool = True) -> RatFun:
+                 seed: int = 0, check_symmetry: bool = True) -> RatFun:
     """Torus fixed-point integral of p over the component: the one-weight
     call ab_integrals(t, lam, [1], p), after checking that p is symmetric
     in the letters of each block (unless check_symmetry is False).
@@ -203,15 +198,14 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
         assert_block_symmetric(p, [blocks.letters(i, j)
                                    for i in range(1, blocks.levels + 1)
                                    for j in range(1, blocks.K(i) + 1)])
-    return ab_integrals(t, lam, [Poly.const(1)], p, max_retries=max_retries,
-                        seed=seed)[0]
+    return ab_integrals(t, lam, [Poly.const(1)], p, seed=seed)[0]
 
 
 def ab_integrals(t: Tableau, lam: Sequence[Fraction],
                  weights: Sequence[Poly], p: RatFun | None = None,
                  product: LinearProduct | None = None,
                  exp: tuple[Mapping[VarId, Poly], int] | None = None,
-                 max_retries: int = 5, seed: int = 0) -> list[RatFun]:
+                 seed: int = 0) -> list[RatFun]:
     """Torus fixed-point integrals of p * product * exp * weight over the
     component, one per weight, from one pass over the fixed points.
 
@@ -236,7 +230,7 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     The negative powers of s must cancel over the points for every weight.
     A vanishing alpha-free denominator factor or a surviving pole means
     non-generic weights (or a genuine pole); fresh weights are drawn from
-    the seed sequence up to max_retries times.  The sum runs in integers
+    the seed sequence up to MAX_RETRIES times.  The sum runs in integers
     over one common denominator, and one Fraction is built per coefficient
     of each result.
     """
@@ -389,14 +383,14 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
 
     points = torus_fixed_points(t)
     tangent = tangent_ledger(t)
-    for attempt in range(max_retries + 1):
+    for attempt in range(MAX_RETRIES + 1):
         try:
             common, rows = _ray_series_sums(
                 points, lam, slots, tangent, poles, zeros, shifts, b, order,
                 recipe, groups, forms, steps, coefs, cells, weight_terms)
             break
         except SingularSubstitutionError:
-            if attempt == max_retries:
+            if attempt == MAX_RETRIES:
                 raise
             lam = lam_vector(n, seed=seed + 1001 + attempt)
     out = []

@@ -59,14 +59,6 @@ class FlagSpec:
             return self.n
         return self.ranks[i - 1]
 
-    @property
-    def hilbert_polynomials(self) -> tuple[tuple[int, int], ...]:
-        """(slope, constant) per level: P_i(t) = (n-r_i) t + d_i + (n-r_i)."""
-        return tuple(
-            (self.n - r, d + self.n - r)
-            for r, d in zip(self.ranks, self.degrees)
-        )
-
     def flag_dimension(self) -> int:
         return sum(
             (self.n - self.rank(i)) * (self.rank(i) - self.rank(i - 1))

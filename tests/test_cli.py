@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -281,6 +283,79 @@ def test_main_hg_requires_grassmannian(tmp_path, capsys):
                  str(tmp_path)])
     assert code == 1
     assert "Grassmannian" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["hg", "--ranks", "1,2"], "hg requires a Grassmannian (a single rank)"),
+    (["hori-vafa", "--ranks", "1"],
+     "hori-vafa requires a Grassmannian with rank >= 2"),
+    (["hg", "--ranks", "1,2", "--max-degree", "-1"],
+     "hg needs --max-degree >= 0"),
+    (["hori-vafa", "--ranks", "1", "--max-degree", "0"],
+     "hori-vafa needs --max-degree >= 1"),
+])
+def test_command_usage_rules_fail_before_the_cache(tmp_path, capsys, argv,
+                                                   message):
+    # the --max-degree floor is checked before the Grassmannian shape
+    argv = [argv[0], "--n", "4", *argv[1:], "--cache-dir", str(tmp_path)]
+    with pytest.raises(UsageError, match=re.escape(message)):
+        parse_job(argv)
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"usage error: {message}\n"
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+# per command: the flags that split the cache key, provenance.routes, and
+# the results field whose false value makes main exit 3
+@pytest.mark.parametrize("command,splits,routes,verdict", [
+    ("tableaux", {"--explain"}, ["enumeration"], None),
+    ("euler", {"--explain"}, ["ledger", "closed-form"], None),
+    ("integral", {"--lambda-seed", "--explain"}, ["fixed-point-oracle"],
+     None),
+    ("hg", {"--max-degree", "--coset-budget"},
+     ["tableau-sum", "simplified-display"], None),
+    ("hori-vafa", {"--max-degree", "--lambda-seed", "--coset-budget"},
+     ["tableau-sum", "simplified-display", "antisymmetrization"], "ok"),
+    ("oracle-compare", {"--lambda-seed", "--coset-budget"},
+     ["fixed-point-oracle", "fibration-tower"], "all_equal"),
+])
+def test_command_table(tmp_path, capsys, monkeypatch, command, splits,
+                       routes, verdict):
+    base = [command, "--n", "4", "--ranks", "2", "--max-degree", "1",
+            "--json"]
+    flags = {"--max-degree": ["--max-degree", "2"],
+             "--lambda-seed": ["--lambda-seed", "3"],
+             "--coset-budget": ["--coset-budget", "7"],
+             "--explain": ["--explain"]}
+    key = cache_key(parse_job(base))
+    assert {flag for flag, extra in flags.items()
+            if cache_key(parse_job(base + extra)) != key} == splits
+    for field in ("ok", "all_equal"):
+        results = {"ok": True, "all_equal": True, field: False}
+        monkeypatch.setitem(cli.COMMANDS, command, dataclasses.replace(
+            cli.COMMANDS[command], run=lambda job: results))
+        code = main(base + ["--cache-dir", str(tmp_path / field)])
+        assert code == (3 if field == verdict else 0)
+        report = json.loads(capsys.readouterr().out)
+        assert report["results"] == results
+        assert report["provenance"]["routes"] == routes
+
+
+@pytest.mark.parametrize("name", ["a" * 300, "file"],
+                         ids=["name-too-long", "not-a-directory"])
+def test_cache_path_without_entry_is_a_plain_miss(tmp_path, capsys, name):
+    (tmp_path / "file").write_text("")
+    assert main(["tableaux", "--n", "3", "--ranks", "1", "--json",
+                 "--cache-dir", str(tmp_path / name)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out)
+    assert report["results"]["count"] == 1
+    assert report["provenance"]["cache"]["status"] == "miss"
+    assert report["provenance"]["warning"] == \
+        "cache directory is not writable"
 
 
 def test_main_hori_vafa_rejects_max_degree_zero(tmp_path, capsys):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flaghg import pushforward
 from flaghg.algebra import (ALPHA, FORMAL_C, LinearProduct, Poly, RatFun,
                             ambient, exp_series, kahler, y)
 from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
@@ -220,8 +221,9 @@ def test_ab_integrate_classical_values():
         == RatFun.const(0)
 
 
-def test_ab_integrate_singular_weights_retry_then_raise():
+def test_ab_integrate_singular_weights_retry_then_raise(monkeypatch):
     from flaghg.errors import SingularSubstitutionError
+    monkeypatch.setattr(pushforward, "MAX_RETRIES", 2)
     gr24 = Tableau(FlagSpec(4, (2,), (0,)), ((0, 0),))
     # an alpha-free denominator vanishes at the point {1,2} for these
     # weights; fresh weights are drawn but the class has a genuine pole
@@ -229,7 +231,7 @@ def test_ab_integrate_singular_weights_retry_then_raise():
                {P(y(1, 1, 1)) + P(y(1, 1, 2)): 1})
     bad = [Fraction(1), Fraction(-1), Fraction(2), Fraction(3)]
     with pytest.raises(SingularSubstitutionError):
-        ab_integrate(gr24, f, bad, max_retries=2, check_symmetry=False)
+        ab_integrate(gr24, f, bad, check_symmetry=False)
 
 
 def test_ab_integrate_rejects_asymmetric():
@@ -370,29 +372,31 @@ def removable_pole_integrand(t, p, pole, e):
     return f
 
 
-def test_ab_integrate_mixed_denominator_weights_matches_tower():
+def test_ab_integrate_mixed_denominator_weights_matches_tower(monkeypatch):
+    monkeypatch.setattr(pushforward, "MAX_RETRIES", 0)
     t, = enumerate_tableaux(FlagSpec(4, (1, 2), (1, 1)))
     alpha, root = P(ALPHA), P(y(1, 1, 1))
     y1, y2 = P(y(2, 1, 1)), P(y(2, 2, 1))
     p = y1 ** 3 * y2 ** 2 + alpha * P(kahler(1)) * y1 ** 3 * y2
     f = removable_pole_integrand(t, p, root - P(ambient(1)) - P(ambient(2)),
                                  1)
-    via_oracle = ab_integrate(t, f, MIXED_LAM, max_retries=0)
+    via_oracle = ab_integrate(t, f, MIXED_LAM)
     assert via_oracle == integrate_to_point(f, tableau_tower(t))
     assert via_oracle == ab_integrate(t, f, lam_vector(4, 3))
     assert via_oracle == RatFun(Fraction(-15, 4) - Fraction(93, 8)
                                 * P(kahler(1)), {alpha: 3})
 
 
-def test_ab_integrate_squared_scaled_factors_match_tower():
+def test_ab_integrate_squared_scaled_factors_match_tower(monkeypatch):
     # exponents 2 on a non-unit alpha weight and on an alpha-free factor
     # with a fractional coefficient
+    monkeypatch.setattr(pushforward, "MAX_RETRIES", 0)
     t, = enumerate_tableaux(FlagSpec(2, (1,), (0,)))
     alpha, root = P(ALPHA), P(y(1, 1, 1))
     p = root * root + alpha * root * P(kahler(1)) + alpha ** 2
     pole = root - Fraction(1, 2) * P(ambient(1)) - P(ambient(2))
     f = removable_pole_integrand(t, p, pole, 2)
-    via_oracle = ab_integrate(t, f, MIXED_LAM[:2], max_retries=0)
+    via_oracle = ab_integrate(t, f, MIXED_LAM[:2])
     assert via_oracle == integrate_to_point(f, tableau_tower(t))
     assert via_oracle == ab_integrate(t, f, lam_vector(2, 3))
     assert via_oracle == RatFun(Fraction(3, 2) + Fraction(3, 4)
@@ -499,7 +503,7 @@ def test_numerator_factor_with_alpha_weight():
                                      tableau_tower(t))
 
 
-def test_ab_integrals_forced_lambda_retry():
+def test_ab_integrals_forced_lambda_retry(monkeypatch):
     # y - e1 - e2 vanishes at y = e2 when lam1 = 0, so the first weights are
     # refused and fresh ones are drawn; the poles cancel over the points
     p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
@@ -508,9 +512,11 @@ def test_ab_integrals_forced_lambda_retry():
                {root - e1 - e2: 1})
     bad = [Fraction(0), Fraction(1)]
     weights = [Poly.const(1), root]
+    monkeypatch.setattr(pushforward, "MAX_RETRIES", 0)
     with pytest.raises(SingularSubstitutionError):
-        ab_integrals(p1, bad, weights, f, max_retries=0)
-    got = ab_integrals(p1, bad, weights, f, max_retries=1)
+        ab_integrals(p1, bad, weights, f)
+    monkeypatch.setattr(pushforward, "MAX_RETRIES", 1)
+    got = ab_integrals(p1, bad, weights, f)
     assert got == [expanded_ab_integrate(p1, f * w, lam_vector(2, 0))
                    for w in weights]
     assert got[0] == RatFun.const(1)

@@ -43,8 +43,6 @@ def test_flagspec_validation():
         FlagSpec(3, (3,), (0,))
     with pytest.raises(ValueError):
         FlagSpec(3, (1,), (-1,))
-    spec = FlagSpec(4, (2,), (3,))
-    assert spec.hilbert_polynomials == ((2, 5),)
 
 
 # Fl(1,2;C^5) at d = (1,4); each case breaks exactly one rule
