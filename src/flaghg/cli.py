@@ -18,9 +18,8 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import __version__
 from .errors import (DEFAULT_COSET_BUDGET, FlagHGError, FormulaMismatchError,
@@ -31,10 +30,11 @@ from .tableaux import (FlagSpec, block_decomposition, component_dimension,
 
 # The engine modules (algebra, fixedlocus, mirror, pushforward) are imported
 # inside the runners and _work_counters, so a cache hit never loads them.
+# The records here are NamedTuples, and those of tableaux slotted classes,
+# because `dataclasses` (with `inspect`) costs a hit more than its own work.
 
 
-@dataclass
-class JobSpec:
+class JobSpec(NamedTuple):
     command: str
     spec: FlagSpec
     max_degree: int
@@ -257,8 +257,7 @@ def _run_oracle_compare(job: JobSpec) -> dict:
     return {"all_equal": all_equal, "tableaux": rows}
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """Everything the command line knows about one command."""
 
     run: Callable[[JobSpec], dict]

@@ -13,7 +13,6 @@ moduli space and the component itself.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import product
 from typing import TYPE_CHECKING, Iterator
 
@@ -23,29 +22,58 @@ if TYPE_CHECKING:
     from .algebra import VarId
 
 
-@dataclass(frozen=True)
+# The records below are frozen slotted classes rather than dataclasses, so
+# that a command-line cache hit, which imports this module, never loads
+# `dataclasses` (and through it `inspect`).  Each spells out its fields in
+# __init__, __eq__ and __hash__: a loop over __slots__ is several times
+# slower, and enumeration builds a Tableau per component.
+
+def _frozen(self, name, *value):
+    raise AttributeError(
+        f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
 class FlagSpec:
     """Ambient dimension, strictly increasing ranks, per-level degrees."""
 
-    n: int
-    ranks: tuple[int, ...]
-    degrees: tuple[int, ...]
+    __slots__ = ("n", "ranks", "degrees")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        """Raise ValueError at the first failed check.  The command line
-        reports these messages as usage errors, so this order decides
-        which one a bad line shows.  Together the checks force n >= 2."""
-        ranks = self.ranks
+    def __init__(self, n: int, ranks, degrees):
+        """Store ranks and degrees as tuples, and raise ValueError at the
+        first failed check.  The command line reports these messages as
+        usage errors, so this order decides which one a bad line shows.
+        Together the checks force n >= 2."""
+        ranks, degrees = tuple(ranks), tuple(degrees)
         if any(a >= b for a, b in zip(ranks, ranks[1:])):
             raise ValueError("ranks must be strictly increasing")
-        if ranks and ranks[-1] >= self.n:
+        if ranks and ranks[-1] >= n:
             raise ValueError("ranks must be smaller than n")
         if not ranks or ranks[0] < 1:
             raise ValueError("ranks must be positive")
-        if len(self.degrees) != len(ranks):
+        if len(degrees) != len(ranks):
             raise ValueError("degrees must match ranks in length")
-        if any(d < 0 for d in self.degrees):
+        if any(d < 0 for d in degrees):
             raise ValueError("degrees must be non-negative")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "degrees", degrees)
+
+    def __repr__(self):
+        return (f"FlagSpec(n={self.n!r}, ranks={self.ranks!r}, "
+                f"degrees={self.degrees!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.n, self.ranks, self.degrees)
+                == (other.n, other.ranks, other.degrees))
+
+    def __hash__(self):
+        return hash((self.n, self.ranks, self.degrees))
+
+    def __reduce__(self):
+        return FlagSpec, (self.n, self.ranks, self.degrees)
 
     @property
     def levels(self) -> int:
@@ -106,15 +134,16 @@ def _column_admissible(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     return all(upper[j] >= lower[j] for j in range(len(upper)))
 
 
-@dataclass(frozen=True)
 class Tableau:
     """An admissible incomplete matrix A."""
 
-    spec: FlagSpec
-    rows: tuple[tuple[int, ...], ...]
+    __slots__ = ("spec", "rows")
+    __setattr__ = __delattr__ = _frozen
 
-    def __post_init__(self):
-        spec, rows = self.spec, self.rows
+    def __init__(self, spec: FlagSpec, rows):
+        """Store the rows as a tuple of tuples, and raise ValueError at the
+        first failed check."""
+        rows = tuple(map(tuple, rows))
         if len(rows) != spec.levels:
             raise ValueError("one row per level is required")
         for i, row in enumerate(rows):
@@ -130,6 +159,22 @@ class Tableau:
         for i, row in enumerate(rows):
             if sum(row) != spec.degrees[i]:
                 raise ValueError(f"row {i + 1} must sum to d_{i + 1}")
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "rows", rows)
+
+    def __repr__(self):
+        return f"Tableau(spec={self.spec!r}, rows={self.rows!r})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.spec, self.rows) == (other.spec, other.rows)
+
+    def __hash__(self):
+        return hash((self.spec, self.rows))
+
+    def __reduce__(self):
+        return Tableau, (self.spec, self.rows)
 
 
 def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
@@ -176,7 +221,6 @@ def _rle(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(values), tuple(mults)
 
 
-@dataclass(frozen=True)
 class BlockData:
     """Distinct row values, multiplicities and partial ranks per level.
 
@@ -184,9 +228,30 @@ class BlockData:
     block of value 0 and multiplicity n.
     """
 
-    spec: FlagSpec
-    values: tuple[tuple[int, ...], ...]
-    mults: tuple[tuple[int, ...], ...]
+    __slots__ = ("spec", "values", "mults")
+    __setattr__ = __delattr__ = _frozen
+
+    def __init__(self, spec: FlagSpec, values: tuple[tuple[int, ...], ...],
+                 mults: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "mults", mults)
+
+    def __repr__(self):
+        return (f"BlockData(spec={self.spec!r}, values={self.values!r}, "
+                f"mults={self.mults!r})")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.spec, self.values, self.mults)
+                == (other.spec, other.values, other.mults))
+
+    def __hash__(self):
+        return hash((self.spec, self.values, self.mults))
+
+    def __reduce__(self):
+        return BlockData, (self.spec, self.values, self.mults)
 
     @staticmethod
     def from_rows(spec: FlagSpec, rows) -> "BlockData":

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -59,6 +60,47 @@ def test_tableau_validation(rows, match):
     Tableau(spec, ((1,), (0, 4)))
     with pytest.raises(ValueError, match=match):
         Tableau(spec, rows)
+
+
+# Fl(1,2;C^5) at d = (1,4), the tableau ((1,), (0, 4)) and its blocks
+_SPEC = FlagSpec(5, (1, 2), (1, 4))
+_RECORD_FIELDS = {
+    FlagSpec: {"n": 5, "ranks": (1, 2), "degrees": (1, 4)},
+    Tableau: {"spec": _SPEC, "rows": ((1,), (0, 4))},
+    BlockData: {"spec": _SPEC, "values": ((1,), (0, 4), (0,)),
+                "mults": ((1,), (1, 1), (5,))},
+}
+
+
+@pytest.mark.parametrize("cls", list(_RECORD_FIELDS),
+                         ids=lambda cls: cls.__name__)
+def test_records_are_frozen_values(cls):
+    fields = _RECORD_FIELDS[cls]
+    record = cls(**fields)
+    assert {name: getattr(record, name) for name in fields} == fields
+    same = cls(*fields.values())
+    assert record == same and hash(record) == hash(same)
+    assert record != tuple(fields.values())
+    assert pickle.loads(pickle.dumps(record)) == record
+    assert repr(record) == f"{cls.__name__}(" + ", ".join(
+        f"{name}={value!r}" for name, value in fields.items()) + ")"
+    for name, value in fields.items():
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    assert block_decomposition(Tableau(**_RECORD_FIELDS[Tableau])) \
+        == BlockData(**_RECORD_FIELDS[BlockData])
+
+
+def test_list_fields_are_stored_as_tuples():
+    spec = FlagSpec(4, [2], [2])
+    assert (spec.ranks, spec.degrees) == ((2,), (2,))
+    assert spec == FlagSpec(4, (2,), (2,))
+    assert hash(spec) == hash(FlagSpec(4, (2,), (2,)))
+    t = Tableau(spec, [[0, 2]])
+    assert t.rows == ((0, 2),)
+    assert {t, enumerate_tableaux(spec)[0]} == {t}
 
 
 def test_enumerate_single_partition():
