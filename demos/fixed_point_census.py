@@ -5,19 +5,16 @@ data, the dimensions of the ambient moduli space and of each component,
 and the signed ledger whose Euler class drives the localization formula.
 """
 
-from flaghg import (FlagSpec, block_decomposition, component_dimension,
-                    enumerate_tableaux, hquot_dimension, normal_ledger,
-                    torus_fixed_points)
+from flaghg import (FlagSpec, component_dimension, enumerate_tableaux,
+                    hquot_dimension, normal_ledger, torus_fixed_points)
 
 spec = FlagSpec(n=4, ranks=(2,), degrees=(2,))
 print(f"Quot scheme for {spec}: dimension {hquot_dimension(spec)}")
 print()
 
 for t in enumerate_tableaux(spec):
-    blocks = block_decomposition(t)
     print(f"tableau A = {t.rows}")
-    print(f"  blocks: values {blocks.values[0]} multiplicities "
-          f"{blocks.mults[0]}")
+    print(f"  blocks: values {t.values[0]} multiplicities {t.mults[0]}")
     print(f"  component dimension {component_dimension(t)}, "
           f"codimension {hquot_dimension(spec) - component_dimension(t)}")
     print(f"  torus fixed points: {len(torus_fixed_points(t))}")

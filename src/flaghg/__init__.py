@@ -28,10 +28,9 @@ _EXPORTS = {
     "pushforward": ("BlockAlphabet", "ab_integrals", "ab_integrate",
                     "brion_pushforward", "integrate_to_point", "lam_vector",
                     "omega_class", "schur_polynomial", "tableau_tower"),
-    "tableaux": ("BlockData", "FlagSpec", "Tableau", "block_decomposition",
-                 "component_dimension", "enumerate_general_components",
-                 "enumerate_tableaux", "general_component_dimension",
-                 "hquot_dimension"),
+    "tableaux": ("FlagSpec", "Tableau", "component_dimension",
+                 "enumerate_general_components", "enumerate_tableaux",
+                 "general_component_dimension", "hquot_dimension"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

@@ -24,7 +24,7 @@ from typing import Callable, NamedTuple
 from . import __version__
 from .errors import (DEFAULT_COSET_BUDGET, FlagHGError, FormulaMismatchError,
                      UsageError)
-from .tableaux import (FlagSpec, block_decomposition, component_dimension,
+from .tableaux import (FlagSpec, component_dimension,
                        enumerate_general_components, enumerate_tableaux,
                        general_component_dimension, hquot_dimension)
 
@@ -81,7 +81,9 @@ def parse_job(argv, env=None) -> JobSpec:
     parser.add_argument("--cache-dir", type=str, default=None)
     try:
         args = parser.parse_args(argv)
-    except SystemExit:
+    except SystemExit as exc:
+        if exc.code == 0:  # --help printed the usage text
+            raise
         raise UsageError("bad command line")
     ranks = _parse_int_list(args.ranks, "--ranks")
     if args.degrees is None:
@@ -156,7 +158,7 @@ def _run_euler(job: JobSpec) -> dict:
     rows = []
     for t in enumerate_tableaux(spec):
         ledger = normal_ledger(t)
-        roots = canonical_roots(block_decomposition(t))
+        roots = canonical_roots(t)
         via_ledger = euler_class_from_ledger(ledger, roots)
         via_closed = euler_class_closed_form(t, roots)
         if via_ledger != via_closed:
@@ -224,18 +226,17 @@ def _run_oracle_compare(job: JobSpec) -> dict:
     rows = []
     all_equal = True
     for index, t in enumerate(enumerate_tableaux(spec)):
-        blocks = block_decomposition(t)
         rng = random.Random(job.lambda_seed * 7919 + index)
         cases = []
         dim = component_dimension(t)
         for trial in range(3):
             p = Poly.const(1)
             degree = 0
-            for i in range(1, blocks.levels + 1):
-                for j in range(1, blocks.K(i) + 1):
+            for i in range(1, t.levels + 1):
+                for j in range(1, t.K(i) + 1):
                     k = rng.randint(0, max(0, min(2, dim - degree)))
                     degree += k
-                    p = p * complete_homogeneous(k, blocks.letters(i, j))
+                    p = p * complete_homogeneous(k, t.letters(i, j))
             f = RatFun.from_poly(p)
             via_oracle = ab_integrate(t, f, lam, seed=job.lambda_seed,
                                       check_symmetry=False)
@@ -327,6 +328,9 @@ def run_and_report(job: JobSpec) -> dict:
         if not isinstance(stored, dict) or stored.get("key") != key:
             raise ValueError("not an entry for this key")
         results, work = stored["results"], stored["work"]
+        if not isinstance(results, dict) or (
+                command.verdict and command.verdict not in results):
+            raise ValueError("no results object for this command")
         cache_status = "hit"
     except (OSError, ValueError, KeyError) as exc:
         # no entry, or no path to one, is a plain miss

@@ -18,7 +18,7 @@ from typing import Iterator, Mapping, Sequence
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y)
 from .errors import CancellationFailureError, SymmetryViolationError
-from .tableaux import BlockData, Tableau, block_decomposition
+from .tableaux import Tableau
 
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
 FixedPoint = dict[BlockRef, tuple[int, ...]]  # block -> its coordinates
@@ -31,10 +31,10 @@ class Ledger:
     on insertion, so no two stored terms differ only in sign.
     """
 
-    __slots__ = ("blocks", "_mult")
+    __slots__ = ("tableau", "_mult")
 
-    def __init__(self, blocks: BlockData):
-        self.blocks = blocks
+    def __init__(self, tableau: Tableau):
+        self.tableau = tableau
         self._mult: dict[tuple[BlockRef, BlockRef, int], int] = {}
 
     def add(self, src: BlockRef, tgt: BlockRef, weight: int,
@@ -53,14 +53,14 @@ class Ledger:
             yield src, tgt, w, self._mult[key]
 
     def difference(self, other: "Ledger") -> "Ledger":
-        out = Ledger(self.blocks)
+        out = Ledger(self.tableau)
         out._mult = dict(self._mult)
         for (src, tgt, w), m in other._mult.items():
             out.add(src, tgt, w, -m)
         return out
 
     def block_rank(self, ref: BlockRef) -> int:
-        return self.blocks.m(ref[0], ref[1])
+        return self.tableau.m(ref[0], ref[1])
 
     def rank(self) -> int:
         return sum(
@@ -72,7 +72,7 @@ class Ledger:
         return any(w == 0 for (_, _, w) in self._mult)
 
     def negated(self) -> "Ledger":
-        out = Ledger(self.blocks)
+        out = Ledger(self.tableau)
         out._mult = {k: -m for k, m in self._mult.items()}
         return out
 
@@ -80,7 +80,7 @@ class Ledger:
         return not self._mult
 
     def to_json(self):
-        levels = self.blocks.levels
+        levels = self.tableau.levels
         out = []
         for src, tgt, w, m in self.terms():
             sign = 1 if m > 0 else -1
@@ -98,14 +98,13 @@ class Ledger:
 
 def tangent_ledger(t: Tableau) -> Ledger:
     """Weight-0 ledger of the component's tangent bundle (vertical sum)."""
-    blocks = block_decomposition(t)
-    ledger = Ledger(blocks)
-    for i in range(1, blocks.levels + 1):
-        Ki = blocks.K(i)
+    ledger = Ledger(t)
+    for i in range(1, t.levels + 1):
+        Ki = t.K(i)
         for j in range(1, Ki + 1):
             for jp in range(1, j + 1):
-                lo = blocks.I_A(i, jp - 1) + 1
-                hi = blocks.I_A(i, jp)
+                lo = t.I_A(i, jp - 1) + 1
+                hi = t.I_A(i, jp)
                 for k in range(lo, hi + 1):
                     ledger.add((i, j), (i + 1, k), 0, +1)
                 ledger.add((i, j), (i, jp), 0, -1)
@@ -132,21 +131,20 @@ def hquot_restriction_ledger(t: Tableau) -> Ledger:
     terms vanish for one-level specs but are forced by rank bookkeeping
     whenever a later row exceeds an earlier row's value by 2 or more.
     """
-    blocks = block_decomposition(t)
-    ledger = Ledger(blocks)
-    for i in range(1, blocks.levels + 1):
-        Ki = blocks.K(i)
-        Kn = blocks.K(i + 1)
+    ledger = Ledger(t)
+    for i in range(1, t.levels + 1):
+        Ki = t.K(i)
+        Kn = t.K(i + 1)
         for j in range(1, Ki + 1):
-            aij = blocks.a(i, j)
+            aij = t.a(i, j)
             for jp in range(1, Kn + 1):
-                gap = aij - blocks.a(i + 1, jp)
+                gap = aij - t.a(i + 1, jp)
                 for w in _weights_h0(gap):
                     ledger.add((i, j), (i + 1, jp), w, +1)
                 for w in _weights_h1(gap):
                     ledger.add((i, j), (i + 1, jp), w, -1)
             for jp in range(1, Ki + 1):
-                gap = aij - blocks.a(i, jp)
+                gap = aij - t.a(i, jp)
                 for w in _weights_h0(gap):
                     ledger.add((i, j), (i, jp), w, -1)
                 for w in _weights_h1(gap):
@@ -167,17 +165,17 @@ def normal_ledger(t: Tableau) -> Ledger:
 RootAssignment = Mapping[BlockRef, Sequence[Poly]]
 
 
-def canonical_roots(blocks: BlockData,
+def canonical_roots(t: Tableau,
                     ambient_roots: Sequence[Poly] | None = None) -> dict:
     """Block -> list of root polynomials; ambient defaults to formal e_k."""
     roots: dict[BlockRef, list[Poly]] = {}
-    for i in range(1, blocks.levels + 1):
-        for j in range(1, blocks.K(i) + 1):
-            roots[(i, j)] = [Poly.var(v) for v in blocks.letters(i, j)]
-    amb = blocks.levels + 1
+    for i in range(1, t.levels + 1):
+        for j in range(1, t.K(i) + 1):
+            roots[(i, j)] = [Poly.var(v) for v in t.letters(i, j)]
+    amb = t.levels + 1
     if ambient_roots is None:
         roots[(amb, 1)] = [
-            Poly.var(ambient(k)) for k in range(1, blocks.spec.n + 1)
+            Poly.var(ambient(k)) for k in range(1, t.spec.n + 1)
         ]
     else:
         roots[(amb, 1)] = list(ambient_roots)
@@ -202,7 +200,7 @@ def euler_product_from_ledger(ledger: Ledger,
 def euler_class_from_ledger(ledger: Ledger,
                             roots: RootAssignment | None = None) -> RatFun:
     if roots is None:
-        roots = canonical_roots(ledger.blocks)
+        roots = canonical_roots(ledger.tableau)
     return euler_product_from_ledger(ledger, roots).to_ratfun()
 
 
@@ -215,17 +213,16 @@ def euler_product_closed_form(t: Tableau,
     section factors over j' < j, and same-level first-cohomology factors
     over pairs with gap >= 2.
     """
-    blocks = block_decomposition(t)
     if roots is None:
-        roots = canonical_roots(blocks)
+        roots = canonical_roots(t)
     alpha = Poly.var(ALPHA)
     out = LinearProduct()
-    for i in range(1, blocks.levels + 1):
-        Ki = blocks.K(i)
+    for i in range(1, t.levels + 1):
+        Ki = t.K(i)
         for j in range(1, Ki + 1):
-            aij = blocks.a(i, j)
-            for jp in range(1, blocks.K(i + 1) + 1):
-                gap = aij - blocks.a(i + 1, jp)
+            aij = t.a(i, j)
+            for jp in range(1, t.K(i + 1) + 1):
+                gap = aij - t.a(i + 1, jp)
                 for l in range(1, gap + 1):
                     for ys in roots[(i, j)]:
                         for yt in roots[(i + 1, jp)]:
@@ -235,12 +232,12 @@ def euler_product_closed_form(t: Tableau,
                         for yt in roots[(i + 1, jp)]:
                             out.mul_factor(yt - ys - alpha * l, -1)
             for jp in range(1, j):
-                for l in range(1, aij - blocks.a(i, jp) + 1):
+                for l in range(1, aij - t.a(i, jp) + 1):
                     for ys in roots[(i, j)]:
                         for yt in roots[(i, jp)]:
                             out.mul_factor(yt - ys - alpha * l, -1)
             for jp in range(j + 1, Ki + 1):
-                gap = aij - blocks.a(i, jp)
+                gap = aij - t.a(i, jp)
                 for l in range(gap + 1, 0):
                     for ys in roots[(i, j)]:
                         for yt in roots[(i, jp)]:
@@ -258,22 +255,21 @@ def grassmannian_euler_product(t: Tableau) -> LinearProduct:
     weights, over the regrouped same-level denominator with its sign."""
     if t.spec.levels != 1:
         raise ValueError("Grassmannian display needs a one-level tableau")
-    blocks = block_decomposition(t)
     alpha = Poly.var(ALPHA)
     n = t.spec.n
     out = LinearProduct()
-    for j in range(1, blocks.K(1) + 1):
-        for k in range(1, blocks.m(1, j) + 1):
+    for j in range(1, t.K(1) + 1):
+        for k in range(1, t.m(1, j) + 1):
             yv = Poly.var(y(1, j, k))
-            for l in range(1, blocks.a(1, j) + 1):
+            for l in range(1, t.a(1, j) + 1):
                 out.mul_factor(-yv - alpha * l, n)
-    for j in range(1, blocks.K(1) + 1):
-        for jp in range(j + 1, blocks.K(1) + 1):
-            gap = blocks.a(1, jp) - blocks.a(1, j)
-            mm = blocks.m(1, j) * blocks.m(1, jp)
+    for j in range(1, t.K(1) + 1):
+        for jp in range(j + 1, t.K(1) + 1):
+            gap = t.a(1, jp) - t.a(1, j)
+            mm = t.m(1, j) * t.m(1, jp)
             out.mul_scalar(Fraction((-1) ** (mm * (gap - 1))))
-            for k in range(1, blocks.m(1, j) + 1):
-                for kp in range(1, blocks.m(1, jp) + 1):
+            for k in range(1, t.m(1, j) + 1):
+                for kp in range(1, t.m(1, jp) + 1):
                     f = -Poly.var(y(1, jp, kp)) + Poly.var(y(1, j, k)) \
                         - alpha * gap
                     out.mul_factor(f, -1)
@@ -288,10 +284,9 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
     fixed_point_count describes (1..n at the top level).  So every tuple is
     sorted, and the points come in lexicographic order of their choices.
     """
-    blocks = block_decomposition(t)
-    top = blocks.levels
+    top = t.levels
     order = [(i, j) for i in range(top, 0, -1)
-             for j in range(1, blocks.K(i) + 1)]
+             for j in range(1, t.K(i) + 1)]
     out: list[FixedPoint] = []
     point: FixedPoint = {}
 
@@ -303,11 +298,11 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
         if i == top:
             pool = range(1, t.spec.n + 1)
         else:
-            pool = sorted(c for k in range(1, blocks.I_A(i, j) + 1)
+            pool = sorted(c for k in range(1, t.I_A(i, j) + 1)
                           for c in point[(i + 1, k)])
         taken = {c for k in range(1, j) for c in point[(i, k)]}
         free = [c for c in pool if c not in taken]
-        for combo in combinations(free, blocks.m(i, j)):
+        for combo in combinations(free, t.m(i, j)):
             point[(i, j)] = combo  # blocks after b are reassigned below
             choose(b + 1)
 
@@ -323,11 +318,10 @@ def fixed_point_count(t: Tableau) -> int:
     the blocks before it; that pool size never depends on which coordinates
     were taken, so the choices multiply.
     """
-    blocks = block_decomposition(t)
     return prod(
-        comb(blocks.l(i + 1, j) - blocks.r(i, j - 1), blocks.m(i, j))
-        for i in range(1, blocks.levels + 1)
-        for j in range(1, blocks.K(i) + 1))
+        comb(t.l(i + 1, j) - t.r(i, j - 1), t.m(i, j))
+        for i in range(1, t.levels + 1)
+        for j in range(1, t.K(i) + 1))
 
 
 def scaled_weights(lam: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -362,8 +356,8 @@ def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
     and the remaining product is the genuine Euler class.
     """
     coords = dict(point)
-    n = ledger.blocks.spec.n
-    coords[(ledger.blocks.levels + 1, 1)] = range(1, n + 1)
+    n = ledger.tableau.spec.n
+    coords[(ledger.tableau.levels + 1, 1)] = range(1, n + 1)
     num = den = 1
     zeros = 0
     for src, tgt, w, m in ledger.terms():

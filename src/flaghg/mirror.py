@@ -21,9 +21,8 @@ from itertools import combinations, product as iproduct
 from .algebra import (ALPHA, FORMAL_C, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
 from .errors import FormulaMismatchError
-from .fixedlocus import (block_decomposition, canonical_roots,
-                         euler_class_from_ledger, euler_product_from_ledger,
-                         normal_ledger)
+from .fixedlocus import (canonical_roots, euler_class_from_ledger,
+                         euler_product_from_ledger, normal_ledger)
 from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrals,
                           brion_pushforward, lam_vector, schur_polynomial)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
@@ -33,9 +32,8 @@ from .tableaux import (FlagSpec, Tableau, component_dimension,
 def hyperplane_pullback(t: Tableau, level: int) -> Poly:
     """Pullback of the level's linearized hyperplane class: the negated sum
     of all level roots."""
-    blocks = block_decomposition(t)
-    return Poly.linear(0, {v: -1 for j in range(1, blocks.K(level) + 1)
-                           for v in blocks.letters(level, j)})
+    return Poly.linear(0, {v: -1 for j in range(1, t.K(level) + 1)
+                           for v in t.letters(level, j)})
 
 
 def zero_tableau(spec: FlagSpec) -> Tableau:
@@ -57,8 +55,7 @@ def mirror_integrand(t: Tableau) -> RatFun:
     for i in range(1, t.spec.levels + 1):
         exponent = exponent + hyperplane_pullback(t, i) * Poly.var(kahler(i))
     inverse_euler = euler_class_from_ledger(
-        normal_ledger(t).negated(),
-        canonical_roots(block_decomposition(t)))
+        normal_ledger(t).negated(), canonical_roots(t))
     return RatFun.from_poly(exp_series(exponent, dim)) * inverse_euler
 
 
@@ -121,8 +118,7 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
     per_tableau = []
     for t in enumerate_tableaux(spec):
         inverse_euler = euler_product_from_ledger(
-            normal_ledger(t).negated(),
-            canonical_roots(block_decomposition(t)))
+            normal_ledger(t).negated(), canonical_roots(t))
         hyperplanes = {kahler(i): hyperplane_pullback(t, i)
                        for i in range(1, spec.levels + 1)}
         contribution, = ab_integrals(
@@ -142,12 +138,10 @@ def _grassmannian_term_tableau_route(n: int, r: int, d: int,
     targets = x_roots(spec)
     total = RatFun.const(0)
     for t in enumerate_tableaux(spec):
-        blocks = block_decomposition(t)
         inverse_euler = euler_class_from_ledger(
-            normal_ledger(t).negated(),
-            canonical_roots(blocks, [Poly.zero()] * n))
-        alphabet = BlockAlphabet([blocks.letters(1, j)
-                                  for j in range(1, blocks.K(1) + 1)])
+            normal_ledger(t).negated(), canonical_roots(t, [Poly.zero()] * n))
+        alphabet = BlockAlphabet([t.letters(1, j)
+                                  for j in range(1, t.K(1) + 1)])
         pushed = brion_pushforward(inverse_euler, alphabet, budget)
         total = total + pushed.substitute(
             dict(zip(sorted(alphabet.letters), targets)))

@@ -35,7 +35,7 @@ from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
 from .fixedlocus import (assert_block_symmetric, scaled_weights,
                          tangent_euler_scaled, tangent_ledger,
                          torus_fixed_points)
-from .tableaux import Tableau, block_decomposition, component_dimension
+from .tableaux import Tableau, component_dimension
 
 
 class BlockAlphabet:
@@ -112,28 +112,26 @@ def tableau_tower(t: Tableau) -> list[tuple[BlockAlphabet, Poly, dict]]:
     level-(i+1) partial flag, and afterwards the letters are re-expressed
     through the level-(i+1) roots (ambient roots at the top).
     """
-    blocks = block_decomposition(t)
     spec = t.spec
     stages = []
     for i in range(1, spec.levels + 1):
         r_next = spec.rank(i + 1)
-        quot = [y(i, blocks.K(i) + 1, k)
+        quot = [y(i, t.K(i) + 1, k)
                 for k in range(1, r_next - spec.rank(i) + 1)]
-        level_blocks = [blocks.letters(i, j)
-                        for j in range(1, blocks.K(i) + 1)]
+        level_blocks = [t.letters(i, j) for j in range(1, t.K(i) + 1)]
         if quot:
             level_blocks.append(quot)
         alphabet = BlockAlphabet(level_blocks)
         if i == spec.levels:
             next_roots = [ambient(k) for k in range(1, spec.n + 1)]
         else:
-            next_roots = [v for j in range(1, blocks.K(i + 1) + 1)
-                          for v in blocks.letters(i + 1, j)]
+            next_roots = [v for j in range(1, t.K(i + 1) + 1)
+                          for v in t.letters(i + 1, j)]
         constraints = []
-        for j in range(1, blocks.K(i) + 1):
-            quot_roots = next_roots[blocks.l(i + 1, j):]
+        for j in range(1, t.K(i) + 1):
+            quot_roots = next_roots[t.l(i + 1, j):]
             if quot_roots:
-                constraints.append((blocks.letters(i, j), quot_roots))
+                constraints.append((t.letters(i, j), quot_roots))
         omega = omega_class(constraints)
         letter_map = dict(zip(sorted(alphabet.letters), next_roots))
         stages.append((alphabet, omega, letter_map))
@@ -161,14 +159,23 @@ def integrate_to_point(p: RatFun,
     return p
 
 
+# The distinct values num/den with |num| <= 19 and 1 <= den <= 5.
+_SMALL_POOL = 137
+
+
 def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
-    """First n distinct small rationals of a fixed congruential sequence."""
+    """First n distinct small rationals of a fixed congruential sequence.
+
+    The first _SMALL_POOL values have |numerator| <= 19 and denominator
+    <= 5, which is all of that pool; after them the numerator bound is the
+    number of values drawn so far, so the pool always has a free value."""
     state = (seed * 6364136223846793005 + 1442695040888963407) % (1 << 63)
     out: list[Fraction] = []
     seen = set()
     while len(out) < n:
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 63)
-        num = (state >> 33) % 39 - 19
+        bound = 19 if len(out) < _SMALL_POOL else len(out)
+        num = (state >> 33) % (2 * bound + 1) - bound
         den = (state >> 13) % 5 + 1
         v = Fraction(num, den)
         if v not in seen:
@@ -194,10 +201,9 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     integral per weight without multiplying anything out; see
     ab_integrals."""
     if check_symmetry:
-        blocks = block_decomposition(t)
-        assert_block_symmetric(p, [blocks.letters(i, j)
-                                   for i in range(1, blocks.levels + 1)
-                                   for j in range(1, blocks.K(i) + 1)])
+        assert_block_symmetric(p, [t.letters(i, j)
+                                   for i in range(1, t.levels + 1)
+                                   for j in range(1, t.K(i) + 1)])
     return ab_integrals(t, lam, [Poly.const(1)], p, seed=seed)[0]
 
 
@@ -246,9 +252,8 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     # The roots: the tableau's letters, then the ambient roots.  At a
     # point, letter y[i,j;k] sits on coordinate point[(i, j)][k - 1] and
     # e[k] on coordinate k, so the point's root values are one list.
-    blocks = block_decomposition(t)
-    letters = [v for i in range(1, blocks.levels + 1)
-               for j in range(1, blocks.K(i) + 1) for v in blocks.letters(i, j)]
+    letters = [v for i in range(1, t.levels + 1)
+               for j in range(1, t.K(i) + 1) for v in t.letters(i, j)]
     root_order = letters + [ambient(k) for k in range(1, n + 1)]
     slots = [((v.i, v.j), v.k - 1) for v in letters]
     at = {v: i for i, v in enumerate(root_order)}

@@ -4,17 +4,18 @@ A distinguished component is indexed by a matrix A whose i-th row is a
 non-decreasing list of r_i non-negative integers summing to d_i, with
 entries dominating the next row columnwise.  A general component is
 indexed by a pair (A;B) of such matrices whose degree vectors add up to
-d, and it is distinguished when B = 0.  From A we derive run-length
-blocks (distinct values with multiplicities), the critical-containment
-index between adjacent levels, and the dimensions of both the ambient
-moduli space and the component itself.
+d, and it is distinguished when B = 0.  A Tableau carries the run-length
+blocks of its rows (distinct values with multiplicities) and answers the
+critical-containment index Tableau.I_A and the partial rank Tableau.l
+between adjacent levels; the functions below give the dimensions of both
+the ambient moduli space and the component itself.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import product
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 from .errors import InfeasibleTableauError
 
@@ -106,21 +107,20 @@ def hquot_dimension(spec: FlagSpec) -> int:
     return dim
 
 
-def _ascending_rows(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """Non-decreasing non-negative rows of fixed length with a fixed sum."""
-    def rec(remaining, slots, minimum):
-        if slots == 1:
-            if remaining >= minimum:
-                yield (remaining,)
-            return
-        for v in range(minimum, remaining // slots + 1):
-            for rest in rec(remaining - v, slots - 1, v):
-                yield (v,) + rest
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    yield from rec(total, parts, 0)
+def _ascending_rows(total: int, parts: int) -> list[tuple[int, ...]]:
+    """Non-decreasing non-negative rows of fixed length with a fixed sum,
+    unordered.  Only the at most `total` positive entries are chosen, from
+    an explicit stack, so a long row costs no recursion."""
+    rows = []
+    stack = [((), total)]  # positive entries, largest first, and the rest
+    while stack:
+        chosen, left = stack.pop()
+        if not left:
+            rows.append((0,) * (parts - len(chosen)) + chosen[::-1])
+        elif len(chosen) < parts:
+            cap = min(chosen[-1], left) if chosen else left
+            stack.extend((chosen + (v,), left - v) for v in range(1, cap + 1))
+    return rows
 
 
 def _row_candidates(spec: FlagSpec) -> list[list[tuple[int, ...]]]:
@@ -134,10 +134,29 @@ def _column_admissible(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     return all(upper[j] >= lower[j] for j in range(len(upper)))
 
 
-class Tableau:
-    """An admissible incomplete matrix A."""
+def _rle(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    values: list[int] = []
+    mults: list[int] = []
+    for v in row:
+        if values and values[-1] == v:
+            mults[-1] += 1
+        else:
+            values.append(v)
+            mults.append(1)
+    return tuple(values), tuple(mults)
 
-    __slots__ = ("spec", "rows")
+
+class Tableau:
+    """An admissible incomplete matrix A and the run-length blocks of its
+    rows: values[i-1] holds the distinct entries of row i, ascending, and
+    mults[i-1] their multiplicities.
+
+    Levels are 1-based; level I+1 is the ambient pseudo-level with a single
+    block of value 0 and multiplicity n.  Equality, hashing and pickling
+    use spec and rows only, since the blocks follow from them.
+    """
+
+    __slots__ = ("spec", "rows", "values", "mults")
     __setattr__ = __delattr__ = _frozen
 
     def __init__(self, spec: FlagSpec, rows):
@@ -159,8 +178,11 @@ class Tableau:
         for i, row in enumerate(rows):
             if sum(row) != spec.degrees[i]:
                 raise ValueError(f"row {i + 1} must sum to d_{i + 1}")
+        blocks = [_rle(row) for row in rows] + [((0,), (spec.n,))]
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "values", tuple(v for v, _ in blocks))
+        object.__setattr__(self, "mults", tuple(m for _, m in blocks))
 
     def __repr__(self):
         return f"Tableau(spec={self.spec!r}, rows={self.rows!r})"
@@ -175,95 +197,6 @@ class Tableau:
 
     def __reduce__(self):
         return Tableau, (self.spec, self.rows)
-
-
-def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
-    """All distinguished tableaux, in lexicographic order of flattened rows."""
-    candidates = _row_candidates(spec)
-    out: list[Tableau] = []
-
-    def rec(level, chosen):
-        if level == spec.levels:
-            out.append(Tableau(spec, tuple(chosen)))
-            return
-        for row in candidates[level]:
-            if level > 0 and not _column_admissible(chosen[-1], row):
-                continue
-            rec(level + 1, chosen + [row])
-
-    rec(0, [])
-    return out
-
-
-def enumerate_general_components(
-        spec: FlagSpec) -> list[tuple[Tableau, Tableau]]:
-    """All (A;B) pairs, A of degree e and B of degree d - e for 0 <= e <= d,
-    in lexicographic order of the level pairs (A row, B row)."""
-    census = {e: enumerate_tableaux(FlagSpec(spec.n, spec.ranks, e))
-              for e in product(*(range(d + 1) for d in spec.degrees))}
-    pairs = []
-    for e, alphas in census.items():
-        betas = census[tuple(d - k for d, k in zip(spec.degrees, e))]
-        pairs.extend((a, b) for a in alphas for b in betas)
-    pairs.sort(key=lambda ab: tuple(zip(ab[0].rows, ab[1].rows)))
-    return pairs
-
-
-def _rle(row: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    values: list[int] = []
-    mults: list[int] = []
-    for v in row:
-        if values and values[-1] == v:
-            mults[-1] += 1
-        else:
-            values.append(v)
-            mults.append(1)
-    return tuple(values), tuple(mults)
-
-
-class BlockData:
-    """Distinct row values, multiplicities and partial ranks per level.
-
-    Levels are 1-based; level I+1 is the ambient pseudo-level with a single
-    block of value 0 and multiplicity n.
-    """
-
-    __slots__ = ("spec", "values", "mults")
-    __setattr__ = __delattr__ = _frozen
-
-    def __init__(self, spec: FlagSpec, values: tuple[tuple[int, ...], ...],
-                 mults: tuple[tuple[int, ...], ...]):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "mults", mults)
-
-    def __repr__(self):
-        return (f"BlockData(spec={self.spec!r}, values={self.values!r}, "
-                f"mults={self.mults!r})")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.spec, self.values, self.mults)
-                == (other.spec, other.values, other.mults))
-
-    def __hash__(self):
-        return hash((self.spec, self.values, self.mults))
-
-    def __reduce__(self):
-        return BlockData, (self.spec, self.values, self.mults)
-
-    @staticmethod
-    def from_rows(spec: FlagSpec, rows) -> "BlockData":
-        values = []
-        mults = []
-        for row in rows:
-            v, m = _rle(row)
-            values.append(v)
-            mults.append(m)
-        values.append((0,))
-        mults.append((spec.n,))
-        return BlockData(spec, tuple(values), tuple(mults))
 
     @property
     def levels(self) -> int:
@@ -298,27 +231,49 @@ class BlockData:
         return [y(i, j, k) for k in range(1, self.m(i, j) + 1)]
 
 
-def block_decomposition(t: Tableau) -> BlockData:
-    """Run-length blocks of the alpha rows plus the ambient pseudo-level."""
-    return BlockData.from_rows(t.spec, t.rows)
+def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
+    """All distinguished tableaux, in lexicographic order of flattened rows:
+    the admissible prefixes are extended one level at a time, each in
+    order, so many levels cost no recursion."""
+    prefixes: list[tuple[tuple[int, ...], ...]] = [()]
+    for candidates in _row_candidates(spec):
+        prefixes = [chosen + (row,) for chosen in prefixes
+                    for row in candidates
+                    if not chosen or _column_admissible(chosen[-1], row)]
+    return [Tableau(spec, rows) for rows in prefixes]
 
 
-def _tower_dimension(blocks: BlockData) -> int:
+def enumerate_general_components(
+        spec: FlagSpec) -> list[tuple[Tableau, Tableau]]:
+    """All (A;B) pairs, A of degree e and B of degree d - e for 0 <= e <= d,
+    in lexicographic order of the level pairs (A row, B row)."""
+    census = {e: enumerate_tableaux(FlagSpec(spec.n, spec.ranks, e))
+              for e in product(*(range(d + 1) for d in spec.degrees))}
+    pairs = []
+    for e, alphas in census.items():
+        betas = census[tuple(d - k for d, k in zip(spec.degrees, e))]
+        pairs.extend((a, b) for a in alphas for b in betas)
+    pairs.sort(key=lambda ab: tuple(zip(ab[0].rows, ab[1].rows)))
+    return pairs
+
+
+def block_decomposition(t: Tableau) -> Tableau:
+    """The tableau itself, which carries its blocks; kept for old callers."""
+    return t
+
+
+def component_dimension(t: Tableau) -> int:
+    """Dimension of the fixed component of a distinguished tableau: the sum
+    of its fibration steps, each of which must be non-negative."""
     dim = 0
-    for i in range(1, blocks.levels + 1):
-        for j in range(1, blocks.K(i) + 1):
-            step = (blocks.r(i, j) - blocks.r(i, j - 1)) \
-                * (blocks.l(i + 1, j) - blocks.r(i, j))
+    for i in range(1, t.levels + 1):
+        for j in range(1, t.K(i) + 1):
+            step = (t.r(i, j) - t.r(i, j - 1)) * (t.l(i + 1, j) - t.r(i, j))
             if step < 0:
                 raise InfeasibleTableauError(
                     f"negative fibration step at level {i}, block {j}")
             dim += step
     return dim
-
-
-def component_dimension(t: Tableau) -> int:
-    """Dimension of the fixed component of a distinguished tableau."""
-    return _tower_dimension(block_decomposition(t))
 
 
 def general_component_dimension(a: Tableau, b: Tableau) -> int:
@@ -327,12 +282,10 @@ def general_component_dimension(a: Tableau, b: Tableau) -> int:
     Per level pair: A-tower step + B-tower step minus the shared Grassmannian
     choice r_i * (max(l^A, l^B) - r_i) of the common last flag element.
     """
-    a_blocks = block_decomposition(a)
-    b_blocks = block_decomposition(b)
-    dim = _tower_dimension(a_blocks) + _tower_dimension(b_blocks)
-    for i in range(1, a.spec.levels + 1):
-        la = a_blocks.l(i + 1, a_blocks.K(i))
-        lb = b_blocks.l(i + 1, b_blocks.K(i))
+    dim = component_dimension(a) + component_dimension(b)
+    for i in range(1, a.levels + 1):
+        la = a.l(i + 1, a.K(i))
+        lb = b.l(i + 1, b.K(i))
         ri = a.spec.rank(i)
         dim -= ri * (max(la, lb) - ri)
     return dim

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from flaghg.algebra import Poly
 from flaghg.pushforward import complete_homogeneous
-from flaghg.tableaux import BlockData, FlagSpec, Tableau, block_decomposition
+from flaghg.tableaux import FlagSpec, Tableau
 
 
 # torus weights with pairwise different denominators
@@ -26,13 +26,13 @@ def all_specs(n_max: int, degree_sum_max: int, levels_max: int = 3):
                         yield FlagSpec(n, ranks, degrees)
 
 
-def max_rule_index(blocks: BlockData, i: int, j: int) -> int:
+def max_rule_index(t: Tableau, i: int, j: int) -> int:
     """I_A(i, j) by its definition: the largest k with a(i+1, k) <= a(i, j),
     0 when no block qualifies or j = 0."""
     if j == 0:
         return 0
-    return max((k for k in range(1, blocks.K(i + 1) + 1)
-                if blocks.a(i + 1, k) <= blocks.a(i, j)), default=0)
+    return max((k for k in range(1, t.K(i + 1) + 1)
+                if t.a(i + 1, k) <= t.a(i, j)), default=0)
 
 
 def random_poly(rng: random.Random, variables, degree: int = 3,
@@ -49,12 +49,11 @@ def random_poly(rng: random.Random, variables, degree: int = 3,
 def random_block_symmetric(t: Tableau, rng: random.Random,
                            degree_cap: int) -> Poly:
     """A random product of complete homogeneous pieces, one per block."""
-    blocks = block_decomposition(t)
     out = Poly.const(rng.randint(1, 3))
     budget = degree_cap
-    for i in range(1, blocks.levels + 1):
-        for j in range(1, blocks.K(i) + 1):
+    for i in range(1, t.levels + 1):
+        for j in range(1, t.K(i) + 1):
             k = rng.randint(0, max(0, min(3, budget)))
             budget -= k
-            out = out * complete_homogeneous(k, blocks.letters(i, j))
+            out = out * complete_homogeneous(k, t.letters(i, j))
     return out

@@ -24,9 +24,8 @@ from flaghg.mirror import _grassmannian_term_display_route as display_route
 from flaghg.mirror import _grassmannian_term_tableau_route as tableau_route
 from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
                                 tableau_tower)
-from flaghg.tableaux import (FlagSpec, block_decomposition,
-                             component_dimension, enumerate_tableaux,
-                             hquot_dimension)
+from flaghg.tableaux import (FlagSpec, component_dimension,
+                             enumerate_tableaux, hquot_dimension)
 
 from conftest import all_specs, random_block_symmetric
 from test_tableaux import brute_force_tableaux
@@ -113,12 +112,11 @@ def test_criterion_4_dual_route_euler_classes():
     ok = True
     for spec in all_specs(5, 4):
         for t in enumerate_tableaux(spec):
-            roots = canonical_roots(block_decomposition(t))
+            roots = canonical_roots(t)
             via_ledger = euler_product_from_ledger(normal_ledger(t), roots)
             ok = ok and via_ledger == euler_product_closed_form(t, roots)
             if spec.levels == 1:
-                zero_roots = canonical_roots(block_decomposition(t),
-                                             [Poly.zero()] * spec.n)
+                zero_roots = canonical_roots(t, [Poly.zero()] * spec.n)
                 display = grassmannian_euler_product(t)
                 ok = ok and euler_product_from_ledger(
                     normal_ledger(t), zero_roots) == display

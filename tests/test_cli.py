@@ -149,6 +149,22 @@ def test_cache_entry_without_work_is_bypassed_with_warning(tmp_path):
     assert run_and_report(job)["provenance"]["cache"]["status"] == "hit"
 
 
+@pytest.mark.parametrize("results", [{}, [1, 2]], ids=["no-verdict", "list"])
+def test_cache_entry_without_results_object_is_bypassed_with_warning(
+        tmp_path, capsys, results):
+    argv = ["hori-vafa", "--n", "3", "--ranks", "2", "--json",
+            "--cache-dir", str(tmp_path)]
+    key = cache_key(parse_job(argv))
+    (tmp_path / f"{key}.json").write_text(
+        json.dumps({"key": key, "results": results, "work": {}}))
+    assert main(argv) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["ok"] is True
+    assert report["provenance"]["cache"]["status"] == "miss"
+    assert report["provenance"]["warning"] == \
+        "cache entry was corrupt and has been bypassed"
+
+
 def test_unreadable_cache_entry_is_bypassed_with_warning(tmp_path, capsys):
     argv = ["integral", "--n", "2", "--ranks", "1", "--degrees", "1",
             "--json", "--cache-dir", str(tmp_path)]
@@ -441,6 +457,27 @@ def _python(args, **env):
     env.pop("FLAGHG_CACHE", None)
     return subprocess.run([sys.executable, *args], env=env,
                           capture_output=True, text=True, timeout=120)
+
+
+@pytest.mark.parametrize("flag", ["--help", "-h"])
+def test_help_exits_zero_without_a_usage_error(flag):
+    proc = _python(["-m", "flaghg", flag])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: flaghg")
+
+
+# more coordinates than lam_vector's 137 small weights, a row longer than
+# the interpreter's recursion limit, and the help text
+@pytest.mark.parametrize("argv", [
+    ["integral", "--n", "138", "--ranks", "1"],
+    ["tableaux", "--n", "2000", "--ranks", "1500", "--degrees", "0"],
+    ["tableaux", "--n", "2000", "--ranks", "1500", "--degrees", "1"],
+    ["--help"],
+], ids=lambda argv: " ".join(argv))
+def test_command_line_never_ends_in_a_traceback(tmp_path, argv):
+    proc = _python(["-m", "flaghg", *argv, "--cache-dir", str(tmp_path)])
+    assert proc.returncode in (0, 1, 2, 3)
+    assert "Traceback" not in proc.stderr
 
 
 # runs main on argv, then lists every loaded module on stderr

@@ -15,9 +15,8 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                hquot_restriction_ledger, normal_ledger,
                                scaled_weights, tangent_euler_scaled,
                                tangent_ledger, torus_fixed_points)
-from flaghg.tableaux import (FlagSpec, Tableau, block_decomposition,
-                             component_dimension, enumerate_tableaux,
-                             hquot_dimension)
+from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
+                             enumerate_tableaux, hquot_dimension)
 
 from conftest import MIXED_LAM, all_specs, max_rule_index
 from expanded_oracle import fixed_point_values
@@ -105,7 +104,7 @@ def test_zero_weight_purity_full_suite():
 
 def test_euler_class_p1_with_zero_ambient():
     t = gr(2, 1, 1, [1])
-    roots = canonical_roots(block_decomposition(t), [Poly.zero()] * 2)
+    roots = canonical_roots(t, [Poly.zero()] * 2)
     e = euler_class_from_ledger(normal_ledger(t), roots)
     yv = Poly.var(y(1, 1, 1))
     assert e == RatFun.from_poly((-yv - A) * (-yv - A))
@@ -119,7 +118,7 @@ def test_euler_class_empty_ledger_is_one():
 
 def test_euler_class_gr24_11():
     t = gr(4, 2, 2, [1, 1])
-    roots = canonical_roots(block_decomposition(t), [Poly.zero()] * 4)
+    roots = canonical_roots(t, [Poly.zero()] * 4)
     e = euler_class_from_ledger(normal_ledger(t), roots)
     y1, y2 = Poly.var(y(1, 1, 1)), Poly.var(y(1, 1, 2))
     assert e == RatFun.from_poly(((-y1 - A) ** 4) * ((-y2 - A) ** 4))
@@ -134,7 +133,7 @@ def test_euler_class_rejects_weight_zero():
 def test_dual_route_full_suite_factored():
     for spec in all_specs(5, 4):
         for t in enumerate_tableaux(spec):
-            roots = canonical_roots(block_decomposition(t))
+            roots = canonical_roots(t)
             lhs = euler_product_from_ledger(normal_ledger(t), roots)
             rhs = euler_product_closed_form(t, roots)
             assert lhs == rhs, (spec, t.rows)
@@ -151,8 +150,7 @@ def test_dual_route_expanded_small():
 def test_grassmannian_display_full_suite():
     for spec in all_specs(5, 4, levels_max=1):
         for t in enumerate_tableaux(spec):
-            roots = canonical_roots(block_decomposition(t),
-                                    [Poly.zero()] * spec.n)
+            roots = canonical_roots(t, [Poly.zero()] * spec.n)
             via_ledger = euler_product_from_ledger(normal_ledger(t), roots)
             assert via_ledger == grassmannian_euler_product(t), (spec, t.rows)
 
@@ -161,7 +159,7 @@ def test_factor_count_is_codimension():
     for spec in all_specs(4, 3):
         for t in enumerate_tableaux(spec):
             lp = euler_product_from_ledger(
-                normal_ledger(t), canonical_roots(block_decomposition(t)))
+                normal_ledger(t), canonical_roots(t))
             # numerator factors minus denominator factors, with multiplicity
             assert sum(lp.factors.values()) == \
                 hquot_dimension(spec) - component_dimension(t)
@@ -170,12 +168,11 @@ def test_factor_count_is_codimension():
 def test_block_symmetry_of_euler_classes():
     for spec in all_specs(4, 3):
         for t in enumerate_tableaux(spec):
-            blocks = block_decomposition(t)
             e = euler_class_from_ledger(
-                normal_ledger(t).negated(), canonical_roots(blocks))
-            for i in range(1, blocks.levels + 1):
-                for j in range(1, blocks.K(i) + 1):
-                    if blocks.m(i, j) < 2:
+                normal_ledger(t).negated(), canonical_roots(t))
+            for i in range(1, t.levels + 1):
+                for j in range(1, t.K(i) + 1):
+                    if t.m(i, j) < 2:
                         continue
                     a, b = y(i, j, 1), y(i, j, 2)
                     swapped = e.substitute({a: b, b: a})
@@ -211,10 +208,9 @@ def test_torus_fixed_points_match_brute_force():
     # of level-(i+1) blocks 1..I_A(i, j); sorted top level first
     for spec in all_specs(4, 3):
         for t in enumerate_tableaux(spec):
-            blocks = block_decomposition(t)
-            refs = [(i, j) for i in range(blocks.levels, 0, -1)
-                    for j in range(1, blocks.K(i) + 1)]
-            subsets = [combinations(range(1, spec.n + 1), blocks.m(*ref))
+            refs = [(i, j) for i in range(t.levels, 0, -1)
+                    for j in range(1, t.K(i) + 1)]
+            subsets = [combinations(range(1, spec.n + 1), t.m(*ref))
                        for ref in refs]
             expected = []
             for choice in product(*subsets):
@@ -222,9 +218,9 @@ def test_torus_fixed_points_match_brute_force():
                 nested = all(
                     set(point[(i, j)]) <= {
                         c for k in range(
-                            1, max_rule_index(blocks, i, j) + 1)
+                            1, max_rule_index(t, i, j) + 1)
                         for c in point[(i + 1, k)]}
-                    for i, j in refs if i < blocks.levels)
+                    for i, j in refs if i < t.levels)
                 disjoint = all(
                     not set(point[(i, j)]) & set(point[(i, k)])
                     for i, j in refs for k in range(1, j))
@@ -251,7 +247,7 @@ def test_specialize_equivariant_euler_example():
     point = torus_fixed_points(t)[0]
     lam = [Fraction(0), Fraction(1)]
     e = euler_class_from_ledger(normal_ledger(t),
-                                canonical_roots(block_decomposition(t)))
+                                canonical_roots(t))
     got = e.substitute(fixed_point_values(t, point, lam))
     # (lam1 - lam1 - alpha)(lam2 - lam1 - alpha) at lam=(0,1)
     assert got == RatFun.from_poly((-A) * (Poly.const(1) - A))

@@ -86,10 +86,9 @@ PACKAGE_EXPORTS = {
     "pushforward": ["BlockAlphabet", "ab_integrals", "ab_integrate",
                     "brion_pushforward", "integrate_to_point", "lam_vector",
                     "omega_class", "schur_polynomial", "tableau_tower"],
-    "tableaux": ["BlockData", "FlagSpec", "Tableau", "block_decomposition",
-                 "component_dimension", "enumerate_general_components",
-                 "enumerate_tableaux", "general_component_dimension",
-                 "hquot_dimension"],
+    "tableaux": ["FlagSpec", "Tableau", "component_dimension",
+                 "enumerate_general_components", "enumerate_tableaux",
+                 "general_component_dimension", "hquot_dimension"],
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
 
@@ -47,6 +48,9 @@ def test_integral_degree_zero_classical():
         RatFun.from_poly(T1)
     assert integral_Id(FlagSpec(3, (1,), (0,))).value == \
         RatFun.from_poly(T1 * T1 * Fraction(1, 2))
+    # more coordinates than lam_vector's 137 small weights
+    assert integral_Id(FlagSpec(138, (1,), (0,))).value == \
+        RatFun.from_poly(T1 ** 137 * Fraction(1, factorial(137)))
 
 
 def test_integral_gr24_plucker_degree():

@@ -11,8 +11,7 @@ from flaghg.algebra import (ALPHA, FORMAL_C, LinearProduct, Poly, RatFun,
                             ambient, exp_series, kahler, y)
 from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
                            SingularSubstitutionError, SymmetryViolationError)
-from flaghg.fixedlocus import (block_decomposition, canonical_roots,
-                               euler_class_from_ledger,
+from flaghg.fixedlocus import (canonical_roots, euler_class_from_ledger,
                                euler_product_from_ledger, normal_ledger)
 from flaghg.mirror import (box_partitions, grassmannian_hg_term,
                            hyperplane_pullback, mirror_integrand, x_roots,
@@ -208,6 +207,17 @@ def test_integrate_to_point_shape_error():
         integrate_to_point(stranger, tableau_tower(t))
 
 
+@pytest.mark.parametrize("n", [138, 400])
+def test_lam_vector_draws_past_the_small_pool(n):
+    # the 137 values num/den with |num| <= 19 and den <= 5 come first
+    small = {Fraction(a, b) for a in range(-19, 20) for b in range(1, 6)}
+    for seed in range(3):
+        lam = lam_vector(n, seed)
+        assert len(set(lam)) == n
+        assert lam[:137] == lam_vector(137, seed)
+        assert set(lam[:137]) == small
+
+
 def test_ab_integrate_classical_values():
     p2 = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
     lam = lam_vector(3, 0)
@@ -271,8 +281,7 @@ def test_ab_integrate_lambda_independence_polynomials():
 def test_ab_integrate_mirror_integrand_matches_tower():
     t = Tableau(FlagSpec(2, (1,), (1,)), ((1,),))
     inverse = euler_class_from_ledger(
-        normal_ledger(t).negated(),
-        canonical_roots(block_decomposition(t)))
+        normal_ledger(t).negated(), canonical_roots(t))
     integrand = RatFun.from_poly(
         exp_series(-P(y(1, 1, 1)) * P(kahler(1)), 1)) * inverse
     via_oracle = ab_integrate(t, integrand, lam_vector(2, 0))
@@ -423,15 +432,14 @@ def test_factored_oracle_matches_expanded_integrand(index, seed, use_product,
     t = ORACLE_TABLEAUX[index]
     rng = random.Random(seed)
     dim = component_dimension(t)
-    blocks = block_decomposition(t)
     alpha = P(ALPHA)
     p = RatFun(random_block_symmetric(t, rng, dim) + alpha * rng.randint(0, 2),
-               {P(y(1, 1, 1)) + alpha: 1} if blocks.m(1, 1) == 1 else {})
+               {P(y(1, 1, 1)) + alpha: 1} if t.m(1, 1) == 1 else {})
     product = exp = None
     expanded = p
     if use_product:
         product = euler_product_from_ledger(normal_ledger(t).negated(),
-                                            canonical_roots(blocks))
+                                            canonical_roots(t))
         expanded = expanded * product.to_ratfun()
     if use_exp:
         scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))

@@ -3,9 +3,9 @@ import pickle
 
 import pytest
 
+from flaghg import tableaux
 from flaghg.errors import InfeasibleTableauError
-from flaghg.tableaux import (BlockData, FlagSpec, Tableau,
-                             block_decomposition, component_dimension,
+from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_general_components,
                              enumerate_tableaux, general_component_dimension,
                              hquot_dimension)
@@ -62,35 +62,37 @@ def test_tableau_validation(rows, match):
         Tableau(spec, rows)
 
 
-# Fl(1,2;C^5) at d = (1,4), the tableau ((1,), (0, 4)) and its blocks
+# Fl(1,2;C^5) at d = (1,4) and the tableau ((1,), (0, 4))
 _SPEC = FlagSpec(5, (1, 2), (1, 4))
 _RECORD_FIELDS = {
     FlagSpec: {"n": 5, "ranks": (1, 2), "degrees": (1, 4)},
     Tableau: {"spec": _SPEC, "rows": ((1,), (0, 4))},
-    BlockData: {"spec": _SPEC, "values": ((1,), (0, 4), (0,)),
-                "mults": ((1,), (1, 1), (5,))},
+}
+# what __init__ derives from the fields: the tableau's blocks
+_DERIVED = {
+    FlagSpec: {},
+    Tableau: {"values": ((1,), (0, 4), (0,)), "mults": ((1,), (1, 1), (5,))},
 }
 
 
 @pytest.mark.parametrize("cls", list(_RECORD_FIELDS),
                          ids=lambda cls: cls.__name__)
 def test_records_are_frozen_values(cls):
-    fields = _RECORD_FIELDS[cls]
+    fields, derived = _RECORD_FIELDS[cls], _DERIVED[cls]
     record = cls(**fields)
     assert {name: getattr(record, name) for name in fields} == fields
+    assert {name: getattr(record, name) for name in derived} == derived
     same = cls(*fields.values())
     assert record == same and hash(record) == hash(same)
     assert record != tuple(fields.values())
     assert pickle.loads(pickle.dumps(record)) == record
     assert repr(record) == f"{cls.__name__}(" + ", ".join(
         f"{name}={value!r}" for name, value in fields.items()) + ")"
-    for name, value in fields.items():
+    for name, value in {**fields, **derived}.items():
         with pytest.raises(AttributeError):
             setattr(record, name, value)
         with pytest.raises(AttributeError):
             delattr(record, name)
-    assert block_decomposition(Tableau(**_RECORD_FIELDS[Tableau])) \
-        == BlockData(**_RECORD_FIELDS[BlockData])
 
 
 def test_list_fields_are_stored_as_tuples():
@@ -161,29 +163,45 @@ def test_partition_count_bijection():
             assert len(enumerate_tableaux(spec)) == partitions_at_most(d, r)
 
 
+# Gr(1500, 2000): each block of the row adds m * (n - r), with m its size
+# and r the partial rank through it
+@pytest.mark.parametrize("degree, dimension", [
+    (0, 1500 * 500),
+    (1, 1499 * 501 + 1 * 500),
+])
+def test_long_rows_enumerate_without_recursion(degree, dimension):
+    [t] = enumerate_tableaux(FlagSpec(2000, (1500,), (degree,)))
+    assert t.rows == ((0,) * (1500 - degree) + (1,) * degree,)
+    assert component_dimension(t) == dimension
+
+
+def test_many_levels_enumerate_without_recursion():
+    n = 1200
+    [t] = enumerate_tableaux(FlagSpec(n, range(1, n), (0,) * (n - 1)))
+    assert component_dimension(t) == n * (n - 1) // 2
+
+
 def test_block_decomposition_examples():
-    b = block_decomposition(Tableau(FlagSpec(6, (4,), (5,)), ((0, 1, 1, 3),)))
-    assert b.values[0] == (0, 1, 3)
-    assert b.mults[0] == (1, 2, 1)
-    assert b.K(1) == 3
-    assert (b.values[1], b.mults[1], b.K(2)) == ((0,), (6,), 1)
-    b2 = block_decomposition(Tableau(FlagSpec(3, (2,), (2,)), ((1, 1),)))
-    assert b2.values[0] == (1,) and b2.mults[0] == (2,)
+    t = Tableau(FlagSpec(6, (4,), (5,)), ((0, 1, 1, 3),))
+    assert t.values[0] == (0, 1, 3)
+    assert t.mults[0] == (1, 2, 1)
+    assert t.K(1) == 3
+    assert (t.values[1], t.mults[1], t.K(2)) == ((0,), (6,), 1)
+    t2 = Tableau(FlagSpec(3, (2,), (2,)), ((1, 1),))
+    assert t2.values[0] == (1,) and t2.mults[0] == (2,)
 
 
 def test_critical_index_examples():
     # single level: ambient convention forces the index to 1
-    b = block_decomposition(Tableau(FlagSpec(4, (2,), (2,)), ((0, 2),)))
-    assert b.I_A(1, 1) == 1 and b.I_A(1, 2) == 1
+    t = Tableau(FlagSpec(4, (2,), (2,)), ((0, 2),))
+    assert t.I_A(1, 1) == 1 and t.I_A(1, 2) == 1
     # rows (1) over (0,3): max-rule gives 1, short of the last block
-    b = block_decomposition(
-        Tableau(FlagSpec(5, (1, 2), (1, 3)), ((1,), (0, 3))))
-    assert b.I_A(1, 1) == 1
-    assert b.I_A(1, b.K(1)) != b.K(2)
+    t = Tableau(FlagSpec(5, (1, 2), (1, 3)), ((1,), (0, 3)))
+    assert t.I_A(1, 1) == 1
+    assert t.I_A(1, t.K(1)) != t.K(2)
     # rows (1) over (0,1): index 2
-    b = block_decomposition(
-        Tableau(FlagSpec(5, (1, 2), (1, 1)), ((1,), (0, 1))))
-    assert b.I_A(1, 1) == 2
+    t = Tableau(FlagSpec(5, (1, 2), (1, 1)), ((1,), (0, 1)))
+    assert t.I_A(1, 1) == 2
 
 
 def test_hquot_dimension_examples():
@@ -224,21 +242,19 @@ def test_component_dimension_bounded_by_moduli():
 def test_nonemptiness_of_critical_containment():
     for spec in all_specs(5, 4):
         for t in enumerate_tableaux(spec):
-            blocks = block_decomposition(t)
             for i in range(1, spec.levels + 1):
-                assert blocks.l(i + 1, blocks.K(i)) >= spec.rank(i)
-                for j in range(1, blocks.K(i) + 1):
-                    assert blocks.l(i + 1, j) >= blocks.r(i, j)
+                assert t.l(i + 1, t.K(i)) >= spec.rank(i)
+                for j in range(1, t.K(i) + 1):
+                    assert t.l(i + 1, j) >= t.r(i, j)
 
 
 def test_index_table_invariants():
     for spec in all_specs(5, 3):
         for t in enumerate_tableaux(spec):
-            blocks = block_decomposition(t)
             for i in range(1, spec.levels + 1):
-                assert blocks.I_A(i, 0) == 0
-                for j in range(1, blocks.K(i) + 1):
-                    assert blocks.I_A(i, j - 1) <= blocks.I_A(i, j)
+                assert t.I_A(i, 0) == 0
+                for j in range(1, t.K(i) + 1):
+                    assert t.I_A(i, j - 1) <= t.I_A(i, j)
 
 
 def test_index_methods_match_max_rule():
@@ -246,23 +262,23 @@ def test_index_methods_match_max_rule():
     for spec in all_specs(5, 3):
         for pair in enumerate_general_components(spec):
             for t in pair:
-                blocks = block_decomposition(t)
                 for i in range(1, spec.levels + 1):
-                    for j in range(blocks.K(i) + 1):
-                        index = max_rule_index(blocks, i, j)
-                        assert blocks.I_A(i, j) == index, (t.rows, i, j)
+                    for j in range(t.K(i) + 1):
+                        index = max_rule_index(t, i, j)
+                        assert t.I_A(i, j) == index, (t.rows, i, j)
                         if j:
-                            assert blocks.l(i + 1, j) == \
-                                blocks.r(i + 1, index), (t.rows, i, j)
+                            assert t.l(i + 1, j) == \
+                                t.r(i + 1, index), (t.rows, i, j)
 
 
-def test_negative_fibration_step_is_caught():
-    # column-inadmissible raw rows sneak past BlockData but not the guard
-    from flaghg.tableaux import _tower_dimension
-    spec = FlagSpec(5, (2, 3), (0, 3))
-    blocks = BlockData.from_rows(spec, ((0, 0), (1, 1, 1)))
+def test_negative_fibration_step_is_caught(monkeypatch):
+    # column-inadmissible rows, let past validation in this test only,
+    # must still stop at the guard
+    monkeypatch.setattr(tableaux, "_column_admissible",
+                        lambda upper, lower: True)
+    t = Tableau(FlagSpec(5, (2, 3), (0, 3)), ((0, 0), (1, 1, 1)))
     with pytest.raises(InfeasibleTableauError):
-        _tower_dimension(blocks)
+        component_dimension(t)
 
 
 def test_component_dimension_never_raises_on_enumerated_tableaux():
