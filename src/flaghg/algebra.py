@@ -965,13 +965,9 @@ class LinearProduct:
 
     __slots__ = ("scalar", "factors")
 
-    def __init__(self, scalar: Scalar = 1,
-                 factors: Mapping[Poly, int] | None = None):
+    def __init__(self, scalar: Scalar = 1):
         self.scalar = Fraction(scalar)
         self.factors: dict[Poly, int] = {}
-        if factors:
-            for f, e in factors.items():
-                self.mul_factor(f, e)
 
     def mul_factor(self, factor: Poly, exponent: int = 1) -> None:
         if exponent == 0:

@@ -104,6 +104,10 @@ def parse_job(argv, env=None) -> JobSpec:
         min_rank, message = command.grassmannian
         if spec.levels != 1 or spec.ranks[0] < min_rank:
             raise UsageError(message)
+        # the degrees come from --max-degree; a non-zero --degrees would
+        # split the cache and count tableaux the command never reads
+        if any(spec.degrees):
+            raise UsageError(f"{args.command} takes no --degrees")
     return JobSpec(
         command=args.command,
         spec=spec,
@@ -331,6 +335,10 @@ def run_and_report(job: JobSpec) -> dict:
         if not isinstance(results, dict) or (
                 command.verdict and command.verdict not in results):
             raise ValueError("no results object for this command")
+        if not isinstance(work, dict) or not all(
+                type(work.get(field)) is int
+                for field in ("tableaux", "fixed_points")):
+            raise ValueError("no work counters")
         cache_status = "hit"
     except (OSError, ValueError, KeyError) as exc:
         # no entry, or no path to one, is a plain miss

@@ -217,31 +217,25 @@ def euler_product_closed_form(t: Tableau,
         roots = canonical_roots(t)
     alpha = Poly.var(ALPHA)
     out = LinearProduct()
+
+    def mul(src: BlockRef, tgt: BlockRef, shifts: range, sign: int) -> None:
+        for l in shifts:
+            for ys in roots[src]:
+                for yt in roots[tgt]:
+                    out.mul_factor(yt - ys - alpha * l, sign)
+
     for i in range(1, t.levels + 1):
         Ki = t.K(i)
         for j in range(1, Ki + 1):
             aij = t.a(i, j)
             for jp in range(1, t.K(i + 1) + 1):
                 gap = aij - t.a(i + 1, jp)
-                for l in range(1, gap + 1):
-                    for ys in roots[(i, j)]:
-                        for yt in roots[(i + 1, jp)]:
-                            out.mul_factor(yt - ys - alpha * l, +1)
-                for l in range(gap + 1, 0):
-                    for ys in roots[(i, j)]:
-                        for yt in roots[(i + 1, jp)]:
-                            out.mul_factor(yt - ys - alpha * l, -1)
+                mul((i, j), (i + 1, jp), range(1, gap + 1), +1)
+                mul((i, j), (i + 1, jp), range(gap + 1, 0), -1)
             for jp in range(1, j):
-                for l in range(1, aij - t.a(i, jp) + 1):
-                    for ys in roots[(i, j)]:
-                        for yt in roots[(i, jp)]:
-                            out.mul_factor(yt - ys - alpha * l, -1)
+                mul((i, j), (i, jp), range(1, aij - t.a(i, jp) + 1), -1)
             for jp in range(j + 1, Ki + 1):
-                gap = aij - t.a(i, jp)
-                for l in range(gap + 1, 0):
-                    for ys in roots[(i, j)]:
-                        for yt in roots[(i, jp)]:
-                            out.mul_factor(yt - ys - alpha * l, +1)
+                mul((i, j), (i, jp), range(aij - t.a(i, jp) + 1, 0), +1)
     return out
 
 

@@ -5,11 +5,12 @@ The degree-d integral over a flag manifold is the sum over distinguished
 tableaux of the truncated exponential of the pulled-back hyperplane
 classes against the inverse normal Euler class, integrated by the
 fixed-point oracle.  The oracle receives the two factored, the Euler class
-as its linear factors and the exponential as its hyperplane classes, and
-never expands their product.  For Grassmannians the degree-d class itself is
-assembled two independent ways and verified against the antisymmetrized
-product of projective-space series; each class is paired with all Schur
-polynomials in one oracle call, the polynomials as its weights.
+as the tableau's normal ledger and the exponential as its hyperplane
+classes, and never expands their product.  For Grassmannians the degree-d
+class itself is assembled two independent ways and verified against the
+antisymmetrized product of projective-space series; each class is paired
+with all Schur polynomials in one oracle call, the polynomials as its
+weights.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .algebra import (ALPHA, FORMAL_C, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
 from .errors import FormulaMismatchError
 from .fixedlocus import (canonical_roots, euler_class_from_ledger,
-                         euler_product_from_ledger, normal_ledger)
+                         normal_ledger)
 from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrals,
                           brion_pushforward, lam_vector, schur_polynomial)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
@@ -111,18 +112,16 @@ class IntegralResult:
 
 def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
     """Sum the localization integral over all distinguished tableaux; each
-    tableau's exp and inverse normal Euler class go to the oracle as
-    factors, never multiplied out."""
+    tableau's exp goes to the oracle as its hyperplane classes and its
+    inverse normal Euler class as its normal ledger, never multiplied out."""
     lam = lam_vector(spec.n, lambda_seed)
     total = RatFun.const(0)
     per_tableau = []
     for t in enumerate_tableaux(spec):
-        inverse_euler = euler_product_from_ledger(
-            normal_ledger(t).negated(), canonical_roots(t))
         hyperplanes = {kahler(i): hyperplane_pullback(t, i)
                        for i in range(1, spec.levels + 1)}
         contribution, = ab_integrals(
-            t, lam, [Poly.const(1)], product=inverse_euler,
+            t, lam, [Poly.const(1)], normal=normal_ledger(t),
             exp=(hyperplanes, component_dimension(t)), seed=lambda_seed)
         per_tableau.append((t, contribution))
         total = total + contribution

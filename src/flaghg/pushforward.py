@@ -11,13 +11,13 @@ class.  Iterating down a component's fibration tower and killing the
 ambient roots integrates to a point; the independent oracle instead sums
 integrand/tangent-Euler over the torus fixed points.
 
-The oracle takes its integrand factored (a RatFun, a product of linear
-factors, a truncated exponential of Kahler variables times root forms)
-together with a list of polynomial weights, and never multiplies the
-pieces out: at a fixed point on the ray lam*s each piece is a number
-times a power of s, so the point contributes a short series per weight,
-and everything that does not depend on the weight is computed once per
-point.
+The oracle takes its integrand factored (a RatFun, a normal ledger whose
+Euler class divides it, a truncated exponential of Kahler variables times
+root forms) together with a list of polynomial weights, and never
+multiplies the pieces out: at a fixed point on the ray lam*s each piece
+is a number times a power of s, so the point contributes a short series
+per weight, and everything that does not depend on the weight is
+computed once per point.
 """
 
 from __future__ import annotations
@@ -29,10 +29,10 @@ from itertools import (combinations_with_replacement, permutations,
 from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
-from .algebra import ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y
+from .algebra import ALPHA, Poly, RatFun, VarId, ambient, y
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
-from .fixedlocus import (assert_block_symmetric, scaled_weights,
+from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
                          tangent_euler_scaled, tangent_ledger,
                          torus_fixed_points)
 from .tableaux import Tableau, component_dimension
@@ -194,9 +194,9 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     call ab_integrals(t, lam, [1], p), after checking that p is symmetric
     in the letters of each block (unless check_symmetry is False).
 
-    The oracle itself takes the integrand factored (a RatFun, a product of
-    linear factors and a truncated exponential of hyperplane classes) with
-    a list of polynomial weights, evaluates each piece at every fixed point
+    The oracle itself takes the integrand factored (a RatFun, a normal
+    ledger and a truncated exponential of hyperplane classes) with a list
+    of polynomial weights, evaluates each piece at every fixed point
     as a number times a power of the ray parameter, and returns one
     integral per weight without multiplying anything out; see
     ab_integrals."""
@@ -209,17 +209,18 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
 
 def ab_integrals(t: Tableau, lam: Sequence[Fraction],
                  weights: Sequence[Poly], p: RatFun | None = None,
-                 product: LinearProduct | None = None,
+                 normal: Ledger | None = None,
                  exp: tuple[Mapping[VarId, Poly], int] | None = None,
                  seed: int = 0) -> list[RatFun]:
-    """Torus fixed-point integrals of p * product * exp * weight over the
+    """Torus fixed-point integrals of p * exp * weight / e(normal) over the
     component, one per weight, from one pass over the fixed points.
 
-    The integrand stays factored: p is a RatFun, product a LinearProduct
-    of linear factors with signed exponents, exp = ({t_i: H_i}, D) the
-    exponential of sum_i t_i*H_i truncated at degree D, with each H_i a
-    root form, and each weight a polynomial in the roots.  Every linear
-    factor must be a root form plus a multiple of alpha.
+    The integrand stays factored: p is a RatFun, normal a ledger whose
+    equivariant Euler class divides the integrand, exp = ({t_i: H_i}, D)
+    the exponential of sum_i t_i*H_i truncated at degree D, with each H_i a
+    root form, and each weight a polynomial in the roots.  Every
+    denominator factor of p must be a root form plus a multiple of alpha,
+    and every ledger term must have a non-zero weight.
 
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
@@ -227,11 +228,13 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     At a point each piece is a number times a power of s: a root monomial
     of degree r is c*s^r, and H_i is c_i*s, so exp brings the multinomials
     of the c_i.  A linear factor is s*delta + w*alpha: for w != 0 it is
-    w*alpha*(1 + x*u) with u = s/alpha, which multiplies or divides the
-    series in u, so alpha stays symbolic; for w = 0 it shifts the s-degree
-    in the numerator and raises the pole order in the denominator.  The
-    root values, the tangent Euler class, the series of the factors and
-    each weight's values are computed once per point.
+    w*alpha*(1 + x*u) with u = s/alpha, which divides the series in u
+    (or multiplies it, for a ledger term of negative multiplicity), so
+    alpha stays symbolic; for w = 0 it raises the pole order.  A ledger
+    term (src, tgt, w, m) gives the factor y_tgt - y_src + w*alpha to the
+    power m for each pair of a root of src and a root of tgt.  The root
+    values, the tangent Euler class, the series of the factors and each
+    weight's values are computed once per point.
 
     The negative powers of s must cancel over the points for every weight.
     A vanishing alpha-free denominator factor or a surviving pole means
@@ -246,53 +249,52 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     if len(lam) != n:
         raise ValueError("one torus weight per coordinate is required")
     num = p.num if p is not None else Poly.const(1)
-    scalar = product.scalar if product is not None else 1
-    if num.is_zero() or not scalar:
+    if num.is_zero():
         return [RatFun.const(0) for _ in weights]
     # The roots: the tableau's letters, then the ambient roots.  At a
     # point, letter y[i,j;k] sits on coordinate point[(i, j)][k - 1] and
     # e[k] on coordinate k, so the point's root values are one list.
-    letters = [v for i in range(1, t.levels + 1)
-               for j in range(1, t.K(i) + 1) for v in t.letters(i, j)]
-    root_order = letters + [ambient(k) for k in range(1, n + 1)]
-    slots = [((v.i, v.j), v.k - 1) for v in letters]
+    blocks = {(i, j): t.letters(i, j) for i in range(1, t.levels + 1)
+              for j in range(1, t.K(i) + 1)}
+    slots = [(block, k) for block, vs in blocks.items()
+             for k in range(len(vs))]
+    blocks[(t.levels + 1, 1)] = [ambient(k) for k in range(1, n + 1)]
+    root_order = [v for vs in blocks.values() for v in vs]
     at = {v: i for i, v in enumerate(root_order)}
 
-    net: dict[Poly, int] = dict(product.factors) if product else {}
-    for f, e in (p.den.items() if p is not None else ()):
-        net[f] = net.get(f, 0) - e
-    constant = Fraction(scalar)
-    poles, zeros, shifts = [], [], []  # w = 0 under and over; w != 0
+    constant = Fraction(1)
+    poles, shifts = [], []  # factors with w = 0; with w != 0
     order = component_dimension(t)
-    lift = 0  # s-degree of the w = 0 numerator factors
     alpha_shift = 0  # alpha-degree of the w != 0 factors
-    for f, e in net.items():
-        if not e:
-            continue
+    for f, e in (p.den.items() if p is not None else ()):
         const, coeffs = f.linear_parts()
         w = coeffs.pop(ALPHA, 0)
         if const or not coeffs.keys() <= at.keys():
-            side = "denominator" if e < 0 else "numerator"
             raise IntegrationShapeError(
-                f"{side} factor {f.to_text()} is not a root form plus "
+                f"denominator factor {f.to_text()} is not a root form plus "
                 "a multiple of alpha")
         if w:
-            shifts.append(({v: Fraction(a) / w for v, a in coeffs.items()},
-                           e))
-            constant *= Fraction(w) ** e
-            alpha_shift += e
+            shifts.append(([(v, Fraction(a) / w) for v, a in coeffs.items()],
+                           -e))
+            constant /= Fraction(w) ** e
+            alpha_shift -= e
         else:
             g = lcm(*(a.denominator for a in coeffs.values()))
-            (poles if e < 0 else zeros).append(
-                ([(at[v], _scaled(a, g)) for v, a in coeffs.items()],
-                 abs(e)))
-            constant /= Fraction(g) ** e
-            if e < 0:
-                order -= e
-            else:
-                lift += e
-    b = lcm(*(r.denominator for ratios, _ in shifts for r in ratios.values()))
-    shifts = [([(at[v], _scaled(r, b)) for v, r in ratios.items()], e)
+            poles.append(([(at[v], _scaled(a, g)) for v, a in coeffs.items()],
+                          e))
+            constant *= Fraction(g) ** e
+            order += e
+    for src, tgt, w, m in (normal.terms() if normal is not None else ()):
+        if not w:
+            raise IntegrationShapeError(
+                f"normal ledger term {src} -> {tgt} has weight 0")
+        ratio = Fraction(1, w)
+        pairs = [(yt, ys) for ys in blocks[src] for yt in blocks[tgt]]
+        shifts += [([(yt, ratio), (ys, -ratio)], -m) for yt, ys in pairs]
+        constant /= Fraction(w) ** (m * len(pairs))
+        alpha_shift -= m * len(pairs)
+    b = lcm(*(r.denominator for ratios, _ in shifts for _, r in ratios))
+    shifts = [([(at[v], _scaled(r, b)) for v, r in ratios], e)
               for ratios, e in shifts]
     constant /= b ** order
 
@@ -358,7 +360,7 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     packed: dict[tuple, int] = {}
     for exps, c in num_exps.items():
         root, rest = exps[:nroots], exps[nroots:]
-        degree = sum(root) + lift
+        degree = sum(root)
         if degree <= order:
             if rest not in packed:
                 packed[rest] = sum(
@@ -391,7 +393,7 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, rows = _ray_series_sums(
-                points, lam, slots, tangent, poles, zeros, shifts, b, order,
+                points, lam, slots, tangent, poles, shifts, b, order,
                 recipe, groups, forms, steps, coefs, cells, weight_terms)
             break
         except SingularSubstitutionError:
@@ -423,9 +425,9 @@ def _scaled(c, den: int) -> int:
     return c.numerator * (den // c.denominator)
 
 
-def _ray_series_sums(points, lam, slots, tangent, poles, zeros, shifts,
-                     b: int, order: int, recipe, groups, forms, steps, coefs,
-                     cells, weight_terms) -> tuple[int, list[dict]]:
+def _ray_series_sums(points, lam, slots, tangent, poles, shifts, b: int,
+                     order: int, recipe, groups, forms, steps, coefs, cells,
+                     weight_terms) -> tuple[int, list[dict]]:
     """(common, per weight the s^0 row {key: integer}), once the rows of
     negative powers of s are checked to vanish for every weight.
 
@@ -433,12 +435,11 @@ def _ray_series_sums(points, lam, slots, tangent, poles, zeros, shifts,
     1/scale, so the rows are computed at the integer weights: the s^0 row
     is the same, and the others are scaled, which keeps their zero test
     exact.  A point's share is bottom / top: the tangent Euler class
-    top / bottom times the alpha-free factors, as integers over a fixed g
-    (a numerator one that vanishes makes the share zero).  A factor with
-    w != 0 multiplies or divides the series in u by 1 + x*u with x = X / b
-    for a fixed b, so the u^k coefficient is an integer over b^k, brought
-    to b^order.  The shares are summed over the least common multiple
-    `common` of their denominators.
+    top / bottom times the alpha-free denominator factors, as integers
+    over a fixed g.  A factor with w != 0 multiplies or divides the series
+    in u by 1 + x*u with x = X / b for a fixed b, so the u^k coefficient is
+    an integer over b^k, brought to b^order.  The shares are summed over
+    the least common multiple `common` of their denominators.
     """
     weights, _ = scaled_weights(lam)
     shares = []
@@ -452,10 +453,7 @@ def _ray_series_sums(points, lam, slots, tangent, poles, zeros, shifts,
                 raise SingularSubstitutionError(
                     "an alpha-free denominator factor vanished at a point")
             top *= delta ** e
-        for coeffs, e in zeros:
-            bottom *= sum([a * values[i] for i, a in coeffs]) ** e
-        if bottom:
-            shares.append((values, top, bottom))
+        shares.append((values, top, bottom))
     common = lcm(*(top for _, top, _ in shares))
     b_powers = [b ** (order - k) for k in range(order + 1)]
     acc = [[defaultdict(int) for _ in range(order + 1)] for _ in weight_terms]

@@ -135,12 +135,17 @@ def test_non_object_cache_entry_is_bypassed_with_warning(tmp_path):
     assert again["results"] == first["results"]
 
 
-def test_cache_entry_without_work_is_bypassed_with_warning(tmp_path):
+@pytest.mark.parametrize("work", [
+    None, "garbage", {}, {"tableaux": 3, "fixed_points": "36"}],
+    ids=["missing", "string", "empty", "non-integer"])
+def test_cache_entry_without_work_is_bypassed_with_warning(tmp_path, work):
     job = _job("tableaux", FlagSpec(4, (2,), (2,)), tmp_path)
     first = run_and_report(job)
     key = cache_key(job)
-    (tmp_path / f"{key}.json").write_text(
-        json.dumps({"key": key, "results": first["results"]}))
+    entry = {"key": key, "results": first["results"]}
+    if work is not None:
+        entry["work"] = work
+    (tmp_path / f"{key}.json").write_text(json.dumps(entry))
     again = run_and_report(job)
     assert again["provenance"]["cache"]["status"] == "miss"
     assert again["provenance"]["warning"] == \
@@ -156,7 +161,8 @@ def test_cache_entry_without_results_object_is_bypassed_with_warning(
             "--cache-dir", str(tmp_path)]
     key = cache_key(parse_job(argv))
     (tmp_path / f"{key}.json").write_text(
-        json.dumps({"key": key, "results": results, "work": {}}))
+        json.dumps({"key": key, "results": results,
+                    "work": {"tableaux": 1, "fixed_points": 3}}))
     assert main(argv) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["ok"] is True
@@ -308,6 +314,9 @@ def test_main_hg_requires_grassmannian(tmp_path, capsys):
      "hg needs --max-degree >= 0"),
     (["hori-vafa", "--ranks", "1", "--max-degree", "0"],
      "hori-vafa needs --max-degree >= 1"),
+    (["hg", "--ranks", "2", "--degrees", "5"], "hg takes no --degrees"),
+    (["hori-vafa", "--ranks", "2", "--degrees", "1"],
+     "hori-vafa takes no --degrees"),
 ])
 def test_command_usage_rules_fail_before_the_cache(tmp_path, capsys, argv,
                                                    message):

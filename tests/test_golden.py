@@ -5,6 +5,8 @@ from pathlib import Path
 
 import pytest
 
+from flaghg import fixedlocus, mirror
+from flaghg.algebra import LinearProduct
 from flaghg.cli import main
 from flaghg.mirror import hori_vafa_verify, integral_Id
 from flaghg.tableaux import FlagSpec
@@ -24,6 +26,20 @@ def _render(data) -> str:
 def test_integral_golden(name, spec):
     got = _render(integral_Id(spec).to_json())
     assert got == (GOLDEN / name).read_text()
+
+
+def test_integral_golden_from_the_normal_ledger(monkeypatch):
+    # the oracle reads the normal ledger itself: integral_Id assigns no
+    # roots and builds no Euler class as polynomials
+    def refuse(*args, **kwargs):
+        raise AssertionError("integral_Id built a polynomial Euler class")
+
+    monkeypatch.setattr(fixedlocus, "euler_product_from_ledger", refuse)
+    monkeypatch.setattr(fixedlocus, "canonical_roots", refuse)
+    monkeypatch.setattr(mirror, "canonical_roots", refuse)
+    monkeypatch.setattr(LinearProduct, "mul_factor", refuse)
+    got = _render(integral_Id(FlagSpec(3, (1, 2), (1, 1))).to_json())
+    assert got == (GOLDEN / "integral_fl12c3_d11.json").read_text()
 
 
 def test_hori_vafa_golden():

@@ -7,12 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flaghg import pushforward
-from flaghg.algebra import (ALPHA, FORMAL_C, LinearProduct, Poly, RatFun,
-                            ambient, exp_series, kahler, y)
+from flaghg.algebra import (ALPHA, FORMAL_C, Poly, RatFun, ambient,
+                            exp_series, kahler, y)
 from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
                            SingularSubstitutionError, SymmetryViolationError)
-from flaghg.fixedlocus import (canonical_roots, euler_class_from_ledger,
-                               euler_product_from_ledger, normal_ledger)
+from flaghg.fixedlocus import (Ledger, canonical_roots,
+                               euler_class_from_ledger, normal_ledger)
 from flaghg.mirror import (box_partitions, grassmannian_hg_term,
                            hyperplane_pullback, mirror_integrand, x_roots,
                            zero_tableau)
@@ -423,10 +423,10 @@ ORACLE_TABLEAUX = [t for spec in (FlagSpec(3, (1,), (1,)),
 
 @settings(max_examples=40, deadline=None)
 @given(index=st.integers(0, len(ORACLE_TABLEAUX) - 1),
-       seed=st.integers(0, 10 ** 6), use_product=st.booleans(),
+       seed=st.integers(0, 10 ** 6), use_normal=st.booleans(),
        use_exp=st.booleans(), nweights=st.integers(1, 3),
        lambda_seed=st.integers(0, 50))
-def test_factored_oracle_matches_expanded_integrand(index, seed, use_product,
+def test_factored_oracle_matches_expanded_integrand(index, seed, use_normal,
                                                     use_exp, nweights,
                                                     lambda_seed):
     t = ORACLE_TABLEAUX[index]
@@ -435,12 +435,12 @@ def test_factored_oracle_matches_expanded_integrand(index, seed, use_product,
     alpha = P(ALPHA)
     p = RatFun(random_block_symmetric(t, rng, dim) + alpha * rng.randint(0, 2),
                {P(y(1, 1, 1)) + alpha: 1} if t.m(1, 1) == 1 else {})
-    product = exp = None
+    normal = exp = None
     expanded = p
-    if use_product:
-        product = euler_product_from_ledger(normal_ledger(t).negated(),
-                                            canonical_roots(t))
-        expanded = expanded * product.to_ratfun()
+    if use_normal:
+        normal = normal_ledger(t)
+        expanded = expanded * euler_class_from_ledger(normal.negated(),
+                                                      canonical_roots(t))
     if use_exp:
         scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
         hyperplanes = {kahler(i): hyperplane_pullback(t, i) * scale
@@ -453,7 +453,7 @@ def test_factored_oracle_matches_expanded_integrand(index, seed, use_product,
     weights = [random_block_symmetric(t, rng, dim) * Fraction(1, k)
                + rng.randint(-1, 1) for k in range(1, nweights + 1)]
     lam = lam_vector(t.spec.n, lambda_seed)
-    got = ab_integrals(t, lam, weights, p, product, exp)
+    got = ab_integrals(t, lam, weights, p, normal, exp)
     assert got == [expanded_ab_integrate(t, expanded * w, lam)
                    for w in weights]
 
@@ -490,11 +490,11 @@ def test_numerator_alpha_free_factor_vanishing_at_a_point():
     # is zero; over P^2, (y - e1) * y integrates to 1
     t = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
     root = P(y(1, 1, 1))
-    product = LinearProduct(1, {root - P(ambient(1)): 1})
+    p = RatFun.from_poly(root - P(ambient(1)))
     lam = lam_vector(3, 0)
-    got = ab_integrals(t, lam, [root, Poly.const(1)], product=product)
+    got = ab_integrals(t, lam, [root, Poly.const(1)], p)
     assert got == [RatFun.const(1), RatFun.const(0)]
-    assert got == [expanded_ab_integrate(t, product.to_ratfun() * w, lam)
+    assert got == [expanded_ab_integrate(t, p * w, lam)
                    for w in (root, Poly.const(1))]
 
 
@@ -502,13 +502,11 @@ def test_numerator_factor_with_alpha_weight():
     # (y + 2*alpha)^2 over P^2 against its expansion y^2 + 4*alpha*y + ...
     t = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
     root, alpha = P(y(1, 1, 1)), P(ALPHA)
-    product = LinearProduct(3, {root + 2 * alpha: 2})
-    p = RatFun(Poly.const(1), {root - alpha: 1})
+    p = RatFun(3 * (root + 2 * alpha) ** 2, {root - alpha: 1})
     lam = lam_vector(3, 0)
-    got, = ab_integrals(t, lam, [Poly.const(1)], p, product)
-    assert got == expanded_ab_integrate(t, p * product.to_ratfun(), lam)
-    assert got == integrate_to_point(p * product.to_ratfun(),
-                                     tableau_tower(t))
+    got, = ab_integrals(t, lam, [Poly.const(1)], p)
+    assert got == expanded_ab_integrate(t, p, lam)
+    assert got == integrate_to_point(p, tableau_tower(t))
 
 
 def test_ab_integrals_forced_lambda_retry(monkeypatch):
@@ -534,9 +532,13 @@ def test_ab_integrals_rejects_bad_inputs():
     p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
     root = P(y(1, 1, 1))
     lam = lam_vector(2, 0)
-    with pytest.raises(IntegrationShapeError, match="numerator factor"):
+    weight_zero = Ledger(p1)
+    weight_zero.add((1, 1), (2, 1), 0)
+    with pytest.raises(IntegrationShapeError, match="has weight 0"):
+        ab_integrals(p1, lam, [Poly.const(1)], normal=weight_zero)
+    with pytest.raises(IntegrationShapeError, match="denominator factor"):
         ab_integrals(p1, lam, [Poly.const(1)],
-                     product=LinearProduct(1, {root + P(kahler(1)): 1}))
+                     RatFun(Poly.const(1), {root + P(kahler(1)): 1}))
     with pytest.raises(IntegrationShapeError, match="weight"):
         ab_integrals(p1, lam, [root * P(ALPHA)])
     with pytest.raises(IntegrationShapeError, match="exponent"):
