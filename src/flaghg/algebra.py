@@ -44,8 +44,10 @@ point of the factor's hyperplane; a non-zero value proves that the factor
 does not divide, and the division is skipped.  The points differ only in
 the factor's least variable, so one pass over a numerator's terms, kept
 with it, gives its value at all of them.  A sum of RatFuns is evaluated
-there term by term, before its numerators are expanded.  A single-term
-numerator is decided from its variables alone.
+there term by term, before its numerators are expanded; each term's
+numerator is then multiplied once per union factor it lacks, by that
+factor's power, and the powers of each union factor are built once per
+sum.  A single-term numerator is decided from its variables alone.
 
 All values are immutable after construction and safe to share.
 """
@@ -715,10 +717,13 @@ def ratfun_sum(terms) -> RatFun:
     """Sum many rational functions over their common denominator at once.
 
     Equivalent to repeated addition but expands each term's complement
-    against the union denominator exactly once.  Before any division the
-    sum is evaluated at a point of each union factor's hyperplane from the
-    unexpanded terms (see _sum_may_divide); a factor that this proves
-    coprime to the sum keeps its exponent without a division.
+    against the union denominator exactly once: a term's numerator is
+    multiplied once per missing factor, by that factor's power, and the
+    powers of each union factor are built once per call.  Before any
+    division the sum is evaluated at a point of each union factor's
+    hyperplane from the unexpanded terms (see _sum_may_divide); a factor
+    that this proves coprime to the sum keeps its exponent without a
+    division.
     """
     terms = list(terms)
     if not terms:
@@ -728,13 +733,17 @@ def ratfun_sum(terms) -> RatFun:
         for f, e in term.den.items():
             if union.get(f, 0) < e:
                 union[f] = e
+    powers = {f: [Poly.const(1), f] for f in union}  # powers[f][k] = f**k
     total = Poly.zero()
     for term in terms:
         num = term.num
         for f, e in union.items():
             extra = e - term.den.get(f, 0)
-            for _ in range(extra):
-                num = num * f
+            if extra:
+                table = powers[f]
+                while len(table) <= extra:
+                    table.append(table[-1] * f)
+                num = num * table[extra]
         total = total + num
     return _lowest_terms(total, union,
                          {f: _sum_may_divide(terms, union, f) for f in union})

@@ -115,7 +115,6 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
     tableau's exp goes to the oracle as its hyperplane classes and its
     inverse normal Euler class as its normal ledger, never multiplied out."""
     lam = lam_vector(spec.n, lambda_seed)
-    total = RatFun.const(0)
     per_tableau = []
     for t in enumerate_tableaux(spec):
         hyperplanes = {kahler(i): hyperplane_pullback(t, i)
@@ -124,7 +123,7 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
             t, lam, [Poly.const(1)], normal=normal_ledger(t),
             exp=(hyperplanes, component_dimension(t)), seed=lambda_seed)
         per_tableau.append((t, contribution))
-        total = total + contribution
+    total = ratfun_sum([contribution for _, contribution in per_tableau])
     if not _alpha_only_denominator(total):
         raise FormulaMismatchError(
             "integral denominator is not a pure alpha power")
@@ -135,16 +134,16 @@ def _grassmannian_term_tableau_route(n: int, r: int, d: int,
                                      budget: int) -> RatFun:
     spec = FlagSpec(n, (r,), (d,))
     targets = x_roots(spec)
-    total = RatFun.const(0)
+    terms = []
     for t in enumerate_tableaux(spec):
         inverse_euler = euler_class_from_ledger(
             normal_ledger(t).negated(), canonical_roots(t, [Poly.zero()] * n))
         alphabet = BlockAlphabet([t.letters(1, j)
                                   for j in range(1, t.K(1) + 1)])
         pushed = brion_pushforward(inverse_euler, alphabet, budget)
-        total = total + pushed.substitute(
-            dict(zip(sorted(alphabet.letters), targets)))
-    return total
+        terms.append(pushed.substitute(
+            dict(zip(sorted(alphabet.letters), targets))))
+    return ratfun_sum(terms)
 
 
 def _grassmannian_term_display_route(n: int, r: int, d: int) -> RatFun:
@@ -229,11 +228,8 @@ def reconstruct_class_from_pairings(n: int, r: int, pairings) -> RatFun:
         for mu, value in pairings.items()
     }
     roots = [y(1, 1, k) for k in range(1, r + 1)]
-    out = RatFun.const(0)
-    for nu in expected:
-        coeff = normalized[box_complement(nu, r, cols)]
-        out = out + coeff * schur_polynomial(nu, roots)
-    return out
+    return ratfun_sum([normalized[box_complement(nu, r, cols)]
+                       * schur_polynomial(nu, roots) for nu in expected])
 
 
 @dataclass

@@ -29,7 +29,8 @@ from itertools import (combinations_with_replacement, permutations,
 from math import factorial, lcm, prod
 from typing import Mapping, Sequence
 
-from .algebra import ALPHA, Poly, RatFun, VarId, ambient, y
+from .algebra import (ALPHA, Poly, RatFun, VarId, ambient, canonical_linear,
+                      ratfun_sum, y)
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
 from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
@@ -68,7 +69,10 @@ def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
     This is the coset sum of p over the product of cross-block letter
     differences (lower block subtracted from higher), computed as divided
     differences (f - s_i f) / (x_{i+1} - x_i) along the bubble-sort word
-    that moves the blocks into reverse order, first swap first.
+    that moves the blocks into reverse order, first swap first.  Each is
+    one ratfun_sum of f and -s_i f, both with the canonical factor of
+    x_{i+1} - x_i raised by one in their denominators, so the sum's
+    evaluation at that factor's hyperplane decides whether it divides.
     """
     count = alphabet.coset_count()
     if count > budget:
@@ -84,10 +88,19 @@ def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
             if order[i] < order[i + 1]:
                 order[i], order[i + 1] = order[i + 1], order[i]
                 a, b = letters[i], letters[i + 1]
-                p = (p - p.substitute({a: b, b: a})) * RatFun(
-                    Poly.const(1), {Poly.var(b) - Poly.var(a): 1})
+                f, scale = canonical_linear(Poly.var(b) - Poly.var(a))
+                p = ratfun_sum([_over(p, f, scale),
+                                _over(p.substitute({a: b, b: a}), f, -scale)])
                 swapped = True
     return p
+
+
+def _over(p: RatFun, f: Poly, scale: int) -> RatFun:
+    """p / (scale * f) for a canonical factor f and scale = +-1, with f's
+    exponent raised by one and not divided out: ratfun_sum does that."""
+    den = dict(p.den)
+    den[f] = den.get(f, 0) + 1
+    return RatFun(p.num * scale, den, _normalized=True)
 
 
 def omega_class(constraints: Sequence[tuple[Sequence[VarId],
@@ -511,16 +524,17 @@ def _ray_series_sums(points, lam, slots, tangent, poles, shifts, b: int,
 
 
 def complete_homogeneous(degree: int, roots: Sequence[VarId]) -> Poly:
-    """h_degree: sum of all monomials of the given degree in the roots."""
+    """h_degree: sum of all monomials of the given degree in the roots,
+    one per weak composition of the degree into len(roots) parts."""
     if degree < 0:
         return Poly.zero()
-    out = Poly.zero()
-    for combo in combinations_with_replacement(roots, degree):
-        mono = Poly.const(1)
-        for v in combo:
-            mono = mono * Poly.var(v)
-        out = out + mono
-    return out
+    terms = {}
+    for combo in combinations_with_replacement(range(len(roots)), degree):
+        exps = [0] * len(roots)
+        for k in combo:
+            exps[k] += 1
+        terms[tuple(exps)] = 1
+    return Poly.from_exponents(roots, terms)
 
 
 def schur_polynomial(mu: Sequence[int], roots: Sequence[VarId]) -> Poly:

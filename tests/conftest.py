@@ -1,15 +1,23 @@
-"""Shared suite generators and random-input helpers."""
+"""Shared suite generators, random-input helpers and the benchmark's job
+module."""
 
 from __future__ import annotations
 
 import itertools
 import random
+import sys
+import types
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from flaghg.algebra import Poly
 from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau
 
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
 
 # torus weights with pairwise different denominators
 MIXED_LAM = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(7, 4)]
@@ -57,3 +65,18 @@ def random_block_symmetric(t: Tableau, rng: random.Random,
             budget -= k
             out = out * complete_homogeneous(k, t.letters(i, j))
     return out
+
+
+@pytest.fixture(scope="module")
+def jobs():
+    """bench/jobs.py run from its source into a registered module (its
+    dataclass looks the module up), so nothing is written next to it."""
+    path = BENCH / "jobs.py"
+    module = types.ModuleType("bench_jobs")
+    module.__file__ = str(path)
+    sys.modules[module.__name__] = module
+    try:
+        exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
+        yield module
+    finally:
+        del sys.modules[module.__name__]

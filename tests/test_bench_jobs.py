@@ -1,29 +1,9 @@
 """One pass of the benchmark's job mixes, with the benchmark's own exact
 checks, so a change that breaks them fails here before any timed run."""
 
-import sys
-import types
-from pathlib import Path
-
 import pytest
 
 from flaghg.cli import main
-
-JOBS = Path(__file__).resolve().parent.parent / "bench" / "jobs.py"
-
-
-@pytest.fixture(scope="module")
-def jobs():
-    """bench/jobs.py run from its source into a registered module (its
-    dataclass looks the module up), so nothing is written next to it."""
-    module = types.ModuleType("bench_jobs")
-    module.__file__ = str(JOBS)
-    sys.modules[module.__name__] = module
-    try:
-        exec(compile(JOBS.read_text(), str(JOBS), "exec"), module.__dict__)
-        yield module
-    finally:
-        del sys.modules[module.__name__]
 
 
 @pytest.mark.parametrize("workload", ["integrals", "classes"])

@@ -1,4 +1,6 @@
 import functools
+import itertools
+import operator
 import random
 from fractions import Fraction
 
@@ -42,6 +44,24 @@ def test_brion_hand_sums():
     assert brion_pushforward(RatFun.from_poly(P(Y1)), ab) == RatFun.const(-1)
     assert brion_pushforward(RatFun.from_poly(P(Y1) ** 2), ab) == \
         RatFun.from_poly(-P(Y1) - P(Y2))
+
+
+def test_brion_divided_difference_of_a_class_holding_the_difference():
+    """p's denominator already holds y2 - y1, so the divided difference's
+    terms carry it squared or cubed; the values are exact."""
+    ab = two_singletons()
+    d = P(Y2) - P(Y1)
+    y1y3 = P(Y1) + P(Y3)
+    cases = [
+        (RatFun(Poly.const(1), {d: 1}), RatFun(Poly.const(2), {d: 2})),
+        (RatFun(P(Y1), {d: 1}), RatFun(P(Y1) + P(Y2), {d: 2})),
+        (RatFun(P(Y1), {d: 2}), RatFun(Poly.const(-1), {d: 2})),
+        (RatFun(P(Y1) * P(Y3), {d: 1, y1y3: 1}),
+         RatFun(2 * P(Y1) * P(Y2) * P(Y3) + (P(Y1) + P(Y2)) * P(Y3) ** 2,
+                {d: 2, y1y3: 1, P(Y2) + P(Y3): 1})),
+    ]
+    for p, want in cases:
+        assert brion_pushforward(p, ab) == want, p
 
 
 SHAPES = [(1, 1, 1), (2, 1), (1, 2), (2, 2), (2, 1, 2), (2, 3, 1)]
@@ -361,6 +381,18 @@ def test_complete_homogeneous_basics():
     assert complete_homogeneous(0, roots) == Poly.const(1)
     assert complete_homogeneous(2, roots).total_degree() == 2
     assert len(complete_homogeneous(2, roots).terms) == 3
+    assert complete_homogeneous(-1, roots) == Poly.zero()
+
+
+@pytest.mark.parametrize("size,degree", [(1, 0), (1, 3), (2, 4), (3, 5),
+                                         (4, 2), (1, 4100)])
+def test_complete_homogeneous_equals_sum_of_monomial_products(size, degree):
+    roots = [y(1, 1, k) for k in range(1, size + 1)]
+    want = Poly.zero()
+    for combo in itertools.combinations_with_replacement(roots, degree):
+        want = want + functools.reduce(operator.mul, map(P, combo),
+                                       Poly.const(1))
+    assert complete_homogeneous(degree, roots) == want
 
 
 def removable_pole_integrand(t, p, pole, e):
