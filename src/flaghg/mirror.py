@@ -8,9 +8,9 @@ fixed-point oracle.  The oracle receives the two factored, the Euler class
 as the tableau's normal ledger and the exponential as its hyperplane
 classes, and never expands their product.  For Grassmannians the degree-d
 class itself is assembled two independent ways and verified against the
-antisymmetrized product of projective-space series; each class is paired
-with all Schur polynomials in one oracle call, the polynomials as its
-weights.
+antisymmetrized product of projective-space series: per degree, the
+difference of the two classes is paired with all Schur polynomials in one
+oracle call, the polynomials as its weights.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations, product as iproduct
+from typing import Mapping
 
 from .algebra import (ALPHA, FORMAL_C, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
@@ -268,30 +269,65 @@ def _c_coefficients(f: RatFun, max_power: int) -> list[RatFun]:
     return out
 
 
+def antisymmetrized_product_class(r: int, d: int,
+                                  one_row_terms: Mapping[int, RatFun]
+                                  ) -> RatFun | None:
+    """The degree-d class on a Grassmannian of r-planes from the product of
+    projective-space series, or None when the Vandermonde does not divide
+    it exactly.
+
+    one_row_terms[k] is the engine's own one-row class of degree k, for
+    k <= d, in the root y[1,1;1].  The product series takes one such class
+    per root x_1..x_r in separate Kahler variables; the derivative operator
+    acts per multi-degree as the shifted Vandermonde, the variable
+    substitution evaluates integer exponentials of the formal constant to
+    signs and keeps nilpotent ones polynomial, and the result is divided
+    exactly by the Vandermonde.
+    """
+    xvars = [y(1, 1, k) for k in range(1, r + 1)]
+    xs = [Poly.var(v) for v in xvars]
+    alpha = Poly.var(ALPHA)
+    sign = Fraction((-1) ** ((r - 1) * d))
+    terms = []
+    for comp in iproduct(range(d + 1), repeat=r):
+        if sum(comp) != d:
+            continue
+        term = RatFun.const(sign)
+        for i in range(r):
+            term = term * one_row_terms[comp[i]].substitute(
+                {y(1, 1, 1): xvars[i]})
+        for j, jp in combinations(range(r), 2):
+            term = term * (alpha * (comp[jp] - comp[j]) + xs[jp] - xs[j])
+        terms.append(term)
+    cls = ratfun_sum(terms)
+    for j, jp in combinations(range(r), 2):
+        q = cls.num.divide_by_linear(xs[jp] - xs[j])
+        if q is None:
+            return None
+        cls = RatFun(q, cls.den)
+    return cls
+
+
 def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                      budget: int = DEFAULT_COSET_BUDGET) -> HoriVafaReport:
     """Check that antisymmetrizing the product of projective-space series
-    reproduces the Grassmannian series, pairing by pairing.
+    reproduces the Grassmannian series against every Schur polynomial.
 
-    The product series is built from the engine's own one-row output in
-    separate Kahler variables; the derivative operator acts per multi-degree
-    as the shifted Vandermonde, the variable substitution evaluates integer
-    exponentials of the formal constant to signs and keeps nilpotent ones
-    polynomial, and the result is divided exactly by the Vandermonde before
-    comparison.
+    Per degree, the difference of the antisymmetrized class and the
+    Grassmannian class is paired with all Schur polynomials of the box in
+    one oracle call, the polynomials as its weights: by linearity each
+    pairing is the residual of the two classes' pairings, and a difference
+    that is exactly zero pairs to zero without visiting a fixed point.
     """
     if not (2 <= r < n):
         raise ValueError("need 2 <= r < n")
     if max_degree < 1:
         raise ValueError("truncation degree must be at least 1")
     spec = FlagSpec(n, (r,), (0,))
-    xvars = x_roots(spec)
-    xs = [Poly.var(v) for v in xvars]
-    alpha = Poly.var(ALPHA)
     dim_x = r * (n - r)
     lam = lam_vector(n, lambda_seed)
     t0 = zero_tableau(spec)
-    schur = {mu: schur_polynomial(mu, xvars)
+    schur = {mu: schur_polynomial(mu, x_roots(spec))
              for mu in box_partitions(r, n - r)}
 
     one_row_terms = {
@@ -302,28 +338,8 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     report = HoriVafaReport(n, r, max_degree, True)
     for d in range(max_degree + 1):
         lhs = grassmannian_hg_term(n, r, d, budget)
-        sign = Fraction((-1) ** ((r - 1) * d))
-        rhs_terms = []
-        for comp in iproduct(range(d + 1), repeat=r):
-            if sum(comp) != d:
-                continue
-            term = RatFun.const(sign)
-            for i in range(r):
-                factor = one_row_terms[comp[i]].substitute(
-                    {y(1, 1, 1): xvars[i]})
-                term = term * factor
-            for j, jp in combinations(range(r), 2):
-                term = term * (alpha * (comp[jp] - comp[j]) + xs[jp] - xs[j])
-            rhs_terms.append(term)
-        rhs = ratfun_sum(rhs_terms)
-        division_ok = True
-        for j, jp in combinations(range(r), 2):
-            q = rhs.num.divide_by_linear(xs[jp] - xs[j])
-            if q is None:
-                division_ok = False
-                break
-            rhs = RatFun(q, rhs.den)
-        if not division_ok:
+        rhs = antisymmetrized_product_class(r, d, one_row_terms)
+        if rhs is None:
             report.division_exact = False
             report.residuals.append({
                 "degree": d,
@@ -331,11 +347,9 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                 "residual_c_coeffs": ["division by the Vandermonde failed"],
             })
             continue
-        lefts, rights = (ab_integrals(t0, lam, list(schur.values()), cls,
-                                      seed=lambda_seed)
-                         for cls in (lhs, rhs))
-        for mu, left, right in zip(schur, lefts, rights):
-            residual = right - left
+        residuals = ab_integrals(t0, lam, list(schur.values()), rhs - lhs,
+                                 seed=lambda_seed)
+        for mu, residual in zip(schur, residuals):
             coeffs = _c_coefficients(residual, dim_x)
             report.residuals.append({
                 "degree": d,

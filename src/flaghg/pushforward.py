@@ -16,17 +16,18 @@ Euler class divides it, a truncated exponential of Kahler variables times
 root forms) together with a list of polynomial weights, and never
 multiplies the pieces out: at a fixed point on the ray lam*s each piece
 is a number times a power of s, so the point contributes a short series
-per weight, and everything that does not depend on the weight is
-computed once per point.
+per weight.  It works on columns over the fixed points, one integer per
+point: each quantity is one column, each step maps over whole columns,
+and each coefficient of the sum is a dot product over the points.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import (combinations_with_replacement, permutations,
-                       product as iproduct)
-from math import factorial, lcm, prod
+from itertools import combinations_with_replacement, permutations, repeat
+from math import factorial, lcm
+from operator import add, mul, sub
 from typing import Mapping, Sequence
 
 from .algebra import (ALPHA, Poly, RatFun, VarId, ambient, canonical_linear,
@@ -246,8 +247,9 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     alpha stays symbolic; for w = 0 it raises the pole order.  A ledger
     term (src, tgt, w, m) gives the factor y_tgt - y_src + w*alpha to the
     power m for each pair of a root of src and a root of tgt.  The root
-    values, the tangent Euler class, the series of the factors and each
-    weight's values are computed once per point.
+    values, the series of the factors, the exp products and each weight's
+    values are columns over the fixed points, each computed once for all
+    weights; only the tangent Euler class is taken point by point.
 
     The negative powers of s must cancel over the points for every weight.
     A vanishing alpha-free denominator factor or a surviving pole means
@@ -312,7 +314,9 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     constant /= b ** order
 
     # exp: the t_i, their H_i as integer maps over h, and the exponent
-    # vectors m of the t-monomials it reaches, with D!/prod(m_i!) h^(D-|m|)
+    # vectors m of the t-monomials it reaches, by total degree, each with
+    # the integer D!/prod(m_i!) h^(D-|m|).  Each m but the first is an
+    # earlier one, its step's parent, times t_i, i its last non-zero part.
     hyperplanes, exp_degree = exp if exp is not None else ({}, 0)
     if exp_degree < 0:
         raise ValueError("truncation bound must be non-negative")
@@ -328,17 +332,21 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     h = lcm(*(a.denominator for form in forms for a in form.values()))
     forms = [[(at[v], _scaled(a, h)) for v, a in form.items()]
              for form in forms]
-    reach = min(exp_degree, order) if forms else 0
-    comps = sorted((m for m in iproduct(range(reach + 1), repeat=len(forms))
-                    if sum(m) <= reach), key=sum)
-    constant /= factorial(exp_degree) * h ** exp_degree
-    coefs = [factorial(exp_degree) // prod(map(factorial, m))
-             * h ** (exp_degree - sum(m)) for m in comps]
-    # each m but the first is an earlier one times t_i, i its last part
+    comps, lasts = [(0,) * len(forms)], [0]
+    coefs = [factorial(exp_degree) * h ** exp_degree]
     steps = []
-    for m in comps[1:]:
-        i = max(k for k, e in enumerate(m) if e)
-        steps.append((comps.index(m[:i] + (m[i] - 1,) + m[i + 1:]), i))
+    start = 0
+    for _ in range(min(exp_degree, order) if forms else 0):
+        end = len(comps)
+        for parent in range(start, end):
+            m = comps[parent]
+            for i in range(lasts[parent], len(m)):
+                comps.append(m[:i] + (m[i] + 1,) + m[i + 1:])
+                lasts.append(i)
+                steps.append((parent, i))
+                coefs.append(coefs[parent] // (h * (m[i] + 1)))
+        start = end
+    constant /= coefs[0]
 
     # Root monomials of the numerator and the weights, in one table: root
     # monomial i > 0 is root monomial recipe[i-1][0] times the root at
@@ -391,14 +399,21 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
             by_degree.setdefault(sum(exps), []).append(
                 (mono_index(exps), _scaled(c, wden)))
         weight_terms.append((wden, by_degree))
-    # the cells (j, k, m, key) of a point's factor series, in order of j:
-    # u^k times the exp part at m, of s-degree j = k + |m|, with alpha^-k
+    # the cells (j, k, m, key, c) of a point's factor series, in order of
+    # j: u^k times the exp part at m, of s-degree j = k + |m|, with
+    # alpha^-k and the integer c = coefs[m] * b^(order - k); without
+    # w != 0 factors the series in u is its constant term
     tfields = [fields[others.index(v)] for v in tvars]
+    b_powers = [b ** (order - k) for k in range(order + 1)]
+    top_u = order if shifts else 0
+    keys = [0]
+    for parent, i in steps:
+        keys.append(keys[parent] + (1 << tfields[i]))
     cells = []
-    for mi, m in enumerate(comps):
-        key, size = sum(e << sh for e, sh in zip(m, tfields)), sum(m)
-        cells += [(k + size, k, mi, key - (k << alpha_at))
-                  for k in range(order - size + 1)]
+    for mi, (m, key, c) in enumerate(zip(comps, keys, coefs)):
+        size = sum(m)
+        cells += [(k + size, k, mi, key - (k << alpha_at), c * b_powers[k])
+                  for k in range(min(order - size, top_u) + 1)]
     cells.sort()
 
     points = torus_fixed_points(t)
@@ -406,8 +421,8 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, rows = _ray_series_sums(
-                points, lam, slots, tangent, poles, shifts, b, order,
-                recipe, groups, forms, steps, coefs, cells, weight_terms)
+                points, lam, slots, tangent, poles, shifts, order, recipe,
+                groups, forms, steps, cells, weight_terms)
             break
         except SingularSubstitutionError:
             if attempt == MAX_RETRIES:
@@ -438,8 +453,8 @@ def _scaled(c, den: int) -> int:
     return c.numerator * (den // c.denominator)
 
 
-def _ray_series_sums(points, lam, slots, tangent, poles, shifts, b: int,
-                     order: int, recipe, groups, forms, steps, coefs, cells,
+def _ray_series_sums(points, lam, slots, tangent, poles, shifts,
+                     order: int, recipe, groups, forms, steps, cells,
                      weight_terms) -> tuple[int, list[dict]]:
     """(common, per weight the s^0 row {key: integer}), once the rows of
     negative powers of s are checked to vanish for every weight.
@@ -451,76 +466,94 @@ def _ray_series_sums(points, lam, slots, tangent, poles, shifts, b: int,
     top / bottom times the alpha-free denominator factors, as integers
     over a fixed g.  A factor with w != 0 multiplies or divides the series
     in u by 1 + x*u with x = X / b for a fixed b, so the u^k coefficient is
-    an integer over b^k, brought to b^order.  The shares are summed over
-    the least common multiple `common` of their denominators.
+    an integer over b^k, which a cell's integer brings to b^order.  The
+    shares are summed over the least common multiple `common` of their
+    denominators.
+
+    Every per-point quantity is a column, one integer per fixed point: the
+    root values, the pole deltas, each power of u of the series, the exp
+    products, the root monomials and the group and weight values.  Each
+    step maps over whole columns, and each cell adds one dot product over
+    the points to its row.  Only the tangent Euler class is taken point by
+    point, since it cancels the diagonal zeros.
     """
     weights, _ = scaled_weights(lam)
-    shares = []
+    size = len(points)
+    values = [[weights[point[block][k] - 1] for point in points]
+              for block, k in slots]
+    values += [[w] * size for w in weights]
+    tops, bottoms = [], []
     for point in points:
-        values = [weights[point[block][k] - 1] for block, k in slots]
-        values += weights
         top, bottom = tangent_euler_scaled(tangent, point, weights)
-        for coeffs, e in poles:
-            delta = sum([a * values[i] for i, a in coeffs])
-            if not delta:
-                raise SingularSubstitutionError(
-                    "an alpha-free denominator factor vanished at a point")
-            top *= delta ** e
-        shares.append((values, top, bottom))
-    common = lcm(*(top for _, top, _ in shares))
-    b_powers = [b ** (order - k) for k in range(order + 1)]
+        tops.append(top)
+        bottoms.append(bottom)
+    for coeffs, e in poles:
+        delta = _combination(values, coeffs, size)
+        if not all(delta):
+            raise SingularSubstitutionError(
+                "an alpha-free denominator factor vanished at a point")
+        tops = [top * v ** e for top, v in zip(tops, delta)]
+    common = lcm(*tops)
+    series = [[bottom * (common // top)
+               for top, bottom in zip(tops, bottoms)]]
+    series += [[0] * size for _ in range(order)]
+    for coeffs, e in shifts:
+        x = _combination(values, coeffs, size)
+        if not any(x):
+            continue
+        for _ in range(e):  # multiply by 1 + x*u
+            for k in range(order, 0, -1):
+                series[k] = list(map(add, series[k],
+                                     map(mul, x, series[k - 1])))
+        for _ in range(-e):  # divide by 1 + x*u
+            for k in range(1, order + 1):
+                series[k] = list(map(sub, series[k],
+                                     map(mul, x, series[k - 1])))
+    products = [[1] * size]
+    if forms:
+        cs = [_combination(values, form, size) for form in forms]
+        for parent, i in steps:
+            products.append(list(map(mul, products[parent], cs[i])))
+    monos = [[1] * size]
+    for parent, i in recipe:
+        monos.append(list(map(mul, monos[parent], values[i])))
+    sums = []
+    for (key, degree), items in groups.items():
+        column = _combination(monos, items, size)
+        if any(column):
+            sums.append((key, degree, column))
     acc = [[defaultdict(int) for _ in range(order + 1)] for _ in weight_terms]
-    for values, top, bottom in shares:
-        series = [bottom * (common // top)] + [0] * order
-        net: dict[int, int] = {}  # x -> net exponent of 1 + x*u
-        for coeffs, e in shifts:
-            x = sum([a * values[i] for i, a in coeffs])
-            if x:
-                net[x] = net.get(x, 0) + e
-        for x, e in net.items():
-            for _ in range(e):  # multiply by 1 + x*u
-                for k in range(order, 0, -1):
-                    series[k] += x * series[k - 1]
-            for _ in range(-e):  # divide by 1 + x*u
-                for k in range(1, order + 1):
-                    series[k] -= x * series[k - 1]
-        if b != 1:
-            series = [c * bp for c, bp in zip(series, b_powers)]
-        exp_values = coefs
-        if forms:
-            cs = [sum([a * values[i] for i, a in form]) for form in forms]
-            products = [1]
-            for parent, i in steps:
-                products.append(products[parent] * cs[i])
-            exp_values = [p * c for p, c in zip(products, coefs)]
-        cell_values = [(j, key, v) for j, k, mi, key in cells
-                       if (v := series[k] * exp_values[mi])]
-        mono_values = [1]
-        for parent, i in recipe:
-            mono_values.append(mono_values[parent] * values[i])
-        sums = []
-        for (key, degree), items in groups.items():
-            value = sum([c * mono_values[i] for i, c in items])
-            if value:
-                sums.append((key, degree, value))
-        for (_, by_degree), rows in zip(weight_terms, acc):
-            for d, items in by_degree.items():
-                wv = sum([c * mono_values[i] for i, c in items])
-                if not wv:
-                    continue
-                for key, degree, value in sums:
-                    value *= wv
-                    room = order - degree - d
-                    for j, kf, vf in cell_values:
-                        if j > room:
-                            break
-                        rows[degree + d + j][key + kf] += value * vf
+    for (_, by_degree), rows in zip(weight_terms, acc):
+        for d, items in by_degree.items():
+            wv = _combination(monos, items, size)
+            if not any(wv):
+                continue
+            for key, degree, value in sums:
+                value = list(map(mul, value, wv))
+                room = order - degree - d
+                # the share times the group and weight values, per power of u
+                parts = [list(map(mul, value, column)) if any(column) else None
+                         for column in series[:room + 1]]
+                for j, k, mi, kf, c in cells:
+                    if j > room:
+                        break
+                    if parts[k] is not None:
+                        rows[degree + d + j][key + kf] += c * sum(
+                            map(mul, parts[k], products[mi]))
     for rows in acc:
         if any(any(row.values()) for row in rows[:order]):
             raise SingularSubstitutionError(
                 "poles in the ray parameter do not cancel over the fixed "
                 "points")
     return common, [rows[order] for rows in acc]
+
+
+def _combination(columns: list[list[int]], coeffs, size: int) -> list[int]:
+    """The column sum(a * columns[i]) over (i, a) in coeffs."""
+    out = [0] * size
+    for i, a in coeffs:
+        out = list(map(add, out, map(mul, columns[i], repeat(a))))
+    return out
 
 
 def complete_homogeneous(degree: int, roots: Sequence[VarId]) -> Poly:

@@ -3,12 +3,14 @@ from math import factorial
 
 import pytest
 
+from flaghg import mirror
 from flaghg.algebra import ALPHA, Poly, RatFun, exp_series, kahler, y
-from flaghg.mirror import (box_complement, box_partitions,
-                           decompose_by_kahler, grassmannian_hg_term,
-                           hori_vafa_verify, hyperplane_pullback, integral_Id,
+from flaghg.mirror import (antisymmetrized_product_class, box_complement,
+                           box_partitions, decompose_by_kahler,
+                           grassmannian_hg_term, hori_vafa_verify,
+                           hyperplane_pullback, integral_Id,
                            mirror_integrand, reconstruct_class_from_pairings,
-                           schur_pairing, zero_tableau)
+                           schur_pairing, x_roots, zero_tableau)
 from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
                                 tableau_tower)
 from flaghg.tableaux import FlagSpec, Tableau, enumerate_tableaux
@@ -267,6 +269,45 @@ def test_hori_vafa_small():
     assert (0, (0, 0)) in layers and (1, (1, 1)) in layers
     for entry in report.residuals:
         assert all(c == "0" for c in entry["residual_c_coeffs"])
+
+
+def one_row_terms(n, d):
+    return {k: grassmannian_hg_term(n, 1, k) for k in range(d + 1)}
+
+
+@pytest.mark.parametrize("n,r,d", [(3, 2, 1), (3, 2, 2), (4, 2, 1),
+                                   (4, 2, 2)])
+def test_hori_vafa_classes_pair_equally_one_at_a_time(n, r, d):
+    # each class goes through the oracle, and its pole test, on its own
+    spec = FlagSpec(n, (r,), (0,))
+    lhs = grassmannian_hg_term(n, r, d)
+    rhs = antisymmetrized_product_class(r, d, one_row_terms(n, d))
+    for mu in box_partitions(r, n - r):
+        assert schur_pairing(spec, rhs, mu) == schur_pairing(spec, lhs, mu)
+
+
+def test_hori_vafa_residual_is_the_difference_of_pairings(monkeypatch):
+    n, r, max_degree = 4, 2, 2
+    spec = FlagSpec(n, (r,), (0,))
+    x1, x2 = (P(v) for v in x_roots(spec))
+    extra = RatFun(x1 * x2 + A * (x1 + x2), {A: 1})
+    original = mirror.grassmannian_hg_term
+
+    def shifted(n, r, d, budget=None):
+        cls = original(n, r, d)
+        return cls + extra if r >= 2 else cls
+
+    monkeypatch.setattr(mirror, "grassmannian_hg_term", shifted)
+    report = hori_vafa_verify(n, r, max_degree)
+    assert report.division_exact and not report.ok
+    assert len(report.residuals) == (max_degree + 1) * 6
+    for entry in report.residuals:
+        d, mu = entry["degree"], entry["partition"]
+        rhs = antisymmetrized_product_class(r, d, one_row_terms(n, d))
+        expected = schur_pairing(spec, rhs, mu) \
+            - schur_pairing(spec, shifted(n, r, d), mu)
+        assert entry["residual_c_coeffs"] == \
+            [expected.to_text()] + ["0"] * (r * (n - r))
 
 
 def test_hori_vafa_rejects_bad_arguments():

@@ -274,26 +274,31 @@ def test_ab_integrate_rejects_asymmetric():
             ab_integrate(t, RatFun.from_poly(p), lam_vector(t.spec.n, 0))
 
 
-def test_oracle_equivalence_random_polynomials():
-    rng = random.Random(9)
-    for spec in all_specs(3, 2):
-        for t in enumerate_tableaux(spec):
-            lam = lam_vector(spec.n, 0)
-            tower = tableau_tower(t)
-            for _ in range(3):
-                p = RatFun.from_poly(
-                    random_block_symmetric(t, rng, component_dimension(t)))
-                assert ab_integrate(t, p, lam, check_symmetry=False) == \
-                    integrate_to_point(p, tower), (spec, t.rows)
+SMALL_TABLEAUX = [t for spec in all_specs(3, 2)
+                  for t in enumerate_tableaux(spec)]
 
 
-def test_ab_integrate_lambda_independence_polynomials():
-    rng = random.Random(10)
+@settings(max_examples=48, deadline=None)
+@given(t=st.sampled_from(SMALL_TABLEAUX), seed=st.integers(0, 10 ** 6))
+def test_oracle_equivalence_random_polynomials(t, seed):
+    rng = random.Random(seed)
+    p = RatFun.from_poly(
+        random_block_symmetric(t, rng, component_dimension(t)))
+    assert ab_integrate(t, p, lam_vector(t.spec.n, 0),
+                        check_symmetry=False) == \
+        integrate_to_point(p, tableau_tower(t)), (t.spec, t.rows)
+
+
+@settings(max_examples=10, deadline=None)
+@given(seed=st.integers(0, 10 ** 6))
+def test_ab_integrate_lambda_independence_polynomials(seed):
+    rng = random.Random(seed)
     t = Tableau(FlagSpec(4, (2,), (1,)), ((0, 1),))
     p = RatFun.from_poly(random_block_symmetric(t, rng, 3))
     values = {
-        ab_integrate(t, p, lam_vector(4, seed), check_symmetry=False).to_text()
-        for seed in range(5)
+        ab_integrate(t, p, lam_vector(4, lam_seed),
+                     check_symmetry=False).to_text()
+        for lam_seed in range(5)
     }
     assert len(values) == 1
 
