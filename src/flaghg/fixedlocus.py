@@ -6,7 +6,9 @@ restriction ledger of the ambient moduli tangent bundle are assembled
 blockwise; their difference, after exact cancellation on (source, target,
 weight), is the normal ledger, which must carry no weight-0 term.  The
 equivariant Euler class is the product of (y_target - y_source + w*alpha)
-over ledger terms and root slots, with sign exponents.
+over ledger terms and root slots, with sign exponents.  At a torus
+fixed point the tangent Euler class needs no ledger: each block gives one
+weight per coordinate it holds and coordinate it could have chosen.
 """
 
 from __future__ import annotations
@@ -270,16 +272,28 @@ def grassmannian_euler_product(t: Tableau) -> LinearProduct:
     return out
 
 
+def _free(t: Tableau, point: FixedPoint, i: int, j: int) -> list[int]:
+    """The sorted coordinates block (i, j) can choose from at the point:
+    those held by the level-(i+1) blocks up to I_A(i, j), or 1..n at the
+    top level, less those taken by the level-i blocks before it."""
+    if i == t.levels:
+        pool = range(1, t.spec.n + 1)
+    else:
+        pool = sorted(c for k in range(1, t.I_A(i, j) + 1)
+                      for c in point[(i + 1, k)])
+    taken = {c for k in range(1, j) for c in point[(i, k)]}
+    return [c for c in pool if c not in taken]
+
+
 def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
     """All nested coordinate assignments {block: coordinates}.
 
     One recursion over the blocks, top level first: block (i, j) takes its
-    m(i, j) coordinates, in combinations order, from the sorted pool that
-    fixed_point_count describes (1..n at the top level).  So every tuple is
-    sorted, and the points come in lexicographic order of their choices.
+    m(i, j) coordinates, in combinations order, from _free(t, point, i, j).
+    So every tuple is sorted, and the points come in lexicographic order
+    of their choices.
     """
-    top = t.levels
-    order = [(i, j) for i in range(top, 0, -1)
+    order = [(i, j) for i in range(t.levels, 0, -1)
              for j in range(1, t.K(i) + 1)]
     out: list[FixedPoint] = []
     point: FixedPoint = {}
@@ -289,14 +303,7 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
             out.append(dict(point))
             return
         i, j = order[b]
-        if i == top:
-            pool = range(1, t.spec.n + 1)
-        else:
-            pool = sorted(c for k in range(1, t.I_A(i, j) + 1)
-                          for c in point[(i + 1, k)])
-        taken = {c for k in range(1, j) for c in point[(i, k)]}
-        free = [c for c in pool if c not in taken]
-        for combo in combinations(free, t.m(i, j)):
+        for combo in combinations(_free(t, point, i, j), t.m(i, j)):
             point[(i, j)] = combo  # blocks after b are reassigned below
             choose(b + 1)
 
@@ -307,15 +314,35 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
 def fixed_point_count(t: Tableau) -> int:
     """len(torus_fixed_points(t)) as a product of binomials, one per block.
 
-    Block (i, j) picks m(i, j) coordinates out of the l(i+1, j) held by the
-    blocks of level i+1 up to I_A(i, j), less the r(i, j-1) already taken by
-    the blocks before it; that pool size never depends on which coordinates
-    were taken, so the choices multiply.
+    Block (i, j) picks m(i, j) coordinates out of _free(t, point, i, j):
+    the l(i+1, j) held by the blocks of level i+1 up to I_A(i, j), less the
+    r(i, j-1) already taken by the blocks before it.  That size never
+    depends on the point, so the choices multiply.
     """
     return prod(
         comb(t.l(i + 1, j) - t.r(i, j - 1), t.m(i, j))
         for i in range(1, t.levels + 1)
         for j in range(1, t.K(i) + 1))
+
+
+def tangent_euler(t: Tableau, point: FixedPoint,
+                  weights: Sequence[int]) -> int:
+    """The tangent Euler class at a fixed point, at integer torus weights.
+
+    The component is a tower of flag bundles, so block (i, j) contributes
+    one tangent weight w_b - w_a for each coordinate a it holds and each
+    coordinate b it could have chosen instead, from _free(t, point, i, j).
+    At weights lam = weights / scale the class is this integer over
+    scale ** component_dimension(t).
+    """
+    out = 1
+    for (i, j), block in point.items():
+        for b in _free(t, point, i, j):
+            if b not in block:
+                wb = weights[b - 1]
+                for a in block:
+                    out *= wb - weights[a - 1]
+    return out
 
 
 def scaled_weights(lam: Sequence[Fraction]) -> tuple[list[int], int]:
@@ -337,35 +364,3 @@ def assert_block_symmetric(f: RatFun,
                 raise SymmetryViolationError(
                     f"class is not symmetric in the block letters {a} "
                     f"and {b}")
-
-
-def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
-                         weights: Sequence[int]) -> tuple[int, int]:
-    """(num, den): the product of tangent weights at integer torus weights
-    is num / den.  At weights lam = weights / scale it is
-    num / den / scale ** ledger.rank(), one factor of scale per weight.
-
-    The tangent ledger's positive and negative parts each contain the same
-    number of zero factors (the diagonal slots); these cancel as multisets
-    and the remaining product is the genuine Euler class.
-    """
-    coords = dict(point)
-    n = ledger.tableau.spec.n
-    coords[(ledger.tableau.levels + 1, 1)] = range(1, n + 1)
-    num = den = 1
-    zeros = 0
-    for src, tgt, w, m in ledger.terms():
-        for cs in coords[src]:
-            base = weights[cs - 1]
-            for ct in coords[tgt]:
-                val = weights[ct - 1] - base
-                if not val:
-                    zeros += m
-                elif m > 0:
-                    num *= val ** m
-                else:
-                    den *= val ** -m
-    if zeros:
-        raise CancellationFailureError(
-            "zero tangent weights do not cancel; fixed point is not isolated")
-    return num, den

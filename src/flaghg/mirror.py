@@ -17,16 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations, product as iproduct
+from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
-from .algebra import (ALPHA, FORMAL_C, Poly, RatFun, VarId, exp_series,
-                      kahler, ratfun_sum, y)
+from .algebra import (ALPHA, Poly, RatFun, VarId, exp_series, kahler,
+                      ratfun_sum, y)
 from .errors import FormulaMismatchError
 from .fixedlocus import (canonical_roots, euler_class_from_ledger,
                          normal_ledger)
 from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrals,
-                          brion_pushforward, lam_vector, schur_polynomial)
+                          brion_pushforward, lam_vector, schur_polynomial,
+                          weak_compositions)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
                        enumerate_tableaux)
 
@@ -154,9 +155,7 @@ def _grassmannian_term_display_route(n: int, r: int, d: int) -> RatFun:
     alpha = Poly.var(ALPHA)
     terms = []
     sign = Fraction((-1) ** ((r - 1) * d))
-    for comp in iproduct(range(d + 1), repeat=r):
-        if sum(comp) != d:
-            continue
+    for comp in weak_compositions(d, r):
         term = RatFun.const(sign)
         for j in range(r):
             for jp in range(j + 1, r):
@@ -185,19 +184,9 @@ def grassmannian_hg_term(n: int, r: int, d: int,
 
 
 def box_partitions(r: int, cols: int) -> list[tuple[int, ...]]:
-    """Partitions fitting in an r x cols box, padded to length r."""
-    out = []
-
-    def rec(prefix, maxpart, slots):
-        if slots == 0:
-            out.append(tuple(prefix))
-            return
-        for p in range(maxpart, -1, -1):
-            rec(prefix + [p], p, slots - 1)
-
-    rec([], cols, r)
-    out.sort()
-    return out
+    """Partitions fitting in an r x cols box, padded to length r, sorted:
+    each is a multiset of r parts from cols down to 0, non-increasing."""
+    return sorted(combinations_with_replacement(range(cols, -1, -1), r))
 
 
 def box_complement(mu: tuple[int, ...], r: int, cols: int) -> tuple[int, ...]:
@@ -262,13 +251,6 @@ class HoriVafaReport:
         }
 
 
-def _c_coefficients(f: RatFun, max_power: int) -> list[RatFun]:
-    out = []
-    for k in range(max_power + 1):
-        out.append(RatFun(f.num.coefficient(FORMAL_C, k), f.den))
-    return out
-
-
 def antisymmetrized_product_class(r: int, d: int,
                                   one_row_terms: Mapping[int, RatFun]
                                   ) -> RatFun | None:
@@ -278,20 +260,18 @@ def antisymmetrized_product_class(r: int, d: int,
 
     one_row_terms[k] is the engine's own one-row class of degree k, for
     k <= d, in the root y[1,1;1].  The product series takes one such class
-    per root x_1..x_r in separate Kahler variables; the derivative operator
-    acts per multi-degree as the shifted Vandermonde, the variable
-    substitution evaluates integer exponentials of the formal constant to
-    signs and keeps nilpotent ones polynomial, and the result is divided
-    exactly by the Vandermonde.
+    per root x_1..x_r in separate Kahler variables.  Per weak composition
+    c of d, the derivative operator acts as the shifted Vandermonde
+    prod_{j<j'} (x_j' - x_j + (c_j' - c_j)*alpha) on the product of the
+    classes of degrees c_j, the sign (-1)^((r-1)d) is taken in closed
+    form, and the sum is divided exactly by the Vandermonde.
     """
     xvars = [y(1, 1, k) for k in range(1, r + 1)]
     xs = [Poly.var(v) for v in xvars]
     alpha = Poly.var(ALPHA)
     sign = Fraction((-1) ** ((r - 1) * d))
     terms = []
-    for comp in iproduct(range(d + 1), repeat=r):
-        if sum(comp) != d:
-            continue
+    for comp in weak_compositions(d, r):
         term = RatFun.const(sign)
         for i in range(r):
             term = term * one_row_terms[comp[i]].substitute(
@@ -350,10 +330,9 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
         residuals = ab_integrals(t0, lam, list(schur.values()), rhs - lhs,
                                  seed=lambda_seed)
         for mu, residual in zip(schur, residuals):
-            coeffs = _c_coefficients(residual, dim_x)
             report.residuals.append({
                 "degree": d,
                 "partition": list(mu),
-                "residual_c_coeffs": [c.to_text() for c in coeffs],
+                "residual_c_coeffs": [residual.to_text()] + ["0"] * dim_x,
             })
     return report

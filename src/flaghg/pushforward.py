@@ -18,7 +18,10 @@ multiplies the pieces out: at a fixed point on the ray lam*s each piece
 is a number times a power of s, so the point contributes a short series
 per weight.  It works on columns over the fixed points, one integer per
 point: each quantity is one column, each step maps over whole columns,
-and each coefficient of the sum is a dot product over the points.
+and each coefficient of the sum is a dot product over the points.  The
+tangent Euler class at a point comes from each block's free coordinates:
+one weight per coordinate the block holds and coordinate it could have
+chosen instead, as the component is a tower of flag bundles.
 """
 
 from __future__ import annotations
@@ -28,15 +31,14 @@ from fractions import Fraction
 from itertools import combinations_with_replacement, permutations, repeat
 from math import factorial, lcm
 from operator import add, mul, sub
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 from .algebra import (ALPHA, Poly, RatFun, VarId, ambient, canonical_linear,
                       ratfun_sum, y)
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
 from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
-                         tangent_euler_scaled, tangent_ledger,
-                         torus_fixed_points)
+                         tangent_euler, torus_fixed_points)
 from .tableaux import Tableau, component_dimension
 
 
@@ -249,7 +251,9 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     power m for each pair of a root of src and a root of tgt.  The root
     values, the series of the factors, the exp products and each weight's
     values are columns over the fixed points, each computed once for all
-    weights; only the tangent Euler class is taken point by point.
+    weights; only the tangent Euler class is taken point by point, as the
+    product of the weights between each block's coordinates and the other
+    coordinates it could have chosen (tangent_euler).
 
     The negative powers of s must cancel over the points for every weight.
     A vanishing alpha-free denominator factor or a surviving pole means
@@ -417,11 +421,10 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     cells.sort()
 
     points = torus_fixed_points(t)
-    tangent = tangent_ledger(t)
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, rows = _ray_series_sums(
-                points, lam, slots, tangent, poles, shifts, order, recipe,
+                t, points, lam, slots, poles, shifts, order, recipe,
                 groups, forms, steps, cells, weight_terms)
             break
         except SingularSubstitutionError:
@@ -453,7 +456,7 @@ def _scaled(c, den: int) -> int:
     return c.numerator * (den // c.denominator)
 
 
-def _ray_series_sums(points, lam, slots, tangent, poles, shifts,
+def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
                      order: int, recipe, groups, forms, steps, cells,
                      weight_terms) -> tuple[int, list[dict]]:
     """(common, per weight the s^0 row {key: integer}), once the rows of
@@ -462,31 +465,27 @@ def _ray_series_sums(points, lam, slots, tangent, poles, shifts,
     With lam = weights / scale every power of s comes with one power of
     1/scale, so the rows are computed at the integer weights: the s^0 row
     is the same, and the others are scaled, which keeps their zero test
-    exact.  A point's share is bottom / top: the tangent Euler class
-    top / bottom times the alpha-free denominator factors, as integers
-    over a fixed g.  A factor with w != 0 multiplies or divides the series
-    in u by 1 + x*u with x = X / b for a fixed b, so the u^k coefficient is
-    an integer over b^k, which a cell's integer brings to b^order.  The
-    shares are summed over the least common multiple `common` of their
-    denominators.
+    exact.  A point's share is 1 / top: top is the tangent Euler class,
+    an integer product over each block's free coordinates, times the
+    alpha-free denominator factors, as integers over a fixed g.  A factor
+    with w != 0 multiplies or divides the series in u by 1 + x*u with
+    x = X / b for a fixed b, so the u^k coefficient is an integer over
+    b^k, which a cell's integer brings to b^order.  The shares are summed
+    over the least common multiple `common` of their denominators.
 
     Every per-point quantity is a column, one integer per fixed point: the
     root values, the pole deltas, each power of u of the series, the exp
     products, the root monomials and the group and weight values.  Each
     step maps over whole columns, and each cell adds one dot product over
     the points to its row.  Only the tangent Euler class is taken point by
-    point, since it cancels the diagonal zeros.
+    point, since each block's free coordinates depend on the point.
     """
     weights, _ = scaled_weights(lam)
     size = len(points)
     values = [[weights[point[block][k] - 1] for point in points]
               for block, k in slots]
     values += [[w] * size for w in weights]
-    tops, bottoms = [], []
-    for point in points:
-        top, bottom = tangent_euler_scaled(tangent, point, weights)
-        tops.append(top)
-        bottoms.append(bottom)
+    tops = [tangent_euler(t, point, weights) for point in points]
     for coeffs, e in poles:
         delta = _combination(values, coeffs, size)
         if not all(delta):
@@ -494,8 +493,7 @@ def _ray_series_sums(points, lam, slots, tangent, poles, shifts,
                 "an alpha-free denominator factor vanished at a point")
         tops = [top * v ** e for top, v in zip(tops, delta)]
     common = lcm(*tops)
-    series = [[bottom * (common // top)
-               for top, bottom in zip(tops, bottoms)]]
+    series = [[common // top for top in tops]]
     series += [[0] * size for _ in range(order)]
     for coeffs, e in shifts:
         x = _combination(values, coeffs, size)
@@ -556,18 +554,24 @@ def _combination(columns: list[list[int]], coeffs, size: int) -> list[int]:
     return out
 
 
+def weak_compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
+    """Every tuple of `parts` non-negative integers summing to `total`,
+    each counted out of one multiset of part indices; with no parts, one
+    empty tuple for a total of 0 and none above."""
+    for combo in combinations_with_replacement(range(parts), total):
+        exps = [0] * parts
+        for k in combo:
+            exps[k] += 1
+        yield tuple(exps)
+
+
 def complete_homogeneous(degree: int, roots: Sequence[VarId]) -> Poly:
     """h_degree: sum of all monomials of the given degree in the roots,
     one per weak composition of the degree into len(roots) parts."""
     if degree < 0:
         return Poly.zero()
-    terms = {}
-    for combo in combinations_with_replacement(range(len(roots)), degree):
-        exps = [0] * len(roots)
-        for k in combo:
-            exps[k] += 1
-        terms[tuple(exps)] = 1
-    return Poly.from_exponents(roots, terms)
+    return Poly.from_exponents(
+        roots, dict.fromkeys(weak_compositions(degree, len(roots)), 1))
 
 
 def schur_polynomial(mu: Sequence[int], roots: Sequence[VarId]) -> Poly:

@@ -6,7 +6,10 @@ monomial is evaluated at every fixed point.  `integral_Id` and the Schur
 pairings are checked against it on the expanded forms
 (`mirror_integrand(t)`, `cls * s_mu`), the way `tuple_poly.py` checks the
 packed Poly.  `fixed_point_values` and `point_values` are the per-point
-dictionaries of root values it works from.
+dictionaries of root values it works from.  Its tangent Euler class,
+`tangent_euler_scaled`, multiplies out the component's tangent ledger and
+cancels the diagonal zeros, independently of the engine's direct product
+over each block's free coordinates.
 """
 
 from __future__ import annotations
@@ -16,10 +19,10 @@ from math import lcm
 from typing import Sequence
 
 from flaghg.algebra import ALPHA, Poly, RatFun, VarId, ambient, y
-from flaghg.errors import IntegrationShapeError, SingularSubstitutionError
-from flaghg.fixedlocus import (FixedPoint, scaled_weights,
-                               tangent_euler_scaled, tangent_ledger,
-                               torus_fixed_points)
+from flaghg.errors import (CancellationFailureError, IntegrationShapeError,
+                           SingularSubstitutionError)
+from flaghg.fixedlocus import (FixedPoint, Ledger, scaled_weights,
+                               tangent_ledger, torus_fixed_points)
 from flaghg.pushforward import lam_vector
 from flaghg.tableaux import Tableau, component_dimension
 
@@ -47,6 +50,38 @@ def point_values(t: Tableau, point: FixedPoint,
     for k in range(1, t.spec.n + 1):
         values[ambient(k)] = weights[k - 1]
     return values
+
+
+def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
+                         weights: Sequence[int]) -> tuple[int, int]:
+    """(num, den): the product of tangent weights at integer torus weights
+    is num / den.  At weights lam = weights / scale it is
+    num / den / scale ** ledger.rank(), one factor of scale per weight.
+
+    The tangent ledger's positive and negative parts each contain the same
+    number of zero factors (the diagonal slots); these cancel as multisets
+    and the remaining product is the genuine Euler class.
+    """
+    coords = dict(point)
+    n = ledger.tableau.spec.n
+    coords[(ledger.tableau.levels + 1, 1)] = range(1, n + 1)
+    num = den = 1
+    zeros = 0
+    for src, tgt, w, m in ledger.terms():
+        for cs in coords[src]:
+            base = weights[cs - 1]
+            for ct in coords[tgt]:
+                val = weights[ct - 1] - base
+                if not val:
+                    zeros += m
+                elif m > 0:
+                    num *= val ** m
+                else:
+                    den *= val ** -m
+    if zeros:
+        raise CancellationFailureError(
+            "zero tangent weights do not cancel; fixed point is not isolated")
+    return num, den
 
 
 def expanded_ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],

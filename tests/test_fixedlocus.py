@@ -13,13 +13,13 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                fixed_point_count,
                                grassmannian_euler_product,
                                hquot_restriction_ledger, normal_ledger,
-                               scaled_weights, tangent_euler_scaled,
+                               scaled_weights, tangent_euler,
                                tangent_ledger, torus_fixed_points)
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux, hquot_dimension)
 
 from conftest import MIXED_LAM, all_specs, max_rule_index
-from expanded_oracle import fixed_point_values
+from expanded_oracle import fixed_point_values, tangent_euler_scaled
 
 A = Poly.var(ALPHA)
 
@@ -305,3 +305,17 @@ def test_tangent_euler_at_point_mixed_denominators():
             got = tangent_euler_at_point(ledger, point, MIXED_LAM)
             assert type(got) is Fraction
             assert got == expected, point
+
+
+def test_tangent_euler_matches_ledger_route():
+    # the product over each block's free coordinates against the reference
+    # that multiplies out the tangent ledger and cancels its zeros
+    weights, _ = scaled_weights(MIXED_LAM + [Fraction(-5, 6)])
+    for spec in all_specs(5, 3):
+        for t in enumerate_tableaux(spec):
+            ledger = tangent_ledger(t)
+            for point in torus_fixed_points(t):
+                num, den = tangent_euler_scaled(ledger, point,
+                                                weights[:spec.n])
+                assert tangent_euler(t, point, weights[:spec.n]) * den \
+                    == num, (t.rows, point)

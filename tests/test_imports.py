@@ -66,6 +66,59 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def _calls_by_name(function: ast.AST, name: str) -> bool:
+    """Whether the function's body calls `name` or `self.name`."""
+    for n in ast.walk(function):
+        if isinstance(n, ast.Call):
+            f = n.func
+            if isinstance(f, ast.Name) and f.id == name:
+                return True
+            if (isinstance(f, ast.Attribute) and f.attr == name
+                    and isinstance(f.value, ast.Name) and f.value.id == "self"):
+                return True
+    return False
+
+
+def self_calls(source: str) -> list[str]:
+    """Every function that calls itself, as outer.inner for a function
+    nested in another and Class.method for a method."""
+    found = []
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                name = prefix + child.name
+                if _calls_by_name(child, child.name):
+                    found.append(name)
+                visit(child, name + ".")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            else:
+                visit(child, prefix)
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_self_call_detection():
+    source = ("def f(n):\n    return f(n - 1) if n else 0\n"
+              "def g():\n    def h(k):\n        return h(k)\n"
+              "    return h\n"
+              "class C:\n    def m(self):\n        return self.m()\n"
+              "    def k(self):\n        return self.c.k()\n")
+    assert self_calls(source) == ["f", "g.h", "C.m"]
+
+
+def test_recursion_is_pinned():
+    # each recursion's depth is bounded by the job's structure, not by a
+    # row length or level count: the blocks of a tableau, the degree of a
+    # monomial, the nesting of a report
+    found = sorted(name for path in FILES if path.parent.name == "flaghg"
+                   for name in self_calls(path.read_text()))
+    assert found == ["_render_text.walk", "ab_integrals.mono_index",
+                     "torus_fixed_points.choose"]
+
+
 # The public names of the `flaghg` package, by the submodule defining them.
 PACKAGE_EXPORTS = {
     "algebra": ["ALPHA", "FORMAL_C", "LinearProduct", "Poly", "RatFun",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 from math import factorial
 
 import pytest
@@ -224,6 +225,20 @@ def test_box_partitions_and_complement():
     assert parts == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 1), (2, 2)]
     assert box_complement((0, 0), 2, 2) == (2, 2)
     assert box_complement((2, 1), 2, 2) == (1, 0)
+
+
+def test_box_partitions_equal_filtered_product():
+    for r in range(5):
+        for cols in range(5):
+            want = [mu for mu in product(range(cols + 1), repeat=r)
+                    if all(a >= b for a, b in zip(mu, mu[1:]))]
+            assert box_partitions(r, cols) == want, (r, cols)
+
+
+def test_box_partitions_of_a_long_row_need_no_recursion():
+    parts = box_partitions(1100, 1)
+    assert len(parts) == 1101
+    assert parts[0] == (0,) * 1100 and parts[-1] == (1,) * 1100
 
 
 def test_pairings_of_one_are_schubert_dual():

@@ -22,7 +22,7 @@ from flaghg.pushforward import (BlockAlphabet, ab_integrals, ab_integrate,
                                 brion_pushforward, complete_homogeneous,
                                 integrate_to_point, lam_vector, omega_class,
                                 schur_polynomial, schur_polynomial_bialternant,
-                                tableau_tower)
+                                tableau_tower, weak_compositions)
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux)
 
@@ -379,6 +379,18 @@ def test_schur_routes_agree():
 def test_schur_rejects_long_partition():
     with pytest.raises(ValueError):
         schur_polynomial([1, 1, 1], [y(1, 1, 1), y(1, 1, 2)])
+
+
+def test_weak_compositions_equal_filtered_product():
+    for parts in range(5):
+        for total in range(5):
+            want = [c for c in itertools.product(range(total + 1),
+                                                 repeat=parts)
+                    if sum(c) == total]
+            got = list(weak_compositions(total, parts))
+            assert sorted(got) == want and len(set(got)) == len(got)
+    assert list(weak_compositions(0, 0)) == [()]
+    assert list(weak_compositions(3, 0)) == []
 
 
 def test_complete_homogeneous_basics():
