@@ -1,12 +1,10 @@
 """Verify the Hori-Vafa formula for a Grassmannian at desk scale.
 
-The engine builds the series for a product of projective lines from its
-own one-row output, applies the antisymmetrizing derivative operator,
-substitutes the shifted Kahler variable (integer exponentials of the
-formal constant become signs, nilpotent ones stay polynomial), divides by
-the Vandermonde exactly, and compares every Schur pairing degree by
-degree.  All residuals must vanish, including in every power of the
-formal constant.
+The engine builds the series for a product of projective spaces from its
+own one-row output, applies the antisymmetrizing derivative operator as a
+shifted Vandermonde with the sign (-1)^((r-1)d) in closed form, divides
+by the Vandermonde exactly, and compares every Schur pairing degree by
+degree.  All residuals must vanish.
 """
 
 from flaghg.mirror import hori_vafa_verify

@@ -10,9 +10,8 @@ import importlib
 __version__ = "0.1.0"
 
 _EXPORTS = {
-    "algebra": ("ALPHA", "FORMAL_C", "LinearProduct", "Poly", "RatFun",
-                "VarId", "ambient", "exp_series", "kahler",
-                "ratfun_normalize", "y"),
+    "algebra": ("ALPHA", "LinearProduct", "Poly", "RatFun", "VarId",
+                "ambient", "exp_series", "kahler", "ratfun_normalize", "y"),
     "errors": ("BudgetExceededError", "CancellationFailureError",
                "FlagHGError", "FormulaMismatchError",
                "InfeasibleTableauError", "IntegrationShapeError",
@@ -25,9 +24,9 @@ _EXPORTS = {
     "mirror": ("HoriVafaReport", "IntegralResult", "grassmannian_hg_term",
                "hori_vafa_verify", "hyperplane_pullback", "integral_Id",
                "reconstruct_class_from_pairings", "schur_pairing"),
-    "pushforward": ("BlockAlphabet", "ab_integrals", "ab_integrate",
-                    "brion_pushforward", "integrate_to_point", "lam_vector",
-                    "omega_class", "schur_polynomial", "tableau_tower"),
+    "pushforward": ("BlockAlphabet", "ab_integrate", "brion_pushforward",
+                    "integrate_to_point", "lam_vector", "omega_class",
+                    "schur_polynomial", "tableau_tower"),
     "tableaux": ("FlagSpec", "Tableau", "component_dimension",
                  "enumerate_general_components", "enumerate_tableaux",
                  "general_component_dimension", "hquot_dimension"),

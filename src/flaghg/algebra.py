@@ -70,7 +70,6 @@ class VarId(NamedTuple):
     kind 1: ambient root e[k]
     kind 2: alpha               (equivariant circle weight)
     kind 3: kahler t[i]
-    kind 4: c                   (formal constant, never evaluated)
     """
 
     kind: int
@@ -85,9 +84,7 @@ class VarId(NamedTuple):
             return f"e[{self.k}]"
         if self.kind == 2:
             return "alpha"
-        if self.kind == 3:
-            return f"t[{self.i}]"
-        return "c"
+        return f"t[{self.i}]"
 
 
 def y(i: int, j: int, k: int) -> VarId:
@@ -103,7 +100,6 @@ def kahler(i: int) -> VarId:
 
 
 ALPHA = VarId(2)
-FORMAL_C = VarId(4)
 
 Scalar = Union[int, Fraction]
 

@@ -9,8 +9,8 @@ as the tableau's normal ledger and the exponential as its hyperplane
 classes, and never expands their product.  For Grassmannians the degree-d
 class itself is assembled two independent ways and verified against the
 antisymmetrized product of projective-space series: per degree, the
-difference of the two classes is paired with all Schur polynomials in one
-oracle call, the polynomials as its weights.
+difference of the two classes is paired with each Schur polynomial of the
+box, and a difference that is exactly zero needs no pairing.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .algebra import (ALPHA, Poly, RatFun, VarId, exp_series, kahler,
 from .errors import FormulaMismatchError
 from .fixedlocus import (canonical_roots, euler_class_from_ledger,
                          normal_ledger)
-from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrals,
+from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrate,
                           brion_pushforward, lam_vector, schur_polynomial,
                           weak_compositions)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
@@ -121,9 +121,9 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
     for t in enumerate_tableaux(spec):
         hyperplanes = {kahler(i): hyperplane_pullback(t, i)
                        for i in range(1, spec.levels + 1)}
-        contribution, = ab_integrals(
-            t, lam, [Poly.const(1)], normal=normal_ledger(t),
-            exp=(hyperplanes, component_dimension(t)), seed=lambda_seed)
+        contribution = ab_integrate(
+            t, None, lam, lambda_seed, normal=normal_ledger(t),
+            exp=(hyperplanes, component_dimension(t)))
         per_tableau.append((t, contribution))
     total = ratfun_sum([contribution for _, contribution in per_tableau])
     if not _alpha_only_denominator(total):
@@ -197,11 +197,11 @@ def box_complement(mu: tuple[int, ...], r: int, cols: int) -> tuple[int, ...]:
 def schur_pairing(spec: FlagSpec, cls: RatFun, mu,
                   lambda_seed: int = 0) -> RatFun:
     """Integrate cls * s_mu over the manifold by the fixed-point oracle,
-    with s_mu, the Schur polynomial of mu in the x roots, as its weight."""
+    s_mu the Schur polynomial of mu in the x roots."""
     lam = lam_vector(spec.n, lambda_seed)
     s_mu = schur_polynomial(mu, x_roots(spec))
-    return ab_integrals(zero_tableau(spec), lam, [s_mu], cls,
-                        seed=lambda_seed)[0]
+    return ab_integrate(zero_tableau(spec), cls * s_mu, lam, lambda_seed,
+                        check_symmetry=False)
 
 
 def reconstruct_class_from_pairings(n: int, r: int, pairings) -> RatFun:
@@ -294,10 +294,10 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     reproduces the Grassmannian series against every Schur polynomial.
 
     Per degree, the difference of the antisymmetrized class and the
-    Grassmannian class is paired with all Schur polynomials of the box in
-    one oracle call, the polynomials as its weights: by linearity each
-    pairing is the residual of the two classes' pairings, and a difference
-    that is exactly zero pairs to zero without visiting a fixed point.
+    Grassmannian class is paired with each Schur polynomial of the box: by
+    linearity each pairing is the residual of the two classes' pairings,
+    and a difference that is exactly zero pairs to zero, so then no Schur
+    polynomial is built and no fixed point visited.
     """
     if not (2 <= r < n):
         raise ValueError("need 2 <= r < n")
@@ -305,10 +305,6 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
         raise ValueError("truncation degree must be at least 1")
     spec = FlagSpec(n, (r,), (0,))
     dim_x = r * (n - r)
-    lam = lam_vector(n, lambda_seed)
-    t0 = zero_tableau(spec)
-    schur = {mu: schur_polynomial(mu, x_roots(spec))
-             for mu in box_partitions(r, n - r)}
 
     one_row_terms = {
         di: grassmannian_hg_term(n, 1, di, budget)
@@ -327,9 +323,10 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                 "residual_c_coeffs": ["division by the Vandermonde failed"],
             })
             continue
-        residuals = ab_integrals(t0, lam, list(schur.values()), rhs - lhs,
-                                 seed=lambda_seed)
-        for mu, residual in zip(schur, residuals):
+        diff = rhs - lhs
+        for mu in box_partitions(r, n - r):
+            residual = (RatFun.const(0) if diff.is_zero()
+                        else schur_pairing(spec, diff, mu, lambda_seed))
             report.residuals.append({
                 "degree": d,
                 "partition": list(mu),

@@ -11,17 +11,17 @@ class.  Iterating down a component's fibration tower and killing the
 ambient roots integrates to a point; the independent oracle instead sums
 integrand/tangent-Euler over the torus fixed points.
 
-The oracle takes its integrand factored (a RatFun, a normal ledger whose
-Euler class divides it, a truncated exponential of Kahler variables times
-root forms) together with a list of polynomial weights, and never
-multiplies the pieces out: at a fixed point on the ray lam*s each piece
-is a number times a power of s, so the point contributes a short series
-per weight.  It works on columns over the fixed points, one integer per
-point: each quantity is one column, each step maps over whole columns,
-and each coefficient of the sum is a dot product over the points.  The
-tangent Euler class at a point comes from each block's free coordinates:
-one weight per coordinate the block holds and coordinate it could have
-chosen instead, as the component is a tower of flag bundles.
+The oracle, ab_integrate, takes its integrand factored (a RatFun, a
+normal ledger whose Euler class divides it, a truncated exponential of
+Kahler variables times root forms) and never multiplies the pieces out:
+at a fixed point on the ray lam*s each piece is a number times a power
+of s, so the point contributes a short series.  It works on columns over
+the fixed points, one integer per point: each quantity is one column,
+each step maps over whole columns, and each coefficient of the sum is a
+dot product over the points.  The tangent Euler class at a point comes
+from each block's free coordinates: one weight per coordinate the block
+holds and coordinate it could have chosen instead, as the component is a
+tower of flag bundles.
 """
 
 from __future__ import annotations
@@ -204,39 +204,22 @@ def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
 MAX_RETRIES = 5
 
 
-def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
-                 seed: int = 0, check_symmetry: bool = True) -> RatFun:
-    """Torus fixed-point integral of p over the component: the one-weight
-    call ab_integrals(t, lam, [1], p), after checking that p is symmetric
-    in the letters of each block (unless check_symmetry is False).
-
-    The oracle itself takes the integrand factored (a RatFun, a normal
-    ledger and a truncated exponential of hyperplane classes) with a list
-    of polynomial weights, evaluates each piece at every fixed point
-    as a number times a power of the ray parameter, and returns one
-    integral per weight without multiplying anything out; see
-    ab_integrals."""
-    if check_symmetry:
-        assert_block_symmetric(p, [t.letters(i, j)
-                                   for i in range(1, t.levels + 1)
-                                   for j in range(1, t.K(i) + 1)])
-    return ab_integrals(t, lam, [Poly.const(1)], p, seed=seed)[0]
-
-
-def ab_integrals(t: Tableau, lam: Sequence[Fraction],
-                 weights: Sequence[Poly], p: RatFun | None = None,
+def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
+                 seed: int = 0, check_symmetry: bool = True,
                  normal: Ledger | None = None,
-                 exp: tuple[Mapping[VarId, Poly], int] | None = None,
-                 seed: int = 0) -> list[RatFun]:
-    """Torus fixed-point integrals of p * exp * weight / e(normal) over the
-    component, one per weight, from one pass over the fixed points.
+                 exp: tuple[Mapping[VarId, Poly], int] | None = None
+                 ) -> RatFun:
+    """Torus fixed-point integral of p * exp / e(normal) over the
+    component, from one pass over the fixed points, after checking that p
+    is symmetric in the letters of each block (unless check_symmetry is
+    False).
 
-    The integrand stays factored: p is a RatFun, normal a ledger whose
-    equivariant Euler class divides the integrand, exp = ({t_i: H_i}, D)
-    the exponential of sum_i t_i*H_i truncated at degree D, with each H_i a
-    root form, and each weight a polynomial in the roots.  Every
-    denominator factor of p must be a root form plus a multiple of alpha,
-    and every ledger term must have a non-zero weight.
+    The integrand stays factored: p is a RatFun (None for 1), normal a
+    ledger whose equivariant Euler class divides the integrand, and
+    exp = ({t_i: H_i}, D) the exponential of sum_i t_i*H_i truncated at
+    degree D, with each H_i a root form.  Every denominator factor of p
+    must be a root form plus a multiple of alpha, and every ledger term
+    must have a non-zero weight.
 
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
@@ -249,27 +232,33 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     alpha stays symbolic; for w = 0 it raises the pole order.  A ledger
     term (src, tgt, w, m) gives the factor y_tgt - y_src + w*alpha to the
     power m for each pair of a root of src and a root of tgt.  The root
-    values, the series of the factors, the exp products and each weight's
-    values are columns over the fixed points, each computed once for all
-    weights; only the tangent Euler class is taken point by point, as the
-    product of the weights between each block's coordinates and the other
-    coordinates it could have chosen (tangent_euler).
+    values, the series of the factors, the exp products and the numerator
+    values are columns over the fixed points; only the tangent Euler
+    class is taken point by point, as the product of the weights between
+    each block's coordinates and the other coordinates it could have
+    chosen (tangent_euler).
 
-    The negative powers of s must cancel over the points for every weight.
-    A vanishing alpha-free denominator factor or a surviving pole means
-    non-generic weights (or a genuine pole); fresh weights are drawn from
-    the seed sequence up to MAX_RETRIES times.  The sum runs in integers
-    over one common denominator, and one Fraction is built per coefficient
-    of each result.
+    The negative powers of s must cancel over the points.  A vanishing
+    alpha-free denominator factor or a surviving pole means non-generic
+    weights (or a genuine pole); fresh weights are drawn from the seed
+    sequence up to MAX_RETRIES times.  The sum runs in integers over one
+    common denominator, and one Fraction is built per coefficient of the
+    result.
     """
+    if p is None:
+        p = RatFun.const(1)
+    elif check_symmetry:
+        assert_block_symmetric(p, [t.letters(i, j)
+                                   for i in range(1, t.levels + 1)
+                                   for j in range(1, t.K(i) + 1)])
     n = t.spec.n
     if len(set(lam)) != len(lam):
         raise ValueError("torus weights must be pairwise distinct")
     if len(lam) != n:
         raise ValueError("one torus weight per coordinate is required")
-    num = p.num if p is not None else Poly.const(1)
+    num = p.num
     if num.is_zero():
-        return [RatFun.const(0) for _ in weights]
+        return RatFun.const(0)
     # The roots: the tableau's letters, then the ambient roots.  At a
     # point, letter y[i,j;k] sits on coordinate point[(i, j)][k - 1] and
     # e[k] on coordinate k, so the point's root values are one list.
@@ -285,7 +274,7 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     poles, shifts = [], []  # factors with w = 0; with w != 0
     order = component_dimension(t)
     alpha_shift = 0  # alpha-degree of the w != 0 factors
-    for f, e in (p.den.items() if p is not None else ()):
+    for f, e in p.den.items():
         const, coeffs = f.linear_parts()
         w = coeffs.pop(ALPHA, 0)
         if const or not coeffs.keys() <= at.keys():
@@ -352,9 +341,9 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
         start = end
     constant /= coefs[0]
 
-    # Root monomials of the numerator and the weights, in one table: root
-    # monomial i > 0 is root monomial recipe[i-1][0] times the root at
-    # index recipe[i-1][1], so a point evaluates each with one product.
+    # Root monomials of the numerator, in one table: root monomial i > 0
+    # is root monomial recipe[i-1][0] times the root at index
+    # recipe[i-1][1], so a point evaluates each with one product.
     index: dict[tuple, int] = {(0,) * len(root_order): 0}
     recipe: list[tuple] = []
 
@@ -392,17 +381,6 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
                     e << sh for e, sh in zip(rest, [alpha_at] + fields))
             groups.setdefault((packed[rest], degree), []).append(
                 (mono_index(root), _scaled(c, den)))
-    weight_terms = []  # per weight: (denominator, {degree: [(index, c)]})
-    for weight in weights:
-        if not weight.variables() <= at.keys():
-            raise IntegrationShapeError(
-                f"weight {weight.to_text()} is not a polynomial in the roots")
-        wden = lcm(*(c.denominator for c in weight.terms.values()))
-        by_degree: dict[int, list] = {}
-        for exps, c in weight.exponents(root_order).items():
-            by_degree.setdefault(sum(exps), []).append(
-                (mono_index(exps), _scaled(c, wden)))
-        weight_terms.append((wden, by_degree))
     # the cells (j, k, m, key, c) of a point's factor series, in order of
     # j: u^k times the exp part at m, of s-degree j = k + |m|, with
     # alpha^-k and the integer c = coefs[m] * b^(order - k); without
@@ -423,31 +401,28 @@ def ab_integrals(t: Tableau, lam: Sequence[Fraction],
     points = torus_fixed_points(t)
     for attempt in range(MAX_RETRIES + 1):
         try:
-            common, rows = _ray_series_sums(
+            common, row = _ray_series_sums(
                 t, points, lam, slots, poles, shifts, order, recipe,
-                groups, forms, steps, cells, weight_terms)
+                groups, forms, steps, cells)
             break
         except SingularSubstitutionError:
             if attempt == MAX_RETRIES:
                 raise
             lam = lam_vector(n, seed=seed + 1001 + attempt)
-    out = []
     mask = (1 << width) - 1
-    for (wden, _), row in zip(weight_terms, rows):
-        scale = constant / (common * wden)
-        terms = {(tuple((key >> sh) & mask for sh in fields),
-                  (key >> alpha_at) + alpha_shift): c * scale
-                 for key, c in row.items() if c}
-        # clear negative powers of alpha; then some term is free of alpha,
-        # so the result is in lowest terms
-        raise_by = max([0] + [-a for _, a in terms])
-        out.append(RatFun(
-            Poly.from_exponents(others + [ALPHA],
-                                {rest + (a + raise_by,): c
-                                 for (rest, a), c in terms.items()}),
-            {Poly.var(ALPHA): raise_by} if raise_by else {},
-            _normalized=True))
-    return out
+    scale = constant / common
+    terms = {(tuple((key >> sh) & mask for sh in fields),
+              (key >> alpha_at) + alpha_shift): c * scale
+             for key, c in row.items() if c}
+    # clear negative powers of alpha; then some term is free of alpha, so
+    # the result is in lowest terms
+    raise_by = max([0] + [-a for _, a in terms])
+    return RatFun(
+        Poly.from_exponents(others + [ALPHA],
+                            {rest + (a + raise_by,): c
+                             for (rest, a), c in terms.items()}),
+        {Poly.var(ALPHA): raise_by} if raise_by else {},
+        _normalized=True)
 
 
 def _scaled(c, den: int) -> int:
@@ -457,10 +432,10 @@ def _scaled(c, den: int) -> int:
 
 
 def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
-                     order: int, recipe, groups, forms, steps, cells,
-                     weight_terms) -> tuple[int, list[dict]]:
-    """(common, per weight the s^0 row {key: integer}), once the rows of
-    negative powers of s are checked to vanish for every weight.
+                     order: int, recipe, groups, forms, steps,
+                     cells) -> tuple[int, dict]:
+    """(common, the s^0 row {key: integer}), once the rows of negative
+    powers of s are checked to vanish.
 
     With lam = weights / scale every power of s comes with one power of
     1/scale, so the rows are computed at the integer weights: the s^0 row
@@ -475,10 +450,10 @@ def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
 
     Every per-point quantity is a column, one integer per fixed point: the
     root values, the pole deltas, each power of u of the series, the exp
-    products, the root monomials and the group and weight values.  Each
-    step maps over whole columns, and each cell adds one dot product over
-    the points to its row.  Only the tangent Euler class is taken point by
-    point, since each block's free coordinates depend on the point.
+    products, the root monomials and the group values.  Each step maps
+    over whole columns, and each cell adds one dot product over the points
+    to its row.  Only the tangent Euler class is taken point by point,
+    since each block's free coordinates depend on the point.
     """
     weights, _ = scaled_weights(lam)
     size = len(points)
@@ -507,43 +482,32 @@ def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
             for k in range(1, order + 1):
                 series[k] = list(map(sub, series[k],
                                      map(mul, x, series[k - 1])))
+    cs = [_combination(values, form, size) for form in forms]
     products = [[1] * size]
-    if forms:
-        cs = [_combination(values, form, size) for form in forms]
-        for parent, i in steps:
-            products.append(list(map(mul, products[parent], cs[i])))
+    for parent, i in steps:
+        products.append(list(map(mul, products[parent], cs[i])))
     monos = [[1] * size]
     for parent, i in recipe:
         monos.append(list(map(mul, monos[parent], values[i])))
-    sums = []
+    rows = [defaultdict(int) for _ in range(order + 1)]
     for (key, degree), items in groups.items():
-        column = _combination(monos, items, size)
-        if any(column):
-            sums.append((key, degree, column))
-    acc = [[defaultdict(int) for _ in range(order + 1)] for _ in weight_terms]
-    for (_, by_degree), rows in zip(weight_terms, acc):
-        for d, items in by_degree.items():
-            wv = _combination(monos, items, size)
-            if not any(wv):
-                continue
-            for key, degree, value in sums:
-                value = list(map(mul, value, wv))
-                room = order - degree - d
-                # the share times the group and weight values, per power of u
-                parts = [list(map(mul, value, column)) if any(column) else None
-                         for column in series[:room + 1]]
-                for j, k, mi, kf, c in cells:
-                    if j > room:
-                        break
-                    if parts[k] is not None:
-                        rows[degree + d + j][key + kf] += c * sum(
-                            map(mul, parts[k], products[mi]))
-    for rows in acc:
-        if any(any(row.values()) for row in rows[:order]):
-            raise SingularSubstitutionError(
-                "poles in the ray parameter do not cancel over the fixed "
-                "points")
-    return common, [rows[order] for rows in acc]
+        value = _combination(monos, items, size)
+        if not any(value):
+            continue
+        room = order - degree
+        # the share times the group value, per power of u
+        parts = [list(map(mul, value, column)) if any(column) else None
+                 for column in series[:room + 1]]
+        for j, k, mi, kf, c in cells:
+            if j > room:
+                break
+            if parts[k] is not None:
+                rows[degree + j][key + kf] += c * sum(
+                    map(mul, parts[k], products[mi]))
+    if any(any(row.values()) for row in rows[:order]):
+        raise SingularSubstitutionError(
+            "poles in the ray parameter do not cancel over the fixed points")
+    return common, rows[order]
 
 
 def _combination(columns: list[list[int]], coeffs, size: int) -> list[int]:

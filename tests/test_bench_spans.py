@@ -8,6 +8,8 @@ from collections import Counter
 
 import pytest
 
+from flaghg.tableaux import enumerate_tableaux
+
 from conftest import BENCH
 
 SPANS = BENCH / "spans.py"
@@ -56,3 +58,28 @@ def test_traced_passes_meet_checks_with_equal_span_counts(jobs, workload):
     finally:
         spans["uninstall"](undo)
     assert passes[0] == passes[1]
+
+
+def test_traced_integrals_pass_records_one_oracle_span_per_tableau(jobs):
+    """integral_Id integrates each tableau by one ab_integrate call, which
+    enumerates that tableau's fixed points once; a passing hori_vafa_verify
+    pairs a zero difference and reaches no oracle."""
+    spans = _spans()
+    recorder = spans["Recorder"]()
+    undo = spans["install"](recorder)
+    try:
+        for job in jobs.WORKLOAD_JOBS["integrals"](7, 0):
+            job.run()
+    finally:
+        spans["uninstall"](undo)
+    names = [recorder.names[k] for k in recorder.name]
+    oracle = [k for k, name in enumerate(names)
+              if name == "pushforward.ab_integrate"]
+    points = [k for k, name in enumerate(names)
+              if name == "fixedlocus.torus_fixed_points"]
+    tableaux = sum(len(enumerate_tableaux(spec))
+                   for spec in jobs.INTEGRAL_SPECS)
+    assert len(oracle) == tableaux == 12
+    assert all(names[recorder.parent[k]] == "mirror.integral_Id"
+               for k in oracle)
+    assert sorted(recorder.parent[k] for k in points) == oracle

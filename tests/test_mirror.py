@@ -325,6 +325,18 @@ def test_hori_vafa_residual_is_the_difference_of_pairings(monkeypatch):
             [expected.to_text()] + ["0"] * (r * (n - r))
 
 
+def test_hori_vafa_zero_difference_builds_no_schur_polynomial(monkeypatch):
+    # equal classes pair to zero against every partition of the box, so no
+    # Schur polynomial is needed
+    def refuse(mu, roots):
+        raise AssertionError(f"schur_polynomial({mu}) was built")
+
+    monkeypatch.setattr(mirror, "schur_polynomial", refuse)
+    report = hori_vafa_verify(5, 2, 2)
+    assert report.ok
+    assert len(report.residuals) == 3 * len(box_partitions(2, 3))
+
+
 def test_hori_vafa_rejects_bad_arguments():
     with pytest.raises(ValueError):
         hori_vafa_verify(3, 1, 2)

@@ -9,16 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flaghg import pushforward
-from flaghg.algebra import (ALPHA, FORMAL_C, Poly, RatFun, ambient,
-                            exp_series, kahler, y)
+from flaghg.algebra import (ALPHA, Poly, RatFun, ambient, exp_series,
+                            kahler, y)
 from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
                            SingularSubstitutionError, SymmetryViolationError)
 from flaghg.fixedlocus import (Ledger, canonical_roots,
                                euler_class_from_ledger, normal_ledger)
 from flaghg.mirror import (box_partitions, grassmannian_hg_term,
-                           hyperplane_pullback, mirror_integrand, x_roots,
-                           zero_tableau)
-from flaghg.pushforward import (BlockAlphabet, ab_integrals, ab_integrate,
+                           hyperplane_pullback, mirror_integrand,
+                           schur_pairing, x_roots, zero_tableau)
+from flaghg.pushforward import (BlockAlphabet, ab_integrate,
                                 brion_pushforward, complete_homogeneous,
                                 integrate_to_point, lam_vector, omega_class,
                                 schur_polynomial, schur_polynomial_bialternant,
@@ -354,7 +354,7 @@ def test_ab_integrate_positive_degree_mirror_integrand_seeds():
 def test_ab_integrate_rejects_non_alpha_denominator():
     p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
     root = P(y(1, 1, 1))
-    for factor in (root + 1, root + P(kahler(1)), root + P(FORMAL_C)):
+    for factor in (root + 1, root + P(kahler(1))):
         with pytest.raises(IntegrationShapeError, match="root form"):
             ab_integrate(p1, RatFun(Poly.const(1), {factor: 1}),
                          lam_vector(2, 0))
@@ -461,7 +461,7 @@ def test_ab_integrate_squared_scaled_factors_match_tower(monkeypatch):
                                 * P(kahler(1)), {alpha: 2})
 
 
-# --- the factored, multi-weight oracle against the expanded one ------------
+# --- the factored oracle against the expanded one ---------------------------
 
 ORACLE_TABLEAUX = [t for spec in (FlagSpec(3, (1,), (1,)),
                                   FlagSpec(4, (2,), (1,)),
@@ -482,8 +482,12 @@ def test_factored_oracle_matches_expanded_integrand(index, seed, use_normal,
     rng = random.Random(seed)
     dim = component_dimension(t)
     alpha = P(ALPHA)
-    p = RatFun(random_block_symmetric(t, rng, dim) + alpha * rng.randint(0, 2),
-               {P(y(1, 1, 1)) + alpha: 1} if t.m(1, 1) == 1 else {})
+    num = random_block_symmetric(t, rng, dim) + alpha * rng.randint(0, 2)
+    if use_exp:
+        # a t_i that exp also carries: their exponents add in one key field
+        num = num + P(kahler(t.spec.levels)) * random_block_symmetric(
+            t, rng, dim - 1)
+    p = RatFun(num, {P(y(1, 1, 1)) + alpha: 1} if t.m(1, 1) == 1 else {})
     normal = exp = None
     expanded = p
     if use_normal:
@@ -502,7 +506,8 @@ def test_factored_oracle_matches_expanded_integrand(index, seed, use_normal,
     weights = [random_block_symmetric(t, rng, dim) * Fraction(1, k)
                + rng.randint(-1, 1) for k in range(1, nweights + 1)]
     lam = lam_vector(t.spec.n, lambda_seed)
-    got = ab_integrals(t, lam, weights, p, normal, exp)
+    got = [ab_integrate(t, p * w, lam, normal=normal, exp=exp)
+           for w in weights]
     assert got == [expanded_ab_integrate(t, expanded * w, lam)
                    for w in weights]
 
@@ -517,21 +522,17 @@ def hg_term(n, r, d):
                              (5, 2, 1), (4, 3, 2)]),
        subset=st.sets(st.integers(0, 9), min_size=1),
        lambda_seed=st.integers(0, 50))
-def test_multi_weight_call_equals_per_weight_pairings(case, subset,
-                                                      lambda_seed):
+def test_schur_pairing_equals_expanded_oracle(case, subset, lambda_seed):
     n, r, d = case
     spec = FlagSpec(n, (r,), (0,))
     t0 = zero_tableau(spec)
     cls = hg_term(n, r, d)
     parts = box_partitions(r, n - r)
-    schur = [schur_polynomial(parts[i % len(parts)], x_roots(spec))
-             for i in sorted(subset)]
     lam = lam_vector(n, lambda_seed)
-    got = ab_integrals(t0, lam, schur, cls, seed=lambda_seed)
-    assert got == [ab_integrate(t0, cls * s_mu, lam, seed=lambda_seed,
-                                check_symmetry=False) for s_mu in schur]
-    assert got == [expanded_ab_integrate(t0, cls * s_mu, lam)
-                   for s_mu in schur]
+    for mu in sorted({parts[i % len(parts)] for i in subset}):
+        s_mu = schur_polynomial(mu, x_roots(spec))
+        assert schur_pairing(spec, cls, mu, lambda_seed) == \
+            expanded_ab_integrate(t0, cls * s_mu, lam)
 
 
 def test_numerator_alpha_free_factor_vanishing_at_a_point():
@@ -541,7 +542,7 @@ def test_numerator_alpha_free_factor_vanishing_at_a_point():
     root = P(y(1, 1, 1))
     p = RatFun.from_poly(root - P(ambient(1)))
     lam = lam_vector(3, 0)
-    got = ab_integrals(t, lam, [root, Poly.const(1)], p)
+    got = [ab_integrate(t, p * w, lam) for w in (root, Poly.const(1))]
     assert got == [RatFun.const(1), RatFun.const(0)]
     assert got == [expanded_ab_integrate(t, p * w, lam)
                    for w in (root, Poly.const(1))]
@@ -553,12 +554,12 @@ def test_numerator_factor_with_alpha_weight():
     root, alpha = P(y(1, 1, 1)), P(ALPHA)
     p = RatFun(3 * (root + 2 * alpha) ** 2, {root - alpha: 1})
     lam = lam_vector(3, 0)
-    got, = ab_integrals(t, lam, [Poly.const(1)], p)
+    got = ab_integrate(t, p, lam)
     assert got == expanded_ab_integrate(t, p, lam)
     assert got == integrate_to_point(p, tableau_tower(t))
 
 
-def test_ab_integrals_forced_lambda_retry(monkeypatch):
+def test_ab_integrate_forced_lambda_retry(monkeypatch):
     # y - e1 - e2 vanishes at y = e2 when lam1 = 0, so the first weights are
     # refused and fresh ones are drawn; the poles cancel over the points
     p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
@@ -568,30 +569,29 @@ def test_ab_integrals_forced_lambda_retry(monkeypatch):
     bad = [Fraction(0), Fraction(1)]
     weights = [Poly.const(1), root]
     monkeypatch.setattr(pushforward, "MAX_RETRIES", 0)
-    with pytest.raises(SingularSubstitutionError):
-        ab_integrals(p1, bad, weights, f)
+    for w in weights:
+        with pytest.raises(SingularSubstitutionError):
+            ab_integrate(p1, f * w, bad)
     monkeypatch.setattr(pushforward, "MAX_RETRIES", 1)
-    got = ab_integrals(p1, bad, weights, f)
+    got = [ab_integrate(p1, f * w, bad) for w in weights]
     assert got == [expanded_ab_integrate(p1, f * w, lam_vector(2, 0))
                    for w in weights]
     assert got[0] == RatFun.const(1)
 
 
-def test_ab_integrals_rejects_bad_inputs():
+def test_ab_integrate_rejects_bad_inputs():
     p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
     root = P(y(1, 1, 1))
     lam = lam_vector(2, 0)
     weight_zero = Ledger(p1)
     weight_zero.add((1, 1), (2, 1), 0)
     with pytest.raises(IntegrationShapeError, match="has weight 0"):
-        ab_integrals(p1, lam, [Poly.const(1)], normal=weight_zero)
+        ab_integrate(p1, None, lam, normal=weight_zero)
     with pytest.raises(IntegrationShapeError, match="denominator factor"):
-        ab_integrals(p1, lam, [Poly.const(1)],
-                     RatFun(Poly.const(1), {root + P(kahler(1)): 1}))
-    with pytest.raises(IntegrationShapeError, match="weight"):
-        ab_integrals(p1, lam, [root * P(ALPHA)])
+        ab_integrate(p1, RatFun(Poly.const(1), {root + P(kahler(1)): 1}),
+                     lam)
     with pytest.raises(IntegrationShapeError, match="exponent"):
-        ab_integrals(p1, lam, [Poly.const(1)],
+        ab_integrate(p1, None, lam,
                      exp=({kahler(1): root + P(kahler(2))}, 1))
     with pytest.raises(ValueError, match="distinct"):
         ab_integrate(p1, RatFun.const(1), [Fraction(1), Fraction(1)])
