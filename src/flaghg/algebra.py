@@ -719,7 +719,8 @@ def ratfun_sum(terms) -> RatFun:
     division the sum is evaluated at a point of each union factor's
     hyperplane from the unexpanded terms (see _sum_may_divide); a factor
     that this proves coprime to the sum keeps its exponent without a
-    division.
+    division.  A zero sum is returned before any factor is screened, so
+    checking an identity costs one expansion.
     """
     terms = list(terms)
     if not terms:
@@ -741,6 +742,8 @@ def ratfun_sum(terms) -> RatFun:
                     table.append(table[-1] * f)
                 num = num * table[extra]
         total = total + num
+    if total.is_zero():
+        return RatFun(total, {}, _normalized=True)
     return _lowest_terms(total, union,
                          {f: _sum_may_divide(terms, union, f) for f in union})
 
@@ -821,46 +824,41 @@ def _residue_sums(p: Poly) -> tuple:
     """(v, {slot: {e: s}}): v is p mod _P with every variable at its
     _residue, and s the part of v from the terms whose exponent at the
     slot is e > 0.  Empty where _P divides a coefficient denominator.
+    The terms are taken as columns: one of values, scaled by one slot's
+    residue powers at a time, and per slot one of exponents.
     Memoized on p, which is immutable."""
     if p._res is not None:
         return p._res
     w = p._w
     mask = (1 << w) - 1
-    total = 0
+    values = []
     inverses: dict[int, int] = {}
-    powers: dict[int, int] = {}
-    sums: dict[int, int] = {}  # by field: slot and exponent
-    for mono, c in p.terms.items():
-        x = c.numerator
+    for c in p.terms.values():
         d = c.denominator
-        if d != 1:
-            inv = inverses.get(d)
-            if inv is None:
-                if d % _P == 0:
-                    p._res = ()
-                    return ()
-                inv = inverses[d] = pow(d, -1, _P)
-            x = x * inv % _P
-        fields = []
-        while mono:
-            low = (mono & -mono).bit_length() - 1
-            sh = low - low % w
-            field = mono & (mask << sh)
-            power = powers.get(field)
-            if power is None:
-                power = powers[field] = pow(_RESIDUES[sh // w], field >> sh,
-                                            _P)
-            x = x * power % _P
-            fields.append(field)
-            mono ^= field
-        total += x
-        for field in fields:
-            sums[field] = sums.get(field, 0) + x
+        if d == 1:
+            values.append(c.numerator)
+            continue
+        inv = inverses.get(d)
+        if inv is None:
+            if d % _P == 0:
+                p._res = ()
+                return ()
+            inv = inverses[d] = pow(d, -1, _P)
+        values.append(c.numerator * inv)
+    columns = []
+    for slot, _ in _fields(reduce(or_, p.terms, 0), w):
+        sh = slot * w
+        column = [(m >> sh) & mask for m in p.terms]
+        powers = {e: pow(_RESIDUES[slot], e, _P) for e in set(column)}
+        values = [x * powers[e] % _P for x, e in zip(values, column)]
+        columns.append((slot, column))
     by_slot: dict[int, dict[int, int]] = {}
-    for field, s in sums.items():
-        sh = (field.bit_length() - 1) // w * w
-        by_slot.setdefault(sh // w, {})[field >> sh] = s
-    p._res = (total % _P, by_slot)
+    for slot, column in columns:
+        sums = by_slot[slot] = {}
+        for x, e in zip(values, column):
+            sums[e] = sums.get(e, 0) + x
+        sums.pop(0, None)
+    p._res = (sum(values) % _P, by_slot)
     return p._res
 
 

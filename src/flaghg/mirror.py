@@ -7,10 +7,11 @@ classes against the inverse normal Euler class, integrated by the
 fixed-point oracle.  The oracle receives the two factored, the Euler class
 as the tableau's normal ledger and the exponential as its hyperplane
 classes, and never expands their product.  For Grassmannians the degree-d
-class itself is assembled two independent ways and verified against the
-antisymmetrized product of projective-space series: per degree, the
-difference of the two classes is paired with each Schur polynomial of the
-box, and a difference that is exactly zero needs no pairing.
+class is pushed forward over tableaux and must cancel the simplified
+display's terms exactly, and is verified against the antisymmetrized
+product of projective-space series (the display through the one-row
+classes): per degree, the difference of the two classes is paired with
+each Schur polynomial of the box, and a zero difference needs no pairing.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Mapping
 
-from .algebra import (ALPHA, Poly, RatFun, VarId, exp_series, kahler,
-                      ratfun_sum, y)
+from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, exp_series,
+                      kahler, ratfun_sum, y)
 from .errors import FormulaMismatchError
 from .fixedlocus import (canonical_roots, euler_class_from_ledger,
                          normal_ledger)
@@ -135,49 +136,48 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
 def _grassmannian_term_tableau_route(n: int, r: int, d: int,
                                      budget: int) -> RatFun:
     spec = FlagSpec(n, (r,), (d,))
-    targets = x_roots(spec)
+    xs = x_roots(spec)
     terms = []
     for t in enumerate_tableaux(spec):
-        inverse_euler = euler_class_from_ledger(
-            normal_ledger(t).negated(), canonical_roots(t, [Poly.zero()] * n))
-        alphabet = BlockAlphabet([t.letters(1, j)
-                                  for j in range(1, t.K(1) + 1)])
-        pushed = brion_pushforward(inverse_euler, alphabet, budget)
-        terms.append(pushed.substitute(
-            dict(zip(sorted(alphabet.letters), targets))))
+        blocks = [xs[t.r(1, j - 1):t.r(1, j)] for j in range(1, t.K(1) + 1)]
+        roots = {(1, j): [Poly.var(v) for v in block]
+                 for j, block in enumerate(blocks, 1)}
+        roots[(2, 1)] = [Poly.zero()] * n
+        inverse_euler = euler_class_from_ledger(normal_ledger(t).negated(),
+                                                roots)
+        terms.append(brion_pushforward(inverse_euler, BlockAlphabet(blocks),
+                                       budget))
     return ratfun_sum(terms)
 
 
-def _grassmannian_term_display_route(n: int, r: int, d: int) -> RatFun:
-    """The simplified class: over weak compositions of d, the weight-shifted
-    Vandermonde ratio against the section-space factors."""
+def _grassmannian_display_terms(n: int, r: int, d: int) -> list[RatFun]:
+    """The simplified display's terms in lowest terms, one per weak
+    composition c of d: (-1)^((r-1)d) prod_{j<j'} (x_j' - x_j + (c_j' -
+    c_j)*alpha) / (x_j' - x_j) * prod_j prod_{l<=c_j} (-x_j - l*alpha)^-n."""
     xs = [Poly.var(y(1, 1, k)) for k in range(1, r + 1)]
     alpha = Poly.var(ALPHA)
     terms = []
-    sign = Fraction((-1) ** ((r - 1) * d))
     for comp in weak_compositions(d, r):
-        term = RatFun.const(sign)
-        for j in range(r):
-            for jp in range(j + 1, r):
-                shifted = xs[jp] - xs[j] + alpha * (comp[jp] - comp[j])
-                term = term * shifted
-                term = term * RatFun(Poly.const(1), {xs[jp] - xs[j]: 1})
+        term = LinearProduct((-1) ** ((r - 1) * d))
+        for j, jp in combinations(range(r), 2):
+            term.mul_factor(xs[jp] - xs[j] + alpha * (comp[jp] - comp[j]))
+            term.mul_factor(xs[jp] - xs[j], -1)
         for j in range(r):
             for l in range(1, comp[j] + 1):
-                term = term * RatFun(Poly.const(1),
-                                     {-xs[j] - alpha * l: n})
-        terms.append(term)
-    return ratfun_sum(terms)
+                term.mul_factor(-xs[j] - alpha * l, -n)
+        terms.append(term.to_ratfun())
+    return terms
 
 
 def grassmannian_hg_term(n: int, r: int, d: int,
                          budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
-    """The degree-d hypergeometric class on a Grassmannian, computed both
-    by pushing inverse Euler classes over tableaux and by the simplified
-    display; the routes must agree exactly."""
+    """The degree-d hypergeometric class on a Grassmannian, pushed from the
+    tableaux in the target roots x_1..x_r (so nothing is renamed) and
+    checked against the simplified display: its terms minus the pushed
+    class must sum to exactly zero, so the display is never normalized."""
     via_tableaux = _grassmannian_term_tableau_route(n, r, d, budget)
-    via_display = _grassmannian_term_display_route(n, r, d)
-    if via_tableaux != via_display:
+    terms = _grassmannian_display_terms(n, r, d) + [-via_tableaux]
+    if not ratfun_sum(terms).is_zero():
         raise FormulaMismatchError(
             f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
     return via_tableaux
@@ -293,11 +293,11 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     """Check that antisymmetrizing the product of projective-space series
     reproduces the Grassmannian series against every Schur polynomial.
 
-    Per degree, the difference of the antisymmetrized class and the
-    Grassmannian class is paired with each Schur polynomial of the box: by
-    linearity each pairing is the residual of the two classes' pairings,
-    and a difference that is exactly zero pairs to zero, so then no Schur
-    polynomial is built and no fixed point visited.
+    The rank-r class is the tableau route's alone: the antisymmetrized
+    product is the rank-r display.  Per degree, the difference of the two
+    classes is paired with each Schur polynomial of the box: by linearity
+    each pairing is the residual of the two classes' pairings, and a zero
+    difference pairs to zero, so no Schur polynomial is built.
     """
     if not (2 <= r < n):
         raise ValueError("need 2 <= r < n")
@@ -313,7 +313,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
 
     report = HoriVafaReport(n, r, max_degree, True)
     for d in range(max_degree + 1):
-        lhs = grassmannian_hg_term(n, r, d, budget)
+        lhs = _grassmannian_term_tableau_route(n, r, d, budget)
         rhs = antisymmetrized_product_class(r, d, one_row_terms)
         if rhs is None:
             report.division_exact = False

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 from flaghg.algebra import Poly
+from flaghg.errors import DEFAULT_COSET_BUDGET
 from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau
 
@@ -65,6 +66,21 @@ def random_block_symmetric(t: Tableau, rng: random.Random,
             budget -= k
             out = out * complete_homogeneous(k, t.letters(i, j))
     return out
+
+
+def shift_tableau_route(monkeypatch, extra):
+    """Add extra to the Grassmannian tableau route's class of every rank
+    >= 2, and return the shifted route."""
+    from flaghg import mirror
+
+    original = mirror._grassmannian_term_tableau_route
+
+    def shifted(n, r, d, budget=DEFAULT_COSET_BUDGET):
+        cls = original(n, r, d, budget)
+        return cls + extra if r >= 2 else cls
+
+    monkeypatch.setattr(mirror, "_grassmannian_term_tableau_route", shifted)
+    return shifted
 
 
 @pytest.fixture(scope="module")

@@ -8,7 +8,7 @@ import random
 import time
 from fractions import Fraction
 
-from flaghg.algebra import ALPHA, Poly, RatFun, kahler
+from flaghg.algebra import ALPHA, Poly, RatFun, kahler, ratfun_sum
 from flaghg.cli import format_report, parse_job, run_and_report
 from flaghg.errors import DEFAULT_COSET_BUDGET
 from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
@@ -20,7 +20,7 @@ from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
                                tangent_ledger)
 from flaghg.mirror import (box_partitions, decompose_by_kahler,
                            hori_vafa_verify, integral_Id, schur_pairing)
-from flaghg.mirror import _grassmannian_term_display_route as display_route
+from flaghg.mirror import _grassmannian_display_terms as display_terms
 from flaghg.mirror import _grassmannian_term_tableau_route as tableau_route
 from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
                                 tableau_tower)
@@ -180,7 +180,7 @@ def test_criterion_8_grassmannian_hg_dual_route():
         partitions = box_partitions(r, n - r)
         for d in range(4):
             via_tableaux = tableau_route(n, r, d, DEFAULT_COSET_BUDGET)
-            via_display = display_route(n, r, d)
+            via_display = ratfun_sum(display_terms(n, r, d))
             for mu in partitions:
                 left = schur_pairing(spec, via_tableaux, mu)
                 right = schur_pairing(spec, via_display, mu)

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flaghg import algebra
@@ -197,6 +197,17 @@ def test_residue_skips_a_non_divisor():
     assert not algebra._may_divide(Poly.const(3), Y + A)
     assert not algebra._may_divide(Y + 1, Y + A)
     assert algebra._may_divide((Y + 1) * (Y + A), Y + A)
+
+
+def test_zero_sum_is_not_screened(monkeypatch):
+    f = RatFun(Y + 1, {Y + A: 2, Poly.var(y(1, 1, 2)) - Y: 1})
+
+    def refuse(*args):
+        raise AssertionError("a zero sum was screened")
+
+    monkeypatch.setattr(algebra, "_sum_may_divide", refuse)
+    total = algebra.ratfun_sum([f, -f])
+    assert total.is_zero() and total.den == {}
 
 
 FACTORS = [Y + A, Y - A + 1, Poly.var(y(1, 1, 2)) - Y,
@@ -477,6 +488,38 @@ def test_packed_division_matches_tuple_model(p, f):
             assert got is None
         else:
             assert_matches_model(got, want)
+
+
+def residue_mod_p(c) -> int:
+    c = Fraction(c)
+    return c.numerator * pow(c.denominator, -1, PRIME) % PRIME
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=model_polys(), f=linear_forms())
+def test_evaluate_matches_term_by_term_evaluation(p, f):
+    # the residue table of a Poly, at width 12 or wider, against the
+    # point of _root computed directly from each variable's residue
+    root = algebra._root(f)
+    assume(root is not None)
+    slot, ratio = root
+
+    def value(v):
+        x = algebra._residue(v)
+        return x * ratio % PRIME if algebra._SLOTS[v] == slot else x
+
+    def at_point(terms):
+        total = 0
+        for mono, c in terms:
+            x = residue_mod_p(c)
+            for v, e in mono:
+                x = x * pow(value(v), e, PRIME) % PRIME
+            total += x
+        return total % PRIME
+
+    assert at_point(f.sorted_terms()) == 0
+    P = tuple_poly.to_poly(p)
+    assert algebra._evaluate(P, root) == at_point(p.items())
 
 
 def test_exponents_past_the_field_width_are_exact():

@@ -15,6 +15,8 @@ from flaghg.cli import (cache_key, format_report, main, parse_job,
 from flaghg.errors import FormulaMismatchError, UsageError
 from flaghg.tableaux import FlagSpec
 
+from conftest import shift_tableau_route
+
 
 def test_parse_integral_job():
     job = parse_job(["integral", "--n", "2", "--ranks", "1",
@@ -297,6 +299,19 @@ def test_main_computation_error_exit_code(tmp_path, capsys):
                  "1", "--coset-budget", "1", "--cache-dir", str(tmp_path)])
     assert code == 2
     assert "computation error" in capsys.readouterr().err
+
+
+def test_main_hori_vafa_mismatch_is_a_verification_failure(
+        tmp_path, capsys, monkeypatch):
+    # the check compares the tableau route with the antisymmetrized
+    # product, so a wrong class is reported, not raised
+    shift_tableau_route(monkeypatch, RatFun.const(1))
+    code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
+                 "1", "--json", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == ""
+    assert json.loads(captured.out)["results"]["ok"] is False
 
 
 def test_main_hg_requires_grassmannian(tmp_path, capsys):

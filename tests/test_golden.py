@@ -62,6 +62,17 @@ def test_integral_fl123c5_d111_report(tmp_path, capsys):
     assert got == want
 
 
+def test_hg_gr3c5_d2_report(tmp_path, capsys):
+    # recorded before the tableau route was built in the target roots; its
+    # degree-2 blocks [2,1] and [1,2] are pushed along two-block flags
+    argv = ["hg", "--n", "5", "--ranks", "3", "--max-degree", "2", "--json",
+            "--cache-dir", str(tmp_path)]
+    assert main(argv) == 0
+    got = json.loads(capsys.readouterr().out)
+    assert _render(got["results"]) == \
+        (GOLDEN / "hg_gr3c5_d2.json").read_text()
+
+
 def test_integral_fl24c6_d11_is_lambda_independent():
     spec = FlagSpec(6, (2, 4), (1, 1))
     first, second = (integral_Id(spec, lambda_seed=seed) for seed in (0, 5))

@@ -6,6 +6,7 @@ import pytest
 
 from flaghg import mirror
 from flaghg.algebra import ALPHA, Poly, RatFun, exp_series, kahler, y
+from flaghg.errors import FormulaMismatchError
 from flaghg.mirror import (antisymmetrized_product_class, box_complement,
                            box_partitions, decompose_by_kahler,
                            grassmannian_hg_term, hori_vafa_verify,
@@ -16,6 +17,7 @@ from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
                                 tableau_tower)
 from flaghg.tableaux import FlagSpec, Tableau, enumerate_tableaux
 
+from conftest import shift_tableau_route
 from expanded_oracle import expanded_ab_integrate
 
 P = Poly.var
@@ -306,13 +308,7 @@ def test_hori_vafa_residual_is_the_difference_of_pairings(monkeypatch):
     spec = FlagSpec(n, (r,), (0,))
     x1, x2 = (P(v) for v in x_roots(spec))
     extra = RatFun(x1 * x2 + A * (x1 + x2), {A: 1})
-    original = mirror.grassmannian_hg_term
-
-    def shifted(n, r, d, budget=None):
-        cls = original(n, r, d)
-        return cls + extra if r >= 2 else cls
-
-    monkeypatch.setattr(mirror, "grassmannian_hg_term", shifted)
+    shifted = shift_tableau_route(monkeypatch, extra)
     report = hori_vafa_verify(n, r, max_degree)
     assert report.division_exact and not report.ok
     assert len(report.residuals) == (max_degree + 1) * 6
@@ -323,6 +319,32 @@ def test_hori_vafa_residual_is_the_difference_of_pairings(monkeypatch):
             - schur_pairing(spec, shifted(n, r, d), mu)
         assert entry["residual_c_coeffs"] == \
             [expected.to_text()] + ["0"] * (r * (n - r))
+
+
+def test_hori_vafa_builds_no_display_class_of_rank_two(monkeypatch):
+    # the antisymmetrized product is the display, so for r >= 2 the check
+    # compares it with the tableau route alone
+    original = mirror._grassmannian_display_terms
+
+    def refuse(n, r, d):
+        if r >= 2:
+            raise AssertionError(f"display terms built for r = {r}")
+        return original(n, r, d)
+
+    monkeypatch.setattr(mirror, "_grassmannian_display_terms", refuse)
+    assert hori_vafa_verify(4, 2, 2).ok
+
+
+def test_hg_routes_must_sum_to_zero(monkeypatch):
+    original = mirror._grassmannian_display_terms
+
+    def perturbed(n, r, d):
+        terms = original(n, r, d)
+        return [terms[0] + RatFun(Poly.const(1), {A: 1})] + terms[1:]
+
+    monkeypatch.setattr(mirror, "_grassmannian_display_terms", perturbed)
+    with pytest.raises(FormulaMismatchError):
+        grassmannian_hg_term(4, 2, 2)
 
 
 def test_hori_vafa_zero_difference_builds_no_schur_polynomial(monkeypatch):
