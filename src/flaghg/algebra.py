@@ -47,7 +47,10 @@ with it, gives its value at all of them.  A sum of RatFuns is evaluated
 there term by term, before its numerators are expanded; each term's
 numerator is then multiplied once per union factor it lacks, by that
 factor's power, and the powers of each union factor are built once per
-sum.  A single-term numerator is decided from its variables alone.
+sum.  A single-term numerator is decided from its variables alone, and a
+factor that is a single variable, such as alpha, needs no screen: it goes
+into a numerator as often as its least exponent there, so it is divided
+out by lowering that exponent in every term.
 
 All values are immutable after construction and safe to share.
 """
@@ -545,7 +548,8 @@ def _factor_order(f: Poly):
 def canonical_linear(factor: Poly) -> tuple[Poly, Scalar]:
     """Scale a linear factor so its least variable has coefficient +1.
 
-    Returns (canonical factor, scale) with factor == scale * canonical.
+    Returns (canonical factor, scale) with factor == scale * canonical.  A
+    factor whose least variable has coefficient -1 is negated, not rebuilt.
     """
     if factor.is_zero():
         raise ZeroDenominatorError("zero denominator factor")
@@ -556,6 +560,8 @@ def canonical_linear(factor: Poly) -> tuple[Poly, Scalar]:
     scale = coeffs[least]
     if scale == 1:
         return factor, 1
+    if scale == -1:
+        return -factor, -1
     canon = Poly.linear(_quotient(const, scale),
                         {v: _quotient(a, scale) for v, a in coeffs.items()})
     return canon, scale
@@ -719,8 +725,9 @@ def ratfun_sum(terms) -> RatFun:
     division the sum is evaluated at a point of each union factor's
     hyperplane from the unexpanded terms (see _sum_may_divide); a factor
     that this proves coprime to the sum keeps its exponent without a
-    division.  A zero sum is returned before any factor is screened, so
-    checking an identity costs one expansion.
+    division; a single variable needs no screen (see _divide_out).  A zero
+    sum is returned before any factor is screened, so checking an identity
+    costs one expansion.
     """
     terms = list(terms)
     if not terms:
@@ -745,7 +752,8 @@ def ratfun_sum(terms) -> RatFun:
     if total.is_zero():
         return RatFun(total, {}, _normalized=True)
     return _lowest_terms(total, union,
-                         {f: _sum_may_divide(terms, union, f) for f in union})
+                         {f: _sum_may_divide(terms, union, f) for f in union
+                          if len(f.terms) > 1})
 
 
 def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
@@ -931,9 +939,24 @@ def _sum_may_divide(terms: list[RatFun], union: Mapping[Poly, int],
 
 def _divide_out(num: Poly, f: Poly, e: int,
                 may: bool | None = None) -> tuple[Poly, int]:
-    """Divide the linear factor f out of num up to e times;
+    """Divide the canonical linear factor f out of num up to e times;
     return the quotient and how many times f did not go.  may is
-    _may_divide(num, f) where it is already known."""
+    _may_divide(num, f) where it is already known.
+
+    A single variable v goes into num exactly as often as v's least
+    exponent over num's terms, so it is divided out by lowering every
+    exponent of v at once, with no screen and no trial division."""
+    if len(f.terms) == 1:
+        (m,) = f.terms
+        w = num._w
+        sh = (m.bit_length() - 1) // f._w * w
+        mask = (1 << w) - 1
+        k = min(min(((mono >> sh) & mask for mono in num.terms), default=e),
+                e)
+        if k:
+            num = _poly({mono - (k << sh): c for mono, c in num.terms.items()},
+                        num._deg - k, w)
+        return num, e - k
     while e and (_may_divide(num, f) if may is None else may):
         may = None
         q = num.divide_by_linear(f)
@@ -963,20 +986,23 @@ class LinearProduct:
 
     The working form of every equivariant Euler class.  Its factors are
     canonical and carry net exponents, so by unique factorization the
-    RatFun it converts to is already in lowest terms.
+    RatFun it converts to is already in lowest terms.  The scalar is an
+    int while it is integral.
     """
 
     __slots__ = ("scalar", "factors")
 
     def __init__(self, scalar: Scalar = 1):
-        self.scalar = Fraction(scalar)
+        self.scalar = _exact(scalar)
         self.factors: dict[Poly, int] = {}
 
     def mul_factor(self, factor: Poly, exponent: int = 1) -> None:
         if exponent == 0:
             return
         canon, s = canonical_linear(factor)
-        self.scalar = self.scalar * Fraction(s) ** exponent
+        if s != 1:
+            self.scalar = (_exact(self.scalar * s ** exponent) if exponent > 0
+                           else _quotient(self.scalar, s ** -exponent))
         e = self.factors.get(canon, 0) + exponent
         if e:
             self.factors[canon] = e
@@ -984,7 +1010,7 @@ class LinearProduct:
             self.factors.pop(canon, None)
 
     def mul_scalar(self, value: Scalar) -> None:
-        self.scalar = self.scalar * Fraction(value)
+        self.scalar = _exact(self.scalar * value)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LinearProduct):

@@ -155,23 +155,24 @@ def _run_tableaux(job: JobSpec) -> dict:
 
 
 def _run_euler(job: JobSpec) -> dict:
-    from .fixedlocus import (canonical_roots, euler_class_closed_form,
-                             euler_class_from_ledger, normal_ledger)
+    from .fixedlocus import (canonical_roots, euler_product_closed_form,
+                             euler_product_from_ledger, normal_ledger)
 
     spec = job.spec
     rows = []
     for t in enumerate_tableaux(spec):
         ledger = normal_ledger(t)
         roots = canonical_roots(t)
-        via_ledger = euler_class_from_ledger(ledger, roots)
-        via_closed = euler_class_closed_form(t, roots)
-        if via_ledger != via_closed:
+        # canonical factors with net exponents: equal products are equal
+        # classes, so only the reported one is multiplied out
+        via_ledger = euler_product_from_ledger(ledger, roots)
+        if via_ledger != euler_product_closed_form(t, roots):
             raise FormulaMismatchError(
                 f"Euler class routes disagree on {t.rows}")
         entry = {
             "alpha": [list(r) for r in t.rows],
             "codimension": hquot_dimension(spec) - component_dimension(t),
-            "euler_class": via_ledger.to_json(),
+            "euler_class": via_ledger.to_ratfun().to_json(),
         }
         if job.explain:
             entry["normal_ledger"] = ledger.to_json()

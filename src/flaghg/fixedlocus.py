@@ -6,7 +6,9 @@ restriction ledger of the ambient moduli tangent bundle are assembled
 blockwise; their difference, after exact cancellation on (source, target,
 weight), is the normal ledger, which must carry no weight-0 term.  The
 equivariant Euler class is the product of (y_target - y_source + w*alpha)
-over ledger terms and root slots, with sign exponents.  At a torus
+over ledger terms and root slots, with sign exponents; slot pairs with
+equal roots and weight are counted together, so each distinct factor is
+built once, with its net multiplicity.  At a torus
 fixed point the tangent Euler class needs no ledger: each block gives one
 weight per coordinate it holds and coordinate it could have chosen.
 """
@@ -184,19 +186,39 @@ def canonical_roots(t: Tableau,
     return roots
 
 
-def euler_product_from_ledger(ledger: Ledger,
-                              roots: RootAssignment) -> LinearProduct:
-    """Factored Euler class: prod (y_tgt - y_src + w*alpha)^sign over slots."""
+def _add_pairs(counts: dict, src_roots: Sequence[Poly],
+               tgt_roots: Sequence[Poly], w: int, m: int) -> None:
+    """Add m to the multiplicity of (y_tgt, y_src, w) for every slot pair."""
+    for ys in src_roots:
+        for yt in tgt_roots:
+            key = (yt, ys, w)
+            counts[key] = counts.get(key, 0) + m
+
+
+def _product_of_pairs(counts: Mapping) -> LinearProduct:
+    """prod (y_tgt - y_src + w*alpha)^m over {(y_tgt, y_src, w): m}, each
+    distinct factor built and canonicalized once."""
     alpha = Poly.var(ALPHA)
     out = LinearProduct()
+    for (yt, ys, w), m in counts.items():
+        out.mul_factor(yt - ys + alpha * w, m)
+    return out
+
+
+def euler_product_from_ledger(ledger: Ledger,
+                              roots: RootAssignment) -> LinearProduct:
+    """Factored Euler class: prod (y_tgt - y_src + w*alpha)^sign over slots.
+
+    Slot pairs with equal roots and weight are grouped first, and each
+    distinct factor is built once with its summed multiplicity: with the
+    ambient roots all at 0, a block's n ambient pairs give one factor.
+    """
+    counts: dict[tuple[Poly, Poly, int], int] = {}
     for src, tgt, w, m in ledger.terms():
         if w == 0:
             raise ValueError("Euler class of a ledger with weight-0 terms")
-        shift = alpha * w
-        for ys in roots[src]:
-            for yt in roots[tgt]:
-                out.mul_factor(yt - ys + shift, m)
-    return out
+        _add_pairs(counts, roots[src], roots[tgt], w, m)
+    return _product_of_pairs(counts)
 
 
 def euler_class_from_ledger(ledger: Ledger,
@@ -217,14 +239,11 @@ def euler_product_closed_form(t: Tableau,
     """
     if roots is None:
         roots = canonical_roots(t)
-    alpha = Poly.var(ALPHA)
-    out = LinearProduct()
+    counts: dict[tuple[Poly, Poly, int], int] = {}
 
     def mul(src: BlockRef, tgt: BlockRef, shifts: range, sign: int) -> None:
         for l in shifts:
-            for ys in roots[src]:
-                for yt in roots[tgt]:
-                    out.mul_factor(yt - ys - alpha * l, sign)
+            _add_pairs(counts, roots[src], roots[tgt], -l, sign)
 
     for i in range(1, t.levels + 1):
         Ki = t.K(i)
@@ -238,7 +257,7 @@ def euler_product_closed_form(t: Tableau,
                 mul((i, j), (i, jp), range(1, aij - t.a(i, jp) + 1), -1)
             for jp in range(j + 1, Ki + 1):
                 mul((i, j), (i, jp), range(aij - t.a(i, jp) + 1, 0), +1)
-    return out
+    return _product_of_pairs(counts)
 
 
 def euler_class_closed_form(t: Tableau,
@@ -263,7 +282,7 @@ def grassmannian_euler_product(t: Tableau) -> LinearProduct:
         for jp in range(j + 1, t.K(1) + 1):
             gap = t.a(1, jp) - t.a(1, j)
             mm = t.m(1, j) * t.m(1, jp)
-            out.mul_scalar(Fraction((-1) ** (mm * (gap - 1))))
+            out.mul_scalar((-1) ** (mm * (gap - 1)))
             for k in range(1, t.m(1, j) + 1):
                 for kp in range(1, t.m(1, jp) + 1):
                     f = -Poly.var(y(1, jp, kp)) + Poly.var(y(1, j, k)) \

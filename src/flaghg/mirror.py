@@ -8,18 +8,17 @@ fixed-point oracle.  The oracle receives the two factored, the Euler class
 as the tableau's normal ledger and the exponential as its hyperplane
 classes, and never expands their product.  For Grassmannians the degree-d
 class is pushed forward over tableaux and must cancel the simplified
-display's terms exactly, and is verified against the antisymmetrized
+display's terms exactly.  It is also checked against the antisymmetrized
 product of projective-space series (the display through the one-row
-classes): per degree, the difference of the two classes is paired with
-each Schur polynomial of the box, and a zero difference needs no pairing.
+classes) by one sum per degree, the product's undivided terms minus the
+class times the Vandermonde; only a non-zero sum is divided and paired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from typing import Mapping
+from math import prod
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
@@ -251,41 +250,31 @@ class HoriVafaReport:
         }
 
 
-def antisymmetrized_product_class(r: int, d: int,
-                                  one_row_terms: Mapping[int, RatFun]
-                                  ) -> RatFun | None:
-    """The degree-d class on a Grassmannian of r-planes from the product of
-    projective-space series, or None when the Vandermonde does not divide
-    it exactly.
-
-    one_row_terms[k] is the engine's own one-row class of degree k, for
-    k <= d, in the root y[1,1;1].  The product series takes one such class
-    per root x_1..x_r in separate Kahler variables.  Per weak composition
-    c of d, the derivative operator acts as the shifted Vandermonde
-    prod_{j<j'} (x_j' - x_j + (c_j' - c_j)*alpha) on the product of the
-    classes of degrees c_j, the sign (-1)^((r-1)d) is taken in closed
-    form, and the sum is divided exactly by the Vandermonde.
-    """
-    xvars = [y(1, 1, k) for k in range(1, r + 1)]
-    xs = [Poly.var(v) for v in xvars]
+def _antisymmetrized_terms(r: int, d: int,
+                           one_row: list[list[RatFun]]) -> list[RatFun]:
+    """The antisymmetrized product of projective-space series in degree d,
+    times the Vandermonde prod_{j<j'} (x_j' - x_j), as one term per weak
+    composition c of d: (-1)^((r-1)d) prod_i one_row[c_i][i] prod_{j<j'}
+    (x_j' - x_j + (c_j' - c_j)*alpha), the shifted Vandermonde being the
+    derivative operator on the product.  one_row[k][i] is the one-row
+    class of degree k in x_{i+1}; the classes of distinct roots share no
+    factor, so a term's denominator is the product of theirs and nothing
+    cancels."""
+    xs = [Poly.var(y(1, 1, k)) for k in range(1, r + 1)]
     alpha = Poly.var(ALPHA)
-    sign = Fraction((-1) ** ((r - 1) * d))
     terms = []
     for comp in weak_compositions(d, r):
-        term = RatFun.const(sign)
-        for i in range(r):
-            term = term * one_row_terms[comp[i]].substitute(
-                {y(1, 1, 1): xvars[i]})
+        num = Poly.const((-1) ** ((r - 1) * d))
+        den: dict[Poly, int] = {}
+        for i, k in enumerate(comp):
+            cls = one_row[k][i]
+            num = num * cls.num
+            for f, e in cls.den.items():
+                den[f] = den.get(f, 0) + e
         for j, jp in combinations(range(r), 2):
-            term = term * (alpha * (comp[jp] - comp[j]) + xs[jp] - xs[j])
-        terms.append(term)
-    cls = ratfun_sum(terms)
-    for j, jp in combinations(range(r), 2):
-        q = cls.num.divide_by_linear(xs[jp] - xs[j])
-        if q is None:
-            return None
-        cls = RatFun(q, cls.den)
-    return cls
+            num = num * (xs[jp] - xs[j] + alpha * (comp[jp] - comp[j]))
+        terms.append(RatFun(num, den, _normalized=True))
+    return terms
 
 
 def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
@@ -294,10 +283,13 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     reproduces the Grassmannian series against every Schur polynomial.
 
     The rank-r class is the tableau route's alone: the antisymmetrized
-    product is the rank-r display.  Per degree, the difference of the two
-    classes is paired with each Schur polynomial of the box: by linearity
-    each pairing is the residual of the two classes' pairings, and a zero
-    difference pairs to zero, so no Schur polynomial is built.
+    product is the rank-r display.  Per degree, the antisymmetrized terms
+    minus the class times the Vandermonde V are summed once; a zero sum
+    needs no division and pairs to zero.  Only a non-zero sum is divided
+    by V's factors, giving the difference of the two classes (a failed
+    division is reported), which is paired with each Schur polynomial of
+    the box: by linearity each pairing is the residual of the two classes'
+    pairings.
     """
     if not (2 <= r < n):
         raise ValueError("need 2 <= r < n")
@@ -305,17 +297,24 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
         raise ValueError("truncation degree must be at least 1")
     spec = FlagSpec(n, (r,), (0,))
     dim_x = r * (n - r)
-
-    one_row_terms = {
-        di: grassmannian_hg_term(n, 1, di, budget)
-        for di in range(max_degree + 1)
-    }
+    one_row = [[cls.substitute({y(1, 1, 1): v}) for v in x_roots(spec)]
+               for cls in (grassmannian_hg_term(n, 1, k, budget)
+                           for k in range(max_degree + 1))]
+    xs = [Poly.var(v) for v in x_roots(spec)]
+    vandermonde = [xs[jp] - xs[j] for j, jp in combinations(range(r), 2)]
+    v_product = prod(vandermonde)
 
     report = HoriVafaReport(n, r, max_degree, True)
     for d in range(max_degree + 1):
         lhs = _grassmannian_term_tableau_route(n, r, d, budget)
-        rhs = antisymmetrized_product_class(r, d, one_row_terms)
-        if rhs is None:
+        diff = ratfun_sum(_antisymmetrized_terms(r, d, one_row) + [
+            RatFun(-lhs.num * v_product, lhs.den, _normalized=True)])
+        num = diff.num
+        for factor in vandermonde if num.terms else ():
+            num = num.divide_by_linear(factor)
+            if num is None:
+                break
+        if num is None:
             report.division_exact = False
             report.residuals.append({
                 "degree": d,
@@ -323,7 +322,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                 "residual_c_coeffs": ["division by the Vandermonde failed"],
             })
             continue
-        diff = rhs - lhs
+        diff = RatFun(num, diff.den, _normalized=True)
         for mu in box_partitions(r, n - r):
             residual = (RatFun.const(0) if diff.is_zero()
                         else schur_pairing(spec, diff, mu, lambda_seed))

@@ -9,7 +9,9 @@ packed Poly.  `fixed_point_values` and `point_values` are the per-point
 dictionaries of root values it works from.  Its tangent Euler class,
 `tangent_euler_scaled`, multiplies out the component's tangent ledger and
 cancels the diagonal zeros, independently of the engine's direct product
-over each block's free coordinates.
+over each block's free coordinates.  `per_pair_euler_product` builds an
+Euler class one factor per ledger term and pair of roots, as the engine
+did before it grouped equal factors.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from flaghg.algebra import ALPHA, Poly, RatFun, VarId, ambient, y
+from flaghg.algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId,
+                            ambient, y)
 from flaghg.errors import (CancellationFailureError, IntegrationShapeError,
                            SingularSubstitutionError)
-from flaghg.fixedlocus import (FixedPoint, Ledger, scaled_weights,
-                               tangent_ledger, torus_fixed_points)
+from flaghg.fixedlocus import (FixedPoint, Ledger, RootAssignment,
+                               scaled_weights, tangent_ledger,
+                               torus_fixed_points)
 from flaghg.pushforward import lam_vector
 from flaghg.tableaux import Tableau, component_dimension
 
@@ -50,6 +54,19 @@ def point_values(t: Tableau, point: FixedPoint,
     for k in range(1, t.spec.n + 1):
         values[ambient(k)] = weights[k - 1]
     return values
+
+
+def per_pair_euler_product(ledger: Ledger,
+                           roots: RootAssignment) -> LinearProduct:
+    """prod (y_tgt - y_src + w*alpha)^m, one factor built per ledger term
+    (src, tgt, w, m) and pair of roots, with nothing grouped."""
+    alpha = Poly.var(ALPHA)
+    out = LinearProduct()
+    for src, tgt, w, m in ledger.terms():
+        for ys in roots[src]:
+            for yt in roots[tgt]:
+                out.mul_factor(yt - ys + alpha * w, m)
+    return out
 
 
 def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,

@@ -564,3 +564,92 @@ def test_exponent_vectors_round_trip_in_reverse_registration_order():
     assert Poly.from_exponents(fresh, exps) == p
     with pytest.raises(ValueError):
         p.exponents(fresh[1:])
+
+
+# --- a single-variable factor divides out by its least exponent ------------
+
+def divide_repeatedly(num, f, e):
+    """(quotient, exponent left): f divided out of num by divide_by_linear
+    until it fails or e runs out."""
+    while e:
+        q = num.divide_by_linear(f)
+        if q is None:
+            break
+        num, e = q, e - 1
+    return num, e
+
+
+def normalized_by_division(num, v, e):
+    num, e = divide_repeatedly(num, v, e)
+    return RatFun(num, {v: e} if e and not num.is_zero() else {},
+                  _normalized=True)
+
+
+single_variables = st.sampled_from([A, Y])  # alpha and a root
+
+
+@settings(max_examples=150, deadline=None)
+@given(p=model_polys(), v=single_variables, k=st.integers(0, 3),
+       e=st.integers(1, 4))
+def test_single_variable_factor_divides_out_like_repeated_division(p, v, k,
+                                                                   e):
+    num = tuple_poly.to_poly(p) * v ** k
+    got = RatFun(num, {v: e})
+    want = normalized_by_division(num, v, e)
+    assert got == want
+    assert got.num.sorted_terms() == want.num.sorted_terms()
+
+
+@settings(max_examples=150, deadline=None)
+@given(parts=st.lists(st.tuples(model_polys(exps=st.integers(1, 3)),
+                                st.integers(0, 2), st.integers(0, 3)),
+                      min_size=1, max_size=4),
+       v=single_variables)
+def test_sum_over_powers_of_a_variable_divides_like_repeated_division(parts,
+                                                                      v):
+    terms = [RatFun(tuple_poly.to_poly(p) * v ** k, {v: e})
+             for p, k, e in parts]
+    top = max(t.den.get(v, 0) for t in terms)
+    total = Poly.zero()
+    for t in terms:
+        total = total + t.num * v ** (top - t.den.get(v, 0))
+    want = normalized_by_division(total, v, top)
+    assert algebra.ratfun_sum(terms) == want
+
+
+@st.composite
+def minus_one_led_forms(draw):
+    """Linear forms whose least variable has coefficient -1."""
+    const, coeffs = draw(linear_forms()).linear_parts()
+    lead = -Fraction(coeffs[min(coeffs)])
+    return Poly.linear(const / lead, {v: a / lead for v, a in coeffs.items()})
+
+
+@settings(max_examples=150, deadline=None)
+@given(f=minus_one_led_forms())
+def test_canonical_linear_negation_equals_rebuild(f):
+    const, coeffs = f.linear_parts()
+    rebuilt = Poly.linear(-const, {v: -a for v, a in coeffs.items()})
+    canon, scale = algebra.canonical_linear(f)
+    assert scale == -1
+    assert canon == rebuilt
+    assert canon.sorted_terms() == rebuilt.sorted_terms()
+    assert canon * scale == f
+
+
+@settings(max_examples=150, deadline=None)
+@given(scalar=st.one_of(st.integers(-6, 6), rationals),
+       factors=st.lists(st.tuples(st.sampled_from(FACTORS + [A, Y]),
+                                  st.one_of(st.integers(-3, 3).filter(bool),
+                                            nonzero_rationals),
+                                  st.integers(-2, 2)), max_size=5))
+def test_linear_product_scalar_is_int_when_integral(scalar, factors):
+    lp = LinearProduct(scalar)
+    want = Fraction(scalar)
+    for f, k, e in factors:
+        lp.mul_factor(f * k, e)
+        want *= Fraction(algebra.canonical_linear(f * k)[1]) ** e
+    lp.mul_scalar(Fraction(3, 2))
+    want *= Fraction(3, 2)
+    assert lp.scalar == want
+    assert (type(lp.scalar) is int) == (want.denominator == 1)

@@ -9,11 +9,11 @@ import pytest
 
 import flaghg
 from flaghg import cli, fixedlocus, pushforward
-from flaghg.algebra import RatFun
+from flaghg.algebra import LinearProduct, RatFun
 from flaghg.cli import (cache_key, format_report, main, parse_job,
                         run_and_report)
 from flaghg.errors import FormulaMismatchError, UsageError
-from flaghg.tableaux import FlagSpec
+from flaghg.tableaux import FlagSpec, enumerate_tableaux
 
 from conftest import shift_tableau_route
 
@@ -248,14 +248,32 @@ def test_cache_key_ignores_output_format(tmp_path):
 
 
 def test_main_euler_route_mismatch(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(fixedlocus, "euler_class_closed_form",
-                        lambda t, roots: RatFun.const(0))
+    monkeypatch.setattr(fixedlocus, "euler_product_closed_form",
+                        lambda t, roots: LinearProduct(0))
     assert main(["euler", "--n", "2", "--ranks", "1", "--degrees", "1",
                  "--cache-dir", str(tmp_path)]) == 2
     assert capsys.readouterr().err == (
         "computation error [euler]: Euler class routes disagree on ((1,),)\n")
     with pytest.raises(FormulaMismatchError):
         run_and_report(_job("euler", FlagSpec(2, (1,), (1,)), tmp_path / "b"))
+
+
+def test_euler_multiplies_out_one_class_per_tableau(tmp_path, monkeypatch):
+    # the two routes are compared factored; only the reported class is
+    # expanded
+    calls = []
+    original = LinearProduct.to_ratfun
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(LinearProduct, "to_ratfun", counted)
+    spec = FlagSpec(4, (1, 2), (1, 2))
+    result = run_and_report(_job("euler", spec, tmp_path))
+    count = len(list(enumerate_tableaux(spec)))
+    assert result["results"]["count"] == count
+    assert len(calls) == count
 
 
 def test_main_exit_codes(tmp_path, capsys):

@@ -19,7 +19,8 @@ from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux, hquot_dimension)
 
 from conftest import MIXED_LAM, all_specs, max_rule_index
-from expanded_oracle import fixed_point_values, tangent_euler_scaled
+from expanded_oracle import (fixed_point_values, per_pair_euler_product,
+                             tangent_euler_scaled)
 
 A = Poly.var(ALPHA)
 
@@ -137,6 +138,20 @@ def test_dual_route_full_suite_factored():
             lhs = euler_product_from_ledger(normal_ledger(t), roots)
             rhs = euler_product_closed_form(t, roots)
             assert lhs == rhs, (spec, t.rows)
+
+
+def test_grouped_euler_product_equals_per_pair_product():
+    # canonical roots, and the Grassmannian assignment whose ambient roots
+    # are all 0, where a block's n ambient pairs share one factor
+    for spec in all_specs(5, 3):
+        for t in enumerate_tableaux(spec):
+            ledger = normal_ledger(t)
+            for roots in (canonical_roots(t),
+                          canonical_roots(t, [Poly.zero()] * spec.n)):
+                want = per_pair_euler_product(ledger, roots)
+                got = euler_product_from_ledger(ledger, roots)
+                assert got == want, (spec, t.rows)
+                assert type(got.scalar) is type(want.scalar)
 
 
 def test_dual_route_expanded_small():

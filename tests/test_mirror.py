@@ -1,14 +1,16 @@
+import json
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from math import factorial
 
 import pytest
 
 from flaghg import mirror
-from flaghg.algebra import ALPHA, Poly, RatFun, exp_series, kahler, y
+from flaghg.algebra import (ALPHA, Poly, RatFun, exp_series, kahler,
+                            ratfun_sum, y)
+from flaghg.cli import main
 from flaghg.errors import FormulaMismatchError
-from flaghg.mirror import (antisymmetrized_product_class, box_complement,
-                           box_partitions, decompose_by_kahler,
+from flaghg.mirror import (box_complement, box_partitions, decompose_by_kahler,
                            grassmannian_hg_term, hori_vafa_verify,
                            hyperplane_pullback, integral_Id,
                            mirror_integrand, reconstruct_class_from_pairings,
@@ -288,8 +290,16 @@ def test_hori_vafa_small():
         assert all(c == "0" for c in entry["residual_c_coeffs"])
 
 
-def one_row_terms(n, d):
-    return {k: grassmannian_hg_term(n, 1, k) for k in range(d + 1)}
+def antisymmetrized_class(n, r, d):
+    """The antisymmetrized product of degree d: the terms hori_vafa_verify
+    sums, summed here and divided by the Vandermonde."""
+    xs = x_roots(FlagSpec(n, (r,), (0,)))
+    one_row = [[grassmannian_hg_term(n, 1, k).substitute({y(1, 1, 1): v})
+                for v in xs] for k in range(d + 1)]
+    inverse_vandermonde = RatFun(Poly.const(1), {
+        P(xs[jp]) - P(xs[j]): 1 for j, jp in combinations(range(r), 2)})
+    return ratfun_sum(mirror._antisymmetrized_terms(r, d, one_row)) \
+        * inverse_vandermonde
 
 
 @pytest.mark.parametrize("n,r,d", [(3, 2, 1), (3, 2, 2), (4, 2, 1),
@@ -298,7 +308,7 @@ def test_hori_vafa_classes_pair_equally_one_at_a_time(n, r, d):
     # each class goes through the oracle, and its pole test, on its own
     spec = FlagSpec(n, (r,), (0,))
     lhs = grassmannian_hg_term(n, r, d)
-    rhs = antisymmetrized_product_class(r, d, one_row_terms(n, d))
+    rhs = antisymmetrized_class(n, r, d)
     for mu in box_partitions(r, n - r):
         assert schur_pairing(spec, rhs, mu) == schur_pairing(spec, lhs, mu)
 
@@ -314,7 +324,7 @@ def test_hori_vafa_residual_is_the_difference_of_pairings(monkeypatch):
     assert len(report.residuals) == (max_degree + 1) * 6
     for entry in report.residuals:
         d, mu = entry["degree"], entry["partition"]
-        rhs = antisymmetrized_product_class(r, d, one_row_terms(n, d))
+        rhs = antisymmetrized_class(n, r, d)
         expected = schur_pairing(spec, rhs, mu) \
             - schur_pairing(spec, shifted(n, r, d), mu)
         assert entry["residual_c_coeffs"] == \
@@ -333,6 +343,57 @@ def test_hori_vafa_builds_no_display_class_of_rank_two(monkeypatch):
 
     monkeypatch.setattr(mirror, "_grassmannian_display_terms", refuse)
     assert hori_vafa_verify(4, 2, 2).ok
+
+
+def test_hori_vafa_antisymmetrized_class_is_the_display():
+    for n, r, d in [(3, 2, 2), (4, 2, 2), (4, 3, 1)]:
+        display = ratfun_sum(mirror._grassmannian_display_terms(n, r, d))
+        assert antisymmetrized_class(n, r, d) == display
+
+
+def test_hori_vafa_equal_classes_divide_by_no_vandermonde(monkeypatch):
+    # a zero sum is the whole check: the Vandermonde x_j' - x_j, j < j',
+    # divides nothing
+    xs = [P(v) for v in x_roots(FlagSpec(4, (3,), (0,)))]
+    factors = {xs[jp] - xs[j] for j, jp in combinations(range(3), 2)}
+    original = Poly.divide_by_linear
+
+    def refuse(self, divisor):
+        if divisor in factors:
+            raise AssertionError(f"divided by {divisor.to_text()}")
+        return original(self, divisor)
+
+    monkeypatch.setattr(Poly, "divide_by_linear", refuse)
+    assert hori_vafa_verify(4, 2, 2).ok
+    assert hori_vafa_verify(4, 3, 1).ok
+
+
+def test_hori_vafa_reports_a_failed_vandermonde_division(monkeypatch,
+                                                         tmp_path, capsys):
+    # a one-row class with a pole on the diagonal x_2 = x_3 leaves the
+    # antisymmetrized product of rank 3 not divisible by x_3 - x_2
+    original = mirror.grassmannian_hg_term
+    pole = RatFun(Poly.const(1), {P(y(1, 1, 2)) - P(y(1, 1, 3)): 1})
+
+    def patched(n, r, d, *budget):
+        cls = original(n, r, d, *budget)
+        return cls + pole if (r, d) == (1, 1) else cls
+
+    monkeypatch.setattr(mirror, "grassmannian_hg_term", patched)
+    zero = ["0"] * 4
+    failed = ["division by the Vandermonde failed"]
+    expected = {
+        "schema": "flaghg/hori-vafa-v1", "n": 4, "r": 3, "max_degree": 2,
+        "division_exact": False, "ok": False,
+        "residuals": [
+            {"degree": 0, "partition": list(mu), "residual_c_coeffs": zero}
+            for mu in box_partitions(3, 1)] + [
+            {"degree": d, "partition": None, "residual_c_coeffs": failed}
+            for d in (1, 2)]}
+    assert hori_vafa_verify(4, 3, 2).to_json() == expected
+    assert main(["hori-vafa", "--n", "4", "--ranks", "3", "--max-degree",
+                 "2", "--json", "--cache-dir", str(tmp_path)]) == 3
+    assert json.loads(capsys.readouterr().out)["results"] == expected
 
 
 def test_hg_routes_must_sum_to_zero(monkeypatch):
