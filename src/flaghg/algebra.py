@@ -43,8 +43,11 @@ exact division the numerator is evaluated modulo the prime 2^61-1 at a
 point of the factor's hyperplane; a non-zero value proves that the factor
 does not divide, and the division is skipped.  The points differ only in
 the factor's least variable, so one pass over a numerator's terms, kept
-with it, gives its value at all of them.  A sum of RatFuns is evaluated
-there term by term, before its numerators are expanded; each term's
+with it, gives its value at all of them.  A sum of RatFuns first adds
+the numerators of terms with equal denominators and drops the groups
+that sum to zero, so a sum whose terms cancel one for one expands
+nothing.  What is left is evaluated there term by term, before its
+numerators are expanded; each term's
 numerator is then multiplied once per union factor it lacks, by that
 factor's power, and the powers of each union factor are built once per
 sum.  A single-term numerator is decided from its variables alone, and a
@@ -718,7 +721,10 @@ def _coerce(value) -> "RatFun":
 def ratfun_sum(terms) -> RatFun:
     """Sum many rational functions over their common denominator at once.
 
-    Equivalent to repeated addition but expands each term's complement
+    Terms with equal denominators are grouped first: their numerators are
+    added, and a group that sums to zero is dropped, so terms that cancel
+    one for one cost no expansion.  The groups are then summed as
+    repeated addition would, but each group's complement is expanded
     against the union denominator exactly once: a term's numerator is
     multiplied once per missing factor, by that factor's power, and the
     powers of each union factor are built once per call.  Before any
@@ -727,9 +733,18 @@ def ratfun_sum(terms) -> RatFun:
     that this proves coprime to the sum keeps its exponent without a
     division; a single variable needs no screen (see _divide_out).  A zero
     sum is returned before any factor is screened, so checking an identity
-    costs one expansion.
+    costs at most one expansion, and none where its terms cancel group by
+    group.
     """
-    terms = list(terms)
+    groups: dict[frozenset, tuple[dict, list[Poly]]] = {}
+    for term in terms:
+        key = frozenset(term.den.items())
+        groups.setdefault(key, (term.den, []))[1].append(term.num)
+    terms = []
+    for den, nums in groups.values():
+        num = reduce(Poly.__add__, nums)
+        if not num.is_zero():
+            terms.append(RatFun(num, den, _normalized=True))
     if not terms:
         return RatFun.const(0)
     union: dict[Poly, int] = {}

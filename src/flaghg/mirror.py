@@ -7,27 +7,30 @@ classes against the inverse normal Euler class, integrated by the
 fixed-point oracle.  The oracle receives the two factored, the Euler class
 as the tableau's normal ledger and the exponential as its hyperplane
 classes, and never expands their product.  For Grassmannians the degree-d
-class is pushed forward over tableaux and must cancel the simplified
-display's terms exactly.  It is also checked against the antisymmetrized
-product of projective-space series (the display through the one-row
-classes) by one sum per degree, the product's undivided terms minus the
-class times the Vandermonde; only a non-zero sum is divided and paired.
+class is pushed forward from each tableau as its coset terms, one
+factored product per coset of the tableau's block alphabet.  The
+simplified display sums over the same fixed points, so its terms minus
+the coset terms cancel pair by pair in ratfun_sum, which adds the
+numerators of equal denominators first: the check expands nothing.  The
+class is also checked against the antisymmetrized product of
+projective-space series (the display through the one-row classes) by one
+sum per degree, the product's undivided terms minus each coset term
+times the Vandermonde, which cancel group by group in the same way; only
+a non-zero sum is divided and paired.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import combinations, combinations_with_replacement
-from math import prod
+from itertools import chain, combinations, combinations_with_replacement
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
 from .errors import FormulaMismatchError
 from .fixedlocus import (canonical_roots, euler_class_from_ledger,
-                         normal_ledger)
+                         euler_product_from_ledger, normal_ledger)
 from .pushforward import (DEFAULT_COSET_BUDGET, BlockAlphabet, ab_integrate,
-                          brion_pushforward, lam_vector, schur_polynomial,
-                          weak_compositions)
+                          lam_vector, schur_polynomial, weak_compositions)
 from .tableaux import (FlagSpec, Tableau, component_dimension,
                        enumerate_tableaux)
 
@@ -132,27 +135,49 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
     return IntegralResult(spec, total, per_tableau, lambda_seed)
 
 
-def _grassmannian_term_tableau_route(n: int, r: int, d: int,
-                                     budget: int) -> RatFun:
-    spec = FlagSpec(n, (r,), (d,))
-    xs = x_roots(spec)
+def _coset_terms(t: Tableau, budget: int) -> list[LinearProduct]:
+    """The push-forward of a Grassmannian tableau's inverse normal Euler
+    class to the target roots x_1..x_r (so nothing is renamed), as one
+    factored term per coset of its block alphabet, in the order of
+    BlockAlphabet.cosets: the inverse Euler class with the blocks at the
+    coset's letters and the ambient roots at 0, over x_b - x_a for each
+    letter a of a lower block and b of a higher one.  This is the coset
+    sum that brion_pushforward computes by divided differences, with
+    nothing expanded; the cosets are counted against the budget before
+    any is built."""
+    xs = x_roots(t.spec)
+    letters = {v: Poly.var(v) for v in xs}
+    alphabet = BlockAlphabet([xs[t.r(1, j - 1):t.r(1, j)]
+                              for j in range(1, t.K(1) + 1)])
+    inverse = normal_ledger(t).negated()
     terms = []
-    for t in enumerate_tableaux(spec):
-        blocks = [xs[t.r(1, j - 1):t.r(1, j)] for j in range(1, t.K(1) + 1)]
-        roots = {(1, j): [Poly.var(v) for v in block]
-                 for j, block in enumerate(blocks, 1)}
-        roots[(2, 1)] = [Poly.zero()] * n
-        inverse_euler = euler_class_from_ledger(normal_ledger(t).negated(),
-                                                roots)
-        terms.append(brion_pushforward(inverse_euler, BlockAlphabet(blocks),
-                                       budget))
-    return ratfun_sum(terms)
+    for coset in alphabet.cosets(budget):
+        roots = {(1, j): [letters[v] for v in block]
+                 for j, block in enumerate(coset, 1)}
+        roots[(2, 1)] = [Poly.zero()] * t.spec.n
+        term = euler_product_from_ledger(inverse, roots)
+        for j, lower in enumerate(coset):
+            for higher in coset[j + 1:]:
+                for a in lower:
+                    for b in higher:
+                        term.mul_factor(letters[b] - letters[a], -1)
+        terms.append(term)
+    return terms
 
 
-def _grassmannian_display_terms(n: int, r: int, d: int) -> list[RatFun]:
-    """The simplified display's terms in lowest terms, one per weak
-    composition c of d: (-1)^((r-1)d) prod_{j<j'} (x_j' - x_j + (c_j' -
-    c_j)*alpha) / (x_j' - x_j) * prod_j prod_{l<=c_j} (-x_j - l*alpha)^-n."""
+def _grassmannian_tableau_terms(n: int, r: int, d: int,
+                                budget: int) -> list[list[LinearProduct]]:
+    """The degree-d class by the tableau route: the coset terms of each
+    distinguished tableau, one list per tableau."""
+    return [_coset_terms(t, budget)
+            for t in enumerate_tableaux(FlagSpec(n, (r,), (d,)))]
+
+
+def _grassmannian_display_products(n: int, r: int,
+                                   d: int) -> list[LinearProduct]:
+    """The simplified display's terms, one per weak composition c of d:
+    (-1)^((r-1)d) prod_{j<j'} (x_j' - x_j + (c_j' - c_j)*alpha) / (x_j' -
+    x_j) * prod_j prod_{l<=c_j} (-x_j - l*alpha)^-n."""
     xs = [Poly.var(y(1, 1, k)) for k in range(1, r + 1)]
     alpha = Poly.var(ALPHA)
     terms = []
@@ -164,22 +189,35 @@ def _grassmannian_display_terms(n: int, r: int, d: int) -> list[RatFun]:
         for j in range(r):
             for l in range(1, comp[j] + 1):
                 term.mul_factor(-xs[j] - alpha * l, -n)
-        terms.append(term.to_ratfun())
+        terms.append(term)
     return terms
+
+
+def _grassmannian_display_terms(n: int, r: int, d: int) -> list[RatFun]:
+    """The simplified display's terms in lowest terms."""
+    return [term.to_ratfun()
+            for term in _grassmannian_display_products(n, r, d)]
 
 
 def grassmannian_hg_term(n: int, r: int, d: int,
                          budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
-    """The degree-d hypergeometric class on a Grassmannian, pushed from the
-    tableaux in the target roots x_1..x_r (so nothing is renamed) and
-    checked against the simplified display: its terms minus the pushed
-    class must sum to exactly zero, so the display is never normalized."""
-    via_tableaux = _grassmannian_term_tableau_route(n, r, d, budget)
-    terms = _grassmannian_display_terms(n, r, d) + [-via_tableaux]
-    if not ratfun_sum(terms).is_zero():
+    """The degree-d hypergeometric class on a Grassmannian, the sum of the
+    tableau route's coset terms, checked against the simplified display:
+    the display's terms minus the coset terms must sum to exactly zero.
+    Both are sums over the same fixed points, so their terms cancel in
+    pairs inside ratfun_sum and the check expands nothing.  The class is
+    summed tableau by tableau, as each tableau's sum is symmetric and so
+    free of the cross-block factors its coset terms carry."""
+    per_tableau = [[term.to_ratfun() for term in coset_terms]
+                   for coset_terms
+                   in _grassmannian_tableau_terms(n, r, d, budget)]
+    check = _grassmannian_display_terms(n, r, d) + [
+        -term for coset_terms in per_tableau for term in coset_terms]
+    if not ratfun_sum(check).is_zero():
         raise FormulaMismatchError(
             f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
-    return via_tableaux
+    return ratfun_sum([ratfun_sum(coset_terms)
+                       for coset_terms in per_tableau])
 
 
 def box_partitions(r: int, cols: int) -> list[tuple[int, ...]]:
@@ -284,12 +322,14 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
 
     The rank-r class is the tableau route's alone: the antisymmetrized
     product is the rank-r display.  Per degree, the antisymmetrized terms
-    minus the class times the Vandermonde V are summed once; a zero sum
-    needs no division and pairs to zero.  Only a non-zero sum is divided
-    by V's factors, giving the difference of the two classes (a failed
-    division is reported), which is paired with each Schur polynomial of
-    the box: by linearity each pairing is the residual of the two classes'
-    pairings.
+    minus each coset term times the Vandermonde V are summed once.  V is
+    multiplied in factor by factor, so it cancels the coset term's
+    cross-block factors, and the terms of agreeing classes cancel group by
+    group with nothing expanded; a zero sum needs no division and pairs to
+    zero.  Only a non-zero sum is divided by V's factors, giving the
+    difference of the two classes (a failed division is reported), which
+    is paired with each Schur polynomial of the box: by linearity each
+    pairing is the residual of the two classes' pairings.
     """
     if not (2 <= r < n):
         raise ValueError("need 2 <= r < n")
@@ -302,13 +342,17 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
                            for k in range(max_degree + 1))]
     xs = [Poly.var(v) for v in x_roots(spec)]
     vandermonde = [xs[jp] - xs[j] for j, jp in combinations(range(r), 2)]
-    v_product = prod(vandermonde)
 
     report = HoriVafaReport(n, r, max_degree, True)
     for d in range(max_degree + 1):
-        lhs = _grassmannian_term_tableau_route(n, r, d, budget)
-        diff = ratfun_sum(_antisymmetrized_terms(r, d, one_row) + [
-            RatFun(-lhs.num * v_product, lhs.den, _normalized=True)])
+        terms = _antisymmetrized_terms(r, d, one_row)
+        for term in chain.from_iterable(
+                _grassmannian_tableau_terms(n, r, d, budget)):
+            term.mul_scalar(-1)
+            for factor in vandermonde:
+                term.mul_factor(factor)
+            terms.append(term.to_ratfun())
+        diff = ratfun_sum(terms)
         num = diff.num
         for factor in vandermonde if num.terms else ():
             num = num.divide_by_linear(factor)

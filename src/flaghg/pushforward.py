@@ -3,13 +3,16 @@ the two independent integration routes.
 
 The push-forward along a flag bundle is the coset sum over distributions
 of the alphabet letters into blocks, of the integrand divided by the
-product of cross-block letter differences.  It is computed as divided
-differences along the bubble-sort word that reverses the blocks (the
-Bernstein-Gelfand-Gelfand / Demazure form of the Gysin map), so no coset
-is enumerated.  A restrictive flag bundle first multiplies in its Thom
-class.  Iterating down a component's fibration tower and killing the
-ambient roots integrates to a point; the independent oracle instead sums
-integrand/tangent-Euler over the torus fixed points.
+product of cross-block letter differences.  The tower computes it as
+divided differences along the bubble-sort word that reverses the blocks
+(the Bernstein-Gelfand-Gelfand / Demazure form of the Gysin map), so no
+coset is enumerated.  The Grassmannian hypergeometric class instead
+takes the coset sum term by term (BlockAlphabet.cosets), as its terms
+cancel the display's one for one.  A restrictive flag bundle first
+multiplies in its Thom class.  Iterating down a component's fibration
+tower and killing the ambient roots integrates to a point; the
+independent oracle instead sums integrand/tangent-Euler over the torus
+fixed points.
 
 The oracle, ab_integrate, takes its integrand factored (a RatFun, a
 normal ledger whose Euler class divides it, a truncated exponential of
@@ -28,7 +31,8 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations, repeat
+from itertools import (combinations, combinations_with_replacement,
+                       permutations, repeat)
 from math import factorial, lcm
 from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
@@ -64,10 +68,30 @@ class BlockAlphabet:
             count //= factorial(len(b))
         return count
 
+    def check_budget(self, budget: int) -> None:
+        count = self.coset_count()
+        if count > budget:
+            raise BudgetExceededError(
+                f"{count} cosets exceed the budget of {budget}")
+
+    def cosets(self, budget: int) -> list[tuple[tuple[VarId, ...], ...]]:
+        """Every distribution of the letters into blocks of the blocks'
+        sizes, one per coset of the blocks' symmetric groups, each block
+        in letter order; the budget is checked before any is built."""
+        self.check_budget(budget)
+        out = [()]
+        for size in map(len, self.blocks):
+            out = [done + (chosen,) for done in out
+                   for chosen in combinations(
+                       [v for v in self.letters
+                        if not any(v in block for block in done)], size)]
+        return out
+
 
 def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
                       budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
-    """Push p forward along the flag bundle of the alphabet's blocks.
+    """Push p forward along the flag bundle of the alphabet's blocks: one
+    stage of the tower that integrate_to_point climbs.
 
     This is the coset sum of p over the product of cross-block letter
     differences (lower block subtracted from higher), computed as divided
@@ -77,10 +101,7 @@ def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
     x_{i+1} - x_i raised by one in their denominators, so the sum's
     evaluation at that factor's hyperplane decides whether it divides.
     """
-    count = alphabet.coset_count()
-    if count > budget:
-        raise BudgetExceededError(
-            f"{count} cosets exceed the budget of {budget}")
+    alphabet.check_budget(budget)
     assert_block_symmetric(p, alphabet.blocks)
     letters = alphabet.letters
     order = [j for j, block in enumerate(alphabet.blocks) for _ in block]

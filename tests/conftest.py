@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from flaghg.algebra import Poly
+from flaghg.algebra import LinearProduct, Poly, RatFun, ratfun_sum
 from flaghg.errors import DEFAULT_COSET_BUDGET
 from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau
@@ -68,19 +68,43 @@ def random_block_symmetric(t: Tableau, rng: random.Random,
     return out
 
 
+def summed(per_tableau) -> RatFun:
+    """The class of the tableau route's terms, lists of LinearProducts, in
+    lowest terms."""
+    return ratfun_sum([term.to_ratfun() for terms in per_tableau
+                       for term in terms])
+
+
+def monomial_products(f: RatFun) -> list[LinearProduct]:
+    """f as a sum of LinearProducts, one per monomial of its numerator:
+    the coefficient times the monomial's variables over f's factors."""
+    variables = sorted(f.num.variables())
+    out = []
+    for exps, c in f.num.exponents(variables).items():
+        term = LinearProduct(c)
+        for v, e in zip(variables, exps):
+            term.mul_factor(Poly.var(v), e)
+        for g, e in f.den.items():
+            term.mul_factor(g, -e)
+        out.append(term)
+    return out
+
+
 def shift_tableau_route(monkeypatch, extra):
-    """Add extra to the Grassmannian tableau route's class of every rank
-    >= 2, and return the shifted route."""
+    """Append extra, as one more list of terms (one LinearProduct per
+    numerator monomial), to the Grassmannian tableau route's terms of
+    every rank >= 2, and return the shifted class as a function of
+    (n, r, d)."""
     from flaghg import mirror
 
-    original = mirror._grassmannian_term_tableau_route
+    original = mirror._grassmannian_tableau_terms
 
     def shifted(n, r, d, budget=DEFAULT_COSET_BUDGET):
-        cls = original(n, r, d, budget)
-        return cls + extra if r >= 2 else cls
+        terms = original(n, r, d, budget)
+        return terms + [monomial_products(extra)] if r >= 2 else terms
 
-    monkeypatch.setattr(mirror, "_grassmannian_term_tableau_route", shifted)
-    return shifted
+    monkeypatch.setattr(mirror, "_grassmannian_tableau_terms", shifted)
+    return lambda n, r, d: summed(shifted(n, r, d))
 
 
 @pytest.fixture(scope="module")

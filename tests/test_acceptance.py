@@ -21,13 +21,13 @@ from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
 from flaghg.mirror import (box_partitions, decompose_by_kahler,
                            hori_vafa_verify, integral_Id, schur_pairing)
 from flaghg.mirror import _grassmannian_display_terms as display_terms
-from flaghg.mirror import _grassmannian_term_tableau_route as tableau_route
+from flaghg.mirror import _grassmannian_tableau_terms as tableau_terms
 from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
                                 tableau_tower)
 from flaghg.tableaux import (FlagSpec, component_dimension,
                              enumerate_tableaux, hquot_dimension)
 
-from conftest import all_specs, random_block_symmetric
+from conftest import all_specs, random_block_symmetric, summed
 from test_tableaux import brute_force_tableaux
 
 A = Poly.var(ALPHA)
@@ -179,7 +179,8 @@ def test_criterion_8_grassmannian_hg_dual_route():
         spec = FlagSpec(n, (r,), (0,))
         partitions = box_partitions(r, n - r)
         for d in range(4):
-            via_tableaux = tableau_route(n, r, d, DEFAULT_COSET_BUDGET)
+            via_tableaux = summed(tableau_terms(n, r, d,
+                                                DEFAULT_COSET_BUDGET))
             via_display = ratfun_sum(display_terms(n, r, d))
             for mu in partitions:
                 left = schur_pairing(spec, via_tableaux, mu)

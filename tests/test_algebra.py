@@ -241,9 +241,9 @@ def test_cross_cancelled_product_equals_normalized_product(a, b):
     assert fast.to_json() == slow.to_json()
 
 
-@settings(max_examples=150, deadline=None)
-@given(terms=st.lists(ratfuns(), max_size=4))
-def test_sum_equals_normalized_expansion(terms):
+def assert_sum_is_normalized_expansion(terms):
+    """ratfun_sum(terms) against the model: every numerator expanded over
+    the union denominator, added, and normalized."""
     union = {}
     for term in terms:
         for f, e in term.den.items():
@@ -258,6 +258,50 @@ def test_sum_equals_normalized_expansion(terms):
     fast = algebra.ratfun_sum(terms)
     assert fast.num.sorted_terms() == slow.num.sorted_terms()
     assert fast.den == slow.den
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=st.lists(ratfuns(), max_size=4))
+def test_sum_equals_normalized_expansion(terms):
+    assert_sum_is_normalized_expansion(terms)
+
+
+@st.composite
+def sums_with_repeated_denominators(draw):
+    """Terms over a few shared denominators, some of them negations of
+    earlier terms, so groups of equal denominators form and may cancel."""
+    dens = draw(st.lists(
+        st.dictionaries(st.sampled_from(FACTORS), st.integers(1, 2),
+                        max_size=3), min_size=1, max_size=2))
+    terms = []
+    for _ in range(draw(st.integers(1, 5))):
+        if terms and draw(st.booleans()):
+            terms.append(-draw(st.sampled_from(terms)))
+        else:
+            num = draw(polys()) * draw(factor_products(max_size=1))
+            terms.append(RatFun(num, draw(st.sampled_from(dens))))
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=150, deadline=None)
+@given(terms=sums_with_repeated_denominators())
+def test_grouped_sum_equals_normalized_expansion(terms):
+    assert_sum_is_normalized_expansion(terms)
+
+
+@settings(max_examples=100, deadline=None)
+@given(terms=st.lists(ratfuns(), min_size=1, max_size=4))
+def test_terms_cancelling_one_for_one_expand_nothing(terms):
+    def refuse(self, other):
+        raise AssertionError("a numerator was expanded")
+
+    original = Poly.__mul__
+    Poly.__mul__ = refuse
+    try:
+        total = algebra.ratfun_sum(terms + [-t for t in terms])
+    finally:
+        Poly.__mul__ = original
+    assert total.is_zero() and total.den == {}
 
 
 def test_sum_cancels_a_factor_of_the_expanded_numerator():

@@ -319,6 +319,16 @@ def test_main_computation_error_exit_code(tmp_path, capsys):
     assert "computation error" in capsys.readouterr().err
 
 
+def test_main_hg_over_the_coset_budget_is_a_computation_error(tmp_path,
+                                                              capsys):
+    # a degree-2 tableau of Gr(3, 5) has rows (0, 1, 1): three cosets
+    code = main(["hg", "--n", "5", "--ranks", "3", "--max-degree", "2",
+                 "--coset-budget", "2", "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "computation error [hg]: 3 cosets exceed the budget of 2\n"
+
+
 def test_main_hori_vafa_mismatch_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
     # the check compares the tableau route with the antisymmetrized

@@ -1,6 +1,7 @@
 import json
+from collections import Counter
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from math import factorial
 
 import pytest
@@ -9,17 +10,21 @@ from flaghg import mirror
 from flaghg.algebra import (ALPHA, Poly, RatFun, exp_series, kahler,
                             ratfun_sum, y)
 from flaghg.cli import main
-from flaghg.errors import FormulaMismatchError
+from flaghg.errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
+                           FormulaMismatchError)
+from flaghg.fixedlocus import (assert_block_symmetric,
+                               euler_class_from_ledger, normal_ledger)
 from flaghg.mirror import (box_complement, box_partitions, decompose_by_kahler,
                            grassmannian_hg_term, hori_vafa_verify,
                            hyperplane_pullback, integral_Id,
                            mirror_integrand, reconstruct_class_from_pairings,
                            schur_pairing, x_roots, zero_tableau)
-from flaghg.pushforward import (ab_integrate, integrate_to_point, lam_vector,
-                                tableau_tower)
+from flaghg.pushforward import (BlockAlphabet, ab_integrate,
+                                brion_pushforward, integrate_to_point,
+                                lam_vector, tableau_tower)
 from flaghg.tableaux import FlagSpec, Tableau, enumerate_tableaux
 
-from conftest import shift_tableau_route
+from conftest import shift_tableau_route, summed
 from expanded_oracle import expanded_ab_integrate
 
 P = Poly.var
@@ -406,6 +411,113 @@ def test_hg_routes_must_sum_to_zero(monkeypatch):
     monkeypatch.setattr(mirror, "_grassmannian_display_terms", perturbed)
     with pytest.raises(FormulaMismatchError):
         grassmannian_hg_term(4, 2, 2)
+
+
+def grassmannian_alphabet(t):
+    xs = x_roots(t.spec)
+    return BlockAlphabet([xs[t.r(1, j - 1):t.r(1, j)]
+                          for j in range(1, t.K(1) + 1)])
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coset_terms_sum_to_the_brion_pushforward(n):
+    # the coset form is the push-forward the tower takes by divided
+    # differences, and each coset's product is symmetric in its blocks,
+    # the precondition brion_pushforward asserts; r * n <= 20 leaves out
+    # Gr(4, 6) and Gr(5, 6), whose classes take minutes to normalize
+    for r, d in product(range(1, min(n, 20 // n + 1)), range(4)):
+        for t in enumerate_tableaux(FlagSpec(n, (r,), (d,))):
+            alphabet = grassmannian_alphabet(t)
+            roots = {(1, j): [P(v) for v in block]
+                     for j, block in enumerate(alphabet.blocks, 1)}
+            roots[(2, 1)] = [Poly.zero()] * n
+            inverse = euler_class_from_ledger(normal_ledger(t).negated(),
+                                              roots)
+            terms = mirror._coset_terms(t, DEFAULT_COSET_BUDGET)
+            assert summed([terms]) == brion_pushforward(inverse, alphabet)
+            cosets = alphabet.cosets(DEFAULT_COSET_BUDGET)
+            assert len(cosets) == len(terms) == alphabet.coset_count()
+            for coset, term in zip(cosets, terms):
+                assert_block_symmetric(term.to_ratfun(), coset)
+
+
+def test_coset_budget_is_checked_before_any_coset(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a coset term was built")
+
+    monkeypatch.setattr(mirror, "euler_product_from_ledger", refuse)
+    t = Tableau(FlagSpec(5, (3,), (2,)), ((0, 1, 1),))
+    with pytest.raises(BudgetExceededError,
+                       match="^3 cosets exceed the budget of 2$"):
+        mirror._coset_terms(t, 2)
+
+
+@pytest.mark.parametrize("n,r,d", [(4, 3, 3), (5, 3, 2), (6, 3, 2),
+                                   (7, 3, 3), (6, 4, 2)])
+def test_tableau_terms_are_the_display_terms(n, r, d):
+    # both routes sum over the same fixed points, term for term
+    def counts(terms):
+        return Counter((t.scalar, frozenset(t.factors.items()))
+                       for t in terms)
+
+    assert counts(chain.from_iterable(mirror._grassmannian_tableau_terms(
+        n, r, d, DEFAULT_COSET_BUDGET))) == \
+        counts(mirror._grassmannian_display_products(n, r, d))
+
+
+class _Refused(Exception):
+    pass
+
+
+def zero_sums_expanding_nothing(monkeypatch):
+    """Run mirror's ratfun_sum with Poly.__mul__ refused.  A sum that
+    needs a product is run again with it and must not come out zero, so
+    every zero sum, each one a check, expanded nothing.  Returns the list
+    that each zero sum appends its term count to."""
+    original_sum, original_mul = mirror.ratfun_sum, Poly.__mul__
+    refusing = False
+    zero_sums = []
+
+    def mul(self, other):
+        if refusing:
+            raise _Refused
+        return original_mul(self, other)
+
+    def checked(terms):
+        nonlocal refusing
+        refusing = True
+        try:
+            out = original_sum(terms)
+        except _Refused:
+            out = None
+        finally:
+            refusing = False
+        if out is None:
+            out = original_sum(terms)
+            assert not out.is_zero(), "a zero sum expanded a numerator"
+        elif out.is_zero():
+            zero_sums.append(len(terms))
+        return out
+
+    monkeypatch.setattr(Poly, "__mul__", mul)
+    monkeypatch.setattr(mirror, "ratfun_sum", checked)
+    return zero_sums
+
+
+def test_hg_check_sum_expands_nothing(monkeypatch):
+    zero_sums = zero_sums_expanding_nothing(monkeypatch)
+    grassmannian_hg_term(6, 3, 2)
+    # the check's terms: the display's and the tableau route's, one per
+    # weak composition of 2 into 3 parts
+    assert zero_sums == [12]
+
+
+def test_hori_vafa_check_sums_expand_nothing(monkeypatch):
+    zero_sums = zero_sums_expanding_nothing(monkeypatch)
+    assert hori_vafa_verify(4, 2, 2).ok
+    # three one-row hg checks, then one check per degree, each with a
+    # term of either class per weak composition of the degree
+    assert zero_sums == [2, 2, 2, 2, 4, 6]
 
 
 def test_hori_vafa_zero_difference_builds_no_schur_polynomial(monkeypatch):
