@@ -7,42 +7,32 @@ fields the command reads, the engine version and a digest of the package
 source.
 """
 
-from __future__ import annotations
-
 import argparse
 import errno
 import functools
 import hashlib
 import json
 import os
-import random
 import sys
-import tempfile
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, NamedTuple
 
 from . import __version__
-from .errors import (DEFAULT_COSET_BUDGET, FlagHGError, FormulaMismatchError,
-                     UsageError)
-from .tableaux import (FlagSpec, component_dimension,
-                       enumerate_general_components, enumerate_tableaux,
-                       general_component_dimension, hquot_dimension)
+from .errors import DEFAULT_COSET_BUDGET, FlagHGError, UsageError
+from .spec import FlagSpec
 
-# The engine modules (algebra, fixedlocus, mirror, pushforward) are imported
-# inside the runners and _work_counters, so a cache hit never loads them.
-# The records here are NamedTuples, and those of tableaux slotted classes,
-# because `dataclasses` (with `inspect`) costs a hit more than its own work.
+# A cache hit loads only this module, `errors` and `spec`.  The runners and
+# the engine they call live in `runners`, which a miss imports.  The records
+# here are plain namedtuples: `typing.NamedTuple` would load `typing`, and a
+# dataclass `dataclasses` with `inspect`, each costing a hit more than its
+# own work.  Nor is there a `from __future__ import annotations`, so the
+# annotations below are evaluated, which Python 3.10 supports.
 
 
-class JobSpec(NamedTuple):
-    command: str
-    spec: FlagSpec
-    max_degree: int
-    lambda_seed: int
-    coset_budget: int
-    output_format: str
-    explain: bool
-    cache_dir: str | None
+class JobSpec(namedtuple("JobSpec", (
+        "command", "spec", "max_degree", "lambda_seed", "coset_budget",
+        "output_format", "explain", "cache_dir"))):
+    __slots__ = ()
 
     def to_json(self) -> dict:
         return {
@@ -120,179 +110,34 @@ def parse_job(argv, env=None) -> JobSpec:
     )
 
 
-def _run_tableaux(job: JobSpec) -> dict:
-    from .fixedlocus import normal_ledger
-
-    spec = job.spec
-    rows = []
-    for t in enumerate_tableaux(spec):
-        entry = {
-            "alpha": [list(r) for r in t.rows],
-            "dimension": component_dimension(t),
-        }
-        if job.explain:
-            entry["normal_ledger"] = normal_ledger(t).to_json()
-        rows.append(entry)
-    out = {
-        "hquot_dimension": hquot_dimension(spec),
-        "count": len(rows),
-        "tableaux": rows,
-    }
-    if job.explain:
-        general = enumerate_general_components(spec)
-        out["general_components"] = {
-            "count": len(general),
-            "entries": [
-                {
-                    "alpha": [list(r) for r in a.rows],
-                    "beta": [list(r) for r in b.rows],
-                    "dimension": general_component_dimension(a, b),
-                }
-                for a, b in general
-            ],
-        }
-    return out
-
-
-def _run_euler(job: JobSpec) -> dict:
-    from .fixedlocus import (canonical_roots, euler_product_closed_form,
-                             euler_product_from_ledger, normal_ledger)
-
-    spec = job.spec
-    rows = []
-    for t in enumerate_tableaux(spec):
-        ledger = normal_ledger(t)
-        roots = canonical_roots(t)
-        # canonical factors with net exponents: equal products are equal
-        # classes, so only the reported one is multiplied out
-        via_ledger = euler_product_from_ledger(ledger, roots)
-        if via_ledger != euler_product_closed_form(t, roots):
-            raise FormulaMismatchError(
-                f"Euler class routes disagree on {t.rows}")
-        entry = {
-            "alpha": [list(r) for r in t.rows],
-            "codimension": hquot_dimension(spec) - component_dimension(t),
-            "euler_class": via_ledger.to_ratfun().to_json(),
-        }
-        if job.explain:
-            entry["normal_ledger"] = ledger.to_json()
-        rows.append(entry)
-    return {"count": len(rows), "classes": rows}
-
-
-def _run_integral(job: JobSpec) -> dict:
-    from .fixedlocus import normal_ledger
-    from .mirror import integral_Id
-
-    result = integral_Id(job.spec, lambda_seed=job.lambda_seed)
-    data = result.to_json()
-    out = {
-        "value": result.value.to_text(),
-        "t_poly": data["t_poly"],
-    }
-    if job.explain:
-        out["per_tableau"] = data["per_tableau"]
-        out["ledgers"] = {
-            repr([list(r) for r in t.rows]): normal_ledger(t).to_json()
-            for t, _ in result.per_tableau
-        }
-    return out
-
-
-def _run_hg(job: JobSpec) -> dict:
-    from .mirror import grassmannian_hg_term
-
-    spec = job.spec
-    terms = []
-    for d in range(job.max_degree + 1):
-        cls = grassmannian_hg_term(spec.n, spec.ranks[0], d,
-                                   job.coset_budget)
-        terms.append({"d": d, "class": cls.to_json()})
-    return {"schema": "flaghg/hgseries-v1", "spec": spec.to_json(),
-            "truncation": job.max_degree, "terms": terms}
-
-
-def _run_hori_vafa(job: JobSpec) -> dict:
-    from .mirror import hori_vafa_verify
-
-    spec = job.spec
-    return hori_vafa_verify(spec.n, spec.ranks[0], job.max_degree,
-                            lambda_seed=job.lambda_seed,
-                            budget=job.coset_budget).to_json()
-
-
-def _run_oracle_compare(job: JobSpec) -> dict:
-    from .algebra import Poly, RatFun
-    from .pushforward import (ab_integrate, complete_homogeneous,
-                              integrate_to_point, lam_vector, tableau_tower)
-
-    spec = job.spec
-    lam = lam_vector(spec.n, job.lambda_seed)
-    rows = []
-    all_equal = True
-    for index, t in enumerate(enumerate_tableaux(spec)):
-        rng = random.Random(job.lambda_seed * 7919 + index)
-        cases = []
-        dim = component_dimension(t)
-        for trial in range(3):
-            p = Poly.const(1)
-            degree = 0
-            for i in range(1, t.levels + 1):
-                for j in range(1, t.K(i) + 1):
-                    k = rng.randint(0, max(0, min(2, dim - degree)))
-                    degree += k
-                    p = p * complete_homogeneous(k, t.letters(i, j))
-            f = RatFun.from_poly(p)
-            via_oracle = ab_integrate(t, f, lam, seed=job.lambda_seed,
-                                      check_symmetry=False)
-            via_tower = integrate_to_point(f, tableau_tower(t),
-                                           job.coset_budget)
-            equal = via_oracle == via_tower
-            all_equal = all_equal and equal
-            cases.append({
-                "trial": trial,
-                "integrand": p.to_text(),
-                "oracle": via_oracle.to_text(),
-                "tower": via_tower.to_text(),
-                "equal": equal,
-            })
-        rows.append({
-            "alpha": [list(r) for r in t.rows],
-            "cases": cases,
-        })
-    return {"all_equal": all_equal, "tableaux": rows}
-
-
-class Command(NamedTuple):
-    """Everything the command line knows about one command."""
-
-    run: Callable[[JobSpec], dict]
-    # the job fields the runner reads besides the spec; the cache key
-    # covers only these, so a flag the command ignores never splits entries
-    key_fields: tuple[str, ...]
-    routes: tuple[str, ...]
-    min_degree: int | None = None  # the lowest --max-degree
-    # (lowest rank, message) of a command that needs a Grassmannian
-    grassmannian: tuple[int, str] | None = None
-    verdict: str | None = None  # a results field; false means exit 3
+# Everything the command line knows about one command but its runner,
+# which `runners.RUNNERS` holds under the same name:
+# - key_fields: the job fields the runner reads besides the spec; the cache
+#   key covers only these, so a flag the command ignores never splits entries
+# - routes: the report's provenance.routes
+# - min_degree: the lowest --max-degree
+# - grassmannian: (lowest rank, message) of a command that needs one
+# - verdict: a results field whose false value means exit 3
+Command = namedtuple("Command", (
+    "key_fields", "routes", "min_degree", "grassmannian", "verdict"),
+    defaults=(None, None, None))
 
 
 COMMANDS = {
-    "tableaux": Command(_run_tableaux, ("explain",), ("enumeration",)),
-    "euler": Command(_run_euler, ("explain",), ("ledger", "closed-form")),
-    "integral": Command(_run_integral, ("lambda_seed", "explain"),
-                        ("fixed-point-oracle",)),
+    "tableaux": Command(("explain",), ("enumeration",)),
+    "euler": Command(("explain",), ("ledger", "closed-form")),
+    "integral": Command(("lambda_seed", "explain"), ("fixed-point-oracle",)),
     "hg": Command(
-        _run_hg, ("max_degree", "coset_budget"),
+        ("max_degree", "coset_budget"),
         ("tableau-sum", "simplified-display"), min_degree=0,
         grassmannian=(1, "hg requires a Grassmannian (a single rank)")),
     "hori-vafa": Command(
-        _run_hori_vafa, ("max_degree", "lambda_seed", "coset_budget"),
+        ("max_degree", "lambda_seed", "coset_budget"),
         ("tableau-sum", "simplified-display", "antisymmetrization"),
         min_degree=1, verdict="ok",
         grassmannian=(2, "hori-vafa requires a Grassmannian with rank >= 2")),
     "oracle-compare": Command(
-        _run_oracle_compare, ("lambda_seed", "coset_budget"),
+        ("lambda_seed", "coset_budget"),
         ("fixed-point-oracle", "fibration-tower"), verdict="all_equal"),
 }
 
@@ -303,7 +148,9 @@ def _canonical_json(data) -> str:
 
 @functools.cache
 def _source_digest() -> str:
-    """sha256 over the package's source files, read once per process."""
+    """sha256 over the package's source files, read once per process;
+    the modules a hit never imports count too, so a changed runner or
+    engine module never serves its old results."""
     digest = hashlib.sha256()
     for path in sorted(Path(__file__).parent.glob("*.py")):
         digest.update(path.name.encode() + b"\0" + path.read_bytes())
@@ -347,8 +194,12 @@ def run_and_report(job: JobSpec) -> dict:
                 errno.ENOENT, errno.ENOTDIR, errno.ENAMETOOLONG):
             warning = "cache entry was corrupt and has been bypassed"
     if cache_status == "miss":
-        results = command.run(job)
-        work = _work_counters(job)
+        import tempfile
+
+        from .runners import RUNNERS, work_counters
+
+        results = RUNNERS[job.command](job)
+        work = work_counters(job)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
             # a concurrent reader sees the old entry or the whole new one
@@ -380,17 +231,6 @@ def run_and_report(job: JobSpec) -> dict:
         "job": job.to_json(),
         "results": results,
         "provenance": provenance,
-    }
-
-
-def _work_counters(job: JobSpec) -> dict:
-    """Stored in the cache entry, so a hit never recounts."""
-    from .fixedlocus import fixed_point_count
-
-    tableaux = enumerate_tableaux(job.spec)
-    return {
-        "tableaux": len(tableaux),
-        "fixed_points": sum(fixed_point_count(t) for t in tableaux),
     }
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flaghg
-from flaghg import cli, fixedlocus, pushforward
+from flaghg import cli, fixedlocus, pushforward, runners
 from flaghg.algebra import LinearProduct, RatFun
 from flaghg.cli import (cache_key, format_report, main, parse_job,
                         run_and_report)
@@ -196,7 +197,7 @@ def test_cache_hit_enumerates_nothing(tmp_path, monkeypatch, command, spec):
     def refuse(*args):
         raise AssertionError("a cache hit enumerated")
 
-    monkeypatch.setattr(cli, "enumerate_tableaux", refuse)
+    monkeypatch.setattr(runners, "enumerate_tableaux", refuse)
     monkeypatch.setattr(fixedlocus, "torus_fixed_points", refuse)
     monkeypatch.setattr(pushforward, "torus_fixed_points", refuse)
     second = run_and_report(job)
@@ -237,6 +238,27 @@ def test_cache_key_covers_engine_source(tmp_path, monkeypatch):
     before = cache_key(job)
     monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
     assert cache_key(job) != before
+
+
+@pytest.mark.parametrize("name", ["runners.py", "spec.py", "mirror.py"])
+def test_source_digest_covers_modules_a_hit_never_imports(tmp_path,
+                                                          monkeypatch, name):
+    # on a copy of the package, so the checkout's files stay untouched
+    package = tmp_path / "flaghg"
+    shutil.copytree(Path(cli.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.setattr(cli, "__file__", str(package / "cli.py"))
+    digest = cli._source_digest.__wrapped__
+    before = digest()
+    path = package / name
+    data = bytearray(path.read_bytes())
+    data[len(data) // 2] ^= 1
+    path.write_bytes(bytes(data))
+    assert digest() != before
+
+
+def test_runner_table_matches_command_table():
+    assert set(runners.RUNNERS) == set(cli.COMMANDS)
 
 
 def test_cache_key_ignores_output_format(tmp_path):
@@ -401,8 +423,7 @@ def test_command_table(tmp_path, capsys, monkeypatch, command, splits,
             if cache_key(parse_job(base + extra)) != key} == splits
     for field in ("ok", "all_equal"):
         results = {"ok": True, "all_equal": True, field: False}
-        monkeypatch.setitem(cli.COMMANDS, command, cli.COMMANDS[command]
-                            ._replace(run=lambda job: results))
+        monkeypatch.setitem(runners.RUNNERS, command, lambda job: results)
         code = main(base + ["--cache-dir", str(tmp_path / field)])
         assert code == (3 if field == verdict else 0)
         report = json.loads(capsys.readouterr().out)
@@ -540,14 +561,19 @@ _MAIN_THEN_MODULES = (
     "sys.exit(code)\n")
 
 
-@pytest.mark.parametrize("argv", [
+# one line per command, and the package modules a cache hit of it loads
+HIT_ARGVS = [
     ["tableaux", "--n", "4", "--ranks", "2", "--degrees", "2", "--explain"],
     ["euler", "--n", "3", "--ranks", "1,2", "--degrees", "1,1", "--explain"],
     ["integral", "--n", "3", "--ranks", "1,2", "--degrees", "1,1"],
     ["hg", "--n", "4", "--ranks", "2", "--max-degree", "1"],
     ["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree", "1"],
     ["oracle-compare", "--n", "3", "--ranks", "1", "--degrees", "1"],
-], ids=lambda argv: argv[0])
+]
+HIT_MODULES = ["flaghg", "flaghg.cli", "flaghg.errors", "flaghg.spec"]
+
+
+@pytest.mark.parametrize("argv", HIT_ARGVS, ids=lambda argv: argv[0])
 def test_cache_hit_imports_no_engine_module(tmp_path, argv):
     argv = argv + ["--json", "--cache-dir", str(tmp_path)]
     miss, hit = [_python(["-c", _MAIN_THEN_MODULES, *argv]) for _ in range(2)]
@@ -555,10 +581,10 @@ def test_cache_hit_imports_no_engine_module(tmp_path, argv):
         assert proc.returncode == 0, proc.stderr
         report = json.loads(proc.stdout)
         assert report["provenance"]["cache"]["status"] == status
-    assert "flaghg.fixedlocus" in miss.stderr.split()
+    assert {"flaghg.fixedlocus", "flaghg.runners"} <= set(miss.stderr.split())
     loaded = hit.stderr.split()
-    assert [m for m in loaded if m.partition(".")[0] == "flaghg"] == \
-        ["flaghg", "flaghg.cli", "flaghg.errors", "flaghg.tableaux"]
+    assert "flaghg.runners" not in loaded
+    assert [m for m in loaded if m.partition(".")[0] == "flaghg"] == HIT_MODULES
     # nor `dataclasses`, which imports `inspect`; a `site` .pth file may
     # load them in any interpreter, so only the hit's own imports count
     bare = _python(["-c", "import sys; print(*sys.modules)"])
@@ -568,6 +594,28 @@ def test_cache_hit_imports_no_engine_module(tmp_path, argv):
     direct = _python(["-m", "flaghg", *argv])
     assert (direct.returncode, direct.stdout, direct.stderr) == \
         (0, hit.stdout, "")
+
+
+# with -S no `site` .pth file preloads a module, so the hit's own imports
+# show; these would cost a hit more than its own work
+NOT_ON_THE_HIT_PATH = {"typing", "__future__", "dataclasses", "inspect",
+                       "tempfile", "random"}
+
+
+@pytest.mark.parametrize("argv", HIT_ARGVS, ids=lambda argv: argv[0])
+def test_cache_hit_without_site_loads_only_the_hit_path(tmp_path, argv):
+    argv = argv + ["--json", "--cache-dir", str(tmp_path)]
+    miss, hit = [_python(["-S", "-c", _MAIN_THEN_MODULES, *argv])
+                 for _ in range(2)]
+    for proc, status in ((miss, "miss"), (hit, "hit")):
+        assert proc.returncode == 0, proc.stderr
+        report = json.loads(proc.stdout)
+        assert report["provenance"]["cache"]["status"] == status
+    assert "flaghg.runners" in miss.stderr.split()
+    loaded = set(hit.stderr.split())
+    assert sorted(m for m in loaded if m.partition(".")[0] == "flaghg") == \
+        HIT_MODULES
+    assert loaded & NOT_ON_THE_HIT_PATH == set()
 
 
 def test_importing_the_package_loads_no_submodule():

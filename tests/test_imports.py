@@ -138,7 +138,8 @@ PACKAGE_EXPORTS = {
     "pushforward": ["BlockAlphabet", "ab_integrate", "brion_pushforward",
                     "integrate_to_point", "lam_vector", "omega_class",
                     "schur_polynomial", "tableau_tower"],
-    "tableaux": ["FlagSpec", "Tableau", "component_dimension",
+    "spec": ["FlagSpec"],
+    "tableaux": ["Tableau", "component_dimension",
                  "enumerate_general_components", "enumerate_tableaux",
                  "general_component_dimension", "hquot_dimension"],
 }
