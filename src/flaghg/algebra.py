@@ -900,7 +900,8 @@ def _evaluate(p: Poly, root: tuple[int, int]) -> int | None:
 
 
 def _may_divide(num: Poly, f: Poly) -> bool:
-    """False only if the linear factor f certainly does not divide num.
+    """False only if the linear factor f, of at least two terms, certainly
+    does not divide num.
 
     num is evaluated mod _P at a point where f = 0 mod _P (_root).  If f
     divides num over Q, Gauss's lemma over the integers localized at _P
@@ -910,13 +911,10 @@ def _may_divide(num: Poly, f: Poly) -> bool:
     leaves the question open.
 
     A single term c*m needs no evaluation: its irreducible factors are the
-    variables of m, so f divides it exactly when f is one of them.
+    variables of m, and f is none of them.
     """
     if len(num.terms) == 1:
-        if len(f.terms) != 1:
-            return False
-        (v,) = f.variables()
-        return v in num.variables()
+        return False
     root = _root(f)
     if root is None:
         return True

@@ -20,12 +20,13 @@ from itertools import combinations
 from math import comb, lcm, prod
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, ambient, y)
+from .algebra import ALPHA, LinearProduct, Poly, RatFun, VarId, y
 from .errors import CancellationFailureError, SymmetryViolationError
 from .tableaux import Tableau
 
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
-FixedPoint = dict[BlockRef, tuple[int, ...]]  # block -> its coordinates
+# block -> its sorted coordinates; the ambient block holds all of 1..n
+FixedPoint = dict[BlockRef, tuple[int, ...]]
 
 
 class Ledger:
@@ -171,18 +172,12 @@ RootAssignment = Mapping[BlockRef, Sequence[Poly]]
 
 def canonical_roots(t: Tableau,
                     ambient_roots: Sequence[Poly] | None = None) -> dict:
-    """Block -> list of root polynomials; ambient defaults to formal e_k."""
-    roots: dict[BlockRef, list[Poly]] = {}
-    for i in range(1, t.levels + 1):
-        for j in range(1, t.K(i) + 1):
-            roots[(i, j)] = [Poly.var(v) for v in t.letters(i, j)]
-    amb = t.levels + 1
-    if ambient_roots is None:
-        roots[(amb, 1)] = [
-            Poly.var(ambient(k)) for k in range(1, t.spec.n + 1)
-        ]
-    else:
-        roots[(amb, 1)] = list(ambient_roots)
+    """Block -> list of root polynomials, each block's letters, the ambient
+    block's replaced by ambient_roots if given."""
+    roots = {(i, j): [Poly.var(v) for v in t.letters(i, j)]
+             for i in range(1, t.levels + 2) for j in range(1, t.K(i) + 1)}
+    if ambient_roots is not None:
+        roots[(t.levels + 1, 1)] = list(ambient_roots)
     return roots
 
 
@@ -293,13 +288,12 @@ def grassmannian_euler_product(t: Tableau) -> LinearProduct:
 
 def _free(t: Tableau, point: FixedPoint, i: int, j: int) -> list[int]:
     """The sorted coordinates block (i, j) can choose from at the point:
-    those held by the level-(i+1) blocks up to I_A(i, j), or 1..n at the
-    top level, less those taken by the level-i blocks before it."""
-    if i == t.levels:
-        pool = range(1, t.spec.n + 1)
-    else:
-        pool = sorted(c for k in range(1, t.I_A(i, j) + 1)
-                      for c in point[(i + 1, k)])
+    those held by the level-(i+1) blocks up to I_A(i, j), less those taken
+    by the level-i blocks before it.  One block's coordinates, such as the
+    ambient block's 1..n, are already sorted."""
+    top = t.I_A(i, j)
+    pool = point[(i + 1, 1)] if top == 1 else sorted(
+        c for k in range(1, top + 1) for c in point[(i + 1, k)])
     taken = {c for k in range(1, j) for c in point[(i, k)]}
     return [c for c in pool if c not in taken]
 
@@ -307,27 +301,19 @@ def _free(t: Tableau, point: FixedPoint, i: int, j: int) -> list[int]:
 def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
     """All nested coordinate assignments {block: coordinates}.
 
-    One recursion over the blocks, top level first: block (i, j) takes its
+    Every point starts as the ambient block (I+1, 1) on 1..n and is
+    extended one block at a time, top level first: block (i, j) takes its
     m(i, j) coordinates, in combinations order, from _free(t, point, i, j).
     So every tuple is sorted, and the points come in lexicographic order
     of their choices.
     """
-    order = [(i, j) for i in range(t.levels, 0, -1)
-             for j in range(1, t.K(i) + 1)]
-    out: list[FixedPoint] = []
-    point: FixedPoint = {}
-
-    def choose(b: int) -> None:
-        if b == len(order):
-            out.append(dict(point))
-            return
-        i, j = order[b]
-        for combo in combinations(_free(t, point, i, j), t.m(i, j)):
-            point[(i, j)] = combo  # blocks after b are reassigned below
-            choose(b + 1)
-
-    choose(0)
-    return out
+    points = [{(t.levels + 1, 1): tuple(range(1, t.spec.n + 1))}]
+    for i in range(t.levels, 0, -1):
+        for j in range(1, t.K(i) + 1):
+            points = [{**point, (i, j): combo} for point in points
+                      for combo in combinations(_free(t, point, i, j),
+                                                t.m(i, j))]
+    return points
 
 
 def fixed_point_count(t: Tableau) -> int:
@@ -351,11 +337,13 @@ def tangent_euler(t: Tableau, point: FixedPoint,
     The component is a tower of flag bundles, so block (i, j) contributes
     one tangent weight w_b - w_a for each coordinate a it holds and each
     coordinate b it could have chosen instead, from _free(t, point, i, j).
-    At weights lam = weights / scale the class is this integer over
-    scale ** component_dimension(t).
+    The ambient block chooses nothing.  At weights lam = weights / scale
+    the class is this integer over scale ** component_dimension(t).
     """
     out = 1
     for (i, j), block in point.items():
+        if i > t.levels:
+            continue
         for b in _free(t, point, i, j):
             if b not in block:
                 wb = weights[b - 1]

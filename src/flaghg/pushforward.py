@@ -37,7 +37,7 @@ from math import factorial, lcm
 from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import (ALPHA, Poly, RatFun, VarId, ambient, canonical_linear,
+from .algebra import (ALPHA, Poly, RatFun, VarId, canonical_linear,
                       ratfun_sum, y)
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
@@ -47,7 +47,10 @@ from .tableaux import Tableau, component_dimension
 
 
 class BlockAlphabet:
-    """Ordered blocks of letters; the last block plays the ambient role."""
+    """Ordered, disjoint blocks of letters, the fibre blocks of one flag
+    bundle.  In tableau_tower a stage's blocks are the level-i blocks
+    followed by a quotient block; in the Grassmannian coset sums they are
+    the level-1 blocks alone, with the ambient roots at 0 outside them."""
 
     def __init__(self, blocks: Sequence[Sequence[VarId]]):
         self.blocks = tuple(tuple(b) for b in blocks if len(b) > 0)
@@ -147,7 +150,7 @@ def tableau_tower(t: Tableau) -> list[tuple[BlockAlphabet, Poly, dict]]:
     bundle: its alphabet is the level-i blocks plus a fresh quotient block,
     its Thom class restricts each level-i block below the matching
     level-(i+1) partial flag, and afterwards the letters are re-expressed
-    through the level-(i+1) roots (ambient roots at the top).
+    through the level-(i+1) roots, the ambient block's e[1..n] at the top.
     """
     spec = t.spec
     stages = []
@@ -159,11 +162,8 @@ def tableau_tower(t: Tableau) -> list[tuple[BlockAlphabet, Poly, dict]]:
         if quot:
             level_blocks.append(quot)
         alphabet = BlockAlphabet(level_blocks)
-        if i == spec.levels:
-            next_roots = [ambient(k) for k in range(1, spec.n + 1)]
-        else:
-            next_roots = [v for j in range(1, t.K(i + 1) + 1)
-                          for v in t.letters(i + 1, j)]
+        next_roots = [v for j in range(1, t.K(i + 1) + 1)
+                      for v in t.letters(i + 1, j)]
         constraints = []
         for j in range(1, t.K(i) + 1):
             quot_roots = next_roots[t.l(i + 1, j):]
@@ -280,14 +280,13 @@ def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
     num = p.num
     if num.is_zero():
         return RatFun.const(0)
-    # The roots: the tableau's letters, then the ambient roots.  At a
-    # point, letter y[i,j;k] sits on coordinate point[(i, j)][k - 1] and
-    # e[k] on coordinate k, so the point's root values are one list.
-    blocks = {(i, j): t.letters(i, j) for i in range(1, t.levels + 1)
+    # The roots: every block's letters, the ambient block's last.  At a
+    # point, the k-th letter of block (i, j) sits on coordinate
+    # point[(i, j)][k - 1], so the point's root values are one list.
+    blocks = {(i, j): t.letters(i, j) for i in range(1, t.levels + 2)
               for j in range(1, t.K(i) + 1)}
     slots = [(block, k) for block, vs in blocks.items()
              for k in range(len(vs))]
-    blocks[(t.levels + 1, 1)] = [ambient(k) for k in range(1, n + 1)]
     root_order = [v for vs in blocks.values() for v in vs]
     at = {v: i for i, v in enumerate(root_order)}
 
@@ -480,7 +479,6 @@ def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
     size = len(points)
     values = [[weights[point[block][k] - 1] for point in points]
               for block, k in slots]
-    values += [[w] * size for w in weights]
     tops = [tangent_euler(t, point, weights) for point in points]
     for coeffs, e in poles:
         delta = _combination(values, coeffs, size)

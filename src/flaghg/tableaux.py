@@ -78,8 +78,9 @@ class Tableau:
     mults[i-1] their multiplicities.
 
     Levels are 1-based; level I+1 is the ambient pseudo-level with a single
-    block of value 0 and multiplicity n.  Equality, hashing and pickling
-    use spec and rows only, since the blocks follow from them.
+    block of value 0 and multiplicity n, whose letters are e[1..n].
+    Equality, hashing and pickling use spec and rows only, since the
+    blocks follow from them.
     """
 
     __slots__ = ("spec", "rows", "values", "mults")
@@ -152,8 +153,11 @@ class Tableau:
         return self.r(i_plus_1, self.I_A(i_plus_1 - 1, j))
 
     def letters(self, i: int, j: int) -> list[VarId]:
-        """The root letters y[i,j;1], ..., y[i,j;m(i,j)] of block (i, j)."""
-        from .algebra import y  # local, so tableaux imports no algebra
+        """The root letters y[i,j;1], ..., y[i,j;m(i,j)] of block (i, j),
+        and e[1], ..., e[n] of the ambient block (I+1, 1)."""
+        from .algebra import ambient, y  # local: tableaux imports no algebra
+        if i > self.levels:
+            return [ambient(k) for k in range(1, self.spec.n + 1)]
         return [y(i, j, k) for k in range(1, self.m(i, j) + 1)]
 
 

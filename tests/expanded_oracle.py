@@ -20,8 +20,7 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-from flaghg.algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId,
-                            ambient, y)
+from flaghg.algebra import ALPHA, LinearProduct, Poly, RatFun, VarId
 from flaghg.errors import (CancellationFailureError, IntegrationShapeError,
                            SingularSubstitutionError)
 from flaghg.fixedlocus import (FixedPoint, Ledger, RootAssignment,
@@ -45,15 +44,11 @@ def point_values(t: Tableau, point: FixedPoint,
                  weights: Sequence) -> dict[VarId, object]:
     """Root variable -> weights[c - 1] for the coordinate c it sits on at
     the point, for weights of any exact type; the weights are not checked.
-    The k-th root of a block sits on its k-th coordinate; the coordinates
-    of a point from torus_fixed_points are sorted."""
-    values: dict[VarId, object] = {}
-    for (i, j), coords in point.items():
-        for k, c in enumerate(coords, start=1):
-            values[y(i, j, k)] = weights[c - 1]
-    for k in range(1, t.spec.n + 1):
-        values[ambient(k)] = weights[k - 1]
-    return values
+    The k-th letter of a block, ambient block included, sits on its k-th
+    coordinate; the coordinates of a point from torus_fixed_points are
+    sorted."""
+    return {v: weights[c - 1] for (i, j), coords in point.items()
+            for v, c in zip(t.letters(i, j), coords)}
 
 
 def per_pair_euler_product(ledger: Ledger,
@@ -79,15 +74,12 @@ def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
     number of zero factors (the diagonal slots); these cancel as multisets
     and the remaining product is the genuine Euler class.
     """
-    coords = dict(point)
-    n = ledger.tableau.spec.n
-    coords[(ledger.tableau.levels + 1, 1)] = range(1, n + 1)
     num = den = 1
     zeros = 0
     for src, tgt, w, m in ledger.terms():
-        for cs in coords[src]:
+        for cs in point[src]:
             base = weights[cs - 1]
-            for ct in coords[tgt]:
+            for ct in point[tgt]:
                 val = weights[ct - 1] - base
                 if not val:
                     zeros += m

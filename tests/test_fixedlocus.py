@@ -220,7 +220,8 @@ def test_fixed_point_count_matches_enumeration():
 def test_torus_fixed_points_match_brute_force():
     # every choice of coordinate subsets of the block sizes, kept when each
     # level's blocks are disjoint and block (i, j) lies in the coordinates
-    # of level-(i+1) blocks 1..I_A(i, j); sorted top level first
+    # of level-(i+1) blocks 1..I_A(i, j); sorted top level first, and each
+    # point also maps the ambient block to 1..n
     for spec in all_specs(4, 3):
         for t in enumerate_tableaux(spec):
             refs = [(i, j) for i in range(t.levels, 0, -1)
@@ -242,9 +243,9 @@ def test_torus_fixed_points_match_brute_force():
                 if nested and disjoint:
                     expected.append(choice)
             expected.sort()
-            got = torus_fixed_points(t)
-            assert [tuple(p[ref] for ref in refs) for p in got] == expected
-            assert all(p.keys() == set(refs) for p in got)
+            top = {(t.levels + 1, 1): tuple(range(1, spec.n + 1))}
+            assert torus_fixed_points(t) == [
+                {**top, **dict(zip(refs, choice))} for choice in expected]
 
 
 def test_specialize_examples():
@@ -308,12 +309,10 @@ def test_tangent_euler_at_point_mixed_denominators():
     for t in enumerate_tableaux(spec):
         ledger = tangent_ledger(t)
         for point in torus_fixed_points(t):
-            coords = dict(point)
-            coords[(spec.levels + 1, 1)] = (1, 2, 3, 4)
             expected = Fraction(1)
             for src, tgt, _, m in ledger.terms():
-                for cs in coords[src]:
-                    for ct in coords[tgt]:
+                for cs in point[src]:
+                    for ct in point[tgt]:
                         diff = MIXED_LAM[ct - 1] - MIXED_LAM[cs - 1]
                         if diff:
                             expected *= diff ** m

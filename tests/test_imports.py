@@ -110,13 +110,13 @@ def test_self_call_detection():
 
 
 def test_recursion_is_pinned():
-    # each recursion's depth is bounded by the job's structure, not by a
-    # row length or level count: the blocks of a tableau, the degree of a
-    # monomial, the nesting of a report
+    # each recursion's depth is bounded by the job's structure: the degree
+    # of a monomial, the nesting of a report; rows, levels and fixed points
+    # are built by prefix extension, so no row length, level count or
+    # block count sets a recursion depth
     found = sorted(name for path in FILES if path.parent.name == "flaghg"
                    for name in self_calls(path.read_text()))
-    assert found == ["_render_text.walk", "ab_integrate.mono_index",
-                     "torus_fixed_points.choose"]
+    assert found == ["_render_text.walk", "ab_integrate.mono_index"]
 
 
 # The public names of the `flaghg` package, by the submodule defining them.

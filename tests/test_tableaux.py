@@ -4,6 +4,7 @@ import pickle
 import pytest
 
 from flaghg import tableaux
+from flaghg.algebra import ambient, y
 from flaghg.errors import InfeasibleTableauError
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_general_components,
@@ -189,6 +190,16 @@ def test_block_decomposition_examples():
     assert (t.values[1], t.mults[1], t.K(2)) == ((0,), (6,), 1)
     t2 = Tableau(FlagSpec(3, (2,), (2,)), ((1, 1),))
     assert t2.values[0] == (1,) and t2.mults[0] == (2,)
+
+
+@pytest.mark.parametrize("spec, rows", [
+    (FlagSpec(5, (1, 3), (1, 2)), ((1,), (0, 1, 1))),
+    (FlagSpec(4, (2,), (2,)), ((0, 2),))])
+def test_ambient_block_letters_are_the_ambient_roots(spec, rows):
+    t = Tableau(spec, rows)
+    assert t.letters(t.levels + 1, 1) == [
+        ambient(k) for k in range(1, spec.n + 1)]
+    assert t.letters(1, 1) == [y(1, 1, k) for k in range(1, t.m(1, 1) + 1)]
 
 
 def test_critical_index_examples():
