@@ -217,14 +217,12 @@ def euler_product_from_ledger(ledger: Ledger,
 
 
 def euler_class_from_ledger(ledger: Ledger,
-                            roots: RootAssignment | None = None) -> RatFun:
-    if roots is None:
-        roots = canonical_roots(ledger.tableau)
+                            roots: RootAssignment) -> RatFun:
     return euler_product_from_ledger(ledger, roots).to_ratfun()
 
 
 def euler_product_closed_form(t: Tableau,
-                              roots: RootAssignment | None = None) -> LinearProduct:
+                              roots: RootAssignment) -> LinearProduct:
     """Direct transcription of the final product expression.
 
     Cross-level factors run over all block pairs with positive value gap
@@ -232,8 +230,6 @@ def euler_product_closed_form(t: Tableau,
     section factors over j' < j, and same-level first-cohomology factors
     over pairs with gap >= 2.
     """
-    if roots is None:
-        roots = canonical_roots(t)
     counts: dict[tuple[Poly, Poly, int], int] = {}
 
     def mul(src: BlockRef, tgt: BlockRef, shifts: range, sign: int) -> None:
@@ -255,8 +251,7 @@ def euler_product_closed_form(t: Tableau,
     return _product_of_pairs(counts)
 
 
-def euler_class_closed_form(t: Tableau,
-                            roots: RootAssignment | None = None) -> RatFun:
+def euler_class_closed_form(t: Tableau, roots: RootAssignment) -> RatFun:
     return euler_product_closed_form(t, roots).to_ratfun()
 
 

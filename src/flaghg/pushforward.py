@@ -37,8 +37,7 @@ from math import factorial, lcm
 from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import (ALPHA, Poly, RatFun, VarId, canonical_linear,
-                      ratfun_sum, y)
+from .algebra import ALPHA, Poly, RatFun, VarId, canonical_linear, y
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
 from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
@@ -100,9 +99,9 @@ def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
     differences (lower block subtracted from higher), computed as divided
     differences (f - s_i f) / (x_{i+1} - x_i) along the bubble-sort word
     that moves the blocks into reverse order, first swap first.  Each is
-    one ratfun_sum of f and -s_i f, both with the canonical factor of
-    x_{i+1} - x_i raised by one in their denominators, so the sum's
-    evaluation at that factor's hyperplane decides whether it divides.
+    RatFun arithmetic: the difference is one sum, and multiplying it by
+    1 / (x_{i+1} - x_i) cancels that factor into the numerator where it
+    divides.
     """
     alphabet.check_budget(budget)
     assert_block_symmetric(p, alphabet.blocks)
@@ -116,18 +115,10 @@ def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
                 order[i], order[i + 1] = order[i + 1], order[i]
                 a, b = letters[i], letters[i + 1]
                 f, scale = canonical_linear(Poly.var(b) - Poly.var(a))
-                p = ratfun_sum([_over(p, f, scale),
-                                _over(p.substitute({a: b, b: a}), f, -scale)])
+                p = (p - p.substitute({a: b, b: a})) * RatFun(
+                    Poly.const(scale), {f: 1}, _normalized=True)
                 swapped = True
     return p
-
-
-def _over(p: RatFun, f: Poly, scale: int) -> RatFun:
-    """p / (scale * f) for a canonical factor f and scale = +-1, with f's
-    exponent raised by one and not divided out: ratfun_sum does that."""
-    den = dict(p.den)
-    den[f] = den.get(f, 0) + 1
-    return RatFun(p.num * scale, den, _normalized=True)
 
 
 def omega_class(constraints: Sequence[tuple[Sequence[VarId],
@@ -178,15 +169,15 @@ def tableau_tower(t: Tableau) -> list[tuple[BlockAlphabet, Poly, dict]]:
 def integrate_to_point(p: RatFun,
                        tower: Sequence[tuple[BlockAlphabet, Poly, dict]],
                        budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
-    """Iterated restrictive push-forward, then ambient roots to zero."""
+    """Iterated restrictive push-forward, then ambient roots to zero.
+
+    The last stage re-expresses its letters through the ambient roots
+    e[1..n], so the values of its letter map are the roots set to 0.  A
+    root variable left after that is not the component's: an error."""
     for alphabet, omega, letter_map in tower:
         p = brion_pushforward(p * omega, alphabet, budget)
         p = p.substitute(letter_map)
-    ambient_vars = {v for v in p.num.variables() if v.kind == 1}
-    for f in p.den:
-        ambient_vars |= {v for v in f.variables() if v.kind == 1}
-    if ambient_vars:
-        p = p.substitute({v: 0 for v in ambient_vars})
+    p = p.substitute(dict.fromkeys(letter_map.values(), 0))
     bad = {v for v in p.num.variables() if v.kind in (0, 1)}
     for f in p.den:
         bad |= {v for v in f.variables() if v.kind in (0, 1)}
@@ -238,9 +229,10 @@ def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
     The integrand stays factored: p is a RatFun (None for 1), normal a
     ledger whose equivariant Euler class divides the integrand, and
     exp = ({t_i: H_i}, D) the exponential of sum_i t_i*H_i truncated at
-    degree D, with each H_i a root form.  Every denominator factor of p
-    must be a root form plus a multiple of alpha, and every ledger term
-    must have a non-zero weight.
+    degree D, with each H_i a root form.  Every root variable of p must
+    be one of the component's letters, every denominator factor of p a
+    root form plus a multiple of alpha, and every ledger term must have a
+    non-zero weight.
 
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
@@ -289,6 +281,11 @@ def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
              for k in range(len(vs))]
     root_order = [v for vs in blocks.values() for v in vs]
     at = {v: i for i, v in enumerate(root_order)}
+    foreign = sorted(v for v in num.variables() - at.keys()
+                     if v.kind in (0, 1))
+    if foreign:
+        raise IntegrationShapeError(
+            f"root variables {foreign} are not the component's")
 
     constant = Fraction(1)
     poles, shifts = [], []  # factors with w = 0; with w != 0

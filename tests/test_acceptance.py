@@ -123,8 +123,9 @@ def test_criterion_4_dual_route_euler_classes():
     # expanded rational-function equality on the n <= 4 subsample
     for spec in all_specs(4, 3):
         for t in enumerate_tableaux(spec):
-            ok = ok and euler_class_from_ledger(normal_ledger(t)) \
-                == euler_class_closed_form(t)
+            roots = canonical_roots(t)
+            ok = ok and euler_class_from_ledger(normal_ledger(t), roots) \
+                == euler_class_closed_form(t, roots)
     _report(4, "Euler class routes agree exactly", ok,
             time.time() - start, 60)
 

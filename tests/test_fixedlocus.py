@@ -113,7 +113,7 @@ def test_euler_class_p1_with_zero_ambient():
 
 def test_euler_class_empty_ledger_is_one():
     t = gr(3, 1, 0, [0])
-    e = euler_class_from_ledger(normal_ledger(t))
+    e = euler_class_from_ledger(normal_ledger(t), canonical_roots(t))
     assert e == RatFun.const(1)
 
 
@@ -128,7 +128,7 @@ def test_euler_class_gr24_11():
 def test_euler_class_rejects_weight_zero():
     t = gr(2, 1, 1, [1])
     with pytest.raises(ValueError):
-        euler_class_from_ledger(tangent_ledger(t))
+        euler_class_from_ledger(tangent_ledger(t), canonical_roots(t))
 
 
 def test_dual_route_full_suite_factored():
@@ -158,8 +158,9 @@ def test_dual_route_expanded_small():
     for spec in [FlagSpec(2, (1,), (1,)), FlagSpec(4, (2,), (2,)),
                  FlagSpec(3, (1, 2), (1, 1))]:
         for t in enumerate_tableaux(spec):
-            assert euler_class_from_ledger(normal_ledger(t)) == \
-                euler_class_closed_form(t), (spec, t.rows)
+            roots = canonical_roots(t)
+            assert euler_class_from_ledger(normal_ledger(t), roots) == \
+                euler_class_closed_form(t, roots), (spec, t.rows)
 
 
 def test_grassmannian_display_full_suite():

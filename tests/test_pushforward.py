@@ -227,6 +227,28 @@ def test_integrate_to_point_shape_error():
         integrate_to_point(stranger, tableau_tower(t))
 
 
+def test_both_routes_reject_a_root_that_is_not_the_components():
+    # e[9] is no ambient root of C^3: neither route may treat it as a
+    # parameter nor set it to 0
+    t = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
+    foreign = RatFun.from_poly(P(ambient(9)) * P(y(1, 1, 1)) ** 2)
+    with pytest.raises(IntegrationShapeError):
+        ab_integrate(t, foreign, lam_vector(3, 0))
+    with pytest.raises(IntegrationShapeError):
+        integrate_to_point(foreign, tableau_tower(t))
+
+
+@pytest.mark.parametrize("integrand, expected", [
+    ((P(ambient(2)) + 3) * P(y(1, 1, 1)) ** 2, 3),
+    (P(ambient(1)) * P(y(1, 1, 1)), 0),
+])
+def test_ambient_roots_in_the_integrand_go_to_zero(integrand, expected):
+    t = Tableau(FlagSpec(3, (1,), (0,)), ((0,),))
+    f = RatFun.from_poly(integrand)
+    assert ab_integrate(t, f, lam_vector(3, 0)) == RatFun.const(expected)
+    assert integrate_to_point(f, tableau_tower(t)) == RatFun.const(expected)
+
+
 @pytest.mark.parametrize("n", [138, 400])
 def test_lam_vector_draws_past_the_small_pool(n):
     # the 137 values num/den with |num| <= 19 and den <= 5 come first
