@@ -1,10 +1,10 @@
 """Verify the Hori-Vafa formula for a Grassmannian at desk scale.
 
-The engine builds the series for a product of projective spaces from its
-own one-row output, applies the antisymmetrizing derivative operator as a
-shifted Vandermonde with the sign (-1)^((r-1)d) in closed form, divides
-by the Vandermonde exactly, and compares every Schur pairing degree by
-degree.  All residuals must vanish.
+The antisymmetrized product of projective-space series over the
+Vandermonde is the Grassmannian's simplified display.  The engine checks
+the one-row display against its tableau route, then takes the rank-r
+display minus the tableau route degree by degree and compares every
+Schur pairing.  All residuals must vanish.
 """
 
 from flaghg.mirror import hori_vafa_verify

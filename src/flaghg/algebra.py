@@ -658,11 +658,15 @@ class RatFun:
         A renaming that is injective on the variables present maps a
         fraction in lowest terms to one in lowest terms, with distinct
         factors staying distinct, so only the factors' canonical scaling
-        can change: it is redone factor by factor, without normalizing."""
+        can change: it is redone factor by factor, without normalizing.
+        A fraction in which no substituted variable occurs is returned as
+        it is."""
+        present = reduce(or_, (f.variables() for f in self.den),
+                         self.num.variables())
+        if present.isdisjoint(assignment):
+            return self
         num = self.num.substitute(assignment)
         if all(isinstance(val, VarId) for val in assignment.values()):
-            present = reduce(or_, (f.variables() for f in self.den),
-                             self.num.variables())
             images = {assignment.get(v, v) for v in present}
             if len(images) == len(present):
                 scale = 1

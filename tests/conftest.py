@@ -90,10 +90,10 @@ def monomial_products(f: RatFun) -> list[LinearProduct]:
     return out
 
 
-def shift_tableau_route(monkeypatch, extra):
+def shift_tableau_route(monkeypatch, extra, min_rank=2):
     """Append extra, as one more list of terms (one LinearProduct per
     numerator monomial), to the Grassmannian tableau route's terms of
-    every rank >= 2, and return the shifted class as a function of
+    every rank >= min_rank, and return the shifted class as a function of
     (n, r, d)."""
     from flaghg import mirror
 
@@ -101,7 +101,8 @@ def shift_tableau_route(monkeypatch, extra):
 
     def shifted(n, r, d, budget=DEFAULT_COSET_BUDGET):
         terms = original(n, r, d, budget)
-        return terms + [monomial_products(extra)] if r >= 2 else terms
+        return terms + [monomial_products(extra)] if r >= min_rank \
+            else terms
 
     monkeypatch.setattr(mirror, "_grassmannian_tableau_terms", shifted)
     return lambda n, r, d: summed(shifted(n, r, d))

@@ -383,6 +383,17 @@ def test_injective_renaming_skips_normalization(monkeypatch):
     assert f.substitute(swap).substitute(swap) == f
 
 
+def test_substitute_of_absent_variables_skips_normalization(monkeypatch):
+    f = RatFun(Poly.const(3), {A: 2})
+
+    def refuse(num, den):
+        raise AssertionError("an untouched fraction was normalized")
+
+    monkeypatch.setattr(algebra, "ratfun_normalize", refuse)
+    assert f.substitute({ambient(1): 0, ambient(2): 0}) is f
+    assert f.substitute({y(1, 1, 1): y(1, 1, 2)}) is f
+
+
 def test_monomial_numerator_is_decided_structurally():
     y1, y2 = Poly.var(y(1, 1, 1)), Poly.var(y(1, 1, 2))
     mono = y1 ** 2 * y2 * Fraction(3, 2)

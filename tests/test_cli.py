@@ -353,8 +353,8 @@ def test_main_hg_over_the_coset_budget_is_a_computation_error(tmp_path,
 
 def test_main_hori_vafa_mismatch_is_a_verification_failure(
         tmp_path, capsys, monkeypatch):
-    # the check compares the tableau route with the antisymmetrized
-    # product, so a wrong class is reported, not raised
+    # the check pairs the display minus the tableau route of rank r with
+    # the Schur polynomials, so a wrong class is reported, not raised
     shift_tableau_route(monkeypatch, RatFun.const(1))
     code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
                  "1", "--json", "--cache-dir", str(tmp_path)])
@@ -362,6 +362,30 @@ def test_main_hori_vafa_mismatch_is_a_verification_failure(
     assert code == 3
     assert captured.err == ""
     assert json.loads(captured.out)["results"]["ok"] is False
+
+
+def test_main_hori_vafa_one_row_mismatch_is_a_computation_error(
+        tmp_path, capsys, monkeypatch):
+    # the one-row classes are checked as hg checks them, before any degree
+    # of rank r
+    shift_tableau_route(monkeypatch, RatFun.const(1), min_rank=1)
+    code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
+                 "1", "--cache-dir", str(tmp_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == ("computation error [hori-vafa]: hypergeometric "
+                            "routes disagree at (n=3, r=1, d=0)\n")
+
+
+def test_main_hori_vafa_one_row_check_keeps_the_coset_budget(tmp_path,
+                                                             capsys):
+    # the degree-0 tableau of P^2 has one coset
+    code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
+                 "1", "--coset-budget", "0", "--cache-dir", str(tmp_path)])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "computation error [hori-vafa]: 1 cosets exceed the budget of 0\n"
 
 
 def test_main_hg_requires_grassmannian(tmp_path, capsys):
