@@ -18,9 +18,8 @@ _EXPORTS = {
                "SingularSubstitutionError", "SymmetryViolationError",
                "UsageError", "ZeroDenominatorError"),
     "fixedlocus": ("Ledger", "euler_class_closed_form",
-                   "euler_class_from_ledger", "fixed_point_count",
-                   "hquot_restriction_ledger", "normal_ledger",
-                   "tangent_ledger", "torus_fixed_points"),
+                   "euler_class_from_ledger", "hquot_restriction_ledger",
+                   "normal_ledger", "tangent_ledger", "torus_fixed_points"),
     "mirror": ("HoriVafaReport", "IntegralResult", "grassmannian_hg_term",
                "hori_vafa_verify", "hyperplane_pullback", "integral_Id",
                "reconstruct_class_from_pairings", "schur_pairing"),
@@ -30,7 +29,8 @@ _EXPORTS = {
     "spec": ("FlagSpec",),
     "tableaux": ("Tableau", "component_dimension",
                  "enumerate_general_components", "enumerate_tableaux",
-                 "general_component_dimension", "hquot_dimension"),
+                 "fixed_point_count", "general_component_dimension",
+                 "hquot_dimension"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

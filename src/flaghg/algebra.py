@@ -204,8 +204,8 @@ class Poly:
     """Immutable sparse polynomial over Q; coefficients are int or Fraction.
 
     `terms` maps packed monomials to coefficients.  Read monomials through
-    the accessors (`coefficient`, `exponents`, `linear_parts`,
-    `variables`, `sorted_terms`), never by their bits.
+    the accessors (`exponents`, `linear_parts`, `variables`,
+    `sorted_terms`), never by their bits.
     """
 
     __slots__ = ("terms", "_hash", "_res", "_deg", "_w")
@@ -275,19 +275,6 @@ class Poly:
     def variables(self) -> set:
         return {_VARS[s] for s, _ in _fields(reduce(or_, self.terms, 0),
                                               self._w)}
-
-    def total_degree(self) -> int:
-        return max((sum(e for _, e in _fields(m, self._w))
-                    for m in self.terms), default=0)
-
-    def coefficient(self, v: VarId, power: int) -> "Poly":
-        """The Poly coefficient of v**power (v removed from the monomials)."""
-        w = self._w
-        sh = _slot(v) * w
-        field = ((1 << w) - 1) << sh
-        want = power << sh
-        return _poly({m - want: c for m, c in self.terms.items()
-                      if m & field == want}, self._deg, w)
 
     def exponents(self, variables: Sequence[VarId]) -> dict[tuple, Scalar]:
         """{exponent tuple: coefficient}, the exponents listed in the order
@@ -595,9 +582,6 @@ class RatFun:
 
     def is_zero(self) -> bool:
         return self.num.is_zero()
-
-    def is_poly(self) -> bool:
-        return not self.den
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):

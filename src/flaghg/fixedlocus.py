@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, lcm, prod
+from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import ALPHA, LinearProduct, Poly, RatFun, VarId, y
@@ -80,9 +80,6 @@ class Ledger:
         out = Ledger(self.tableau)
         out._mult = {k: -m for k, m in self._mult.items()}
         return out
-
-    def is_empty(self) -> bool:
-        return not self._mult
 
     def to_json(self):
         levels = self.tableau.levels
@@ -170,15 +167,11 @@ def normal_ledger(t: Tableau) -> Ledger:
 RootAssignment = Mapping[BlockRef, Sequence[Poly]]
 
 
-def canonical_roots(t: Tableau,
-                    ambient_roots: Sequence[Poly] | None = None) -> dict:
-    """Block -> list of root polynomials, each block's letters, the ambient
-    block's replaced by ambient_roots if given."""
-    roots = {(i, j): [Poly.var(v) for v in t.letters(i, j)]
-             for i in range(1, t.levels + 2) for j in range(1, t.K(i) + 1)}
-    if ambient_roots is not None:
-        roots[(t.levels + 1, 1)] = list(ambient_roots)
-    return roots
+def canonical_roots(t: Tableau) -> dict:
+    """Block -> list of root polynomials: each block's letters, the
+    ambient block's e[1..n]."""
+    return {(i, j): [Poly.var(v) for v in t.letters(i, j)]
+            for i in range(1, t.levels + 2) for j in range(1, t.K(i) + 1)}
 
 
 def _add_pairs(counts: dict, src_roots: Sequence[Poly],
@@ -309,20 +302,6 @@ def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
                       for combo in combinations(_free(t, point, i, j),
                                                 t.m(i, j))]
     return points
-
-
-def fixed_point_count(t: Tableau) -> int:
-    """len(torus_fixed_points(t)) as a product of binomials, one per block.
-
-    Block (i, j) picks m(i, j) coordinates out of _free(t, point, i, j):
-    the l(i+1, j) held by the blocks of level i+1 up to I_A(i, j), less the
-    r(i, j-1) already taken by the blocks before it.  That size never
-    depends on the point, so the choices multiply.
-    """
-    return prod(
-        comb(t.l(i + 1, j) - t.r(i, j - 1), t.m(i, j))
-        for i in range(1, t.levels + 1)
-        for j in range(1, t.K(i) + 1))
 
 
 def tangent_euler(t: Tableau, point: FixedPoint,

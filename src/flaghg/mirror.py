@@ -21,7 +21,7 @@ Schur polynomials only when it is non-zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from itertools import combinations, combinations_with_replacement
 
 from .algebra import (ALPHA, LinearProduct, Poly, RatFun, VarId, exp_series,
@@ -82,19 +82,12 @@ def decompose_by_kahler(f: RatFun, levels: int):
             for key, part in sorted(parts.items())}
 
 
-@dataclass
-class IntegralResult:
-    """Total localization integral plus the per-tableau breakdown."""
+class IntegralResult(namedtuple("IntegralResult", (
+        "spec", "value", "per_tableau", "lambda_seed"))):
+    """Total localization integral plus the per-tableau breakdown, a list
+    of (Tableau, RatFun) pairs."""
 
-    spec: FlagSpec
-    value: RatFun
-    per_tableau: list[tuple[Tableau, RatFun]]
-    lambda_seed: int
-
-    def t_degree(self) -> int:
-        return max(map(sum, decompose_by_kahler(self.value,
-                                                self.spec.levels)),
-                   default=0)
+    __slots__ = ()
 
     def to_json(self):
         levels = self.spec.levels
@@ -275,16 +268,13 @@ def reconstruct_class_from_pairings(n: int, r: int, pairings) -> RatFun:
                        * schur_polynomial(nu, roots) for nu in expected])
 
 
-@dataclass
-class HoriVafaReport:
+class HoriVafaReport(namedtuple("HoriVafaReport", (
+        "n", "r", "max_degree", "residuals"))):
     """Per-degree, per-partition residuals of the display against the
     tableau route.  Each difference is one exact sum that divides nothing,
     so the hori-vafa-v1 report's division_exact key is always true."""
 
-    n: int
-    r: int
-    max_degree: int
-    residuals: list[dict] = field(default_factory=list)
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
@@ -327,7 +317,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
         _checked_tableau_terms(n, 1, k, budget)
     spec = FlagSpec(n, (r,), (0,))
     dim_x = r * (n - r)
-    report = HoriVafaReport(n, r, max_degree)
+    report = HoriVafaReport(n, r, max_degree, [])
     for d in range(max_degree + 1):
         difference, _ = _display_minus_tableau(n, r, d, budget)
         for mu in box_partitions(r, n - r):

@@ -60,12 +60,8 @@ class BlockAlphabet:
             raise ValueError("alphabet blocks must be disjoint")
         self.letters = tuple(letters)
 
-    @property
-    def size(self) -> int:
-        return len(self.letters)
-
     def coset_count(self) -> int:
-        count = factorial(self.size)
+        count = factorial(len(self.letters))
         for b in self.blocks:
             count //= factorial(len(b))
         return count

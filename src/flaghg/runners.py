@@ -4,7 +4,7 @@ to its results, and the work counters stored beside them.
 `cli.run_and_report` imports this module only on a cache miss, so a hit
 neither loads nor compiles it.  The engine modules (algebra, fixedlocus,
 mirror, pushforward) are imported inside the runners that use them, so a
-`tableaux` miss loads no algebra.
+`tableaux` miss without --explain loads no algebra.
 """
 
 import random
@@ -12,14 +12,14 @@ import random
 from .cli import JobSpec
 from .errors import FormulaMismatchError
 from .tableaux import (component_dimension, enumerate_general_components,
-                       enumerate_tableaux, general_component_dimension,
-                       hquot_dimension)
+                       enumerate_tableaux, fixed_point_count,
+                       general_component_dimension, hquot_dimension)
 
 
 def _run_tableaux(job: JobSpec) -> dict:
-    from .fixedlocus import normal_ledger
-
     spec = job.spec
+    if job.explain:
+        from .fixedlocus import normal_ledger
     rows = []
     for t in enumerate_tableaux(spec):
         entry = {
@@ -172,8 +172,6 @@ RUNNERS = {
 
 def work_counters(job: JobSpec) -> dict:
     """Stored in the cache entry, so a hit never recounts."""
-    from .fixedlocus import fixed_point_count
-
     tableaux = enumerate_tableaux(job.spec)
     return {
         "tableaux": len(tableaux),

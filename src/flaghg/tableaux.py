@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from itertools import product
+from math import comb, prod
 from typing import TYPE_CHECKING
 
 from .errors import InfeasibleTableauError
@@ -204,6 +205,21 @@ def component_dimension(t: Tableau) -> int:
                     f"negative fibration step at level {i}, block {j}")
             dim += step
     return dim
+
+
+def fixed_point_count(t: Tableau) -> int:
+    """The number of torus fixed points of the component, a product of
+    binomials, one per block.
+
+    Block (i, j) picks m(i, j) coordinates out of those held by the
+    blocks of level i+1 up to I_A(i, j), l(i+1, j) of them, less the
+    r(i, j-1) already taken by the blocks before it.  That count never
+    depends on the other blocks' choices, so the choices multiply.
+    """
+    return prod(
+        comb(t.l(i + 1, j) - t.r(i, j - 1), t.m(i, j))
+        for i in range(1, t.levels + 1)
+        for j in range(1, t.K(i) + 1))
 
 
 def general_component_dimension(a: Tableau, b: Tableau) -> int:

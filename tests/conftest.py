@@ -14,6 +14,8 @@ import pytest
 
 from flaghg.algebra import LinearProduct, Poly, RatFun, ratfun_sum
 from flaghg.errors import DEFAULT_COSET_BUDGET
+from flaghg.fixedlocus import canonical_roots
+from flaghg.mirror import decompose_by_kahler
 from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau
 
@@ -33,6 +35,25 @@ def all_specs(n_max: int, degree_sum_max: int, levels_max: int = 3):
                         range(degree_sum_max + 1), repeat=levels):
                     if sum(degrees) <= degree_sum_max:
                         yield FlagSpec(n, ranks, degrees)
+
+
+def total_degree(p: Poly) -> int:
+    """The greatest total degree of p's monomials, 0 for a constant."""
+    return max((sum(e for _, e in mono) for mono, _ in p.sorted_terms()),
+               default=0)
+
+
+def t_degree(result) -> int:
+    """The greatest total degree in the Kahler variables t_i of an
+    IntegralResult's value."""
+    return max(map(sum, decompose_by_kahler(result.value,
+                                            result.spec.levels)),
+               default=0)
+
+
+def zero_ambient_roots(t: Tableau) -> dict:
+    """canonical_roots(t) with the ambient roots e[1..n] set to 0."""
+    return {**canonical_roots(t), (t.levels + 1, 1): [Poly.zero()] * t.spec.n}
 
 
 def max_rule_index(t: Tableau, i: int, j: int) -> int:

@@ -11,7 +11,7 @@ from flaghg.algebra import (ALPHA, LinearProduct, Poly, RatFun, ambient,
 from flaghg.errors import SingularSubstitutionError, ZeroDenominatorError
 
 import tuple_poly
-from conftest import random_poly
+from conftest import random_poly, total_degree
 
 Y = Poly.var(y(1, 1, 1))
 A = Poly.var(ALPHA)
@@ -20,17 +20,17 @@ A = Poly.var(ALPHA)
 def test_normalize_cancels_exactly():
     num = (Y - A) * (Y + A)
     r = ratfun_normalize(num, [(Y + A, 1)])
-    assert r.is_poly() and r.num == Y - A
+    assert not r.den and r.num == Y - A
 
 
 def test_normalize_square_over_factor():
     r = ratfun_normalize(Y * Y, [(Y, 1)])
-    assert r.is_poly() and r.num == Y
+    assert not r.den and r.num == Y
 
 
 def test_normalize_no_division_possible():
     r = ratfun_normalize(Y + 1, [(Y + A, 1)])
-    assert not r.is_poly()
+    assert r.den
     assert r.num == Y + 1
     assert r.den == {Y + A: 1}
 
@@ -176,7 +176,7 @@ def polys(draw, nonzero=False):
 @given(f=linear_forms(), q=polys(nonzero=True), e=st.integers(1, 2))
 def test_normalize_always_cancels_a_true_divisor(f, q, e):
     r = ratfun_normalize(f ** e * q, [(f, e)])
-    assert r.is_poly()
+    assert not r.den
     assert r.num == q
 
 
@@ -188,9 +188,9 @@ def test_prime_denominator_falls_through_to_exact_division():
     assert algebra._may_divide(Y + 1, f)
     assert algebra._may_divide(q * unusual + 1, Y + A)
     r = ratfun_normalize(f * q, [(f, 1)])
-    assert r.is_poly() and r.num == q
+    assert not r.den and r.num == q
     r = ratfun_normalize((Y + A) * q * unusual, [(Y + A, 1)])
-    assert r.is_poly() and r.num == q * unusual
+    assert not r.den and r.num == q * unusual
 
 
 def test_residue_skips_a_non_divisor():
@@ -450,10 +450,11 @@ def test_canonical_linear_divides_exactly():
     canon, scale = algebra.canonical_linear(2 * Y - 3 * e)
     assert scale == 2
     assert canon == Y - Fraction(3, 2) * e
-    e_coeff = canon.coefficient(ambient(1), 1).const_value()
+    coeffs = dict(canon.sorted_terms())
+    e_coeff = coeffs[((ambient(1), 1),)]
     assert e_coeff == Fraction(-3, 2)
     assert type(e_coeff) is Fraction
-    assert type(canon.coefficient(y(1, 1, 1), 1).const_value()) is int
+    assert type(coeffs[((y(1, 1, 1), 1),)]) is int
 
 
 def test_substitute_into_integer_constant_factor_is_exact():
@@ -461,7 +462,7 @@ def test_substitute_into_integer_constant_factor_is_exact():
     f = RatFun(Y, {Poly.var(y2) + A + 2: 2})
     got = f.substitute({y2: 1, ALPHA: 0})
     assert got == RatFun.from_poly(Y * Fraction(1, 9))
-    y_coeff = got.num.coefficient(y(1, 1, 1), 1).const_value()
+    y_coeff = dict(got.num.sorted_terms())[((y(1, 1, 1), 1),)]
     assert y_coeff == Fraction(1, 9)
     assert type(y_coeff) is Fraction
     assert RatFun(Y * 3, {Poly.var(y2) + 2: 1}).substitute({y2: 1}) \
@@ -517,15 +518,12 @@ def assert_matches_model(got, want):
 
 @settings(max_examples=150, deadline=None)
 @given(p=model_polys(), q=model_polys(), v=st.sampled_from(VARS),
-       u=st.sampled_from(VARS), value=st.integers(-2, 2),
-       power=st.sampled_from([0, 1, 2, FULL, FULL + 1, 5000]))
-def test_packed_poly_matches_tuple_model(p, q, v, u, value, power):
+       u=st.sampled_from(VARS), value=st.integers(-2, 2))
+def test_packed_poly_matches_tuple_model(p, q, v, u, value):
     P, Q = tuple_poly.to_poly(p), tuple_poly.to_poly(q)
     assert_matches_model(P, p)
     assert_matches_model(P * Q, tuple_poly.mul(p, q))
     assert_matches_model(P + Q, tuple_poly.add(p, q))
-    assert_matches_model(P.coefficient(v, power),
-                         tuple_poly.coefficient(p, v, power))
     for assignment in ({v: value}, {v: u}, {v: u, u: v}, {v: u, u: value}):
         assert_matches_model(P.substitute(assignment),
                              tuple_poly.substitute(p, assignment))
@@ -589,15 +587,13 @@ def test_exponents_past_the_field_width_are_exact():
     p = X ** FULL * Z
     q = p * X
     assert q.sorted_terms() == [(((x, FULL + 1), (z, 1)), 1)]
-    assert q.coefficient(x, FULL + 1) == Z
-    assert q.coefficient(z, 1) == X ** (FULL + 1)
     assert q.divide_by_linear(X) == p
     assert q.divide_by_linear(X - Z) is None
     assert (q * (X - Z)).divide_by_linear(X - Z) == q
     assert (p + Z).substitute({z: x}) == X ** (FULL + 1) + X
     assert q.substitute({x: 1}) == Z
     assert q.variables() == {x, z}
-    assert q.total_degree() == FULL + 2
+    assert total_degree(q) == FULL + 2
     # a result that fits the base width again is stored in it
     back = q + Z - q
     assert back == Z and back.terms == Z.terms and hash(back) == hash(Z)

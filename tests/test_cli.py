@@ -642,6 +642,29 @@ def test_cache_hit_without_site_loads_only_the_hit_path(tmp_path, argv):
     assert loaded & NOT_ON_THE_HIT_PATH == set()
 
 
+# a plain tableaux miss enumerates and counts, with no algebra; --explain
+# adds the normal ledgers, which need fixedlocus
+@pytest.mark.parametrize("explain, modules", [
+    (False, ["flaghg", "flaghg.cli", "flaghg.errors", "flaghg.runners",
+             "flaghg.spec", "flaghg.tableaux"]),
+    (True, ["flaghg", "flaghg.algebra", "flaghg.cli", "flaghg.errors",
+            "flaghg.fixedlocus", "flaghg.runners", "flaghg.spec",
+            "flaghg.tableaux"]),
+], ids=["plain", "explain"])
+def test_tableaux_miss_without_site_loads_no_algebra(tmp_path, explain,
+                                                      modules):
+    argv = ["tableaux", "--n", "4", "--ranks", "1,2", "--degrees", "1,1",
+            "--json", "--cache-dir", str(tmp_path)]
+    proc = _python(["-S", "-c", _MAIN_THEN_MODULES,
+                    *argv, *["--explain"] * explain])
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["provenance"]["cache"]["status"] == "miss"
+    assert ("general_components" in report["results"]) == explain
+    assert sorted(m for m in proc.stderr.split()
+                  if m.partition(".")[0] == "flaghg") == modules
+
+
 def test_importing_the_package_loads_no_submodule():
     proc = _python(["-c", "import sys, flaghg\n"
                           "print(*sorted(m for m in sys.modules\n"

@@ -66,6 +66,26 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def imported_modules(source: str) -> set[str]:
+    """Every module an import statement of the source names."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+def test_no_engine_module_imports_dataclasses():
+    # it loads `inspect`, which costs a command-line run more than its
+    # records save; the records are namedtuples or slotted classes
+    found = sorted(path.name for path in FILES
+                   if path.parent.name == "flaghg"
+                   and "dataclasses" in imported_modules(path.read_text()))
+    assert found == []
+
+
 def _calls_by_name(function: ast.AST, name: str) -> bool:
     """Whether the function's body calls `name` or `self.name`."""
     for n in ast.walk(function):
@@ -129,9 +149,8 @@ PACKAGE_EXPORTS = {
                "SingularSubstitutionError", "SymmetryViolationError",
                "UsageError", "ZeroDenominatorError"],
     "fixedlocus": ["Ledger", "euler_class_closed_form",
-                   "euler_class_from_ledger", "fixed_point_count",
-                   "hquot_restriction_ledger", "normal_ledger",
-                   "tangent_ledger", "torus_fixed_points"],
+                   "euler_class_from_ledger", "hquot_restriction_ledger",
+                   "normal_ledger", "tangent_ledger", "torus_fixed_points"],
     "mirror": ["HoriVafaReport", "IntegralResult", "grassmannian_hg_term",
                "hori_vafa_verify", "hyperplane_pullback", "integral_Id",
                "reconstruct_class_from_pairings", "schur_pairing"],
@@ -141,7 +160,8 @@ PACKAGE_EXPORTS = {
     "spec": ["FlagSpec"],
     "tableaux": ["Tableau", "component_dimension",
                  "enumerate_general_components", "enumerate_tableaux",
-                 "general_component_dimension", "hquot_dimension"],
+                 "fixed_point_count", "general_component_dimension",
+                 "hquot_dimension"],
 }
 
 

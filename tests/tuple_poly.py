@@ -60,15 +60,6 @@ def substitute(p: dict, assignment: dict) -> dict:
     return out
 
 
-def coefficient(p: dict, v: VarId, power: int) -> dict:
-    out = {}
-    for mono, c in p.items():
-        exps = dict(mono)
-        if exps.pop(v, 0) == power:
-            out[tuple(sorted(exps.items()))] = c
-    return out
-
-
 def divide_by_linear(p: dict, divisor: dict) -> dict | None:
     """Long division by the divisor's greatest variable; None if a
     remainder is left."""
