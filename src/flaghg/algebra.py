@@ -636,30 +636,15 @@ class RatFun:
     __rmul__ = __mul__
 
     def substitute(self, assignment: Mapping[VarId, "VarId | Scalar"]) -> "RatFun":
-        """Poly.substitute on the numerator and on every factor; a factor
-        that becomes constant is absorbed into the numerator.
-
-        A renaming that is injective on the variables present maps a
-        fraction in lowest terms to one in lowest terms, with distinct
-        factors staying distinct, so only the factors' canonical scaling
-        can change: it is redone factor by factor, without normalizing.
-        A fraction in which no substituted variable occurs is returned as
-        it is."""
+        """Poly.substitute on the numerator and on every factor, then
+        normalized; a factor that becomes constant is absorbed into the
+        numerator.  A fraction in which no substituted variable occurs is
+        returned as it is."""
         present = reduce(or_, (f.variables() for f in self.den),
                          self.num.variables())
         if present.isdisjoint(assignment):
             return self
         num = self.num.substitute(assignment)
-        if all(isinstance(val, VarId) for val in assignment.values()):
-            images = {assignment.get(v, v) for v in present}
-            if len(images) == len(present):
-                scale = 1
-                den = {}
-                for f, e in self.den.items():
-                    canon, s = canonical_linear(f.substitute(assignment))
-                    scale = scale * s ** e
-                    den[canon] = e
-                return RatFun(num * Fraction(1, scale), den, _normalized=True)
         den: dict[Poly, int] = {}
         for f, e in self.den.items():
             g = f.substitute(assignment)
@@ -783,8 +768,8 @@ def _lowest_terms(num: Poly, factors: Mapping[Poly, int],
     if num.is_zero():
         return RatFun(Poly.zero(), {}, _normalized=True)
     out: dict[Poly, int] = {}
-    for f in sorted(factors, key=_factor_order):
-        num, e = _divide_out(num, f, factors[f],
+    for f, e in factors.items():
+        num, e = _divide_out(num, f, e,
                              None if may is None else may.get(f))
         if e:
             out[f] = e
@@ -1023,8 +1008,7 @@ class LinearProduct:
             return RatFun.const(0)
         num = Poly.const(self.scalar)
         den: dict[Poly, int] = {}
-        for f, e in sorted(self.factors.items(),
-                           key=lambda fe: _factor_order(fe[0])):
+        for f, e in self.factors.items():
             if e > 0:
                 for _ in range(e):
                     num = num * f

@@ -279,6 +279,10 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    # a report's coefficients may have more digits than str(int) allows
+    # since 3.10.7; the command line was parsed under that limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
     try:
         report = run_and_report(job)
     except FlagHGError as exc:

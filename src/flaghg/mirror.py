@@ -118,8 +118,8 @@ def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
         hyperplanes = {kahler(i): hyperplane_pullback(t, i)
                        for i in range(1, spec.levels + 1)}
         contribution = ab_integrate(
-            t, None, lam, lambda_seed, normal=normal_ledger(t),
-            exp=(hyperplanes, component_dimension(t)))
+            t, RatFun.const(1), lam, lambda_seed, normal=normal_ledger(t),
+            exp=hyperplanes)
         per_tableau.append((t, contribution))
     total = ratfun_sum([contribution for _, contribution in per_tableau])
     if not _alpha_only_denominator(total):
@@ -206,27 +206,20 @@ def _display_minus_tableau(n: int, r: int, d: int, budget: int
     return difference, per_tableau
 
 
-def _checked_tableau_terms(n: int, r: int, d: int,
-                           budget: int) -> list[list[RatFun]]:
-    """The tableau route's coset terms, once the display minus them has
-    summed to exactly zero."""
-    difference, per_tableau = _display_minus_tableau(n, r, d, budget)
-    if not difference.is_zero():
-        raise FormulaMismatchError(
-            f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
-    return per_tableau
-
-
 def grassmannian_hg_term(n: int, r: int, d: int,
                          budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
     """The degree-d hypergeometric class on a Grassmannian, the sum of the
     tableau route's coset terms, checked against the simplified display:
-    the display's terms minus the coset terms must sum to exactly zero.
-    The class is summed tableau by tableau, as each tableau's sum is
-    symmetric and so free of the cross-block factors its coset terms
-    carry."""
-    return ratfun_sum([ratfun_sum(coset_terms) for coset_terms
-                       in _checked_tableau_terms(n, r, d, budget)])
+    the display's terms minus the coset terms must sum to exactly zero,
+    or FormulaMismatchError is raised.  The class is summed tableau by
+    tableau, as each tableau's sum is symmetric and so free of the
+    cross-block factors its coset terms carry."""
+    difference, per_tableau = _display_minus_tableau(n, r, d, budget)
+    if not difference.is_zero():
+        raise FormulaMismatchError(
+            f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
+    return ratfun_sum([ratfun_sum(coset_terms)
+                       for coset_terms in per_tableau])
 
 
 def box_partitions(r: int, cols: int) -> list[tuple[int, ...]]:
@@ -298,10 +291,10 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     """Check that antisymmetrizing the product of projective-space series
     reproduces the Grassmannian series against every Schur polynomial.
 
-    The projective-space series are the one-row classes, so the display
-    of rank 1 is first checked against the tableau route for each degree
-    (a mismatch raises FormulaMismatchError, as grassmannian_hg_term
-    does).  The display of rank r is the antisymmetrized product of those
+    The projective-space series are the one-row classes, so each is first
+    computed by grassmannian_hg_term, which checks the display of rank 1
+    against the tableau route (a mismatch raises FormulaMismatchError).
+    The display of rank r is the antisymmetrized product of those
     displays over the Vandermonde, so per degree the display's terms minus
     the tableau route's coset terms are summed once, as
     grassmannian_hg_term sums them.  A zero difference pairs to zero with
@@ -314,7 +307,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     if max_degree < 1:
         raise ValueError("truncation degree must be at least 1")
     for k in range(max_degree + 1):
-        _checked_tableau_terms(n, 1, k, budget)
+        grassmannian_hg_term(n, 1, k, budget)
     spec = FlagSpec(n, (r,), (0,))
     dim_x = r * (n - r)
     report = HoriVafaReport(n, r, max_degree, [])

@@ -145,10 +145,8 @@ def tableau_tower(t: Tableau) -> list[tuple[BlockAlphabet, Poly, dict]]:
         r_next = spec.rank(i + 1)
         quot = [y(i, t.K(i) + 1, k)
                 for k in range(1, r_next - spec.rank(i) + 1)]
-        level_blocks = [t.letters(i, j) for j in range(1, t.K(i) + 1)]
-        if quot:
-            level_blocks.append(quot)
-        alphabet = BlockAlphabet(level_blocks)
+        alphabet = BlockAlphabet([t.letters(i, j)
+                                  for j in range(1, t.K(i) + 1)] + [quot])
         next_roots = [v for j in range(1, t.K(i + 1) + 1)
                       for v in t.letters(i + 1, j)]
         constraints = []
@@ -212,23 +210,24 @@ def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
 MAX_RETRIES = 5
 
 
-def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
+def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                  seed: int = 0, check_symmetry: bool = True,
                  normal: Ledger | None = None,
-                 exp: tuple[Mapping[VarId, Poly], int] | None = None
-                 ) -> RatFun:
+                 exp: Mapping[VarId, Poly] | None = None) -> RatFun:
     """Torus fixed-point integral of p * exp / e(normal) over the
     component, from one pass over the fixed points, after checking that p
     is symmetric in the letters of each block (unless check_symmetry is
     False).
 
-    The integrand stays factored: p is a RatFun (None for 1), normal a
-    ledger whose equivariant Euler class divides the integrand, and
-    exp = ({t_i: H_i}, D) the exponential of sum_i t_i*H_i truncated at
-    degree D, with each H_i a root form.  Every root variable of p must
-    be one of the component's letters, every denominator factor of p a
-    root form plus a multiple of alpha, and every ledger term must have a
-    non-zero weight.
+    The integrand stays factored: p is a RatFun, normal a ledger whose
+    equivariant Euler class divides the integrand, and exp = {t_i: H_i}
+    the exponential of sum_i t_i*H_i, with each H_i a root form.  Every
+    root variable of p must be one of the component's letters, every
+    denominator factor of p a root form plus a multiple of alpha, and
+    every ledger term must have a non-zero weight.  The exponential is
+    truncated at the series order, the component dimension plus the
+    orders of the alpha-free poles: a t-monomial of higher degree brings
+    a higher power of s, which never reaches the s^0 coefficient.
 
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
@@ -254,9 +253,7 @@ def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
     common denominator, and one Fraction is built per coefficient of the
     result.
     """
-    if p is None:
-        p = RatFun.const(1)
-    elif check_symmetry:
+    if check_symmetry:
         assert_block_symmetric(p, [t.letters(i, j)
                                    for i in range(1, t.levels + 1)
                                    for j in range(1, t.K(i) + 1)])
@@ -321,11 +318,11 @@ def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
 
     # exp: the t_i, their H_i as integer maps over h, and the exponent
     # vectors m of the t-monomials it reaches, by total degree, each with
-    # the integer D!/prod(m_i!) h^(D-|m|).  Each m but the first is an
-    # earlier one, its step's parent, times t_i, i its last non-zero part.
-    hyperplanes, exp_degree = exp if exp is not None else ({}, 0)
-    if exp_degree < 0:
-        raise ValueError("truncation bound must be non-negative")
+    # the integer D!/prod(m_i!) h^(D-|m|), D the order if there is an exp.
+    # Each m but the first is an earlier one, its step's parent, times t_i,
+    # i its last non-zero part.
+    hyperplanes = exp or {}
+    exp_degree = order if hyperplanes else 0
     tvars = sorted(hyperplanes)
     forms = []
     for v in tvars:
@@ -342,7 +339,7 @@ def ab_integrate(t: Tableau, p: RatFun | None, lam: Sequence[Fraction],
     coefs = [factorial(exp_degree) * h ** exp_degree]
     steps = []
     start = 0
-    for _ in range(min(exp_degree, order) if forms else 0):
+    for _ in range(exp_degree):
         end = len(comps)
         for parent in range(start, end):
             m = comps[parent]

@@ -16,13 +16,9 @@ from __future__ import annotations
 from bisect import bisect_right
 from itertools import product
 from math import comb, prod
-from typing import TYPE_CHECKING
 
 from .errors import InfeasibleTableauError
 from .spec import FlagSpec, _frozen
-
-if TYPE_CHECKING:
-    from .algebra import VarId
 
 
 def hquot_dimension(spec: FlagSpec) -> int:

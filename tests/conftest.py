@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 from flaghg.algebra import LinearProduct, Poly, RatFun, ratfun_sum
 from flaghg.errors import DEFAULT_COSET_BUDGET
@@ -65,13 +66,16 @@ def max_rule_index(t: Tableau, i: int, j: int) -> int:
                 if t.a(i + 1, k) <= t.a(i, j)), default=0)
 
 
-def random_poly(rng: random.Random, variables, degree: int = 3,
-                terms: int = 4) -> Poly:
+@st.composite
+def small_polys(draw, variables, degree: int = 3, terms: int = 4) -> Poly:
+    """A sum of `terms` monomials, each a/b (|a| <= 4, 1 <= b <= 3) times
+    at most `degree` of the variables, with repetition."""
     out = Poly.zero()
     for _ in range(terms):
-        term = Poly.const(Fraction(rng.randint(-4, 4), rng.randint(1, 3)))
-        for _ in range(rng.randint(0, degree)):
-            term = term * Poly.var(rng.choice(variables))
+        term = Poly.const(Fraction(draw(st.integers(-4, 4)),
+                                   draw(st.integers(1, 3))))
+        for v in draw(st.lists(st.sampled_from(variables), max_size=degree)):
+            term = term * Poly.var(v)
         out = out + term
     return out
 

@@ -521,6 +521,10 @@ def test_text_rendering_is_deterministic(tmp_path):
 @pytest.mark.parametrize("argv", [
     ["integral", "--n", "3", "--ranks", "1,2", "--degrees", "1,1", "--json"],
     ["hg", "--n", "4", "--ranks", "2", "--max-degree", "2", "--json"],
+    ["euler", "--n", "4", "--ranks", "1,2", "--degrees", "1,2", "--explain",
+     "--json"],
+    ["oracle-compare", "--n", "4", "--ranks", "1,2", "--degrees", "1,1",
+     "--json"],
 ])
 def test_reports_do_not_depend_on_hash_seed(tmp_path, argv):
     """Also with the variables registered in reverse VarId order before
@@ -661,8 +665,22 @@ def test_tableaux_miss_without_site_loads_no_algebra(tmp_path, explain,
     report = json.loads(proc.stdout)
     assert report["provenance"]["cache"]["status"] == "miss"
     assert ("general_components" in report["results"]) == explain
-    assert sorted(m for m in proc.stderr.split()
-                  if m.partition(".")[0] == "flaghg") == modules
+    loaded = proc.stderr.split()
+    assert sorted(m for m in loaded if m.partition(".")[0] == "flaghg") == \
+        modules
+    # the engine modules import typing; nothing a plain miss runs does
+    assert ("typing" in loaded) == explain
+
+
+def test_integral_prints_coefficients_past_the_int_digit_limit(tmp_path):
+    # P^1 in degree 1000 has coefficients past the 4300 digits that
+    # str(int) allows by default since Python 3.10.7
+    proc = _python(["-m", "flaghg", "integral", "--n", "2", "--ranks", "1",
+                    "--degrees", "1000", "--json", "--cache-dir",
+                    str(tmp_path)])
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)["results"]
+    assert max(map(len, re.findall(r"\d+", json.dumps(results)))) > 4300
 
 
 def test_importing_the_package_loads_no_submodule():

@@ -27,7 +27,7 @@ from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux)
 
 from conftest import (MIXED_LAM, all_specs, random_block_symmetric,
-                      random_poly, total_degree)
+                      small_polys, total_degree)
 from expanded_oracle import expanded_ab_integrate
 
 P = Poly.var
@@ -72,43 +72,50 @@ def shape_alphabet(shape):
                           for j, m in enumerate(shape, start=1)])
 
 
-def random_block_product(rng, alphabet, degree):
+@st.composite
+def block_products(draw, alphabet, degree):
     """One complete homogeneous factor per block, of total degree degree."""
-    p = Poly.const(rng.randint(1, 4))
+    p = Poly.const(draw(st.integers(1, 4)))
     for index, block in enumerate(alphabet.blocks):
         last = index == len(alphabet.blocks) - 1
-        k = degree if last else rng.randint(0, degree)
+        k = degree if last else draw(st.integers(0, degree))
         degree -= k
         p = p * complete_homogeneous(k, block)
     return p
 
 
-def test_brion_degree_facts_on_random_inputs():
-    rng = random.Random(5)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_brion_degree_facts_on_random_inputs(data):
     for shape in SHAPES:
         alphabet = shape_alphabet(shape)
         blocks = alphabet.blocks
         fiber_dim = sum(len(blocks[jl]) * len(blocks[jh])
                         for jh in range(len(blocks)) for jl in range(jh))
-        for _ in range(3):
-            for degree in range(fiber_dim):
-                p = sum((random_block_product(rng, alphabet, degree)
-                         for _ in range(2)), Poly.zero())
-                assert brion_pushforward(RatFun.from_poly(p), alphabet) \
-                    == RatFun.const(0), shape
-            p = random_block_product(rng, alphabet, fiber_dim)
-            result = brion_pushforward(RatFun.from_poly(p), alphabet)
-            assert not result.den and result.num.is_const(), shape
-        # every coset term of the cross-block product is 1, so its push-
-        # forward counts the cosets; a wrong orientation flips the sign
-        euler = Poly.const(1)
-        for jh in range(len(blocks)):
-            for jl in range(jh):
-                for vl in blocks[jl]:
-                    for vh in blocks[jh]:
-                        euler = euler * (P(vh) - P(vl))
-        assert brion_pushforward(RatFun.from_poly(euler), alphabet) == \
-            RatFun.const(alphabet.coset_count()), shape
+        for degree in range(fiber_dim):
+            p = sum((data.draw(block_products(alphabet, degree))
+                     for _ in range(2)), Poly.zero())
+            assert brion_pushforward(RatFun.from_poly(p), alphabet) \
+                == RatFun.const(0), shape
+        p = data.draw(block_products(alphabet, fiber_dim))
+        result = brion_pushforward(RatFun.from_poly(p), alphabet)
+        assert not result.den and result.num.is_const(), shape
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_brion_counts_the_cosets(shape):
+    # every coset term of the cross-block product is 1, so its push-
+    # forward counts the cosets; a wrong orientation flips the sign
+    alphabet = shape_alphabet(shape)
+    blocks = alphabet.blocks
+    euler = Poly.const(1)
+    for jh in range(len(blocks)):
+        for jl in range(jh):
+            for vl in blocks[jl]:
+                for vh in blocks[jh]:
+                    euler = euler * (P(vh) - P(vl))
+    assert brion_pushforward(RatFun.from_poly(euler), alphabet) == \
+        RatFun.const(alphabet.coset_count())
 
 
 def test_brion_rejects_asymmetric_input():
@@ -151,50 +158,46 @@ def test_pushforward_degree_bookkeeping():
     assert total_degree(out.num) == 2 + 1 - 1
 
 
-def test_projection_formula():
-    rng = random.Random(7)
+@settings(max_examples=3, deadline=None)
+@given(data=st.data())
+def test_projection_formula(data):
     for shape in SHAPES:
         alphabet = shape_alphabet(shape)
         letters = alphabet.letters
         shifted = RatFun(Poly.const(1),
                          {P(v) + P(ALPHA): 1 for v in letters})
-        for _ in range(3):
-            phi = RatFun.from_poly(
-                random_block_product(rng, alphabet, rng.randint(0, 4)))
-            power_sum = sum((P(v) ** 2 for v in letters), Poly.zero())
-            polynomial = RatFun.from_poly(
-                random_poly(rng, [ALPHA], degree=2) * power_sum)
-            for psi in (polynomial, shifted):
-                lhs = brion_pushforward(phi * psi, alphabet)
-                rhs = brion_pushforward(phi, alphabet) * psi
-                assert lhs == rhs, shape
+        phi = RatFun.from_poly(data.draw(
+            block_products(alphabet, data.draw(st.integers(0, 4)))))
+        power_sum = sum((P(v) ** 2 for v in letters), Poly.zero())
+        polynomial = RatFun.from_poly(
+            data.draw(small_polys([ALPHA], degree=2)) * power_sum)
+        for psi in (polynomial, shifted):
+            lhs = brion_pushforward(phi * psi, alphabet)
+            rhs = brion_pushforward(phi, alphabet) * psi
+            assert lhs == rhs, shape
 
 
-def test_omega_rational_presentation_identity():
+SUB_VARS = [y(9, 1, 1), y(9, 1, 2)]
+P_VARS = [ambient(1), ambient(2)]
+Q_VARS = [ambient(3), ambient(4), ambient(5)]
+
+
+@settings(max_examples=20, deadline=None)
+@given(pool=st.lists(st.builds(Fraction, st.integers(-20, 20),
+                               st.integers(1, 4)),
+                     min_size=7, max_size=7, unique=True))
+def test_omega_rational_presentation_identity(pool):
     # the ambient roots split as sub-bundle roots plus quotient roots, so
     # prod(e - y) / prod(p - y) equals the polynomial Thom factor prod(q - y)
-    rng = random.Random(8)
-    sub_vars = [y(9, 1, 1), y(9, 1, 2)]
-    p_vars = [ambient(1), ambient(2)]
-    q_vars = [ambient(3), ambient(4), ambient(5)]
-    omega = omega_class([(sub_vars, q_vars)])
-    for _ in range(20):
-        values = {}
-        pool = set()
-        for v in sub_vars + p_vars + q_vars:
-            while True:
-                candidate = Fraction(rng.randint(-20, 20), rng.randint(1, 4))
-                if candidate not in pool:
-                    pool.add(candidate)
-                    values[v] = candidate
-                    break
-        lhs = Fraction(1)
-        for yv in sub_vars:
-            for e in p_vars + q_vars:
-                lhs *= values[e] - values[yv]
-            for p in p_vars:
-                lhs /= values[p] - values[yv]
-        assert lhs == omega.substitute(values).const_value()
+    values = dict(zip(SUB_VARS + P_VARS + Q_VARS, pool))
+    lhs = Fraction(1)
+    for yv in SUB_VARS:
+        for e in P_VARS + Q_VARS:
+            lhs *= values[e] - values[yv]
+        for p in P_VARS:
+            lhs /= values[p] - values[yv]
+    assert lhs == omega_class([(SUB_VARS, Q_VARS)]).substitute(
+        values).const_value()
 
 
 def test_integrate_to_point_projective_line():
@@ -531,11 +534,13 @@ def test_factored_oracle_matches_expanded_integrand(index, seed, use_normal,
         scale = Fraction(rng.randint(1, 3), rng.randint(1, 2))
         hyperplanes = {kahler(i): hyperplane_pullback(t, i) * scale
                        for i in range(1, t.spec.levels + 1)}
-        exp = (hyperplanes, rng.randint(0, dim))
+        exp = hyperplanes
         exponent = Poly.zero()
         for v, h in hyperplanes.items():
             exponent = exponent + h * P(v)
-        expanded = expanded * RatFun.from_poly(exp_series(exponent, exp[1]))
+        # the oracle truncates at the order, dim here; a degree above it
+        # never reaches the s^0 row
+        expanded = expanded * RatFun.from_poly(exp_series(exponent, dim + 1))
     weights = [random_block_symmetric(t, rng, dim) * Fraction(1, k)
                + rng.randint(-1, 1) for k in range(1, nweights + 1)]
     lam = lam_vector(t.spec.n, lambda_seed)
@@ -619,13 +624,13 @@ def test_ab_integrate_rejects_bad_inputs():
     weight_zero = Ledger(p1)
     weight_zero.add((1, 1), (2, 1), 0)
     with pytest.raises(IntegrationShapeError, match="has weight 0"):
-        ab_integrate(p1, None, lam, normal=weight_zero)
+        ab_integrate(p1, RatFun.const(1), lam, normal=weight_zero)
     with pytest.raises(IntegrationShapeError, match="denominator factor"):
         ab_integrate(p1, RatFun(Poly.const(1), {root + P(kahler(1)): 1}),
                      lam)
     with pytest.raises(IntegrationShapeError, match="exponent"):
-        ab_integrate(p1, None, lam,
-                     exp=({kahler(1): root + P(kahler(2))}, 1))
+        ab_integrate(p1, RatFun.const(1), lam,
+                     exp={kahler(1): root + P(kahler(2))})
     with pytest.raises(ValueError, match="distinct"):
         ab_integrate(p1, RatFun.const(1), [Fraction(1), Fraction(1)])
     with pytest.raises(ValueError, match="one torus weight"):
