@@ -15,16 +15,19 @@ Every class, weight and series in the engine is built from two types:
 
 Packed exponents follow Monagan and Pearce ("Polynomial division using
 dynamic arrays, heaps, and packed exponent vectors", CASC 2007).  Fields
-are _WIDTH bits wide.  Every Poly carries an upper bound on the total
-degree of its monomials, which bounds each exponent and each sum of
-exponents, and monomials are added only where that bound shows that no
-field can carry into its neighbour; otherwise the operands are first
-repacked into fields wide enough for the bound.  A Poly is stored in the
-narrowest width, at least _WIDTH, that holds its exponents, so equal
-polynomials have equal terms.  Slots follow the order in which variables
-are first used, which differs between processes, so a monomial is
-unpacked into (VarId, exponent) pairs in VarId order to be rendered or
-ordered, and no output depends on slots.
+are _WIDTH = 8 bits wide, nearly four to a 30-bit digit of a CPython int,
+so the monomial sums of a product are of ints of a few digits.
+Every Poly carries an upper bound on the total degree of its monomials,
+which bounds each exponent and each sum of exponents, and monomials are
+added only where that bound shows that no field can carry into its
+neighbour; otherwise the operands are first repacked into fields wide
+enough for the bound.  A Poly is stored in the narrowest width, at least
+_WIDTH, that holds its exponents, so equal polynomials have equal terms.
+Slots follow the order in which variables are first used, which differs
+between processes, so a monomial is unpacked into (VarId, exponent)
+pairs in VarId order to be rendered or ordered, and no output depends on
+slots.  Alpha, which is in nearly every monomial, is registered at import
+and owns the lowest field.
 
 Denominators are never expanded.  Each factor is kept canonical: it is
 scaled so the coefficient of its least variable is +1, and the scaling
@@ -39,9 +42,12 @@ denominator into the other operand's numerator before multiplying
 (Henrici's cross-cancellation), and the result needs no further
 normalization.  A LinearProduct (an Euler class) is built in lowest terms
 directly, since its factors already carry net exponents.  Before every
-exact division the numerator is evaluated modulo the prime 2^61-1 at a
-point of the factor's hyperplane; a non-zero value proves that the factor
-does not divide, and the division is skipped.  The points differ only in
+exact division the numerator is evaluated modulo the 15-bit prime 32749
+at a point of the factor's hyperplane; a non-zero value proves that the
+factor does not divide, and the division is skipped.  Residues are below
+2^15, so every product of two fits in one digit.  A zero value that is
+not a true factor (probability at most deg/32749) costs one exact trial
+division, never a wrong result.  The points differ only in
 the factor's least variable, so one pass over a numerator's terms, kept
 with it, gives its value at all of them.  A sum of RatFuns first adds
 the numerators of terms with equal denominators and drops the groups
@@ -128,8 +134,9 @@ def _quotient(a: Scalar, b: Scalar) -> Scalar:
 
 # --- packed monomials -------------------------------------------------------
 
-# Bits per exponent field; a Poly whose exponents need more is stored wider.
-_WIDTH = 12
+# Bits per exponent field, the floor: a Poly whose exponents or degree
+# bound need more is stored and multiplied in wider fields.
+_WIDTH = 8
 
 # The registry: variable -> slot, slot -> variable, slot -> _residue.
 # Slots are handed out on first use and never change.
@@ -776,9 +783,9 @@ def _lowest_terms(num: Poly, factors: Mapping[Poly, int],
     return RatFun(num, out, _normalized=True)
 
 
-# A Mersenne prime: residues mod _P certify that a linear factor does not
-# divide a numerator.
-_P = (1 << 61) - 1
+# The largest 15-bit prime: residues mod _P certify that a linear factor
+# does not divide a numerator, and a product of two residues is one digit.
+_P = 32749
 _MASK64 = (1 << 64) - 1
 
 
@@ -792,6 +799,9 @@ def _residue(v: VarId) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) % _P
+
+
+_slot(ALPHA)  # in nearly every monomial: the lowest field, the cheapest sums
 
 
 def _root(f: Poly) -> tuple[int, int] | None:
@@ -821,7 +831,9 @@ def _residue_sums(p: Poly) -> tuple:
     _residue, and s the part of v from the terms whose exponent at the
     slot is e > 0.  Empty where _P divides a coefficient denominator.
     The terms are taken as columns: one of values, scaled by one slot's
-    residue powers at a time, and per slot one of exponents.
+    residue powers at a time, and per slot one of exponents.  Each
+    coefficient is reduced mod _P once, so every product is of two
+    residues.
     Memoized on p, which is immutable."""
     if p._res is not None:
         return p._res
@@ -832,7 +844,7 @@ def _residue_sums(p: Poly) -> tuple:
     for c in p.terms.values():
         d = c.denominator
         if d == 1:
-            values.append(c.numerator)
+            values.append(c.numerator % _P)
             continue
         inv = inverses.get(d)
         if inv is None:
@@ -840,7 +852,7 @@ def _residue_sums(p: Poly) -> tuple:
                 p._res = ()
                 return ()
             inv = inverses[d] = pow(d, -1, _P)
-        values.append(c.numerator * inv)
+        values.append(c.numerator % _P * inv % _P)
     columns = []
     for slot, _ in _fields(reduce(or_, p.terms, 0), w):
         sh = slot * w

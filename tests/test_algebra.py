@@ -1,4 +1,9 @@
+import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -141,7 +146,7 @@ def test_variable_ordering_deterministic():
 # --- shortcuts around exact division ---------------------------------------
 
 VARS = [y(1, 1, 1), y(1, 1, 2), y(2, 1, 1), ambient(1), ALPHA, kahler(1)]
-PRIME = (1 << 61) - 1
+PRIME = algebra._P
 
 rationals = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
 nonzero_rationals = rationals.filter(bool)
@@ -189,6 +194,23 @@ def test_prime_denominator_falls_through_to_exact_division():
     assert not r.den and r.num == q
     r = ratfun_normalize((Y + A) * q * unusual, [(Y + A, 1)])
     assert not r.den and r.num == q * unusual
+
+
+def test_a_variable_of_residue_zero_falls_through_to_exact_division():
+    # the least variable of f has residue 0 mod the prime, so _root finds
+    # no point and only exact division can decide
+    z = next(v for v in (y(i, j, k) for i in range(40) for j in range(40)
+                         for k in range(40)) if algebra._residue(v) == 0)
+    Z = Poly.var(z)
+    f = Z - A + 1
+    assert algebra._root(f) is None
+    q = Y * A + 2
+    r = ratfun_normalize(f * q, [(f, 1)])
+    assert not r.den and r.num == q
+    r = ratfun_normalize(q, [(f, 2)])
+    assert r.den == {f: 2} and r.num == q
+    total = algebra.ratfun_sum([RatFun(Y, {f: 1}), RatFun(f - Y, {f: 1})])
+    assert total == 1 and not total.den
 
 
 def test_residue_skips_a_non_divisor():
@@ -561,7 +583,7 @@ def residue_mod_p(c) -> int:
 @settings(max_examples=150, deadline=None)
 @given(p=model_polys(), f=linear_forms())
 def test_evaluate_matches_term_by_term_evaluation(p, f):
-    # the residue table of a Poly, at width 12 or wider, against the
+    # the residue table of a Poly, at the floor width or wider, against the
     # point of _root computed directly from each variable's residue
     root = algebra._root(f)
     assume(root is not None)
@@ -625,6 +647,47 @@ def test_exponent_vectors_round_trip_in_reverse_registration_order():
     assert Poly.from_exponents(fresh, exps) == p
     with pytest.raises(ValueError):
         p.exponents(fresh[1:])
+
+
+SLOT_ORDER_SCRIPT = """
+import json, sys
+from flaghg.algebra import Poly, ambient, kahler, y
+if sys.argv[1:] == ["crowded"]:
+    for v in ([ambient(k) for k in range(1, 21)]
+              + [y(9, 9, k) for k in range(1, 11)]
+              + [kahler(i) for i in range(1, 11)]):
+        Poly.var(v)
+from flaghg.fixedlocus import (canonical_roots, euler_class_closed_form,
+                               euler_class_from_ledger, normal_ledger)
+from flaghg.mirror import grassmannian_hg_term, integral_Id
+from flaghg.tableaux import FlagSpec, block_decomposition, enumerate_tableaux
+spec = FlagSpec(4, (1, 2), (1, 2))
+euler = []
+for t in enumerate_tableaux(spec):
+    roots = canonical_roots(block_decomposition(t))
+    euler.append([euler_class_from_ledger(normal_ledger(t), roots).to_json(),
+                  euler_class_closed_form(t, roots).to_json()])
+print(json.dumps({"hg": grassmannian_hg_term(5, 3, 2).to_json(),
+                  "euler": euler, "integral": integral_Id(spec).to_json()}))
+"""
+
+
+def test_results_do_not_depend_on_which_variables_came_first():
+    # forty variables registered first, e[1..20], y[9,9;1..10] and
+    # t[1..10], move the roots and Kahler variables to other slots,
+    # several digits up
+    src = str(Path(algebra.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    outputs = []
+    for args in ([], ["crowded"]):
+        proc = subprocess.run(
+            [sys.executable, "-c", SLOT_ORDER_SCRIPT, *args], env=env,
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0]["euler"] and outputs[0]["integral"]["t_poly"]
+    assert outputs[0] == outputs[1]
 
 
 # --- a single-variable factor divides out by its least exponent ------------
