@@ -41,25 +41,27 @@ factor can divide.  A product of two RatFuns in lowest terms cancels each
 denominator into the other operand's numerator before multiplying
 (Henrici's cross-cancellation), and the result needs no further
 normalization.  A LinearProduct (an Euler class) is built in lowest terms
-directly, since its factors already carry net exponents.  Before every
-exact division the numerator is evaluated modulo the 15-bit prime 32749
-at a point of the factor's hyperplane; a non-zero value proves that the
-factor does not divide, and the division is skipped.  Residues are below
-2^15, so every product of two fits in one digit.  A zero value that is
-not a true factor (probability at most deg/32749) costs one exact trial
-division, never a wrong result.  The points differ only in
-the factor's least variable, so one pass over a numerator's terms, kept
-with it, gives its value at all of them.  A sum of RatFuns first adds
-the numerators of terms with equal denominators and drops the groups
-that sum to zero, so a sum whose terms cancel one for one expands
-nothing.  What is left is evaluated there term by term, before its
-numerators are expanded; each term's
-numerator is then multiplied once per union factor it lacks, by that
-factor's power, and the powers of each union factor are built once per
-sum.  A single-term numerator is decided from its variables alone, and a
-factor that is a single variable, such as alpha, needs no screen: it goes
-into a numerator as often as its least exponent there, so it is divided
-out by lowering that exponent in every term.
+directly, since its factors already carry net exponents.  A product or a
+normalization tries each division it needs, as those divisions nearly
+always go.  A single-term numerator is decided from its variables alone,
+and a factor that is a single variable, such as alpha, goes into a
+numerator as often as its least exponent there, so it is divided out by
+lowering that exponent in every term.
+
+A sum of RatFuns first adds the numerators of terms with equal
+denominators and drops the groups that sum to zero, so a sum whose terms
+cancel one for one expands nothing.  Each term's numerator is then
+multiplied once per union factor it lacks, by that factor's power, and
+the powers of each union factor are built once per sum.  A union factor
+often does not divide the sum, so before it is divided out the sum is
+evaluated modulo the 15-bit prime 32749 at a point of the factor's
+hyperplane, term by term before its numerators are expanded; a non-zero
+value proves that the factor does not divide, and the division is
+skipped.  Residues are below 2^15, so every product of two fits in one
+digit.  A zero value that is not a true factor (probability at most
+deg/32749) costs one exact trial division, never a wrong result.  The
+points differ only in the factor's least variable, so one pass over a
+numerator's terms, kept with it, gives its value at all of them.
 
 All values are immutable after construction and safe to share.
 """
@@ -569,19 +571,14 @@ class RatFun:
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: Mapping[Poly, int] | None = None,
-                 _normalized: bool = False):
-        if _normalized:
-            self.num = num
-            self.den = dict(den) if den else {}
-            return
+    def __init__(self, num: Poly, den: Mapping[Poly, int] | None = None):
         norm = ratfun_normalize(num, (den or {}).items())
         self.num = norm.num
         self.den = norm.den
 
     @staticmethod
     def from_poly(p: Poly) -> "RatFun":
-        return RatFun(p, {}, _normalized=True)
+        return _ratfun(p, {})
 
     @staticmethod
     def const(value: Scalar) -> "RatFun":
@@ -600,7 +597,7 @@ class RatFun:
         return self.num == other.num and self.den == other.den
 
     def __neg__(self) -> "RatFun":
-        return RatFun(-self.num, self.den, _normalized=True)
+        return _ratfun(-self.num, self.den)
 
     def __add__(self, other) -> "RatFun":
         other = _coerce(other)
@@ -638,7 +635,7 @@ class RatFun:
             a, e = _divide_out(a, f, e)
             if e:
                 den[f] = den.get(f, 0) + e
-        return RatFun(a * b, den, _normalized=True)
+        return _ratfun(a * b, den)
 
     __rmul__ = __mul__
 
@@ -688,6 +685,15 @@ class RatFun:
         return f"RatFun({self.to_text()})"
 
 
+def _ratfun(num: Poly, den: dict) -> RatFun:
+    """A RatFun already in lowest terms over canonical factors, which takes
+    ownership of den."""
+    r = object.__new__(RatFun)
+    r.num = num
+    r.den = den
+    return r
+
+
 def _coerce(value) -> "RatFun":
     if isinstance(value, RatFun):
         return value
@@ -707,14 +713,15 @@ def ratfun_sum(terms) -> RatFun:
     repeated addition would, but each group's complement is expanded
     against the union denominator exactly once: a term's numerator is
     multiplied once per missing factor, by that factor's power, and the
-    powers of each union factor are built once per call.  Before any
-    division the sum is evaluated at a point of each union factor's
-    hyperplane from the unexpanded terms (see _sum_may_divide); a factor
-    that this proves coprime to the sum keeps its exponent without a
-    division; a single variable needs no screen (see _divide_out).  A zero
-    sum is returned before any factor is screened, so checking an identity
-    costs at most one expansion, and none where its terms cancel group by
-    group.
+    powers of each union factor are built once per call.  Each union
+    factor of two or more terms is screened before it is divided out: the
+    sum is evaluated at a point of its hyperplane from the unexpanded terms
+    (see _sum_may_divide), and a factor that this proves coprime to the
+    sum keeps its exponent without a division.  The others, and every
+    single variable, are divided out as far as they go (see _divide_out).
+    A zero sum is returned before any factor is screened, so checking an
+    identity costs at most one expansion, and none where its terms cancel
+    group by group.
     """
     groups: dict[frozenset, tuple[dict, list[Poly]]] = {}
     for term in terms:
@@ -724,7 +731,7 @@ def ratfun_sum(terms) -> RatFun:
     for den, nums in groups.values():
         num = reduce(Poly.__add__, nums)
         if not num.is_zero():
-            terms.append(RatFun(num, den, _normalized=True))
+            terms.append(_ratfun(num, den))
     if not terms:
         return RatFun.const(0)
     union: dict[Poly, int] = {}
@@ -745,10 +752,14 @@ def ratfun_sum(terms) -> RatFun:
                 num = num * table[extra]
         total = total + num
     if total.is_zero():
-        return RatFun(total, {}, _normalized=True)
-    return _lowest_terms(total, union,
-                         {f: _sum_may_divide(terms, union, f) for f in union
-                          if len(f.terms) > 1})
+        return _ratfun(total, {})
+    den: dict[Poly, int] = {}
+    for f, e in union.items():
+        if len(f.terms) == 1 or _sum_may_divide(terms, union, f):
+            total, e = _divide_out(total, f, e)
+        if e:
+            den[f] = e
+    return _ratfun(total, den)
 
 
 def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
@@ -765,22 +776,15 @@ def ratfun_normalize(num: Poly, den: Iterable[tuple[Poly, int]]) -> RatFun:
         canon, s = canonical_linear(f)
         scale = scale * s ** e
         factors[canon] = factors.get(canon, 0) + e
-    return _lowest_terms(num * Fraction(1, scale), factors)
-
-
-def _lowest_terms(num: Poly, factors: Mapping[Poly, int],
-                  may: Mapping[Poly, bool] | None = None) -> RatFun:
-    """num over the canonical factors, each divided out of num as many
-    times as it goes; may holds verdicts of _may_divide already known."""
     if num.is_zero():
-        return RatFun(Poly.zero(), {}, _normalized=True)
+        return _ratfun(num, {})
+    num = num * Fraction(1, scale)
     out: dict[Poly, int] = {}
     for f, e in factors.items():
-        num, e = _divide_out(num, f, e,
-                             None if may is None else may.get(f))
+        num, e = _divide_out(num, f, e)
         if e:
             out[f] = e
-    return RatFun(num, out, _normalized=True)
+    return _ratfun(num, out)
 
 
 # The largest 15-bit prime: residues mod _P certify that a linear factor
@@ -884,36 +888,21 @@ def _evaluate(p: Poly, root: tuple[int, int]) -> int | None:
     return value % _P
 
 
-def _may_divide(num: Poly, f: Poly) -> bool:
-    """False only if the linear factor f, of at least two terms, certainly
-    does not divide num.
-
-    num is evaluated mod _P at a point where f = 0 mod _P (_root).  If f
-    divides num over Q, Gauss's lemma over the integers localized at _P
-    (f has P-integral coefficients and a unit among them) makes the
-    quotient P-integral too, so the value is 0.  A non-zero value is
-    therefore a certificate.  A coefficient denominator divisible by _P
-    leaves the question open.
-
-    A single term c*m needs no evaluation: its irreducible factors are the
-    variables of m, and f is none of them.
-    """
-    if len(num.terms) == 1:
-        return False
-    root = _root(f)
-    if root is None:
-        return True
-    value = _evaluate(num, root)
-    return value is None or value == 0
-
-
 def _sum_may_divide(terms: list[RatFun], union: Mapping[Poly, int],
                     f: Poly) -> bool:
-    """_may_divide(total, f) for the sum over the union denominator, with
-    total = sum_i num_i * prod_g g**(union[g] - e_ig) evaluated term by
-    term before it is expanded.  A term with e_if < union[f] holds f, which
-    vanishes at the point, so only the terms that carry f's full union
-    power are evaluated."""
+    """False only if the linear factor f, of at least two terms, certainly
+    does not divide total = sum_i num_i * prod_g g**(union[g] - e_ig), the
+    sum over the union denominator.
+
+    total is evaluated mod _P at a point where f = 0 mod _P (_root), term
+    by term before it is expanded.  If f divides total over Q, Gauss's
+    lemma over the integers localized at _P (f has P-integral coefficients
+    and a unit among them) makes the quotient P-integral too, so the value
+    is 0.  A non-zero value is therefore a certificate.  A factor with no
+    such point, or a coefficient denominator divisible by _P, leaves the
+    question open.  A term with e_if < union[f] holds f, which vanishes at
+    the point, so only the terms that carry f's full union power are
+    evaluated."""
     root = _root(f)
     if root is None:
         return True
@@ -935,15 +924,16 @@ def _sum_may_divide(terms: list[RatFun], union: Mapping[Poly, int],
     return value == 0
 
 
-def _divide_out(num: Poly, f: Poly, e: int,
-                may: bool | None = None) -> tuple[Poly, int]:
+def _divide_out(num: Poly, f: Poly, e: int) -> tuple[Poly, int]:
     """Divide the canonical linear factor f out of num up to e times;
-    return the quotient and how many times f did not go.  may is
-    _may_divide(num, f) where it is already known.
+    return the quotient and how many times f did not go.
 
     A single variable v goes into num exactly as often as v's least
     exponent over num's terms, so it is divided out by lowering every
-    exponent of v at once, with no screen and no trial division."""
+    exponent of v at once, with no trial division.  A factor of two or
+    more terms is tried by exact division while it goes, unless num is a
+    single term c*m: the irreducible factors of c*m are the variables of
+    m, and f is none of them.  A zero num loses every factor."""
     if len(f.terms) == 1:
         (m,) = f.terms
         w = num._w
@@ -955,8 +945,7 @@ def _divide_out(num: Poly, f: Poly, e: int,
             num = _poly({mono - (k << sh): c for mono, c in num.terms.items()},
                         num._deg - k, w)
         return num, e - k
-    while e and (_may_divide(num, f) if may is None else may):
-        may = None
+    while e and len(num.terms) != 1:
         q = num.divide_by_linear(f)
         if q is None:
             break
@@ -1026,7 +1015,7 @@ class LinearProduct:
                     num = num * f
             else:
                 den[f] = -e
-        return RatFun(num, den, _normalized=True)
+        return _ratfun(num, den)
 
     def __repr__(self) -> str:
         return f"LinearProduct({self.to_ratfun().to_text()})"

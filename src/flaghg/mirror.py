@@ -248,16 +248,15 @@ def reconstruct_class_from_pairings(n: int, r: int, pairings) -> RatFun:
     in the dual Schur basis."""
     cols = n - r
     expected = box_partitions(r, cols)
-    keys = {tuple(list(mu) + [0] * (r - len(mu))) for mu in pairings}
-    if keys != set(expected):
+    padded = {tuple(mu) + (0,) * (r - len(mu)): value
+              for mu, value in pairings.items()}
+    if len(padded) != len(pairings):
+        raise ValueError("two pairings are given for one partition")
+    if padded.keys() != set(expected):
         raise ValueError(
             "pairings must cover exactly the partitions in the box")
-    normalized = {
-        tuple(list(mu) + [0] * (r - len(mu))): value
-        for mu, value in pairings.items()
-    }
     roots = [y(1, 1, k) for k in range(1, r + 1)]
-    return ratfun_sum([normalized[box_complement(nu, r, cols)]
+    return ratfun_sum([padded[box_complement(nu, r, cols)]
                        * schur_polynomial(nu, roots) for nu in expected])
 
 

@@ -37,7 +37,7 @@ from math import factorial, lcm
 from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
 
-from .algebra import ALPHA, Poly, RatFun, VarId, canonical_linear, y
+from .algebra import ALPHA, Poly, RatFun, VarId, y
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
 from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
@@ -110,9 +110,8 @@ def brion_pushforward(p: RatFun, alphabet: BlockAlphabet,
             if order[i] < order[i + 1]:
                 order[i], order[i + 1] = order[i + 1], order[i]
                 a, b = letters[i], letters[i + 1]
-                f, scale = canonical_linear(Poly.var(b) - Poly.var(a))
                 p = (p - p.substitute({a: b, b: a})) * RatFun(
-                    Poly.const(scale), {f: 1}, _normalized=True)
+                    Poly.const(1), {Poly.var(b) - Poly.var(a): 1})
                 swapped = True
     return p
 
@@ -431,8 +430,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
         Poly.from_exponents(others + [ALPHA],
                             {rest + (a + raise_by,): c
                              for (rest, a), c in terms.items()}),
-        {Poly.var(ALPHA): raise_by} if raise_by else {},
-        _normalized=True)
+        {Poly.var(ALPHA): raise_by} if raise_by else {})
 
 
 def _scaled(c, den: int) -> int:

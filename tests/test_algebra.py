@@ -183,13 +183,18 @@ def test_normalize_always_cancels_a_true_divisor(f, q, e):
     assert r.num == q
 
 
+def sum_may_divide(num, f):
+    """The residue screen on the one-term sum num / f, whose total is num."""
+    return algebra._sum_may_divide([algebra._ratfun(num, {f: 1})], {f: 1}, f)
+
+
 def test_prime_denominator_falls_through_to_exact_division():
     unusual = Fraction(1, PRIME)
     f = Y + A * unusual
     q = Y - A + 1
     # neither the factor nor the numerator gives a usable residue
-    assert algebra._may_divide(Y + 1, f)
-    assert algebra._may_divide(q * unusual + 1, Y + A)
+    assert sum_may_divide(Y + 1, f) is True
+    assert sum_may_divide(q * unusual + 1, Y + A) is True
     r = ratfun_normalize(f * q, [(f, 1)])
     assert not r.den and r.num == q
     r = ratfun_normalize((Y + A) * q * unusual, [(Y + A, 1)])
@@ -214,9 +219,9 @@ def test_a_variable_of_residue_zero_falls_through_to_exact_division():
 
 
 def test_residue_skips_a_non_divisor():
-    assert not algebra._may_divide(Poly.const(3), Y + A)
-    assert not algebra._may_divide(Y + 1, Y + A)
-    assert algebra._may_divide((Y + 1) * (Y + A), Y + A)
+    assert not sum_may_divide(Poly.const(3), Y + A)
+    assert not sum_may_divide(Y + 1, Y + A)
+    assert sum_may_divide((Y + 1) * (Y + A), Y + A)
 
 
 def test_zero_sum_is_not_screened(monkeypatch):
@@ -427,14 +432,21 @@ def test_substitute_of_absent_variables_skips_normalization(monkeypatch):
     assert f.substitute({y(1, 1, 1): y(1, 1, 2)}) is f
 
 
-def test_monomial_numerator_is_decided_structurally():
+def test_monomial_numerator_is_decided_structurally(monkeypatch):
     y1, y2 = Poly.var(y(1, 1, 1)), Poly.var(y(1, 1, 2))
     mono = y1 ** 2 * y2 * Fraction(3, 2)
-    assert not algebra._may_divide(mono, y1 - y2)
-    assert not algebra._may_divide(mono, Y + A)
-    assert not algebra._may_divide(mono, Poly.var(ALPHA))
     assert algebra._divide_out(y1 ** 2 * y2, y1, 2) == (y2, 0)
     assert algebra._divide_out(y1 ** 2 * y2, y1, 3) == (y2, 1)
+    # a zero numerator loses every factor
+    assert algebra._divide_out(Poly.zero(), y1 - y2, 2) == (Poly.zero(), 0)
+
+    def refuse(self, divisor):
+        raise AssertionError("a one-term numerator was divided")
+
+    monkeypatch.setattr(Poly, "divide_by_linear", refuse)
+    assert algebra._divide_out(mono, y1 - y2, 2) == (mono, 2)
+    assert algebra._divide_out(mono, Y + A, 1) == (mono, 1)
+    assert algebra._divide_out(mono, A, 1) == (mono, 1)
 
 
 # --- integral coefficients are ints, and no coefficient is a float ---------
@@ -705,8 +717,7 @@ def divide_repeatedly(num, f, e):
 
 def normalized_by_division(num, v, e):
     num, e = divide_repeatedly(num, v, e)
-    return RatFun(num, {v: e} if e and not num.is_zero() else {},
-                  _normalized=True)
+    return algebra._ratfun(num, {v: e} if e and not num.is_zero() else {})
 
 
 single_variables = st.sampled_from([A, Y])  # alpha and a root

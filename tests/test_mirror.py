@@ -283,6 +283,18 @@ def test_reconstruct_rejects_wrong_key_set():
         reconstruct_class_from_pairings(4, 2, {(1, 0): RatFun.const(1)})
 
 
+def test_reconstruct_rejects_two_values_for_one_partition():
+    # (2,) pads to (2, 0), so the two keys name one partition
+    pairings = {mu: RatFun.const(1 if mu == (2, 2) else 0)
+                for mu in box_partitions(2, 2)}
+    pairings[(2,)] = RatFun.const(5)
+    with pytest.raises(ValueError, match="one partition"):
+        reconstruct_class_from_pairings(4, 2, pairings)
+    # a short key alone is padded and accepted
+    pairings[(2,)] = pairings.pop((2, 0))
+    assert reconstruct_class_from_pairings(4, 2, pairings) == RatFun.const(1)
+
+
 def test_hori_vafa_small():
     report = hori_vafa_verify(3, 2, 1)
     assert report.ok

@@ -325,6 +325,27 @@ def test_oracle_equivalence_random_polynomials(t, seed):
         integrate_to_point(p, tableau_tower(t)), (t.spec, t.rows)
 
 
+def test_tower_trial_divisions_never_fail(monkeypatch):
+    # a product or a normalization divides without a residue screen, which
+    # costs nothing where the divisions go: in the tower each divided
+    # difference of a polynomial is divisible by its letter difference
+    outcomes = []
+    divide = Poly.divide_by_linear
+
+    def counted(self, divisor):
+        q = divide(self, divisor)
+        outcomes.append(q is not None)
+        return q
+
+    monkeypatch.setattr(Poly, "divide_by_linear", counted)
+    rng = random.Random(0)
+    for spec in all_specs(5, 2):
+        for t in enumerate_tableaux(spec):
+            p = random_block_symmetric(t, rng, component_dimension(t))
+            integrate_to_point(RatFun.from_poly(p), tableau_tower(t))
+    assert outcomes and all(outcomes)
+
+
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 10 ** 6))
 def test_ab_integrate_lambda_independence_polynomials(seed):
