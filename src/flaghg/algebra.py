@@ -34,7 +34,7 @@ scaled so the coefficient of its least variable is +1, and the scaling
 constant is absorbed into the numerator.  All cancellation is exact
 division of the numerator by a single linear factor, so no multivariate
 GCD is ever needed.  Coefficients live in Q; alpha (the circle weight)
-and c (the formal pi*sqrt(-1) constant) are ordinary variables.
+and the Kahler variables t[i] are ordinary variables, as the roots are.
 
 A linear form is irreducible, so division is attempted only where a
 factor can divide.  A product of two RatFuns in lowest terms cancels each

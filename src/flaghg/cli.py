@@ -35,15 +35,11 @@ class JobSpec(namedtuple("JobSpec", (
     __slots__ = ()
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "spec": self.spec.to_json(),
-            "max_degree": self.max_degree,
-            "lambda_seed": self.lambda_seed,
-            "coset_budget": self.coset_budget,
-            "explain": self.explain,
-            "output_format": self.output_format,
-        }
+        """Every field but cache_dir, with the spec rendered."""
+        job = self._asdict()
+        del job["cache_dir"]
+        job["spec"] = self.spec.to_json()
+        return job
 
 
 def _parse_int_list(text: str, flag: str) -> tuple[int, ...]:

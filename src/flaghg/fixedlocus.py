@@ -57,13 +57,6 @@ class Ledger:
             src, tgt, w = key
             yield src, tgt, w, self._mult[key]
 
-    def difference(self, other: "Ledger") -> "Ledger":
-        out = Ledger(self.tableau)
-        out._mult = dict(self._mult)
-        for (src, tgt, w), m in other._mult.items():
-            out.add(src, tgt, w, -m)
-        return out
-
     def block_rank(self, ref: BlockRef) -> int:
         return self.tableau.m(ref[0], ref[1])
 
@@ -156,7 +149,9 @@ def hquot_restriction_ledger(t: Tableau) -> Ledger:
 
 def normal_ledger(t: Tableau) -> Ledger:
     """Restriction ledger minus tangent ledger; weight-0 terms must vanish."""
-    ledger = hquot_restriction_ledger(t).difference(tangent_ledger(t))
+    ledger = hquot_restriction_ledger(t)
+    for (src, tgt, w), m in tangent_ledger(t)._mult.items():
+        ledger.add(src, tgt, w, -m)
     if ledger.has_weight_zero():
         raise CancellationFailureError(
             "normal ledger retained a weight-0 term; index conventions "

@@ -252,10 +252,13 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     common denominator, and one Fraction is built per coefficient of the
     result.
     """
+    # The roots: every block's letters, the ambient block's last.  At a
+    # point, the k-th letter of block (i, j) sits on coordinate
+    # point[(i, j)][k - 1], so the point's root values are one list.
+    blocks = {(i, j): t.letters(i, j) for i in range(1, t.levels + 2)
+              for j in range(1, t.K(i) + 1)}
     if check_symmetry:
-        assert_block_symmetric(p, [t.letters(i, j)
-                                   for i in range(1, t.levels + 1)
-                                   for j in range(1, t.K(i) + 1)])
+        assert_block_symmetric(p, list(blocks.values())[:-1])
     n = t.spec.n
     if len(set(lam)) != len(lam):
         raise ValueError("torus weights must be pairwise distinct")
@@ -264,11 +267,6 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     num = p.num
     if num.is_zero():
         return RatFun.const(0)
-    # The roots: every block's letters, the ambient block's last.  At a
-    # point, the k-th letter of block (i, j) sits on coordinate
-    # point[(i, j)][k - 1], so the point's root values are one list.
-    blocks = {(i, j): t.letters(i, j) for i in range(1, t.levels + 2)
-              for j in range(1, t.K(i) + 1)}
     slots = [(block, k) for block, vs in blocks.items()
              for k in range(len(vs))]
     root_order = [v for vs in blocks.values() for v in vs]
@@ -489,13 +487,9 @@ def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
             for k in range(1, order + 1):
                 series[k] = list(map(sub, series[k],
                                      map(mul, x, series[k - 1])))
-    cs = [_combination(values, form, size) for form in forms]
-    products = [[1] * size]
-    for parent, i in steps:
-        products.append(list(map(mul, products[parent], cs[i])))
-    monos = [[1] * size]
-    for parent, i in recipe:
-        monos.append(list(map(mul, monos[parent], values[i])))
+    products = _table(steps, [_combination(values, form, size)
+                              for form in forms], size)
+    monos = _table(recipe, values, size)
     rows = [defaultdict(int) for _ in range(order + 1)]
     for (key, degree), items in groups.items():
         value = _combination(monos, items, size)
@@ -515,6 +509,15 @@ def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
         raise SingularSubstitutionError(
             "poles in the ray parameter do not cancel over the fixed points")
     return common, rows[order]
+
+
+def _table(recipe, columns: list[list[int]], size: int) -> list[list[int]]:
+    """The columns of a monomial table: column 0 is all ones, and column
+    i > 0 is column recipe[i-1][0] times columns[recipe[i-1][1]]."""
+    table = [[1] * size]
+    for parent, i in recipe:
+        table.append(list(map(mul, table[parent], columns[i])))
+    return table
 
 
 def _combination(columns: list[list[int]], coeffs, size: int) -> list[int]:
@@ -564,13 +567,7 @@ def schur_polynomial(mu: Sequence[int], roots: Sequence[VarId]) -> Poly:
 
     out = Poly.zero()
     for perm in permutations(range(size)):
-        sign = 1
-        seen = list(perm)
-        for i in range(size):
-            for j in range(i + 1, size):
-                if seen[i] > seen[j]:
-                    sign = -sign
-        term = Poly.const(sign)
+        term = Poly.const((-1) ** sum(a > b for a, b in combinations(perm, 2)))
         for i in range(size):
             term = term * H(mu[i] - (i + 1) + (perm[i] + 1))
         out = out + term
@@ -586,12 +583,8 @@ def schur_polynomial_bialternant(mu: Sequence[int],
     n = len(roots)
     det = Poly.zero()
     for perm in permutations(range(n)):
-        sign = 1
-        for i in range(n):
-            for j in range(i + 1, n):
-                if perm[i] > perm[j]:
-                    sign = -sign
-        term = Poly.const(sign)
+        term = Poly.const(
+            -1 if sum(a > b for a, b in combinations(perm, 2)) % 2 else 1)
         for i in range(n):
             term = term * Poly.var(roots[i]) ** (mu[perm[i]] + n - 1 - perm[i])
         det = det + term

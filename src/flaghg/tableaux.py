@@ -45,13 +45,6 @@ def _ascending_rows(total: int, parts: int) -> list[tuple[int, ...]]:
     return rows
 
 
-def _row_candidates(spec: FlagSpec) -> list[list[tuple[int, ...]]]:
-    return [
-        sorted(_ascending_rows(spec.degrees[i], spec.ranks[i]))
-        for i in range(spec.levels)
-    ]
-
-
 def _column_admissible(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
     return all(upper[j] >= lower[j] for j in range(len(upper)))
 
@@ -163,7 +156,8 @@ def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
     the admissible prefixes are extended one level at a time, each in
     order, so many levels cost no recursion."""
     prefixes: list[tuple[tuple[int, ...], ...]] = [()]
-    for candidates in _row_candidates(spec):
+    for degree, rank in zip(spec.degrees, spec.ranks):
+        candidates = sorted(_ascending_rows(degree, rank))
         prefixes = [chosen + (row,) for chosen in prefixes
                     for row in candidates
                     if not chosen or _column_admissible(chosen[-1], row)]

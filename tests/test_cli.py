@@ -455,6 +455,40 @@ def test_command_table(tmp_path, capsys, monkeypatch, command, splits,
         assert report["provenance"]["routes"] == routes
 
 
+# per command, a small spec: n, ranks and degrees
+JOB_SPECS = {
+    "tableaux": (4, [2], [2]),
+    "euler": (3, [1, 2], [1, 1]),
+    "integral": (3, [1, 2], [1, 1]),
+    "hg": (4, [2], [0]),
+    "hori-vafa": (3, [2], [0]),
+    "oracle-compare": (3, [1], [1]),
+}
+
+
+@pytest.mark.parametrize("command", JOB_SPECS)
+def test_report_job_is_the_job_fields(tmp_path, capsys, command):
+    """The report's job is every parsed job field but the cache
+    directory, each flag off its default, with the spec rendered."""
+    n, ranks, degrees = JOB_SPECS[command]
+    code = main([command, "--n", str(n),
+                 "--ranks", ",".join(map(str, ranks)),
+                 "--degrees", ",".join(map(str, degrees)),
+                 "--max-degree", "2", "--lambda-seed", "7",
+                 "--coset-budget", "500", "--explain", "--json",
+                 "--cache-dir", str(tmp_path)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["job"] == {
+        "command": command,
+        "spec": {"n": n, "ranks": ranks, "degrees": degrees},
+        "max_degree": 2,
+        "lambda_seed": 7,
+        "coset_budget": 500,
+        "explain": True,
+        "output_format": "json",
+    }
+
+
 @pytest.mark.parametrize("name", ["a" * 300, "file"],
                          ids=["name-too-long", "not-a-directory"])
 def test_cache_path_without_entry_is_a_plain_miss(tmp_path, capsys, name):

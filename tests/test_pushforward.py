@@ -431,6 +431,11 @@ def test_schur_routes_agree():
     for mu in [[1], [1, 1], [2], [2, 1], [3, 1], [2, 2, 1], [3, 3, 2]]:
         assert schur_polynomial(mu, roots3) == \
             schur_polynomial_bialternant(mu, roots3)
+    # length-4 permutations, where a wrong inversion count flips a sign
+    roots4 = [y(1, 1, k) for k in range(1, 5)]
+    for mu in [[1, 1, 1, 1], [2, 1, 1], [3, 2, 1, 1]]:
+        assert schur_polynomial(mu, roots4) == \
+            schur_polynomial_bialternant(mu, roots4)
 
 
 def test_schur_rejects_long_partition():
