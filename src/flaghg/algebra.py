@@ -588,11 +588,8 @@ class RatFun:
         return self.num.is_zero()
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = RatFun.const(other)
-        elif isinstance(other, Poly):
-            other = RatFun.from_poly(other)
-        if not isinstance(other, RatFun):
+        other = _coerce(other)
+        if other is NotImplemented:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 

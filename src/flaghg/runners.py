@@ -88,9 +88,10 @@ def _run_integral(job: JobSpec) -> dict:
     }
     if job.explain:
         out["per_tableau"] = data["per_tableau"]
+        # the report's per_tableau keys, in the order of result.per_tableau
         out["ledgers"] = {
-            repr([list(r) for r in t.rows]): normal_ledger(t).to_json()
-            for t, _ in result.per_tableau
+            key: normal_ledger(t).to_json()
+            for key, (t, _) in zip(data["per_tableau"], result.per_tableau)
         }
     return out
 

@@ -32,16 +32,22 @@ def hquot_dimension(spec: FlagSpec) -> int:
 def _ascending_rows(total: int, parts: int) -> list[tuple[int, ...]]:
     """Non-decreasing non-negative rows of fixed length with a fixed sum,
     unordered.  Only the at most `total` positive entries are chosen, from
-    an explicit stack, so a long row costs no recursion."""
+    an explicit stack, so a long row costs no recursion.
+
+    The positive entries are chosen largest first, so the slots still free
+    hold at most the next entry v: the rest `left` is reachable only when
+    v >= ceil(left / free slots).  Each entry starts at that bound, so every
+    pushed prefix completes to a row, and the work is the output."""
     rows = []
     stack = [((), total)]  # positive entries, largest first, and the rest
     while stack:
         chosen, left = stack.pop()
         if not left:
             rows.append((0,) * (parts - len(chosen)) + chosen[::-1])
-        elif len(chosen) < parts:
+        else:
+            lo = -(-left // (parts - len(chosen)))  # ceil(left / free slots)
             cap = min(chosen[-1], left) if chosen else left
-            stack.extend((chosen + (v,), left - v) for v in range(1, cap + 1))
+            stack.extend((chosen + (v,), left - v) for v in range(lo, cap + 1))
     return rows
 
 

@@ -76,6 +76,15 @@ def test_multiply_then_divide_roundtrip(num):
     assert (f * g) * RatFun(Poly.const(1), {g: 1}) == f
 
 
+def test_ratfun_equals_the_scalars_and_polys_it_coerces():
+    two = RatFun.const(2)
+    for other in (2, Fraction(2), RatFun.from_poly(Poly.const(2))):
+        assert two == other and other == two
+        assert not (two != other or other != two)
+    assert RatFun.from_poly(Y) == Y and Y == RatFun.from_poly(Y)
+    assert RatFun.const(1) != "1" and "1" != RatFun.const(1)
+
+
 def test_substitute_examples():
     f = RatFun(Poly.const(1), {Y - A: 1})
     assert f.substitute({y(1, 1, 1): 0}) == RatFun(Poly.const(-1), {A: 1})

@@ -601,11 +601,14 @@ def test_help_exits_zero_without_a_usage_error(flag):
 
 
 # more coordinates than lam_vector's 137 small weights, a row longer than
-# the interpreter's recursion limit, and the help text
+# the interpreter's recursion limit, a one-row degree that no search over
+# every part size would finish, and the help text
 @pytest.mark.parametrize("argv", [
     ["integral", "--n", "138", "--ranks", "1"],
     ["tableaux", "--n", "2000", "--ranks", "1500", "--degrees", "0"],
     ["tableaux", "--n", "2000", "--ranks", "1500", "--degrees", "1"],
+    ["tableaux", "--n", "3", "--ranks", "1",
+     "--degrees", "100000000000000000000000"],
     ["--help"],
 ], ids=lambda argv: " ".join(argv))
 def test_command_line_never_ends_in_a_traceback(tmp_path, argv):

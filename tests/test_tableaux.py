@@ -158,10 +158,26 @@ def test_partition_count_bijection():
         rec(d, d, parts)
         return count
 
-    for r in range(1, 5):
-        for d in range(7):
+    # ranks both above and below the degree: rows with leading zeros, and
+    # rows whose positive parts the rank bounds
+    for r in range(1, 7):
+        for d in range(13):
             spec = FlagSpec(r + 3, (r,), (d,))
             assert len(enumerate_tableaux(spec)) == partitions_at_most(d, r)
+
+
+# one, 1501 and 7651 rows: each part starts at the least value with which
+# the free slots can still reach the degree, so no prefix is a dead end and
+# the work is the output; pushing every part size takes seconds on these
+@pytest.mark.parametrize("spec, count, first, last", [
+    (FlagSpec(3, (1,), (10**6,)), 1, (10**6,), (10**6,)),
+    (FlagSpec(5, (2,), (3000,)), 1501, (0, 3000), (1500, 1500)),
+    (FlagSpec(6, (3,), (300,)), 7651, (0, 0, 300), (100, 100, 100)),
+])
+def test_large_degree_rows_cost_what_they_output(spec, count, first, last):
+    found = enumerate_tableaux(spec)
+    assert len(found) == count
+    assert (found[0].rows, found[-1].rows) == ((first,), (last,))
 
 
 # Gr(1500, 2000): each block of the row adds m * (n - r), with m its size
