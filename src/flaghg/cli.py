@@ -206,7 +206,7 @@ def run_and_report(job: JobSpec) -> dict:
                                                "results": results,
                                                "work": work}))
                 os.replace(tmp, cache_file)
-            except OSError:
+            except BaseException:  # out of memory too: leave no temp file
                 Path(tmp).unlink(missing_ok=True)
                 raise
         except OSError:
@@ -279,12 +279,16 @@ def main(argv=None) -> int:
     # since 3.10.7; the command line was parsed under that limit
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
+    # a job that runs out of memory, whether computing, caching or
+    # formatting, ends as a computation error, not a traceback
     try:
         report = run_and_report(job)
-    except FlagHGError as exc:
-        print(f"computation error [{job.command}]: {exc}", file=sys.stderr)
+        text = format_report(report, job.output_format)
+    except (FlagHGError, MemoryError) as exc:
+        reason = "out of memory" if isinstance(exc, MemoryError) else exc
+        print(f"computation error [{job.command}]: {reason}", file=sys.stderr)
         return 2
-    sys.stdout.write(format_report(report, job.output_format))
+    sys.stdout.write(text)
     verdict = COMMANDS[job.command].verdict
     return 3 if verdict and not report["results"][verdict] else 0
 

@@ -29,26 +29,34 @@ def hquot_dimension(spec: FlagSpec) -> int:
     return dim
 
 
-def _ascending_rows(total: int, parts: int) -> list[tuple[int, ...]]:
-    """Non-decreasing non-negative rows of fixed length with a fixed sum,
-    unordered.  Only the at most `total` positive entries are chosen, from
-    an explicit stack, so a long row costs no recursion.
+def _rows(total: int, parts: int, caps: tuple[int, ...] = ()):
+    """Non-decreasing non-negative rows of `parts` entries summing to
+    `total`, entry j at most caps[j], in lexicographic order.  The caps
+    are the row above, non-decreasing and shorter than the row.
 
-    The positive entries are chosen largest first, so the slots still free
-    hold at most the next entry v: the rest `left` is reachable only when
-    v >= ceil(left / free slots).  Each entry starts at that bound, so every
-    pushed prefix completes to a row, and the work is the output."""
-    rows = []
-    stack = [((), total)]  # positive entries, largest first, and the rest
+    The last slot takes the rest, so it has no cap and is positive unless
+    total is 0.  The zeros before it are counted first, not pushed, most
+    first: from parts - 1 down to the larger of parts - total (at most
+    `total` entries are positive) and the zeros of the caps (the first
+    positive slot needs a positive cap).  The positive entries are then
+    chosen left to right from an explicit stack: each lies between the
+    previous one (or 1) and min(rest // free slots, its cap).  The
+    previous entry is itself in range, being at most the rest over one
+    more slot and at most a cap no larger than this one; so every pushed
+    prefix completes to a row (repeat it, and the last slot takes the
+    rest), and the work is the output."""
+    least = max(parts - max(total, 1), bisect_right(caps, 0))
+    stack = [(zeros, (), total) for zeros in range(least, parts)]
     while stack:
-        chosen, left = stack.pop()
-        if not left:
-            rows.append((0,) * (parts - len(chosen)) + chosen[::-1])
-        else:
-            lo = -(-left // (parts - len(chosen)))  # ceil(left / free slots)
-            cap = min(chosen[-1], left) if chosen else left
-            stack.extend((chosen + (v,), left - v) for v in range(lo, cap + 1))
-    return rows
+        zeros, chosen, left = stack.pop()
+        j = zeros + len(chosen)
+        if j == parts - 1:
+            yield (0,) * zeros + chosen + (left,)
+            continue
+        hi = min(left // (parts - j), caps[j] if j < len(caps) else left)
+        lo = chosen[-1] if chosen else 1
+        stack.extend((zeros, chosen + (v,), left - v)
+                     for v in range(hi, lo - 1, -1))
 
 
 def _column_admissible(upper: tuple[int, ...], lower: tuple[int, ...]) -> bool:
@@ -159,14 +167,15 @@ class Tableau:
 
 def enumerate_tableaux(spec: FlagSpec) -> list[Tableau]:
     """All distinguished tableaux, in lexicographic order of flattened rows:
-    the admissible prefixes are extended one level at a time, each in
-    order, so many levels cost no recursion."""
+    each prefix, in order, is extended by the rows of the next level under
+    its last row, in order, so nothing is sorted or filtered.  Every
+    prefix extends, since zeros and then the degree fit under the shorter
+    row above, and many levels cost no recursion."""
     prefixes: list[tuple[tuple[int, ...], ...]] = [()]
     for degree, rank in zip(spec.degrees, spec.ranks):
-        candidates = sorted(_ascending_rows(degree, rank))
         prefixes = [chosen + (row,) for chosen in prefixes
-                    for row in candidates
-                    if not chosen or _column_admissible(chosen[-1], row)]
+                    for row in _rows(degree, rank,
+                                     chosen[-1] if chosen else ())]
     return [Tableau(spec, rows) for rows in prefixes]
 
 

@@ -280,6 +280,25 @@ def test_main_euler_route_mismatch(tmp_path, capsys, monkeypatch):
         run_and_report(_job("euler", FlagSpec(2, (1,), (1,)), tmp_path / "b"))
 
 
+# memory runs out in the job, or while its cache entry is written, which
+# then leaves no temporary file behind
+@pytest.mark.parametrize("stage", ["job", "cache"])
+def test_main_out_of_memory_is_a_computation_error(tmp_path, capsys,
+                                                  monkeypatch, stage):
+    def exhausted(*args):
+        raise MemoryError
+
+    if stage == "job":
+        monkeypatch.setitem(runners.RUNNERS, "tableaux", exhausted)
+    else:
+        monkeypatch.setattr(os, "replace", exhausted)
+    assert main(["tableaux", "--n", "3", "--ranks", "1", "--degrees", "1",
+                 "--cache-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr() == (
+        "", "computation error [tableaux]: out of memory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_euler_multiplies_out_one_class_per_tableau(tmp_path, monkeypatch):
     # the two routes are compared factored; only the reported class is
     # expanded
@@ -602,13 +621,15 @@ def test_help_exits_zero_without_a_usage_error(flag):
 
 # more coordinates than lam_vector's 137 small weights, a row longer than
 # the interpreter's recursion limit, a one-row degree that no search over
-# every part size would finish, and the help text
+# every part size would finish, a level whose rows the row above bounds,
+# and the help text
 @pytest.mark.parametrize("argv", [
     ["integral", "--n", "138", "--ranks", "1"],
     ["tableaux", "--n", "2000", "--ranks", "1500", "--degrees", "0"],
     ["tableaux", "--n", "2000", "--ranks", "1500", "--degrees", "1"],
     ["tableaux", "--n", "3", "--ranks", "1",
      "--degrees", "100000000000000000000000"],
+    ["tableaux", "--n", "3", "--ranks", "1,2", "--degrees", "1,1000000"],
     ["--help"],
 ], ids=lambda argv: " ".join(argv))
 def test_command_line_never_ends_in_a_traceback(tmp_path, argv):

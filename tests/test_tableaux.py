@@ -1,4 +1,5 @@
 import itertools
+import operator
 import pickle
 
 import pytest
@@ -133,6 +134,24 @@ def test_enumeration_order_is_lexicographic():
         assert flat == sorted(flat)
 
 
+# every cap row: non-decreasing, shorter than the row, and with entries up
+# to one past the total, where a cap no longer binds
+def test_rows_are_the_filtered_brute_force():
+    for parts in range(1, 7):
+        for total in range(11):
+            every = sorted(
+                row for row in itertools.combinations_with_replacement(
+                    range(total + 1), parts)
+                if sum(row) == total)
+            for length in range(parts):
+                for caps in itertools.combinations_with_replacement(
+                        range(total + 2), length):
+                    expected = [row for row in every
+                                if all(map(operator.le, row, caps))]
+                    assert list(tableaux._rows(total, parts, caps)) == \
+                        expected, (total, parts, caps)
+
+
 def test_census_is_never_empty():
     # the trailing free columns always leave room for the degree
     for spec in all_specs(5, 4):
@@ -166,18 +185,25 @@ def test_partition_count_bijection():
             assert len(enumerate_tableaux(spec)) == partitions_at_most(d, r)
 
 
-# one, 1501 and 7651 rows: each part starts at the least value with which
-# the free slots can still reach the degree, so no prefix is a dead end and
-# the work is the output; pushing every part size takes seconds on these
+# one, 1501, 7651, two and two tableaux: each entry lies between the least
+# value with which the free slots can still reach the degree and its cap in
+# the row above, so no prefix is a dead end and the work is the output;
+# pushing every part size, or building every row of a level before the
+# column check, takes seconds on these
 @pytest.mark.parametrize("spec, count, first, last", [
-    (FlagSpec(3, (1,), (10**6,)), 1, (10**6,), (10**6,)),
-    (FlagSpec(5, (2,), (3000,)), 1501, (0, 3000), (1500, 1500)),
-    (FlagSpec(6, (3,), (300,)), 7651, (0, 0, 300), (100, 100, 100)),
+    (FlagSpec(3, (1,), (10**6,)), 1, ((10**6,),), ((10**6,),)),
+    (FlagSpec(5, (2,), (3000,)), 1501, ((0, 3000),), ((1500, 1500),)),
+    (FlagSpec(6, (3,), (300,)), 7651, ((0, 0, 300),), ((100, 100, 100),)),
+    (FlagSpec(3, (1, 2), (1, 10**6)), 2,
+     ((1,), (0, 10**6)), ((1,), (1, 10**6 - 1))),
+    (FlagSpec(100001, (99999, 100000), (1, 5)), 2,
+     ((0,) * 99998 + (1,), (0,) * 99998 + (0, 5)),
+     ((0,) * 99998 + (1,), (0,) * 99998 + (1, 4))),
 ])
 def test_large_degree_rows_cost_what_they_output(spec, count, first, last):
     found = enumerate_tableaux(spec)
     assert len(found) == count
-    assert (found[0].rows, found[-1].rows) == ((first,), (last,))
+    assert (found[0].rows, found[-1].rows) == (first, last)
 
 
 # Gr(1500, 2000): each block of the row adds m * (n - r), with m its size
