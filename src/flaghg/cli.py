@@ -288,6 +288,10 @@ def main(argv=None) -> int:
         reason = "out of memory" if isinstance(exc, MemoryError) else exc
         print(f"computation error [{job.command}]: {reason}", file=sys.stderr)
         return 2
+    # a JSON report carries its warning in provenance; a text report
+    # has no field for it, so the warning goes to stderr
+    if job.output_format == "text" and "warning" in report["provenance"]:
+        print(f"warning: {report['provenance']['warning']}", file=sys.stderr)
     sys.stdout.write(text)
     verdict = COMMANDS[job.command].verdict
     return 3 if verdict and not report["results"][verdict] else 0

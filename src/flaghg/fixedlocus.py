@@ -9,8 +9,9 @@ equivariant Euler class is the product of (y_target - y_source + w*alpha)
 over ledger terms and root slots, with sign exponents; slot pairs with
 equal roots and weight are counted together, so each distinct factor is
 built once, with its net multiplicity.  At a torus
-fixed point the tangent Euler class needs no ledger: each block gives one
-weight per coordinate it holds and coordinate it could have chosen.
+fixed point the tangent Euler class needs no ledger: torus_fixed_points
+lists with each point one weight per coordinate a block holds and
+coordinate it could have chosen instead.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from .tableaux import Tableau
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
 # block -> its sorted coordinates; the ambient block holds all of 1..n
 FixedPoint = dict[BlockRef, tuple[int, ...]]
+# (b, a) coordinate pairs, one per tangent weight w_b - w_a at a point
+Tangent = tuple[tuple[int, int], ...]
 
 
 class Ledger:
@@ -281,44 +284,34 @@ def _free(t: Tableau, point: FixedPoint, i: int, j: int) -> list[int]:
     return [c for c in pool if c not in taken]
 
 
-def torus_fixed_points(t: Tableau) -> list[FixedPoint]:
-    """All nested coordinate assignments {block: coordinates}.
+def torus_fixed_points(t: Tableau) -> list[tuple[FixedPoint, Tangent]]:
+    """All nested coordinate assignments {block: coordinates}, each with
+    its tangent weights.
 
     Every point starts as the ambient block (I+1, 1) on 1..n and is
     extended one block at a time, top level first: block (i, j) takes its
-    m(i, j) coordinates, in combinations order, from _free(t, point, i, j).
-    So every tuple is sorted, and the points come in lexicographic order
-    of their choices.
+    m(i, j) coordinates, in combinations order, from the pool
+    free = _free(t, point, i, j).  So every tuple is sorted, and the points
+    come in lexicographic order of their choices.
+
+    The component is a tower of flag bundles, so each choice also gives
+    the point's tangent weights: block (i, j) adds the pair (b, a), for
+    the weight w_b - w_a, for each coordinate a in its combo and each b in
+    free but not in the combo.  Each point has component_dimension(t)
+    pairs, and its tangent Euler class is the product of their weights.
     """
-    points = [{(t.levels + 1, 1): tuple(range(1, t.spec.n + 1))}]
+    points = [({(t.levels + 1, 1): tuple(range(1, t.spec.n + 1))}, ())]
     for i in range(t.levels, 0, -1):
         for j in range(1, t.K(i) + 1):
-            points = [{**point, (i, j): combo} for point in points
-                      for combo in combinations(_free(t, point, i, j),
-                                                t.m(i, j))]
+            grown = []
+            for point, tangent in points:
+                free = _free(t, point, i, j)
+                for combo in combinations(free, t.m(i, j)):
+                    grown.append(({**point, (i, j): combo}, tangent + tuple(
+                        (b, a) for a in combo for b in free
+                        if b not in combo)))
+            points = grown
     return points
-
-
-def tangent_euler(t: Tableau, point: FixedPoint,
-                  weights: Sequence[int]) -> int:
-    """The tangent Euler class at a fixed point, at integer torus weights.
-
-    The component is a tower of flag bundles, so block (i, j) contributes
-    one tangent weight w_b - w_a for each coordinate a it holds and each
-    coordinate b it could have chosen instead, from _free(t, point, i, j).
-    The ambient block chooses nothing.  At weights lam = weights / scale
-    the class is this integer over scale ** component_dimension(t).
-    """
-    out = 1
-    for (i, j), block in point.items():
-        if i > t.levels:
-            continue
-        for b in _free(t, point, i, j):
-            if b not in block:
-                wb = weights[b - 1]
-                for a in block:
-                    out *= wb - weights[a - 1]
-    return out
 
 
 def scaled_weights(lam: Sequence[Fraction]) -> tuple[list[int], int]:

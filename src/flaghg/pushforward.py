@@ -21,10 +21,10 @@ at a fixed point on the ray lam*s each piece is a number times a power
 of s, so the point contributes a short series.  It works on columns over
 the fixed points, one integer per point: each quantity is one column,
 each step maps over whole columns, and each coefficient of the sum is a
-dot product over the points.  The tangent Euler class at a point comes
-from each block's free coordinates: one weight per coordinate the block
-holds and coordinate it could have chosen instead, as the component is a
-tower of flag bundles.
+dot product over the points.  The tangent Euler class at a point is
+the product of the tangent weights that torus_fixed_points lists with
+it: one per coordinate a block holds and coordinate it could have
+chosen instead, as the component is a tower of flag bundles.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from collections import defaultdict
 from fractions import Fraction
 from itertools import (combinations, combinations_with_replacement,
                        permutations, repeat)
-from math import factorial, lcm
+from math import factorial, lcm, prod
 from operator import add, mul, sub
 from typing import Iterator, Mapping, Sequence
 
@@ -41,7 +41,7 @@ from .algebra import ALPHA, Poly, RatFun, VarId, y
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
 from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
-                         tangent_euler, torus_fixed_points)
+                         torus_fixed_points)
 from .tableaux import Tableau, component_dimension
 
 
@@ -241,9 +241,9 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     power m for each pair of a root of src and a root of tgt.  The root
     values, the series of the factors, the exp products and the numerator
     values are columns over the fixed points; only the tangent Euler
-    class is taken point by point, as the product of the weights between
-    each block's coordinates and the other coordinates it could have
-    chosen (tangent_euler).
+    class is taken point by point, as the product of the tangent weights
+    that torus_fixed_points lists with the point, one per coordinate a
+    block holds and coordinate it could have chosen instead.
 
     The negative powers of s must cancel over the points.  A vanishing
     alpha-free denominator factor or a surviving pole means non-generic
@@ -409,7 +409,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, row = _ray_series_sums(
-                t, points, lam, slots, poles, shifts, order, recipe,
+                points, lam, slots, poles, shifts, order, recipe,
                 groups, forms, steps, cells)
             break
         except SingularSubstitutionError:
@@ -437,9 +437,8 @@ def _scaled(c, den: int) -> int:
     return c.numerator * (den // c.denominator)
 
 
-def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
-                     order: int, recipe, groups, forms, steps,
-                     cells) -> tuple[int, dict]:
+def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
+                     recipe, groups, forms, steps, cells) -> tuple[int, dict]:
     """(common, the s^0 row {key: integer}), once the rows of negative
     powers of s are checked to vanish.
 
@@ -447,25 +446,27 @@ def _ray_series_sums(t: Tableau, points, lam, slots, poles, shifts,
     1/scale, so the rows are computed at the integer weights: the s^0 row
     is the same, and the others are scaled, which keeps their zero test
     exact.  A point's share is 1 / top: top is the tangent Euler class,
-    an integer product over each block's free coordinates, times the
-    alpha-free denominator factors, as integers over a fixed g.  A factor
-    with w != 0 multiplies or divides the series in u by 1 + x*u with
-    x = X / b for a fixed b, so the u^k coefficient is an integer over
-    b^k, which a cell's integer brings to b^order.  The shares are summed
-    over the least common multiple `common` of their denominators.
+    the integer product of the weights w_b - w_a over the point's tangent
+    pairs (b, a), times the alpha-free denominator factors, as integers
+    over a fixed g.  A factor with w != 0 multiplies or divides the
+    series in u by 1 + x*u with x = X / b for a fixed b, so the u^k
+    coefficient is an integer over b^k, which a cell's integer brings to
+    b^order.  The shares are summed over the least common multiple
+    `common` of their denominators.
 
     Every per-point quantity is a column, one integer per fixed point: the
     root values, the pole deltas, each power of u of the series, the exp
     products, the root monomials and the group values.  Each step maps
     over whole columns, and each cell adds one dot product over the points
     to its row.  Only the tangent Euler class is taken point by point,
-    since each block's free coordinates depend on the point.
+    since each point has its own tangent pairs.
     """
     weights, _ = scaled_weights(lam)
     size = len(points)
-    values = [[weights[point[block][k] - 1] for point in points]
+    values = [[weights[point[block][k] - 1] for point, _ in points]
               for block, k in slots]
-    tops = [tangent_euler(t, point, weights) for point in points]
+    tops = [prod(weights[b - 1] - weights[a - 1] for b, a in tangent)
+            for _, tangent in points]
     for coeffs, e in poles:
         delta = _combination(values, coeffs, size)
         if not all(delta):

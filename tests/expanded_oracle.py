@@ -8,8 +8,8 @@ pairings are checked against it on the expanded forms
 packed Poly.  `fixed_point_values` and `point_values` are the per-point
 dictionaries of root values it works from.  Its tangent Euler class,
 `tangent_euler_scaled`, multiplies out the component's tangent ledger and
-cancels the diagonal zeros, independently of the engine's direct product
-over each block's free coordinates.  `per_pair_euler_product` builds an
+cancels the diagonal zeros, independently of the tangent pairs that the
+engine's enumeration lists with each point.  `per_pair_euler_product` builds an
 Euler class one factor per ledger term and pair of roots, as the engine
 did before it grouped equal factors.
 """
@@ -114,7 +114,7 @@ def expanded_ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     the shares accumulate over the least common multiple of those
     denominators, so one Fraction is built per coefficient of the result.
     """
-    points = torus_fixed_points(t)
+    points = [point for point, _ in torus_fixed_points(t)]
     roots = set(fixed_point_values(t, points[0], lam))
     factors = []
     for f, e in p.den.items():

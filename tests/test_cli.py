@@ -523,6 +523,28 @@ def test_cache_path_without_entry_is_a_plain_miss(tmp_path, capsys, name):
         "cache directory is not writable"
 
 
+@pytest.mark.parametrize("fault, warning", [
+    ("corrupt", "cache entry was corrupt and has been bypassed"),
+    ("file", "cache directory is not writable")], ids=["corrupt", "file"])
+def test_text_report_warns_on_stderr(tmp_path, capsys, fault, warning):
+    argv = ["tableaux", "--n", "3", "--ranks", "1", "--degrees", "1"]
+    assert main(argv + ["--cache-dir", str(tmp_path / "clean")]) == 0
+    clean = capsys.readouterr()
+    assert clean.err == ""
+    cache = tmp_path / fault
+    if fault == "corrupt":
+        cache.mkdir()
+        key = cache_key(parse_job(argv + ["--cache-dir", str(cache)]))
+        (cache / f"{key}.json").write_text("{not json")
+    else:
+        cache.write_text("")
+    assert main(argv + ["--cache-dir", str(cache)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"warning: {warning}\n"
+    assert captured.out == clean.out
+    assert "cache=miss" in captured.out
+
+
 def test_main_hori_vafa_rejects_max_degree_zero(tmp_path, capsys):
     code = main(["hori-vafa", "--n", "3", "--ranks", "2", "--max-degree",
                  "0", "--cache-dir", str(tmp_path)])

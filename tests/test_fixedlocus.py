@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, product
+from math import prod
 
 import pytest
 
@@ -12,8 +13,8 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                euler_product_from_ledger,
                                grassmannian_euler_product,
                                hquot_restriction_ledger, normal_ledger,
-                               scaled_weights, tangent_euler,
-                               tangent_ledger, torus_fixed_points)
+                               scaled_weights, tangent_ledger,
+                               torus_fixed_points)
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux, fixed_point_count,
                              hquot_dimension)
@@ -198,14 +199,15 @@ def test_block_symmetry_of_euler_classes():
 def test_torus_fixed_points_examples():
     t = gr(2, 1, 1, [1])
     pts = torus_fixed_points(t)
-    assert [p[(1, 1)] for p in pts] == [(1,), (2,)]
+    assert [p[(1, 1)] for p, _ in pts] == [(1,), (2,)]
+    assert [tangent for _, tangent in pts] == [((2, 1),), ((1, 2),)]
     assert len(torus_fixed_points(gr(4, 2, 2, [0, 2]))) == 12
     assert len(torus_fixed_points(gr(4, 2, 2, [1, 1]))) == 6
 
 
 def test_torus_fixed_points_nested_for_flags():
     t = Tableau(FlagSpec(3, (1, 2), (1, 1)), ((1,), (0, 1)))
-    for p in torus_fixed_points(t):
+    for p, _ in torus_fixed_points(t):
         assert set(p[(1, 1)]) <= set(p[(2, 1)]) | set(p[(2, 2)])
     # a line inside the rank-2 step over each coordinate flag of C^3
     assert len(torus_fixed_points(t)) == 12
@@ -245,13 +247,13 @@ def test_torus_fixed_points_match_brute_force():
                     expected.append(choice)
             expected.sort()
             top = {(t.levels + 1, 1): tuple(range(1, spec.n + 1))}
-            assert torus_fixed_points(t) == [
+            assert [p for p, _ in torus_fixed_points(t)] == [
                 {**top, **dict(zip(refs, choice))} for choice in expected]
 
 
 def test_specialize_examples():
     t = gr(4, 2, 2, [1, 1])
-    pts = [p for p in torus_fixed_points(t) if p[(1, 1)] == (1, 3)]
+    pts = [p for p, _ in torus_fixed_points(t) if p[(1, 1)] == (1, 3)]
     lam = [Fraction(2), Fraction(5), Fraction(7), Fraction(11)]
     f = RatFun.from_poly(Poly.var(y(1, 1, 1)) + Poly.var(y(1, 1, 2)))
     values = fixed_point_values(t, pts[0], lam)
@@ -261,7 +263,7 @@ def test_specialize_examples():
 
 def test_specialize_equivariant_euler_example():
     t = gr(2, 1, 1, [1])
-    point = torus_fixed_points(t)[0]
+    point = torus_fixed_points(t)[0][0]
     lam = [Fraction(0), Fraction(1)]
     e = euler_class_from_ledger(normal_ledger(t),
                                 canonical_roots(t))
@@ -278,7 +280,7 @@ def test_assert_block_symmetric_rejects_asymmetric_input():
 
 def test_specialize_rejects_repeated_weights():
     t = gr(4, 2, 2, [1, 1])
-    point = torus_fixed_points(t)[0]
+    point = torus_fixed_points(t)[0][0]
     lam = [Fraction(1), Fraction(1), Fraction(2), Fraction(3)]
     with pytest.raises(ValueError, match="distinct"):
         fixed_point_values(t, point, lam)
@@ -288,7 +290,7 @@ def test_tangent_euler_at_point_projective_space():
     t = gr(3, 1, 0, [0])
     lam = [Fraction(0), Fraction(1), Fraction(2)]
     values = {}
-    for p in torus_fixed_points(t):
+    for p, _ in torus_fixed_points(t):
         c = p[(1, 1)][0]
         values[c] = tangent_euler_at_point(tangent_ledger(t), p, lam)
     assert values == {
@@ -309,7 +311,7 @@ def test_tangent_euler_at_point_mixed_denominators():
     spec = FlagSpec(4, (1, 2), (1, 1))
     for t in enumerate_tableaux(spec):
         ledger = tangent_ledger(t)
-        for point in torus_fixed_points(t):
+        for point, _ in torus_fixed_points(t):
             expected = Fraction(1)
             for src, tgt, _, m in ledger.terms():
                 for cs in point[src]:
@@ -323,14 +325,16 @@ def test_tangent_euler_at_point_mixed_denominators():
 
 
 def test_tangent_euler_matches_ledger_route():
-    # the product over each block's free coordinates against the reference
+    # the product over each point's tangent pairs against the reference
     # that multiplies out the tangent ledger and cancels its zeros
     weights, _ = scaled_weights(MIXED_LAM + [Fraction(-5, 6)])
     for spec in all_specs(5, 3):
         for t in enumerate_tableaux(spec):
             ledger = tangent_ledger(t)
-            for point in torus_fixed_points(t):
+            for point, tangent in torus_fixed_points(t):
+                assert len(tangent) == component_dimension(t), t.rows
                 num, den = tangent_euler_scaled(ledger, point,
                                                 weights[:spec.n])
-                assert tangent_euler(t, point, weights[:spec.n]) * den \
-                    == num, (t.rows, point)
+                assert prod(weights[b - 1] - weights[a - 1]
+                            for b, a in tangent) * den == num, \
+                    (t.rows, point)

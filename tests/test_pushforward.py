@@ -399,6 +399,26 @@ def test_ab_integrate_alpha_free_factor_poles_cancel():
     assert via_oracle == RatFun.const(1)
 
 
+def test_ab_integrate_singular_weights_retry_succeeds(monkeypatch):
+    # at lam = [0, 5] the alpha-free factor root - e1 - e2 vanishes at the
+    # point on coordinate 2, so the oracle draws fresh weights once, from
+    # seed 1001, and returns what generic weights give
+    p1 = Tableau(FlagSpec(2, (1,), (0,)), ((0,),))
+    root, e1, e2 = P(y(1, 1, 1)), P(ambient(1)), P(ambient(2))
+    f = RatFun(P(kahler(1)) * (root - e1 - e2) + e1 * e2,
+               {root - e1 - e2: 1})
+    seeds = []
+
+    def recording(n, seed=0):
+        seeds.append(seed)
+        return lam_vector(n, seed)
+
+    monkeypatch.setattr(pushforward, "lam_vector", recording)
+    assert ab_integrate(p1, f, [Fraction(0), Fraction(5)]) \
+        == RatFun.const(1)
+    assert seeds == [1001]
+
+
 def test_ab_integrate_positive_degree_mirror_integrand_seeds():
     t = Tableau(FlagSpec(3, (1,), (1,)), ((1,),))
     integrand = mirror_integrand(t)
