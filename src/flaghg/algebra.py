@@ -55,13 +55,15 @@ multiplied once per union factor it lacks, by that factor's power, and
 the powers of each union factor are built once per sum.  A union factor
 often does not divide the sum, so before it is divided out the sum is
 evaluated modulo the 15-bit prime 32749 at a point of the factor's
-hyperplane, term by term before its numerators are expanded; a non-zero
-value proves that the factor does not divide, and the division is
-skipped.  Residues are below 2^15, so every product of two fits in one
-digit.  A zero value that is not a true factor (probability at most
-deg/32749) costs one exact trial division, never a wrong result.  The
-points differ only in the factor's least variable, so one pass over a
-numerator's terms, kept with it, gives its value at all of them.
+hyperplane.  The sum is expanded first, but the screen evaluates its
+unexpanded terms, from the residue tables memoized with each term's
+numerator and each union factor, not the expanded sum; a non-zero value
+proves that the factor does not divide, and the division is skipped.
+Residues are below 2^15, so every product of two fits in one digit.  A
+zero value that is not a true factor (probability at most deg/32749)
+costs one exact trial division, never a wrong result.  The points differ
+only in the factor's least variable, so one pass over a numerator's
+terms, kept with it, gives its value at all of them.
 
 All values are immutable after construction and safe to share.
 """
@@ -892,14 +894,14 @@ def _sum_may_divide(terms: list[RatFun], union: Mapping[Poly, int],
     sum over the union denominator.
 
     total is evaluated mod _P at a point where f = 0 mod _P (_root), term
-    by term before it is expanded.  If f divides total over Q, Gauss's
-    lemma over the integers localized at _P (f has P-integral coefficients
-    and a unit among them) makes the quotient P-integral too, so the value
-    is 0.  A non-zero value is therefore a certificate.  A factor with no
-    such point, or a coefficient denominator divisible by _P, leaves the
-    question open.  A term with e_if < union[f] holds f, which vanishes at
-    the point, so only the terms that carry f's full union power are
-    evaluated."""
+    by term from the unexpanded terms, not from the expanded total.  If f
+    divides total over Q, Gauss's lemma over the integers localized at _P
+    (f has P-integral coefficients and a unit among them) makes the
+    quotient P-integral too, so the value is 0.  A non-zero value is
+    therefore a certificate.  A factor with no such point, or a
+    coefficient denominator divisible by _P, leaves the question open.  A
+    term with e_if < union[f] holds f, which vanishes at the point, so
+    only the terms that carry f's full union power are evaluated."""
     root = _root(f)
     if root is None:
         return True

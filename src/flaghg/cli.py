@@ -194,8 +194,8 @@ def run_and_report(job: JobSpec) -> dict:
 
         from .runners import RUNNERS, work_counters
 
-        results = RUNNERS[job.command](job)
-        work = work_counters(job)
+        results, tableaux = RUNNERS[job.command](job)
+        work = work_counters(tableaux)
         try:
             cache_dir.mkdir(parents=True, exist_ok=True)
             # a concurrent reader sees the old entry or the whole new one

@@ -21,10 +21,13 @@ at a fixed point on the ray lam*s each piece is a number times a power
 of s, so the point contributes a short series.  It works on columns over
 the fixed points, one integer per point: each quantity is one column,
 each step maps over whole columns, and each coefficient of the sum is a
-dot product over the points.  The tangent Euler class at a point is
-the product of the tangent weights that torus_fixed_points lists with
-it: one per coordinate a block holds and coordinate it could have
-chosen instead, as the component is a tower of flag bundles.
+dot product over the points.  The numerator's root monomials and the
+exponential's products of the H_i are one table of monomials in the
+roots and the H_i, each one product from an earlier one.  The tangent
+Euler class at a point is the product of the tangent weights that
+torus_fixed_points lists with it: one per coordinate a block holds and
+coordinate it could have chosen instead, as the component is a tower of
+flag bundles.
 """
 
 from __future__ import annotations
@@ -239,11 +242,12 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     alpha stays symbolic; for w = 0 it raises the pole order.  A ledger
     term (src, tgt, w, m) gives the factor y_tgt - y_src + w*alpha to the
     power m for each pair of a root of src and a root of tgt.  The root
-    values, the series of the factors, the exp products and the numerator
-    values are columns over the fixed points; only the tangent Euler
-    class is taken point by point, as the product of the tangent weights
-    that torus_fixed_points lists with the point, one per coordinate a
-    block holds and coordinate it could have chosen instead.
+    values, the series of the factors, one table of the monomials in the
+    roots and the H_i, and the numerator values are columns over the
+    fixed points; only the tangent Euler class is taken point by point, as
+    the product of the tangent weights that torus_fixed_points lists with
+    the point, one per coordinate a block holds and coordinate it could
+    have chosen instead.
 
     The negative powers of s must cancel over the points.  A vanishing
     alpha-free denominator factor or a surviving pole means non-generic
@@ -313,11 +317,8 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
               for ratios, e in shifts]
     constant /= b ** order
 
-    # exp: the t_i, their H_i as integer maps over h, and the exponent
-    # vectors m of the t-monomials it reaches, by total degree, each with
-    # the integer D!/prod(m_i!) h^(D-|m|), D the order if there is an exp.
-    # Each m but the first is an earlier one, its step's parent, times t_i,
-    # i its last non-zero part.
+    # exp: the t_i and their H_i as integer maps over h, truncated at total
+    # degree D = exp_degree, the order if there is an exp
     hyperplanes = exp or {}
     exp_degree = order if hyperplanes else 0
     tvars = sorted(hyperplanes)
@@ -332,25 +333,11 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     h = lcm(*(a.denominator for form in forms for a in form.values()))
     forms = [[(at[v], _scaled(a, h)) for v, a in form.items()]
              for form in forms]
-    comps, lasts = [(0,) * len(forms)], [0]
-    coefs = [factorial(exp_degree) * h ** exp_degree]
-    steps = []
-    start = 0
-    for _ in range(exp_degree):
-        end = len(comps)
-        for parent in range(start, end):
-            m = comps[parent]
-            for i in range(lasts[parent], len(m)):
-                comps.append(m[:i] + (m[i] + 1,) + m[i + 1:])
-                lasts.append(i)
-                steps.append((parent, i))
-                coefs.append(coefs[parent] // (h * (m[i] + 1)))
-        start = end
-    constant /= coefs[0]
 
-    # Root monomials of the numerator, in one table: root monomial i > 0
-    # is root monomial recipe[i-1][0] times the root at index
-    # recipe[i-1][1], so a point evaluates each with one product.
+    # The monomials a point evaluates, in one table: monomial i > 0 is
+    # monomial recipe[i-1][0] times the column at index recipe[i-1][1],
+    # the roots' columns followed by the H_i's, so each takes one product.
+    # The numerator's root monomials come first, the exponential's after.
     index: dict[tuple, int] = {(0,) * len(root_order): 0}
     recipe: list[tuple] = []
 
@@ -388,35 +375,43 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                     e << sh for e, sh in zip(rest, [alpha_at] + fields))
             groups.setdefault((packed[rest], degree), []).append(
                 (mono_index(root), _scaled(c, den)))
-    # the cells (j, k, m, key, c) of a point's factor series, in order of
-    # j: u^k times the exp part at m, of s-degree j = k + |m|, with
-    # alpha^-k and the integer c = coefs[m] * b^(order - k); without
-    # w != 0 factors the series in u is its constant term
+    # the exponential's t-monomials t^m, by total degree, each a record
+    # (monomial of H^m, i, |m|, key, D!/prod(m_i!) h^(D-|m|)): each m but
+    # the first is an earlier one, its parent, times t_i, i its last
+    # non-zero part, and the list grows as it is read
     tfields = [fields[others.index(v)] for v in tvars]
+    mask = (1 << width) - 1
+    tmonos = [(0, 0, 0, 0, factorial(exp_degree) * h ** exp_degree)]
+    constant /= tmonos[0][4]
+    for mono, last, size, key, c in tmonos:
+        if size == exp_degree:
+            break
+        for i in range(last, len(forms)):
+            e = ((key >> tfields[i]) & mask) + 1  # t_i's exponent in m
+            recipe.append((mono, nroots + i))
+            tmonos.append((len(recipe), i, size + 1,
+                           key + (1 << tfields[i]), c // (h * e)))
+    # the cells (j, k, mono, key, c) of a point's factor series, in order
+    # of j: u^k times the exp part H^m, of s-degree j = k + |m|, with
+    # alpha^-k and c the record's integer times b^(order - k); without
+    # w != 0 factors the series in u is its constant term
     b_powers = [b ** (order - k) for k in range(order + 1)]
     top_u = order if shifts else 0
-    keys = [0]
-    for parent, i in steps:
-        keys.append(keys[parent] + (1 << tfields[i]))
-    cells = []
-    for mi, (m, key, c) in enumerate(zip(comps, keys, coefs)):
-        size = sum(m)
-        cells += [(k + size, k, mi, key - (k << alpha_at), c * b_powers[k])
-                  for k in range(min(order - size, top_u) + 1)]
-    cells.sort()
+    cells = sorted((k + size, k, mono, key - (k << alpha_at), c * b_powers[k])
+                   for mono, _, size, key, c in tmonos
+                   for k in range(min(order - size, top_u) + 1))
 
     points = torus_fixed_points(t)
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, row = _ray_series_sums(
                 points, lam, slots, poles, shifts, order, recipe,
-                groups, forms, steps, cells)
+                groups, forms, cells)
             break
         except SingularSubstitutionError:
             if attempt == MAX_RETRIES:
                 raise
             lam = lam_vector(n, seed=seed + 1001 + attempt)
-    mask = (1 << width) - 1
     scale = constant / common
     terms = {(tuple((key >> sh) & mask for sh in fields),
               (key >> alpha_at) + alpha_shift): c * scale
@@ -438,7 +433,7 @@ def _scaled(c, den: int) -> int:
 
 
 def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
-                     recipe, groups, forms, steps, cells) -> tuple[int, dict]:
+                     recipe, groups, forms, cells) -> tuple[int, dict]:
     """(common, the s^0 row {key: integer}), once the rows of negative
     powers of s are checked to vanish.
 
@@ -455,11 +450,13 @@ def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
     `common` of their denominators.
 
     Every per-point quantity is a column, one integer per fixed point: the
-    root values, the pole deltas, each power of u of the series, the exp
-    products, the root monomials and the group values.  Each step maps
-    over whole columns, and each cell adds one dot product over the points
-    to its row.  Only the tangent Euler class is taken point by point,
-    since each point has its own tangent pairs.
+    root values, the pole deltas, each power of u of the series, one table
+    of monomials in the roots and the H_i (the numerator's root monomials,
+    then the exponential's H-monomials, which the cells name) and the
+    group values.  Each step maps over whole columns, and each cell adds
+    one dot product over the points to its row.  Only the tangent Euler
+    class is taken point by point, since each point has its own tangent
+    pairs.
     """
     weights, _ = scaled_weights(lam)
     size = len(points)
@@ -488,9 +485,8 @@ def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
             for k in range(1, order + 1):
                 series[k] = list(map(sub, series[k],
                                      map(mul, x, series[k - 1])))
-    products = _table(steps, [_combination(values, form, size)
-                              for form in forms], size)
-    monos = _table(recipe, values, size)
+    monos = _table(recipe, values + [_combination(values, form, size)
+                                     for form in forms], size)
     rows = [defaultdict(int) for _ in range(order + 1)]
     for (key, degree), items in groups.items():
         value = _combination(monos, items, size)
@@ -500,12 +496,12 @@ def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
         # the share times the group value, per power of u
         parts = [list(map(mul, value, column)) if any(column) else None
                  for column in series[:room + 1]]
-        for j, k, mi, kf, c in cells:
+        for j, k, mono, kf, c in cells:
             if j > room:
                 break
             if parts[k] is not None:
                 rows[degree + j][key + kf] += c * sum(
-                    map(mul, parts[k], products[mi]))
+                    map(mul, parts[k], monos[mono]))
     if any(any(row.values()) for row in rows[:order]):
         raise SingularSubstitutionError(
             "poles in the ray parameter do not cancel over the fixed points")

@@ -1,5 +1,6 @@
 """The command line's runners: one function per command, from a parsed job
-to its results, and the work counters stored beside them.
+to its results and the tableaux it enumerated, and the work counters,
+counted from those tableaux and stored beside the results.
 
 `cli.run_and_report` imports this module only on a cache miss, so a hit
 neither loads nor compiles it.  The engine modules (algebra, fixedlocus,
@@ -16,12 +17,13 @@ from .tableaux import (component_dimension, enumerate_general_components,
                        general_component_dimension, hquot_dimension)
 
 
-def _run_tableaux(job: JobSpec) -> dict:
+def _run_tableaux(job: JobSpec) -> tuple[dict, list]:
     spec = job.spec
     if job.explain:
         from .fixedlocus import normal_ledger
     rows = []
-    for t in enumerate_tableaux(spec):
+    tableaux = enumerate_tableaux(spec)
+    for t in tableaux:
         entry = {
             "alpha": [list(r) for r in t.rows],
             "dimension": component_dimension(t),
@@ -47,16 +49,17 @@ def _run_tableaux(job: JobSpec) -> dict:
                 for a, b in general
             ],
         }
-    return out
+    return out, tableaux
 
 
-def _run_euler(job: JobSpec) -> dict:
+def _run_euler(job: JobSpec) -> tuple[dict, list]:
     from .fixedlocus import (canonical_roots, euler_product_closed_form,
                              euler_product_from_ledger, normal_ledger)
 
     spec = job.spec
     rows = []
-    for t in enumerate_tableaux(spec):
+    tableaux = enumerate_tableaux(spec)
+    for t in tableaux:
         ledger = normal_ledger(t)
         roots = canonical_roots(t)
         # canonical factors with net exponents: equal products are equal
@@ -73,10 +76,10 @@ def _run_euler(job: JobSpec) -> dict:
         if job.explain:
             entry["normal_ledger"] = ledger.to_json()
         rows.append(entry)
-    return {"count": len(rows), "classes": rows}
+    return {"count": len(rows), "classes": rows}, tableaux
 
 
-def _run_integral(job: JobSpec) -> dict:
+def _run_integral(job: JobSpec) -> tuple[dict, list]:
     from .fixedlocus import normal_ledger
     from .mirror import integral_Id
 
@@ -93,10 +96,12 @@ def _run_integral(job: JobSpec) -> dict:
             key: normal_ledger(t).to_json()
             for key, (t, _) in zip(data["per_tableau"], result.per_tableau)
         }
-    return out
+    return out, [t for t, _ in result.per_tableau]
 
 
-def _run_hg(job: JobSpec) -> dict:
+# hg and hori-vafa take their degrees from --max-degree; their counters
+# describe the degree-0 spec's tableaux, as provenance.work documents
+def _run_hg(job: JobSpec) -> tuple[dict, list]:
     from .mirror import grassmannian_hg_term
 
     spec = job.spec
@@ -105,20 +110,22 @@ def _run_hg(job: JobSpec) -> dict:
         cls = grassmannian_hg_term(spec.n, spec.ranks[0], d,
                                    job.coset_budget)
         terms.append({"d": d, "class": cls.to_json()})
-    return {"schema": "flaghg/hgseries-v1", "spec": spec.to_json(),
-            "truncation": job.max_degree, "terms": terms}
+    return ({"schema": "flaghg/hgseries-v1", "spec": spec.to_json(),
+             "truncation": job.max_degree, "terms": terms},
+            enumerate_tableaux(spec))
 
 
-def _run_hori_vafa(job: JobSpec) -> dict:
+def _run_hori_vafa(job: JobSpec) -> tuple[dict, list]:
     from .mirror import hori_vafa_verify
 
     spec = job.spec
-    return hori_vafa_verify(spec.n, spec.ranks[0], job.max_degree,
-                            lambda_seed=job.lambda_seed,
-                            budget=job.coset_budget).to_json()
+    report = hori_vafa_verify(spec.n, spec.ranks[0], job.max_degree,
+                              lambda_seed=job.lambda_seed,
+                              budget=job.coset_budget)
+    return report.to_json(), enumerate_tableaux(spec)
 
 
-def _run_oracle_compare(job: JobSpec) -> dict:
+def _run_oracle_compare(job: JobSpec) -> tuple[dict, list]:
     from .algebra import Poly, RatFun
     from .pushforward import (ab_integrate, complete_homogeneous,
                               integrate_to_point, lam_vector, tableau_tower)
@@ -127,7 +134,8 @@ def _run_oracle_compare(job: JobSpec) -> dict:
     lam = lam_vector(spec.n, job.lambda_seed)
     rows = []
     all_equal = True
-    for index, t in enumerate(enumerate_tableaux(spec)):
+    tableaux = enumerate_tableaux(spec)
+    for index, t in enumerate(tableaux):
         rng = random.Random(job.lambda_seed * 7919 + index)
         cases = []
         dim = component_dimension(t)
@@ -157,7 +165,7 @@ def _run_oracle_compare(job: JobSpec) -> dict:
             "alpha": [list(r) for r in t.rows],
             "cases": cases,
         })
-    return {"all_equal": all_equal, "tableaux": rows}
+    return {"all_equal": all_equal, "tableaux": rows}, tableaux
 
 
 # the runner of each command of `cli.COMMANDS`, by the same name
@@ -171,9 +179,9 @@ RUNNERS = {
 }
 
 
-def work_counters(job: JobSpec) -> dict:
-    """Stored in the cache entry, so a hit never recounts."""
-    tableaux = enumerate_tableaux(job.spec)
+def work_counters(tableaux: list) -> dict:
+    """The counters of the tableaux a runner enumerated; stored in the
+    cache entry, so a hit never recounts."""
     return {
         "tableaux": len(tableaux),
         "fixed_points": sum(fixed_point_count(t) for t in tableaux),

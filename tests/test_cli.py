@@ -206,6 +206,24 @@ def test_cache_hit_enumerates_nothing(tmp_path, monkeypatch, command, spec):
     assert second["provenance"]["work"] == first["provenance"]["work"]
 
 
+@pytest.mark.parametrize("command", ["tableaux", "euler", "oracle-compare"])
+def test_cache_miss_enumerates_once(tmp_path, monkeypatch, command):
+    # the work counters count the tableaux the runner enumerated
+    calls = []
+
+    def counted(spec):
+        calls.append(spec)
+        return enumerate_tableaux(spec)
+
+    monkeypatch.setattr(runners, "enumerate_tableaux", counted)
+    spec = FlagSpec(4, (2,), (2,))
+    report = run_and_report(_job(command, spec, tmp_path))
+    assert report["provenance"]["cache"]["status"] == "miss"
+    assert calls == [spec]
+    assert report["provenance"]["work"]["tableaux"] == len(
+        enumerate_tableaux(spec))
+
+
 def test_cache_key_skips_fields_the_command_ignores(tmp_path, capsys):
     base = ["integral", "--n", "2", "--ranks", "1", "--degrees", "1",
             "--json", "--cache-dir", str(tmp_path)]
@@ -466,7 +484,8 @@ def test_command_table(tmp_path, capsys, monkeypatch, command, splits,
             if cache_key(parse_job(base + extra)) != key} == splits
     for field in ("ok", "all_equal"):
         results = {"ok": True, "all_equal": True, field: False}
-        monkeypatch.setitem(runners.RUNNERS, command, lambda job: results)
+        monkeypatch.setitem(runners.RUNNERS, command,
+                            lambda job: (results, []))
         code = main(base + ["--cache-dir", str(tmp_path / field)])
         assert code == (3 if field == verdict else 0)
         report = json.loads(capsys.readouterr().out)
