@@ -314,10 +314,10 @@ def torus_fixed_points(t: Tableau) -> list[tuple[FixedPoint, Tangent]]:
     return points
 
 
-def scaled_weights(lam: Sequence[Fraction]) -> tuple[list[int], int]:
+def scaled_weights(lam: Sequence[int | Fraction]) -> tuple[list[int], int]:
     """(weights, scale): integers with lam[k] == weights[k] / scale and
-    scale the least common denominator of lam."""
-    lam = [Fraction(v) for v in lam]
+    scale the least common denominator of lam, ints or Fractions; integer
+    weights come back as they are, with scale 1."""
     scale = lcm(*(v.denominator for v in lam))
     return [v.numerator * (scale // v.denominator) for v in lam], scale
 

@@ -206,6 +206,18 @@ def _display_minus_tableau(n: int, r: int, d: int, budget: int
     return difference, per_tableau
 
 
+def _agreeing_coset_terms(n: int, r: int, d: int,
+                          budget: int) -> list[list[RatFun]]:
+    """The tableau route's coset terms, one list per tableau, once the
+    display's terms minus them sum to exactly zero; FormulaMismatchError
+    if they do not."""
+    difference, per_tableau = _display_minus_tableau(n, r, d, budget)
+    if not difference.is_zero():
+        raise FormulaMismatchError(
+            f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
+    return per_tableau
+
+
 def grassmannian_hg_term(n: int, r: int, d: int,
                          budget: int = DEFAULT_COSET_BUDGET) -> RatFun:
     """The degree-d hypergeometric class on a Grassmannian, the sum of the
@@ -214,12 +226,8 @@ def grassmannian_hg_term(n: int, r: int, d: int,
     or FormulaMismatchError is raised.  The class is summed tableau by
     tableau, as each tableau's sum is symmetric and so free of the
     cross-block factors its coset terms carry."""
-    difference, per_tableau = _display_minus_tableau(n, r, d, budget)
-    if not difference.is_zero():
-        raise FormulaMismatchError(
-            f"hypergeometric routes disagree at (n={n}, r={r}, d={d})")
-    return ratfun_sum([ratfun_sum(coset_terms)
-                       for coset_terms in per_tableau])
+    return ratfun_sum([ratfun_sum(coset_terms) for coset_terms
+                       in _agreeing_coset_terms(n, r, d, budget)])
 
 
 def box_partitions(r: int, cols: int) -> list[tuple[int, ...]]:
@@ -290,9 +298,10 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     """Check that antisymmetrizing the product of projective-space series
     reproduces the Grassmannian series against every Schur polynomial.
 
-    The projective-space series are the one-row classes, so each is first
-    computed by grassmannian_hg_term, which checks the display of rank 1
-    against the tableau route (a mismatch raises FormulaMismatchError).
+    The projective-space series are the one-row classes, so each degree's
+    display of rank 1 is first checked against the tableau route, as
+    grassmannian_hg_term checks it (a mismatch raises
+    FormulaMismatchError); the classes themselves are not summed.
     The display of rank r is the antisymmetrized product of those
     displays over the Vandermonde, so per degree the display's terms minus
     the tableau route's coset terms are summed once, as
@@ -306,7 +315,7 @@ def hori_vafa_verify(n: int, r: int, max_degree: int, lambda_seed: int = 0,
     if max_degree < 1:
         raise ValueError("truncation degree must be at least 1")
     for k in range(max_degree + 1):
-        grassmannian_hg_term(n, 1, k, budget)
+        _agreeing_coset_terms(n, 1, k, budget)
     spec = FlagSpec(n, (r,), (0,))
     dim_x = r * (n - r)
     report = HoriVafaReport(n, r, max_degree, [])

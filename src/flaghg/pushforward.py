@@ -183,28 +183,24 @@ def integrate_to_point(p: RatFun,
     return p
 
 
-# The distinct values num/den with |num| <= 19 and 1 <= den <= 5.
-_SMALL_POOL = 137
+def lam_vector(n: int, seed: int = 0) -> list[int]:
+    """n distinct torus weights in 1..2n, from a fixed congruential
+    sequence: each draw picks a value, and a value already taken moves on
+    to the next free one, cyclically, so n draws always give n values.
 
-
-def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
-    """First n distinct small rationals of a fixed congruential sequence.
-
-    The first _SMALL_POOL values have |numerator| <= 19 and denominator
-    <= 5, which is all of that pool; after them the numerator bound is the
-    number of values drawn so far, so the pool always has a free value."""
+    The weights are positive, since 0 or a pair w, -w makes alpha-free
+    factors such as y - e1 - e2 vanish at a point, and small, since every
+    integer the oracle sums is a product of them."""
     state = (seed * 6364136223846793005 + 1442695040888963407) % (1 << 63)
-    out: list[Fraction] = []
+    out: list[int] = []
     seen = set()
-    while len(out) < n:
+    for _ in range(n):
         state = (state * 6364136223846793005 + 1442695040888963407) % (1 << 63)
-        bound = 19 if len(out) < _SMALL_POOL else len(out)
-        num = (state >> 33) % (2 * bound + 1) - bound
-        den = (state >> 13) % 5 + 1
-        v = Fraction(num, den)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
+        v = (state >> 33) % (2 * n) + 1
+        while v in seen:
+            v = v % (2 * n) + 1
+        seen.add(v)
+        out.append(v)
     return out
 
 
@@ -212,7 +208,7 @@ def lam_vector(n: int, seed: int = 0) -> list[Fraction]:
 MAX_RETRIES = 5
 
 
-def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
+def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
                  seed: int = 0, check_symmetry: bool = True,
                  normal: Ledger | None = None,
                  exp: Mapping[VarId, Poly] | None = None) -> RatFun:
@@ -234,6 +230,9 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
     s^0 coefficient is the non-equivariant integral, free of the weights.
+    Rational weights are scaled to integers once, on entry: a common
+    factor of the weights only rescales s, so the s^0 coefficient stays,
+    and lam_vector's weights are integers already.
     At a point each piece is a number times a power of s: a root monomial
     of degree r is c*s^r, and H_i is c_i*s, so exp brings the multinomials
     of the c_i.  A linear factor is s*delta + w*alpha: for w != 0 it is
@@ -252,9 +251,11 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     The negative powers of s must cancel over the points.  A vanishing
     alpha-free denominator factor or a surviving pole means non-generic
     weights (or a genuine pole); fresh weights are drawn from the seed
-    sequence up to MAX_RETRIES times.  The sum runs in integers over one
-    common denominator, and one Fraction is built per coefficient of the
-    result.
+    sequence up to MAX_RETRIES times.  Everything runs in integers: the
+    factors that are the same at every point make one constant, an
+    integer numerator over an integer denominator; the shares are summed
+    over one common denominator; and one Fraction is built per
+    coefficient of the result.
     """
     # The roots: every block's letters, the ambient block's last.  At a
     # point, the k-th letter of block (i, j) sits on coordinate
@@ -264,9 +265,10 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     if check_symmetry:
         assert_block_symmetric(p, list(blocks.values())[:-1])
     n = t.spec.n
-    if len(set(lam)) != len(lam):
+    weights, _ = scaled_weights(lam)
+    if len(set(weights)) != len(weights):
         raise ValueError("torus weights must be pairwise distinct")
-    if len(lam) != n:
+    if len(weights) != n:
         raise ValueError("one torus weight per coordinate is required")
     num = p.num
     if num.is_zero():
@@ -281,7 +283,8 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
         raise IntegrationShapeError(
             f"root variables {foreign} are not the component's")
 
-    constant = Fraction(1)
+    # every share carries the constant cnum / cden
+    cnum = cden = 1
     poles, shifts = [], []  # factors with w = 0; with w != 0
     order = component_dimension(t)
     alpha_shift = 0  # alpha-degree of the w != 0 factors
@@ -293,29 +296,33 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
                 f"denominator factor {f.to_text()} is not a root form plus "
                 "a multiple of alpha")
         if w:
-            shifts.append(([(v, Fraction(a) / w) for v, a in coeffs.items()],
-                           -e))
-            constant /= Fraction(w) ** e
+            shifts.append(([(at[v], Fraction(a) / w)
+                            for v, a in coeffs.items()], -e))
+            cnum, cden = _times(cnum, cden, w, -e)
             alpha_shift -= e
         else:
             g = lcm(*(a.denominator for a in coeffs.values()))
             poles.append(([(at[v], _scaled(a, g)) for v, a in coeffs.items()],
                           e))
-            constant *= Fraction(g) ** e
+            cnum, cden = _times(cnum, cden, g, e)
             order += e
-    for src, tgt, w, m in (normal.terms() if normal is not None else ()):
+    ledger = list(normal.terms()) if normal is not None else []
+    for src, tgt, w, _ in ledger:
         if not w:
             raise IntegrationShapeError(
                 f"normal ledger term {src} -> {tgt} has weight 0")
-        ratio = Fraction(1, w)
-        pairs = [(yt, ys) for ys in blocks[src] for yt in blocks[tgt]]
-        shifts += [([(yt, ratio), (ys, -ratio)], -m) for yt, ys in pairs]
-        constant /= Fraction(w) ** (m * len(pairs))
-        alpha_shift -= m * len(pairs)
-    b = lcm(*(r.denominator for ratios, _ in shifts for _, r in ratios))
-    shifts = [([(at[v], _scaled(r, b)) for v, r in ratios], e)
+    # x = b * (the factor's root form / w) is an integer column
+    b = lcm(*(abs(w) for _, _, w, _ in ledger),
+            *(r.denominator for ratios, _ in shifts for _, r in ratios))
+    shifts = [([(i, _scaled(r, b)) for i, r in ratios], e)
               for ratios, e in shifts]
-    constant /= b ** order
+    for src, tgt, w, m in ledger:
+        r = b // w
+        pairs = [(at[yt], at[ys]) for ys in blocks[src] for yt in blocks[tgt]]
+        shifts += [([(it, r), (js, -r)], -m) for it, js in pairs]
+        cnum, cden = _times(cnum, cden, w, -m * len(pairs))
+        alpha_shift -= m * len(pairs)
+    cden *= b ** order
 
     # exp: the t_i and their H_i as integer maps over h, truncated at total
     # degree D = exp_degree, the order if there is an exp
@@ -363,7 +370,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     # (key, s-degree) -> [(root monomial, den*coeff)]; s-degrees above the
     # order only feed positive powers of s
     den = lcm(*(c.denominator for c in num.terms.values()))
-    constant /= den
+    cden *= den
     groups: dict[tuple, list] = {}
     packed: dict[tuple, int] = {}
     for exps, c in num_exps.items():
@@ -382,7 +389,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     tfields = [fields[others.index(v)] for v in tvars]
     mask = (1 << width) - 1
     tmonos = [(0, 0, 0, 0, factorial(exp_degree) * h ** exp_degree)]
-    constant /= tmonos[0][4]
+    cden *= tmonos[0][4]
     for mono, last, size, key, c in tmonos:
         if size == exp_degree:
             break
@@ -405,16 +412,16 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, row = _ray_series_sums(
-                points, lam, slots, poles, shifts, order, recipe,
+                points, weights, slots, poles, shifts, order, recipe,
                 groups, forms, cells)
             break
         except SingularSubstitutionError:
             if attempt == MAX_RETRIES:
                 raise
-            lam = lam_vector(n, seed=seed + 1001 + attempt)
-    scale = constant / common
+            weights = lam_vector(n, seed=seed + 1001 + attempt)
+    cden *= common
     terms = {(tuple((key >> sh) & mask for sh in fields),
-              (key >> alpha_at) + alpha_shift): c * scale
+              (key >> alpha_at) + alpha_shift): Fraction(c * cnum, cden)
              for key, c in row.items() if c}
     # clear negative powers of alpha; then some term is free of alpha, so
     # the result is in lowest terms
@@ -426,28 +433,36 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
         {Poly.var(ALPHA): raise_by} if raise_by else {})
 
 
+def _times(num: int, den: int, c, e: int) -> tuple[int, int]:
+    """The integers (num', den') with num'/den' = num/den * c**e, for an
+    int or Fraction c."""
+    top, bottom = c.numerator, c.denominator
+    if e < 0:
+        top, bottom, e = bottom, top, -e
+    return num * top ** e, den * bottom ** e
+
+
 def _scaled(c, den: int) -> int:
     """The integer c * den, for an int or Fraction c whose denominator
     divides den."""
     return c.numerator * (den // c.denominator)
 
 
-def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
+def _ray_series_sums(points, weights, slots, poles, shifts, order: int,
                      recipe, groups, forms, cells) -> tuple[int, dict]:
     """(common, the s^0 row {key: integer}), once the rows of negative
     powers of s are checked to vanish.
 
-    With lam = weights / scale every power of s comes with one power of
-    1/scale, so the rows are computed at the integer weights: the s^0 row
-    is the same, and the others are scaled, which keeps their zero test
-    exact.  A point's share is 1 / top: top is the tangent Euler class,
-    the integer product of the weights w_b - w_a over the point's tangent
-    pairs (b, a), times the alpha-free denominator factors, as integers
-    over a fixed g.  A factor with w != 0 multiplies or divides the
-    series in u by 1 + x*u with x = X / b for a fixed b, so the u^k
-    coefficient is an integer over b^k, which a cell's integer brings to
-    b^order.  The shares are summed over the least common multiple
-    `common` of their denominators.
+    The weights are integers, so every root value is one.  A point's
+    share is 1 / top: top is the tangent Euler class, the integer product
+    of the weights w_b - w_a over the point's tangent pairs (b, a), times
+    the alpha-free denominator factors, as integers over a fixed g.  A
+    factor with w != 0 multiplies or divides the series in u by 1 + x*u
+    with x = X / b, X an integer column and b the lcm of the factors'
+    denominators (of a ledger term's, its |w|), so the u^k coefficient is
+    an integer over b^k, which a cell's integer brings to b^order.  The
+    shares are summed over the least common multiple `common` of their
+    denominators.
 
     Every per-point quantity is a column, one integer per fixed point: the
     root values, the pole deltas, each power of u of the series, one table
@@ -458,7 +473,6 @@ def _ray_series_sums(points, lam, slots, poles, shifts, order: int,
     class is taken point by point, since each point has its own tangent
     pairs.
     """
-    weights, _ = scaled_weights(lam)
     size = len(points)
     values = [[weights[point[block][k] - 1] for point, _ in points]
               for block, k in slots]

@@ -660,7 +660,7 @@ def test_help_exits_zero_without_a_usage_error(flag):
     assert proc.stdout.startswith("usage: flaghg")
 
 
-# more coordinates than lam_vector's 137 small weights, a row longer than
+# 138 coordinates, each with its own torus weight, a row longer than
 # the interpreter's recursion limit, a one-row degree that no search over
 # every part size would finish, a level whose rows the row above bounds,
 # and the help text

@@ -58,7 +58,7 @@ def test_integral_degree_zero_classical():
         RatFun.from_poly(T1)
     assert integral_Id(FlagSpec(3, (1,), (0,))).value == \
         RatFun.from_poly(T1 * T1 * Fraction(1, 2))
-    # more coordinates than lam_vector's 137 small weights
+    # 138 coordinates, each with its own torus weight
     assert integral_Id(FlagSpec(138, (1,), (0,))).value == \
         RatFun.from_poly(T1 ** 137 * Fraction(1, factorial(137)))
 

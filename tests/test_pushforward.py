@@ -16,7 +16,7 @@ from flaghg.errors import (BudgetExceededError, IntegrationShapeError,
 from flaghg.fixedlocus import (Ledger, canonical_roots,
                                euler_class_from_ledger, normal_ledger)
 from flaghg.mirror import (box_partitions, grassmannian_hg_term,
-                           hyperplane_pullback, mirror_integrand,
+                           hyperplane_pullback, integral_Id, mirror_integrand,
                            schur_pairing, x_roots, zero_tableau)
 from flaghg.pushforward import (BlockAlphabet, ab_integrate,
                                 brion_pushforward, complete_homogeneous,
@@ -252,15 +252,24 @@ def test_ambient_roots_in_the_integrand_go_to_zero(integrand, expected):
     assert integrate_to_point(f, tableau_tower(t)) == RatFun.const(expected)
 
 
-@pytest.mark.parametrize("n", [138, 400])
-def test_lam_vector_draws_past_the_small_pool(n):
-    # the 137 values num/den with |num| <= 19 and den <= 5 come first
-    small = {Fraction(a, b) for a in range(-19, 20) for b in range(1, 6)}
-    for seed in range(3):
-        lam = lam_vector(n, seed)
+@pytest.mark.parametrize("n", [1, 5, 138, 400])
+def test_lam_vector_draws_distinct_small_positive_ints(n):
+    draws = [lam_vector(n, seed) for seed in range(3)]
+    for lam in draws:
+        assert all(type(v) is int for v in lam)
         assert len(set(lam)) == n
-        assert lam[:137] == lam_vector(137, seed)
-        assert set(lam[:137]) == small
+        assert set(lam) <= set(range(1, 2 * n + 1))
+    if n > 1:
+        assert len(set(map(tuple, draws))) == 3
+
+
+def test_lam_vector_draws_are_fixed():
+    # a lambda_seed names fixed weights: those of seeds 0-2
+    assert [lam_vector(5, seed) for seed in range(3)] == [
+        [5, 4, 7, 6, 8], [10, 3, 1, 2, 4], [9, 3, 5, 6, 10]]
+    assert [lam_vector(2, seed) for seed in range(3)] == [
+        [1, 2], [2, 1], [3, 1]]
+    assert lam_vector(0, 0) == []
 
 
 def test_ab_integrate_classical_values():
@@ -358,6 +367,67 @@ def test_ab_integrate_lambda_independence_polynomials(seed):
         for lam_seed in range(5)
     }
     assert len(values) == 1
+
+
+LAMBDA_TABLEAUX = [t for spec in (FlagSpec(4, (2,), (1,)),
+                                  FlagSpec(3, (1, 2), (1, 1)),
+                                  FlagSpec(4, (1, 3), (0, 1)))
+                   for t in enumerate_tableaux(spec)]
+
+
+@settings(max_examples=12, deadline=None)
+@given(t=st.sampled_from(LAMBDA_TABLEAUX), seed=st.integers(0, 10 ** 6))
+def test_ab_integrate_lambda_independence_shifted_denominators(t, seed):
+    # the oracle divides its series by each v + k*alpha, and k = 2 gives
+    # the cells a b-power: the value is the same for every weight draw,
+    # and it is the tower's
+    p = shifted_block_symmetric(t, random.Random(seed),
+                                component_dimension(t))
+    values = [ab_integrate(t, p, lam_vector(t.spec.n, lam_seed),
+                           check_symmetry=False)
+              for lam_seed in range(5)]
+    assert values == [integrate_to_point(p, tableau_tower(t))] * 5, t.rows
+
+
+@settings(max_examples=12, deadline=None)
+@given(t=st.sampled_from(LAMBDA_TABLEAUX), seed=st.integers(0, 10 ** 6))
+def test_ab_integrate_lambda_independence_normal_ledger_and_exp(t, seed):
+    # integral_Id's shape, a normal ledger and an exp, over a block-
+    # symmetric numerator: one value for every weight draw, and the
+    # expanded integrand's
+    rng = random.Random(seed)
+    p = RatFun.from_poly(random_block_symmetric(t, rng,
+                                                component_dimension(t)))
+    normal = normal_ledger(t)
+    hyperplanes = {kahler(i): hyperplane_pullback(t, i)
+                   for i in range(1, t.spec.levels + 1)}
+    values = [ab_integrate(t, p, lam_vector(t.spec.n, lam_seed),
+                           normal=normal, exp=hyperplanes)
+              for lam_seed in range(5)]
+    exponent = Poly.zero()
+    for v, h in hyperplanes.items():
+        exponent = exponent + h * P(v)
+    expanded = p * euler_class_from_ledger(
+        normal.negated(), canonical_roots(t)) * RatFun.from_poly(
+        exp_series(exponent, component_dimension(t)))
+    assert values == [expanded_ab_integrate(t, expanded,
+                                            lam_vector(t.spec.n, 0))] * 5
+
+
+def test_integral_Id_draws_no_fresh_weights(monkeypatch, jobs):
+    # no factor of integral_Id's integrand is alpha-free, so distinct
+    # weights are always generic: the oracle never draws again
+    seeds = []
+
+    def recording(n, seed=0):
+        seeds.append(seed)
+        return lam_vector(n, seed)
+
+    monkeypatch.setattr(pushforward, "lam_vector", recording)
+    for spec in jobs.INTEGRAL_SPECS:
+        for lambda_seed in range(20):
+            integral_Id(spec, lambda_seed)
+    assert seeds == []
 
 
 def test_ab_integrate_mirror_integrand_matches_tower():
