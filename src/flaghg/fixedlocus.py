@@ -8,17 +8,18 @@ weight), is the normal ledger, which must carry no weight-0 term.  The
 equivariant Euler class is the product of (y_target - y_source + w*alpha)
 over ledger terms and root slots, with sign exponents; slot pairs with
 equal roots and weight are counted together, so each distinct factor is
-built once, with its net multiplicity.  At a torus
-fixed point the tangent Euler class needs no ledger: torus_fixed_points
-lists with each point one weight per coordinate a block holds and
-coordinate it could have chosen instead.
+built once, with its net multiplicity.
+
+A torus fixed point is the nested coordinates its blocks choose, one flat
+tuple in point_blocks order, top level first, as the component is a tower
+of flag bundles.  Its tangent Euler class needs no ledger:
+torus_fixed_points lists with each point one weight per coordinate a block
+holds and coordinate it could have chosen instead.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations
-from math import lcm
 from typing import Iterator, Mapping, Sequence
 
 from .algebra import ALPHA, LinearProduct, Poly, RatFun, VarId, y
@@ -26,8 +27,8 @@ from .errors import CancellationFailureError, SymmetryViolationError
 from .tableaux import Tableau
 
 BlockRef = tuple[int, int]  # (level, block), ambient = (I+1, 1)
-# block -> its sorted coordinates; the ambient block holds all of 1..n
-FixedPoint = dict[BlockRef, tuple[int, ...]]
+# a point's coordinates, block by block in point_blocks order
+Point = tuple[int, ...]
 # (b, a) coordinate pairs, one per tangent weight w_b - w_a at a point
 Tangent = tuple[tuple[int, int], ...]
 
@@ -272,54 +273,50 @@ def grassmannian_euler_product(t: Tableau) -> LinearProduct:
     return out
 
 
-def _free(t: Tableau, point: FixedPoint, i: int, j: int) -> list[int]:
-    """The sorted coordinates block (i, j) can choose from at the point:
-    those held by the level-(i+1) blocks up to I_A(i, j), less those taken
-    by the level-i blocks before it.  One block's coordinates, such as the
-    ambient block's 1..n, are already sorted."""
-    top = t.I_A(i, j)
-    pool = point[(i + 1, 1)] if top == 1 else sorted(
-        c for k in range(1, top + 1) for c in point[(i + 1, k)])
-    taken = {c for k in range(1, j) for c in point[(i, k)]}
-    return [c for c in pool if c not in taken]
+def point_blocks(t: Tableau) -> list[BlockRef]:
+    """The blocks in the order a torus fixed point lists their
+    coordinates: the ambient block (I+1, 1) first, then level I's blocks,
+    and so on down to level 1, each level's in order of j."""
+    return [(i, j) for i in range(t.levels + 1, 0, -1)
+            for j in range(1, t.K(i) + 1)]
 
 
-def torus_fixed_points(t: Tableau) -> list[tuple[FixedPoint, Tangent]]:
-    """All nested coordinate assignments {block: coordinates}, each with
-    its tangent weights.
+def torus_fixed_points(t: Tableau) -> list[tuple[Point, Tangent]]:
+    """All nested coordinate choices, each one flat tuple with its tangent
+    weights.
 
-    Every point starts as the ambient block (I+1, 1) on 1..n and is
-    extended one block at a time, top level first: block (i, j) takes its
-    m(i, j) coordinates, in combinations order, from the pool
-    free = _free(t, point, i, j).  So every tuple is sorted, and the points
-    come in lexicographic order of their choices.
+    A point lists each block's sorted coordinates in point_blocks order:
+    it starts as the ambient block's 1..n and grows one block at a time,
+    top level first.  Block (i, j) takes its m(i, j) coordinates, in
+    combinations order, from its pool: the sorted first l(i+1, j)
+    coordinates of level i+1, less the level-i coordinates already at the
+    end of the tuple.  So the points come in lexicographic order of their
+    choices.
 
     The component is a tower of flag bundles, so each choice also gives
     the point's tangent weights: block (i, j) adds the pair (b, a), for
     the weight w_b - w_a, for each coordinate a in its combo and each b in
-    free but not in the combo.  Each point has component_dimension(t)
+    the pool but not in the combo.  Each point has component_dimension(t)
     pairs, and its tangent Euler class is the product of their weights.
     """
-    points = [({(t.levels + 1, 1): tuple(range(1, t.spec.n + 1))}, ())]
+    points = [(tuple(range(1, t.spec.n + 1)), ())]
+    above = 0  # where level i+1 starts in a point
     for i in range(t.levels, 0, -1):
+        here = above + t.r(i + 1, t.K(i + 1))  # where level i starts
         for j in range(1, t.K(i) + 1):
+            top = above + t.l(i + 1, j)
             grown = []
             for point, tangent in points:
-                free = _free(t, point, i, j)
+                taken = point[here:]
+                free = [c for c in sorted(point[above:top])
+                        if c not in taken]
                 for combo in combinations(free, t.m(i, j)):
-                    grown.append(({**point, (i, j): combo}, tangent + tuple(
+                    grown.append((point + combo, tangent + tuple(
                         (b, a) for a in combo for b in free
                         if b not in combo)))
             points = grown
+        above = here
     return points
-
-
-def scaled_weights(lam: Sequence[int | Fraction]) -> tuple[list[int], int]:
-    """(weights, scale): integers with lam[k] == weights[k] / scale and
-    scale the least common denominator of lam, ints or Fractions; integer
-    weights come back as they are, with scale 1."""
-    scale = lcm(*(v.denominator for v in lam))
-    return [v.numerator * (scale // v.denominator) for v in lam], scale
 
 
 def assert_block_symmetric(f: RatFun,

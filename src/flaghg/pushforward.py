@@ -17,11 +17,13 @@ fixed points.
 The oracle, ab_integrate, takes its integrand factored (a RatFun, a
 normal ledger whose Euler class divides it, a truncated exponential of
 Kahler variables times root forms) and never multiplies the pieces out:
-at a fixed point on the ray lam*s each piece is a number times a power
-of s, so the point contributes a short series.  It works on columns over
-the fixed points, one integer per point: each quantity is one column,
-each step maps over whole columns, and each coefficient of the sum is a
-dot product over the points.  The numerator's root monomials and the
+at a fixed point on the ray lam*s, lam integers, each piece is a number
+times a power of s, so the point contributes a short series.  It works
+on columns over the fixed points, one integer per point: each quantity
+is one column, each step maps over whole columns, and each coefficient
+of the sum is a dot product over the points.  A point is one tuple of
+coordinates and the roots are listed in its order, so the root columns
+are the points transposed.  The numerator's root monomials and the
 exponential's products of the H_i are one table of monomials in the
 roots and the H_i, each one product from an earlier one.  The tangent
 Euler class at a point is the product of the tangent weights that
@@ -43,7 +45,7 @@ from typing import Iterator, Mapping, Sequence
 from .algebra import ALPHA, Poly, RatFun, VarId, y
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
-from .fixedlocus import (Ledger, assert_block_symmetric, scaled_weights,
+from .fixedlocus import (Ledger, assert_block_symmetric, point_blocks,
                          torus_fixed_points)
 from .tableaux import Tableau, component_dimension
 
@@ -208,7 +210,7 @@ def lam_vector(n: int, seed: int = 0) -> list[int]:
 MAX_RETRIES = 5
 
 
-def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
+def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
                  seed: int = 0, check_symmetry: bool = True,
                  normal: Ledger | None = None,
                  exp: Mapping[VarId, Poly] | None = None) -> RatFun:
@@ -230,9 +232,8 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
     s^0 coefficient is the non-equivariant integral, free of the weights.
-    Rational weights are scaled to integers once, on entry: a common
-    factor of the weights only rescales s, so the s^0 coefficient stays,
-    and lam_vector's weights are integers already.
+    The weights are distinct integers, as lam_vector draws them: a common
+    factor of the weights only rescales s, so integers lose nothing.
     At a point each piece is a number times a power of s: a root monomial
     of degree r is c*s^r, and H_i is c_i*s, so exp brings the multinomials
     of the c_i.  A linear factor is s*delta + w*alpha: for w != 0 it is
@@ -240,13 +241,14 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
     (or multiplies it, for a ledger term of negative multiplicity), so
     alpha stays symbolic; for w = 0 it raises the pole order.  A ledger
     term (src, tgt, w, m) gives the factor y_tgt - y_src + w*alpha to the
-    power m for each pair of a root of src and a root of tgt.  The root
-    values, the series of the factors, one table of the monomials in the
-    roots and the H_i, and the numerator values are columns over the
-    fixed points; only the tangent Euler class is taken point by point, as
-    the product of the tangent weights that torus_fixed_points lists with
-    the point, one per coordinate a block holds and coordinate it could
-    have chosen instead.
+    power m for each pair of a root of src and a root of tgt.  A point is
+    a flat tuple of coordinates and the roots are listed in its order, so
+    the root values are the points' columns.  They, the series of the
+    factors, one table of the monomials in the roots and the H_i, and the
+    numerator values are columns over the fixed points; only the tangent
+    Euler class is taken point by point, as the product of the tangent
+    weights that torus_fixed_points lists with the point, one per
+    coordinate a block holds and coordinate it could have chosen instead.
 
     The negative powers of s must cancel over the points.  A vanishing
     alpha-free denominator factor or a surviving pole means non-generic
@@ -255,26 +257,22 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
     factors that are the same at every point make one constant, an
     integer numerator over an integer denominator; the shares are summed
     over one common denominator; and one Fraction is built per
-    coefficient of the result.
+    coefficient of the result.  Only an H_i with a rational coefficient
+    brings Fractions into its columns, and they stay exact.
     """
-    # The roots: every block's letters, the ambient block's last.  At a
-    # point, the k-th letter of block (i, j) sits on coordinate
-    # point[(i, j)][k - 1], so the point's root values are one list.
-    blocks = {(i, j): t.letters(i, j) for i in range(1, t.levels + 2)
-              for j in range(1, t.K(i) + 1)}
+    # The roots: every block's letters, in the order a point lists the
+    # blocks' coordinates, so the k-th root sits on the point's k-th one.
+    blocks = {block: t.letters(*block) for block in point_blocks(t)}
     if check_symmetry:
-        assert_block_symmetric(p, list(blocks.values())[:-1])
+        assert_block_symmetric(p, list(blocks.values())[1:])
     n = t.spec.n
-    weights, _ = scaled_weights(lam)
-    if len(set(weights)) != len(weights):
+    if len(set(lam)) != len(lam):
         raise ValueError("torus weights must be pairwise distinct")
-    if len(weights) != n:
+    if len(lam) != n:
         raise ValueError("one torus weight per coordinate is required")
     num = p.num
     if num.is_zero():
         return RatFun.const(0)
-    slots = [(block, k) for block, vs in blocks.items()
-             for k in range(len(vs))]
     root_order = [v for vs in blocks.values() for v in vs]
     at = {v: i for i, v in enumerate(root_order)}
     foreign = sorted(v for v in num.variables() - at.keys()
@@ -324,7 +322,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
         alpha_shift -= m * len(pairs)
     cden *= b ** order
 
-    # exp: the t_i and their H_i as integer maps over h, truncated at total
+    # exp: the t_i and their H_i as maps over the roots, truncated at total
     # degree D = exp_degree, the order if there is an exp
     hyperplanes = exp or {}
     exp_degree = order if hyperplanes else 0
@@ -337,9 +335,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
                 f"exponent {v} * ({hyperplanes[v].to_text()}) is not a "
                 "variable times a root form")
         forms.append(coeffs)
-    h = lcm(*(a.denominator for form in forms for a in form.values()))
-    forms = [[(at[v], _scaled(a, h)) for v, a in form.items()]
-             for form in forms]
+    forms = [[(at[v], a) for v, a in form.items()] for form in forms]
 
     # The monomials a point evaluates, in one table: monomial i > 0 is
     # monomial recipe[i-1][0] times the column at index recipe[i-1][1],
@@ -383,12 +379,12 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
             groups.setdefault((packed[rest], degree), []).append(
                 (mono_index(root), _scaled(c, den)))
     # the exponential's t-monomials t^m, by total degree, each a record
-    # (monomial of H^m, i, |m|, key, D!/prod(m_i!) h^(D-|m|)): each m but
+    # (monomial of H^m, i, |m|, key, D!/prod(m_i!)): each m but
     # the first is an earlier one, its parent, times t_i, i its last
     # non-zero part, and the list grows as it is read
     tfields = [fields[others.index(v)] for v in tvars]
     mask = (1 << width) - 1
-    tmonos = [(0, 0, 0, 0, factorial(exp_degree) * h ** exp_degree)]
+    tmonos = [(0, 0, 0, 0, factorial(exp_degree))]
     cden *= tmonos[0][4]
     for mono, last, size, key, c in tmonos:
         if size == exp_degree:
@@ -397,7 +393,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
             e = ((key >> tfields[i]) & mask) + 1  # t_i's exponent in m
             recipe.append((mono, nroots + i))
             tmonos.append((len(recipe), i, size + 1,
-                           key + (1 << tfields[i]), c // (h * e)))
+                           key + (1 << tfields[i]), c // e))
     # the cells (j, k, mono, key, c) of a point's factor series, in order
     # of j: u^k times the exp part H^m, of s-degree j = k + |m|, with
     # alpha^-k and c the record's integer times b^(order - k); without
@@ -412,13 +408,13 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int | Fraction],
     for attempt in range(MAX_RETRIES + 1):
         try:
             common, row = _ray_series_sums(
-                points, weights, slots, poles, shifts, order, recipe,
+                points, lam, poles, shifts, order, recipe,
                 groups, forms, cells)
             break
         except SingularSubstitutionError:
             if attempt == MAX_RETRIES:
                 raise
-            weights = lam_vector(n, seed=seed + 1001 + attempt)
+            lam = lam_vector(n, seed=seed + 1001 + attempt)
     cden *= common
     terms = {(tuple((key >> sh) & mask for sh in fields),
               (key >> alpha_at) + alpha_shift): Fraction(c * cnum, cden)
@@ -448,12 +444,14 @@ def _scaled(c, den: int) -> int:
     return c.numerator * (den // c.denominator)
 
 
-def _ray_series_sums(points, weights, slots, poles, shifts, order: int,
+def _ray_series_sums(points, weights, poles, shifts, order: int,
                      recipe, groups, forms, cells) -> tuple[int, dict]:
     """(common, the s^0 row {key: integer}), once the rows of negative
-    powers of s are checked to vanish.
+    powers of s are checked to vanish; an H-form with a rational
+    coefficient makes the row's values Fractions.
 
-    The weights are integers, so every root value is one.  A point's
+    The weights are integers, so every root value is one: column k holds
+    the weights of the points' k-th coordinates.  A point's
     share is 1 / top: top is the tangent Euler class, the integer product
     of the weights w_b - w_a over the point's tangent pairs (b, a), times
     the alpha-free denominator factors, as integers over a fixed g.  A
@@ -474,8 +472,8 @@ def _ray_series_sums(points, weights, slots, poles, shifts, order: int,
     pairs.
     """
     size = len(points)
-    values = [[weights[point[block][k] - 1] for point, _ in points]
-              for block, k in slots]
+    values = [[weights[c - 1] for c in column]
+              for column in zip(*(point for point, _ in points))]
     tops = [prod(weights[b - 1] - weights[a - 1] for b, a in tangent)
             for _, tangent in points]
     for coeffs, e in poles:

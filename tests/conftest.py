@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from flaghg.algebra import LinearProduct, Poly, RatFun, ratfun_sum
 from flaghg.errors import DEFAULT_COSET_BUDGET
-from flaghg.fixedlocus import canonical_roots
+from flaghg.fixedlocus import canonical_roots, point_blocks
 from flaghg.mirror import decompose_by_kahler
 from flaghg.pushforward import complete_homogeneous
 from flaghg.tableaux import FlagSpec, Tableau
@@ -23,8 +23,9 @@ from flaghg.tableaux import FlagSpec, Tableau
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
 
-# torus weights with pairwise different denominators
-MIXED_LAM = [Fraction(1, 2), Fraction(2, 3), Fraction(-3, 5), Fraction(7, 4)]
+# 60 times the torus weights 1/2, 2/3, -3/5, 7/4: integers with pairwise
+# different factors, one of them negative
+MIXED_LAM = [30, 40, -36, 105]
 
 
 def all_specs(n_max: int, degree_sum_max: int, levels_max: int = 3):
@@ -50,6 +51,16 @@ def t_degree(result) -> int:
     return max(map(sum, decompose_by_kahler(result.value,
                                             result.spec.levels)),
                default=0)
+
+
+def as_blocks(t: Tableau, point: tuple[int, ...]) -> dict:
+    """A torus fixed point as {block: its sorted coordinates}, cut from the
+    flat tuple in fixedlocus's block order."""
+    out, start = {}, 0
+    for block in point_blocks(t):
+        out[block] = point[start:start + t.m(*block)]
+        start += t.m(*block)
+    return out
 
 
 def zero_ambient_roots(t: Tableau) -> dict:

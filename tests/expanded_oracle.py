@@ -6,7 +6,8 @@ monomial is evaluated at every fixed point.  `integral_Id` and the Schur
 pairings are checked against it on the expanded forms
 (`mirror_integrand(t)`, `cls * s_mu`), the way `tuple_poly.py` checks the
 packed Poly.  `fixed_point_values` and `point_values` are the per-point
-dictionaries of root values it works from.  Its tangent Euler class,
+dictionaries of root values it works from, read from each flat point
+through `as_blocks`.  Its tangent Euler class,
 `tangent_euler_scaled`, multiplies out the component's tangent ledger and
 cancels the diagonal zeros, independently of the tangent pairs that the
 engine's enumeration lists with each point.  `per_pair_euler_product` builds an
@@ -23,14 +24,15 @@ from typing import Sequence
 from flaghg.algebra import ALPHA, LinearProduct, Poly, RatFun, VarId
 from flaghg.errors import (CancellationFailureError, IntegrationShapeError,
                            SingularSubstitutionError)
-from flaghg.fixedlocus import (FixedPoint, Ledger, RootAssignment,
-                               scaled_weights, tangent_ledger,
-                               torus_fixed_points)
+from flaghg.fixedlocus import (Ledger, Point, RootAssignment,
+                               tangent_ledger, torus_fixed_points)
 from flaghg.pushforward import lam_vector
 from flaghg.tableaux import Tableau, component_dimension
 
+from conftest import as_blocks
 
-def fixed_point_values(t: Tableau, point: FixedPoint,
+
+def fixed_point_values(t: Tableau, point: Point,
                        lam: Sequence[Fraction]) -> dict[VarId, Fraction]:
     """Root variable -> torus weight value at a fixed point."""
     if len(set(lam)) != len(lam):
@@ -40,14 +42,15 @@ def fixed_point_values(t: Tableau, point: FixedPoint,
     return point_values(t, point, [Fraction(v) for v in lam])
 
 
-def point_values(t: Tableau, point: FixedPoint,
+def point_values(t: Tableau, point: Point,
                  weights: Sequence) -> dict[VarId, object]:
     """Root variable -> weights[c - 1] for the coordinate c it sits on at
     the point, for weights of any exact type; the weights are not checked.
     The k-th letter of a block, ambient block included, sits on its k-th
-    coordinate; the coordinates of a point from torus_fixed_points are
-    sorted."""
-    return {v: weights[c - 1] for (i, j), coords in point.items()
+    coordinate; each block's coordinates in a point from
+    torus_fixed_points are sorted."""
+    return {v: weights[c - 1]
+            for (i, j), coords in as_blocks(t, point).items()
             for v, c in zip(t.letters(i, j), coords)}
 
 
@@ -64,11 +67,10 @@ def per_pair_euler_product(ledger: Ledger,
     return out
 
 
-def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
+def tangent_euler_scaled(ledger: Ledger, point: Point,
                          weights: Sequence[int]) -> tuple[int, int]:
     """(num, den): the product of tangent weights at integer torus weights
-    is num / den.  At weights lam = weights / scale it is
-    num / den / scale ** ledger.rank(), one factor of scale per weight.
+    is num / den.
 
     The tangent ledger's positive and negative parts each contain the same
     number of zero factors (the diagonal slots); these cancel as multisets
@@ -76,10 +78,11 @@ def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
     """
     num = den = 1
     zeros = 0
+    blocks = as_blocks(ledger.tableau, point)
     for src, tgt, w, m in ledger.terms():
-        for cs in point[src]:
+        for cs in blocks[src]:
             base = weights[cs - 1]
-            for ct in point[tgt]:
+            for ct in blocks[tgt]:
                 val = weights[ct - 1] - base
                 if not val:
                     zeros += m
@@ -93,7 +96,7 @@ def tangent_euler_scaled(ledger: Ledger, point: FixedPoint,
     return num, den
 
 
-def expanded_ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
+def expanded_ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
                           max_retries: int = 5, seed: int = 0) -> RatFun:
     """Torus fixed-point integration over the component.
 
@@ -109,10 +112,10 @@ def expanded_ab_integrate(t: Tableau, p: RatFun, lam: Sequence[Fraction],
     drawn from the seed sequence up to max_retries times.  A factor that
     is not a root form plus a multiple of alpha is rejected.
 
-    The sum runs in integers: the weights are scaled to integers once, each
-    point's share is an integer series over one integer denominator, and
-    the shares accumulate over the least common multiple of those
-    denominators, so one Fraction is built per coefficient of the result.
+    The sum runs in integers: the weights are integers, each point's share
+    is an integer series over one integer denominator, and the shares
+    accumulate over the least common multiple of those denominators, so
+    one Fraction is built per coefficient of the result.
     """
     points = [point for point, _ in torus_fixed_points(t)]
     roots = set(fixed_point_values(t, points[0], lam))
@@ -180,17 +183,15 @@ def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
     """The s^0 coefficient {(rest exponents, alpha power): value} of the sum
     over the points, once the negative powers of s are checked to cancel.
 
-    With lam = weights / scale every root value is an integer over scale.
-    An alpha-free factor is an integer over g * scale for a fixed g; a
-    factor with w != 0 divides the series by 1 + x*u with x = N / (b*scale)
-    for one fixed b, so the u^k coefficient is S[k] / (b*scale)^k with S[k]
-    an integer.  The tangent Euler class is an integer fraction over
-    scale^dim.  In the s^0 row the powers of scale cancel, and every other
-    factor that is the same at all points goes into one constant, so each
-    point's share is an integer over its own integer denominator, and the
-    shares are summed over their common multiple.
+    The weights are integers, so every root value is one.  An alpha-free
+    factor is an integer over g for a fixed g; a factor with w != 0
+    divides the series by 1 + x*u with x = N / b for one fixed b, so the
+    u^k coefficient is S[k] / b^k with S[k] an integer.  The tangent Euler
+    class is an integer fraction.  Every factor that is the same at all
+    points goes into one constant, so each point's share is an integer
+    over its own integer denominator, and the shares are summed over their
+    common multiple.
     """
-    weights, _ = scaled_weights(lam)
     constant = Fraction(1, den)
     poles, shifts = [], []  # alpha-free factors, factors with w != 0
     for coeffs, w, e in factors:
@@ -207,8 +208,8 @@ def _ray_series_sum(t: Tableau, points, lam, factors, recipe, terms,
     b_powers = [b ** (order - k) for k in range(order + 1)]
     shares = []
     for point in points:
-        values = point_values(t, point, weights)
-        top, bottom = tangent_euler_scaled(tangent, point, weights)
+        values = point_values(t, point, lam)
+        top, bottom = tangent_euler_scaled(tangent, point, lam)
         for coeffs, e in poles:
             delta = sum(a * values[v] for v, a in coeffs.items())
             if not delta:

@@ -13,13 +13,12 @@ from flaghg.fixedlocus import (assert_block_symmetric, canonical_roots,
                                euler_product_from_ledger,
                                grassmannian_euler_product,
                                hquot_restriction_ledger, normal_ledger,
-                               scaled_weights, tangent_ledger,
-                               torus_fixed_points)
+                               tangent_ledger, torus_fixed_points)
 from flaghg.tableaux import (FlagSpec, Tableau, component_dimension,
                              enumerate_tableaux, fixed_point_count,
                              hquot_dimension)
 
-from conftest import (MIXED_LAM, all_specs, max_rule_index,
+from conftest import (MIXED_LAM, all_specs, as_blocks, max_rule_index,
                       zero_ambient_roots)
 from expanded_oracle import (fixed_point_values, per_pair_euler_product,
                              tangent_euler_scaled)
@@ -30,9 +29,7 @@ A = Poly.var(ALPHA)
 def tangent_euler_at_point(ledger, point, lam):
     """Product of tangent weights at an isolated torus fixed point, from the
     component's tangent ledger, through the integer core."""
-    weights, scale = scaled_weights(lam)
-    num, den = tangent_euler_scaled(ledger, point, weights)
-    return Fraction(num, den) / Fraction(scale) ** ledger.rank()
+    return Fraction(*tangent_euler_scaled(ledger, point, lam))
 
 
 def gr(n, r, d, rows):
@@ -199,7 +196,7 @@ def test_block_symmetry_of_euler_classes():
 def test_torus_fixed_points_examples():
     t = gr(2, 1, 1, [1])
     pts = torus_fixed_points(t)
-    assert [p[(1, 1)] for p, _ in pts] == [(1,), (2,)]
+    assert [as_blocks(t, p)[(1, 1)] for p, _ in pts] == [(1,), (2,)]
     assert [tangent for _, tangent in pts] == [((2, 1),), ((1, 2),)]
     assert len(torus_fixed_points(gr(4, 2, 2, [0, 2]))) == 12
     assert len(torus_fixed_points(gr(4, 2, 2, [1, 1]))) == 6
@@ -207,7 +204,8 @@ def test_torus_fixed_points_examples():
 
 def test_torus_fixed_points_nested_for_flags():
     t = Tableau(FlagSpec(3, (1, 2), (1, 1)), ((1,), (0, 1)))
-    for p, _ in torus_fixed_points(t):
+    for point, _ in torus_fixed_points(t):
+        p = as_blocks(t, point)
         assert set(p[(1, 1)]) <= set(p[(2, 1)]) | set(p[(2, 2)])
     # a line inside the rank-2 step over each coordinate flag of C^3
     assert len(torus_fixed_points(t)) == 12
@@ -247,13 +245,57 @@ def test_torus_fixed_points_match_brute_force():
                     expected.append(choice)
             expected.sort()
             top = {(t.levels + 1, 1): tuple(range(1, spec.n + 1))}
-            assert [p for p, _ in torus_fixed_points(t)] == [
+            assert [as_blocks(t, p) for p, _ in torus_fixed_points(t)] == [
                 {**top, **dict(zip(refs, choice))} for choice in expected]
+
+
+def test_torus_fixed_points_flat_layout_full_flags():
+    # Fl(1,2;C^3): the ambient 1..n, then the plane, then the line in it,
+    # each point with its three tangent pairs
+    t, = enumerate_tableaux(FlagSpec(3, (1, 2), (0, 0)))
+    assert torus_fixed_points(t) == [
+        ((1, 2, 3, 1, 2, 1), ((3, 1), (3, 2), (2, 1))),
+        ((1, 2, 3, 1, 2, 2), ((3, 1), (3, 2), (1, 2))),
+        ((1, 2, 3, 1, 3, 1), ((2, 1), (2, 3), (3, 1))),
+        ((1, 2, 3, 1, 3, 3), ((2, 1), (2, 3), (1, 3))),
+        ((1, 2, 3, 2, 3, 2), ((1, 2), (1, 3), (3, 2))),
+        ((1, 2, 3, 2, 3, 3), ((1, 2), (1, 3), (2, 3))),
+    ]
+
+
+def test_torus_fixed_points_flat_layout_nests():
+    # A point lists n ambient coordinates, then r_I of level I, ..., then
+    # r_1 of level 1, each level's blocks in order of j with m(i, j)
+    # coordinates each.  Every block's slice is sorted, a level's slices
+    # are disjoint, and block (i, j)'s lies in the coordinates of the
+    # level-(i+1) blocks k with a(i+1, k) <= a(i, j), which come first.
+    for spec in all_specs(5, 3):
+        for t in enumerate_tableaux(spec):
+            starts = {t.levels + 1: 0}
+            for i in range(t.levels, 0, -1):
+                starts[i] = starts[i + 1] + spec.rank(i + 1)
+            for point, _ in torus_fixed_points(t):
+                assert len(point) == starts[1] + spec.rank(1)
+                assert point[:spec.n] == tuple(range(1, spec.n + 1))
+                for i in range(1, t.levels + 1):
+                    level = point[starts[i]:starts[i] + spec.rank(i)]
+                    assert len(set(level)) == len(level), (t.rows, point)
+                    above = point[starts[i + 1]:]
+                    start = 0
+                    for j in range(1, t.K(i) + 1):
+                        block = level[start:start + t.m(i, j)]
+                        start += t.m(i, j)
+                        assert list(block) == sorted(block), (t.rows, point)
+                        first = sum(t.m(i + 1, k) for k in range(
+                            1, max_rule_index(t, i, j) + 1))
+                        assert set(block) <= set(above[:first]), \
+                            (t.rows, point)
 
 
 def test_specialize_examples():
     t = gr(4, 2, 2, [1, 1])
-    pts = [p for p, _ in torus_fixed_points(t) if p[(1, 1)] == (1, 3)]
+    pts = [p for p, _ in torus_fixed_points(t)
+           if as_blocks(t, p)[(1, 1)] == (1, 3)]
     lam = [Fraction(2), Fraction(5), Fraction(7), Fraction(11)]
     f = RatFun.from_poly(Poly.var(y(1, 1, 1)) + Poly.var(y(1, 1, 2)))
     values = fixed_point_values(t, pts[0], lam)
@@ -288,10 +330,10 @@ def test_specialize_rejects_repeated_weights():
 
 def test_tangent_euler_at_point_projective_space():
     t = gr(3, 1, 0, [0])
-    lam = [Fraction(0), Fraction(1), Fraction(2)]
+    lam = [0, 1, 2]
     values = {}
     for p, _ in torus_fixed_points(t):
-        c = p[(1, 1)][0]
+        c = as_blocks(t, p)[(1, 1)][0]
         values[c] = tangent_euler_at_point(tangent_ledger(t), p, lam)
     assert values == {
         1: Fraction(2),   # (l2-l1)(l3-l1)
@@ -313,9 +355,10 @@ def test_tangent_euler_at_point_mixed_denominators():
         ledger = tangent_ledger(t)
         for point, _ in torus_fixed_points(t):
             expected = Fraction(1)
+            blocks = as_blocks(t, point)
             for src, tgt, _, m in ledger.terms():
-                for cs in point[src]:
-                    for ct in point[tgt]:
+                for cs in blocks[src]:
+                    for ct in blocks[tgt]:
                         diff = MIXED_LAM[ct - 1] - MIXED_LAM[cs - 1]
                         if diff:
                             expected *= diff ** m
@@ -327,7 +370,7 @@ def test_tangent_euler_at_point_mixed_denominators():
 def test_tangent_euler_matches_ledger_route():
     # the product over each point's tangent pairs against the reference
     # that multiplies out the tangent ledger and cancels its zeros
-    weights, _ = scaled_weights(MIXED_LAM + [Fraction(-5, 6)])
+    weights = MIXED_LAM + [-50]
     for spec in all_specs(5, 3):
         for t in enumerate_tableaux(spec):
             ledger = tangent_ledger(t)
