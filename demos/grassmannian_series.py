@@ -6,9 +6,7 @@ must agree, and pairing against the Schur basis pins the class down
 uniquely.  Pairing against e^{Ht} recovers the localization integral.
 """
 
-from flaghg.algebra import kahler
-from flaghg.mirror import (box_partitions, grassmannian_hg_term,
-                           hyperplane_pullback, integral_Id,
+from flaghg.mirror import (box_partitions, grassmannian_hg_term, integral_Id,
                            reconstruct_class_from_pairings, schur_pairing,
                            zero_tableau)
 from flaghg.pushforward import ab_integrate, lam_vector
@@ -39,7 +37,7 @@ print()
 print("Pairing the class against e^(Ht) reproduces the direct integral:")
 t0 = zero_tableau(spec)
 paired = ab_integrate(t0, cls, lam_vector(n, 0), check_symmetry=False,
-                      exp={kahler(1): hyperplane_pullback(t0, 1)})
+                      exp=True)
 direct = integral_Id(FlagSpec(n, (r,), (1,))).value
 print(f"  paired : {paired.to_text()}")
 print(f"  direct : {direct.to_text()}")

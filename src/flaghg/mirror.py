@@ -4,9 +4,9 @@ product-of-projective-spaces comparison.
 The degree-d integral over a flag manifold is the sum over distinguished
 tableaux of the truncated exponential of the pulled-back hyperplane
 classes against the inverse normal Euler class, integrated by the
-fixed-point oracle.  The oracle receives the two factored, the Euler class
-as the tableau's normal ledger and the exponential as its hyperplane
-classes, and never expands their product.  For Grassmannians the degree-d
+fixed-point oracle.  The oracle builds the two from the tableau, the
+Euler class from its normal ledger and the exponential from its roots,
+and never expands their product.  For Grassmannians the degree-d
 class is pushed forward from each tableau as its coset terms, one
 factored product per coset of the tableau's block alphabet.  The
 simplified display sums over the same fixed points, so its terms minus
@@ -109,17 +109,15 @@ class IntegralResult(namedtuple("IntegralResult", (
 
 
 def integral_Id(spec: FlagSpec, lambda_seed: int = 0) -> IntegralResult:
-    """Sum the localization integral over all distinguished tableaux; each
-    tableau's exp goes to the oracle as its hyperplane classes and its
-    inverse normal Euler class as its normal ledger, never multiplied out."""
+    """Sum the localization integral over all distinguished tableaux; the
+    oracle builds each tableau's exp of hyperplane classes and its normal
+    Euler class itself, with normal=True and exp=True, never multiplied
+    out."""
     lam = lam_vector(spec.n, lambda_seed)
     per_tableau = []
     for t in enumerate_tableaux(spec):
-        hyperplanes = {kahler(i): hyperplane_pullback(t, i)
-                       for i in range(1, spec.levels + 1)}
-        contribution = ab_integrate(
-            t, RatFun.const(1), lam, lambda_seed, normal=normal_ledger(t),
-            exp=hyperplanes)
+        contribution = ab_integrate(t, RatFun.const(1), lam, lambda_seed,
+                                    normal=True, exp=True)
         per_tableau.append((t, contribution))
     total = ratfun_sum([contribution for _, contribution in per_tableau])
     if not _alpha_only_denominator(total):

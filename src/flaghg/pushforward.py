@@ -14,22 +14,23 @@ tower and killing the ambient roots integrates to a point; the
 independent oracle instead sums integrand/tangent-Euler over the torus
 fixed points.
 
-The oracle, ab_integrate, takes its integrand factored (a RatFun, a
-normal ledger whose Euler class divides it, a truncated exponential of
-Kahler variables times root forms) and never multiplies the pieces out:
-at a fixed point on the ray lam*s, lam integers, each piece is a number
-times a power of s, so the point contributes a short series.  It works
-on columns over the fixed points, one integer per point: each quantity
-is one column, each step maps over whole columns, and each coefficient
-of the sum is a dot product over the points.  A point is one tuple of
-coordinates and the roots are listed in its order, so the root columns
-are the points transposed.  The numerator's root monomials and the
-exponential's products of the H_i are one table of monomials in the
-roots and the H_i, each one product from an earlier one.  The tangent
-Euler class at a point is the product of the tangent weights that
-torus_fixed_points lists with it: one per coordinate a block holds and
-coordinate it could have chosen instead, as the component is a tower of
-flag bundles.
+The oracle, ab_integrate, takes its integrand factored (a RatFun, and
+two flags for the paper's pieces on a distinguished component, the
+normal Euler class and the exponential of the Kahler variables times the
+pulled-back hyperplane classes, which it builds from the tableau) and
+never multiplies the pieces out: at a fixed point on the ray lam*s, lam
+integers, each piece is a number times a power of s, so the point
+contributes a short series.  It works on columns over the fixed points,
+one integer per point: each quantity is one column, each step maps over
+whole columns, and each coefficient of the sum is a dot product over
+the points.  A point is one tuple of coordinates and the roots are
+listed in its order, so the root columns are the points transposed.
+The numerator's root monomials and the exponential's products of the
+H_i are one table of monomials in the roots and the H_i, each one
+product from an earlier one.  The tangent Euler class at a point is the
+product of the tangent weights that torus_fixed_points lists with it:
+one per coordinate a block holds and coordinate it could have chosen
+instead, as the component is a tower of flag bundles.
 """
 
 from __future__ import annotations
@@ -40,12 +41,12 @@ from itertools import (combinations, combinations_with_replacement,
                        permutations, repeat)
 from math import factorial, lcm, prod
 from operator import add, mul, sub
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Sequence
 
-from .algebra import ALPHA, Poly, RatFun, VarId, y
+from .algebra import ALPHA, Poly, RatFun, VarId, kahler, y
 from .errors import (DEFAULT_COSET_BUDGET, BudgetExceededError,
                      IntegrationShapeError, SingularSubstitutionError)
-from .fixedlocus import (Ledger, assert_block_symmetric, point_blocks,
+from .fixedlocus import (assert_block_symmetric, normal_ledger, point_blocks,
                          torus_fixed_points)
 from .tableaux import Tableau, component_dimension
 
@@ -212,30 +213,33 @@ MAX_RETRIES = 5
 
 def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
                  seed: int = 0, check_symmetry: bool = True,
-                 normal: Ledger | None = None,
-                 exp: Mapping[VarId, Poly] | None = None) -> RatFun:
+                 normal: bool = False, exp: bool = False) -> RatFun:
     """Torus fixed-point integral of p * exp / e(normal) over the
     component, from one pass over the fixed points, after checking that p
     is symmetric in the letters of each block (unless check_symmetry is
     False).
 
-    The integrand stays factored: p is a RatFun, normal a ledger whose
-    equivariant Euler class divides the integrand, and exp = {t_i: H_i}
-    the exponential of sum_i t_i*H_i, with each H_i a root form.  Every
-    root variable of p must be one of the component's letters, every
-    denominator factor of p a root form plus a multiple of alpha, and
-    every ledger term must have a non-zero weight.  The exponential is
-    truncated at the series order, the component dimension plus the
-    orders of the alpha-free poles: a t-monomial of higher degree brings
-    a higher power of s, which never reaches the s^0 coefficient.
+    The integrand stays factored, and the oracle builds its pieces from
+    the tableau: p is a RatFun; normal=True divides by the equivariant
+    Euler class of normal_ledger(t); and exp=True multiplies by the
+    exponential of sum_i t_i*H_i over the levels i, with t_i = kahler(i)
+    and H_i the pulled-back hyperplane class, minus the sum of the level-i
+    roots.  Every root variable of p must be one of the component's
+    letters, and every denominator factor of p a root form plus a
+    multiple of alpha.  The exponential is truncated at the series order,
+    the component dimension plus the orders of the alpha-free poles: a
+    t-monomial of higher degree brings a higher power of s, which never
+    reaches the s^0 coefficient.
 
     With the roots on the ray lam*s, the sum of integrand / (tangent Euler
     class) over the fixed points is a truncated Laurent series in s whose
     s^0 coefficient is the non-equivariant integral, free of the weights.
-    The weights are distinct integers, as lam_vector draws them: a common
-    factor of the weights only rescales s, so integers lose nothing.
+    The weights are distinct integers, as lam_vector draws them, and
+    anything else is refused: a common factor of the weights only rescales
+    s, so integers lose nothing.
     At a point each piece is a number times a power of s: a root monomial
-    of degree r is c*s^r, and H_i is c_i*s, so exp brings the multinomials
+    of degree r is c*s^r, and H_i is c_i*s with c_i an integer, the
+    negated sum of the level-i root values, so exp brings the multinomials
     of the c_i.  A linear factor is s*delta + w*alpha: for w != 0 it is
     w*alpha*(1 + x*u) with u = s/alpha, which divides the series in u
     (or multiplies it, for a ledger term of negative multiplicity), so
@@ -256,9 +260,8 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
     sequence up to MAX_RETRIES times.  Everything runs in integers: the
     factors that are the same at every point make one constant, an
     integer numerator over an integer denominator; the shares are summed
-    over one common denominator; and one Fraction is built per
-    coefficient of the result.  Only an H_i with a rational coefficient
-    brings Fractions into its columns, and they stay exact.
+    over one common denominator; every column is an integer; and one
+    Fraction is built per coefficient of the result.
     """
     # The roots: every block's letters, in the order a point lists the
     # blocks' coordinates, so the k-th root sits on the point's k-th one.
@@ -270,6 +273,8 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
         raise ValueError("torus weights must be pairwise distinct")
     if len(lam) != n:
         raise ValueError("one torus weight per coordinate is required")
+    if not all(isinstance(w, int) for w in lam):
+        raise ValueError("torus weights must be integers")
     num = p.num
     if num.is_zero():
         return RatFun.const(0)
@@ -304,11 +309,7 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
                           e))
             cnum, cden = _times(cnum, cden, g, e)
             order += e
-    ledger = list(normal.terms()) if normal is not None else []
-    for src, tgt, w, _ in ledger:
-        if not w:
-            raise IntegrationShapeError(
-                f"normal ledger term {src} -> {tgt} has weight 0")
+    ledger = list(normal_ledger(t).terms()) if normal else []
     # x = b * (the factor's root form / w) is an integer column
     b = lcm(*(abs(w) for _, _, w, _ in ledger),
             *(r.denominator for ratios, _ in shifts for _, r in ratios))
@@ -322,20 +323,13 @@ def ab_integrate(t: Tableau, p: RatFun, lam: Sequence[int],
         alpha_shift -= m * len(pairs)
     cden *= b ** order
 
-    # exp: the t_i and their H_i as maps over the roots, truncated at total
-    # degree D = exp_degree, the order if there is an exp
-    hyperplanes = exp or {}
-    exp_degree = order if hyperplanes else 0
-    tvars = sorted(hyperplanes)
-    forms = []
-    for v in tvars:
-        const, coeffs = hyperplanes[v].linear_parts()
-        if const or v in at or v == ALPHA or not coeffs.keys() <= at.keys():
-            raise IntegrationShapeError(
-                f"exponent {v} * ({hyperplanes[v].to_text()}) is not a "
-                "variable times a root form")
-        forms.append(coeffs)
-    forms = [[(at[v], a) for v, a in form.items()] for form in forms]
+    # exp: the t_i and the columns of their H_i, minus the sums of the
+    # level-i roots, truncated at total degree D = exp_degree, the order
+    levels = range(1, t.spec.levels + 1) if exp else ()
+    exp_degree = order if exp else 0
+    tvars = [kahler(i) for i in levels]
+    forms = [[(at[v], -1) for (i, _), vs in blocks.items() if i == level
+              for v in vs] for level in levels]
 
     # The monomials a point evaluates, in one table: monomial i > 0 is
     # monomial recipe[i-1][0] times the column at index recipe[i-1][1],
@@ -447,8 +441,7 @@ def _scaled(c, den: int) -> int:
 def _ray_series_sums(points, weights, poles, shifts, order: int,
                      recipe, groups, forms, cells) -> tuple[int, dict]:
     """(common, the s^0 row {key: integer}), once the rows of negative
-    powers of s are checked to vanish; an H-form with a rational
-    coefficient makes the row's values Fractions.
+    powers of s are checked to vanish.
 
     The weights are integers, so every root value is one: column k holds
     the weights of the points' k-th coordinates.  A point's
